@@ -34,12 +34,12 @@ from .bijections import (
 from .diagram import ChordDiagram
 from .enumeration import (
     all_diagrams,
-    all_pairs,
     census,
     census_parallel,
     class_census,
     count_class,
     count_class_parallel,
+    connected_diagrams,
     one_terminal_pairs,
     pattern_free_count,
     tcf_refined,
@@ -104,12 +104,12 @@ def _fail(**details) -> dict:
 
 @lru_cache(maxsize=None)
 def _one_terminal_list(n: int) -> tuple[ChordDiagram, ...]:
-    return tuple(ChordDiagram(p) for p in one_terminal_pairs(n))
+    return tuple(ChordDiagram._trusted(p) for p in one_terminal_pairs(n))
 
 
 @lru_cache(maxsize=None)
 def _connected_list(n: int) -> tuple[ChordDiagram, ...]:
-    return tuple(d for d in all_diagrams(n) if d.is_connected())
+    return tuple(connected_diagrams(n))
 
 
 # ---------------------------------------------------------------- diagram core
@@ -678,7 +678,7 @@ def _alpha_interval_blocks(budget: int) -> dict:
 )
 def _omega_code_suite(budget: int) -> dict:
     from .oracles import corollary_count
-    from .triangulation import Triangulation, gamma, omega, triangulation_canonical_code
+    from .triangulation import gamma, omega, triangulation_canonical_code
 
     codes: set[str] = set()
     totals = []
@@ -1053,7 +1053,7 @@ def _enum_tcf_refined(budget: int) -> dict:
         got = tcf_refined(n)
         expect = {i: corollary_count(n, i) for i in range(min(2, n), n + 1)}
         if got != expect:
-            return _fail(n=n, got=got, want=expect)
+            return _fail(n=n, got=dict(got), want=expect)
         total = sum(got.values())
         if total != corollary_sum(n) or total != brown_sum(n):
             return _fail(n=n, total=total)
@@ -1074,18 +1074,9 @@ def _enum_tcf_refined(budget: int) -> dict:
 def _enum_catalan_classes(budget: int) -> dict:
     for n in range(1, budget + 1):
         nc = nn = 0
-        for pairs in all_pairs(n):
-            cr = ne = 0
-            for i in range(n):
-                xi, yi = pairs[i]
-                for j in range(i + 1, n):
-                    xj, yj = pairs[j]
-                    if xj < yi < yj:
-                        cr += 1
-                    elif yj < yi:
-                        ne += 1
-            nc += cr == 0
-            nn += ne == 0
+        for d in all_diagrams(n):
+            nc += d.is_noncrossing()
+            nn += d.is_nonnesting()
         if nc != catalan(n) or nn != catalan(n):
             return _fail(n=n, noncrossing=nc, nonnesting=nn)
     for n in range(1, min(budget, 7) + 1):

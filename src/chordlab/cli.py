@@ -76,6 +76,9 @@ def _cmd_enum(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
+        return 2
     stats = tuple(s for s in args.stats.split(",") if s)
     try:
         if stats:
@@ -362,7 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated statistics (%s)" % ", ".join(STAT_NAMES),
     )
     p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes, at most the CPU count and 2*size-1",
+    )
     p.add_argument("--format", choices=("csv", "json", "lines"), default="lines")
     p.set_defaults(fn=_cmd_enum)
 

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 
 
 class ChordDiagram:
-    """Immutable rooted chord diagram."""
+    """Immutable rooted chord diagram.
 
-    __slots__ = ("pairs", "_adj")
+    The crossing masks, the connectivity, the components and the
+    intersection order are computed on first use and cached in slots.
+    """
+
+    __slots__ = ("pairs", "_adj", "_connected", "_comps", "_order")
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -32,8 +37,15 @@ class ChordDiagram:
         n = len(ps)
         if sorted(seen) != list(range(1, 2 * n + 1)):
             raise ValueError("endpoints must cover 1..2n exactly once")
-        object.__setattr__(self, "pairs", tuple(ps))
-        object.__setattr__(self, "_adj", None)
+        _init(self, tuple(ps))
+
+    @classmethod
+    def _trusted(cls, pairs: Iterable[tuple[int, int]]) -> "ChordDiagram":
+        """Wrap pairs already in standard form, without sorting or checking:
+        (source, sink) int tuples, sorted by source, covering 1..2n."""
+        d = _new(cls)
+        _init(d, tuple(pairs))
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("ChordDiagram is immutable")
@@ -43,13 +55,6 @@ class ChordDiagram:
     @classmethod
     def empty(cls) -> "ChordDiagram":
         return cls(())
-
-    @classmethod
-    def from_partner(cls, partner: Iterable[int]) -> "ChordDiagram":
-        """Build from the partner array: partner[p-1] is the point matched to p."""
-        arr = list(partner)
-        pairs = [(p, q) for p, q in ((i + 1, v) for i, v in enumerate(arr)) if p < q]
-        return cls(pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "ChordDiagram":
@@ -146,15 +151,17 @@ class ChordDiagram:
         return self.relation(i, j) == "disjoint"
 
     def crossings(self) -> int:
-        return sum(1 for i in range(1, self.n) for j in range(i + 1, self.n + 1)
-                   if self.crosses(i, j))
+        return sum(m.bit_count() for m in self.adjacency()) // 2
 
     def nestings(self) -> int:
-        return sum(1 for i in range(1, self.n) for j in range(i + 1, self.n + 1)
-                   if self.nested(i, j))
+        # the sources strictly inside chord i belong to its right neighbors
+        # or to the chords it nests over
+        sources = [a for a, _ in self.pairs]
+        inside = sum(bisect_left(sources, b) - i - 1 for i, (_, b) in enumerate(self.pairs))
+        return inside - self.crossings()
 
     def is_noncrossing(self) -> bool:
-        return self.crossings() == 0
+        return not any(self.adjacency())
 
     def is_nonnesting(self) -> bool:
         return self.nestings() == 0
@@ -163,37 +170,38 @@ class ChordDiagram:
 
     def adjacency(self) -> tuple[int, ...]:
         """Crossing-graph adjacency as bitmasks: bit j-1 of entry i-1 means i crosses j."""
-        if self._adj is None:
-            n = len(self.pairs)
-            adj = [0] * n
+        adj = self._adj
+        if adj is None:
             ps = self.pairs
-            for i in range(n):
-                x1, y1 = ps[i]
-                for j in range(i + 1, n):
-                    x2, y2 = ps[j]
-                    if x2 < y1 < y2:  # sources are sorted, so this is the only crossing shape
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            object.__setattr__(self, "_adj", tuple(adj))
-        return self._adj
-
-    def crossing_edges(self) -> frozenset[tuple[int, int]]:
-        adj = self.adjacency()
-        return frozenset((i + 1, j + 1) for i in range(self.n) for j in range(i + 1, self.n)
-                         if adj[i] >> j & 1)
+            n = len(ps)
+            # event p-1 is the 0-based chord at point p, complemented at its sink
+            events = [0] * (2 * n)
+            for i, (a, b) in enumerate(ps):
+                events[a - 1] = i
+                events[b - 1] = ~i
+            at_source = [0] * n
+            out = [0] * n
+            open_mask = 0
+            for e in events:
+                if e >= 0:
+                    at_source[e] = open_mask
+                    open_mask |= 1 << e
+                else:
+                    i = ~e
+                    open_mask ^= 1 << i
+                    # open at i's source xor open after its sink: the chords
+                    # that closed inside i and those that opened inside it
+                    out[i] = at_source[i] ^ open_mask
+            adj = tuple(out)
+            _set_adj(self, adj)
+        return adj
 
     def right_neighbors(self, i: int) -> tuple[int, ...]:
         """Chords crossing i whose source lies inside chord i (so their sink is to its right)."""
-        x, y = self.pairs[i - 1]
-        adj = self.adjacency()
-        return tuple(j + 1 for j in range(self.n) if adj[i - 1] >> j & 1
-                     and x < self.pairs[j][0] < y)
+        return _mask_labels(self.adjacency()[i - 1] >> i, i)
 
     def left_neighbors(self, i: int) -> tuple[int, ...]:
-        x, y = self.pairs[i - 1]
-        adj = self.adjacency()
-        return tuple(j + 1 for j in range(self.n) if adj[i - 1] >> j & 1
-                     and self.pairs[j][0] < x)
+        return _mask_labels(self.adjacency()[i - 1] & ((1 << (i - 1)) - 1))
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Directed crossing pairs (i, j): j is a right neighbor of i. Always acyclic."""
@@ -206,33 +214,31 @@ class ChordDiagram:
     def components(self) -> list[tuple[int, ...]]:
         """Connected components of the crossing graph, as sorted label tuples.
 
-        Ordered by smallest label, which is also source order.
+        Ordered by smallest label, which is also source order. Each call
+        returns a new list.
         """
-        n = self.n
-        adj = self.adjacency()
-        seen = 0
-        comps = []
-        for s in range(n):
-            if seen >> s & 1:
-                continue
-            mask = 1 << s
-            frontier = mask
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[v]
-                frontier = nxt & ~mask
-                mask |= nxt
-            seen |= mask
-            comps.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
-        return comps
+        comps = self._comps
+        if comps is None:
+            adj = self.adjacency()
+            rest = (1 << len(adj)) - 1
+            out = []
+            while rest:
+                comp = component_mask(adj, rest & -rest, rest)
+                rest ^= comp
+                out.append(_mask_labels(comp))
+            comps = tuple(out)
+            _set_comps(self, comps)
+        return list(comps)
 
     def is_connected(self) -> bool:
         """Nonempty with a weakly connected crossing graph; size 1 is connected."""
-        return self.n > 0 and len(self.components()) == 1
+        conn = self._connected
+        if conn is None:
+            adj = self.adjacency()
+            full = (1 << len(adj)) - 1
+            conn = bool(adj) and component_mask(adj, 1, full) == full
+            _set_connected(self, conn)
+        return conn
 
     # -- subdiagrams and concatenation
 
@@ -295,3 +301,44 @@ def concat_all(parts: Iterable[ChordDiagram]) -> ChordDiagram:
     for p in parts:
         out = out.concat(p)
     return out
+
+
+def _mask_labels(mask: int, offset: int = 0) -> tuple[int, ...]:
+    """Labels offset + j + 1 of the set bits j of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() + offset)
+        mask ^= low
+    return tuple(out)
+
+
+def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
+    """Bitmask of the component containing the seed bits in the crossing
+    graph induced on the chord set `within`."""
+    comp = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp
+
+
+_new = object.__new__
+_set_pairs = ChordDiagram.pairs.__set__
+_set_adj = ChordDiagram._adj.__set__
+_set_connected = ChordDiagram._connected.__set__
+_set_comps = ChordDiagram._comps.__set__
+_set_order = ChordDiagram._order.__set__
+
+
+def _init(d: ChordDiagram, pairs: tuple[tuple[int, int], ...]) -> None:
+    _set_pairs(d, pairs)
+    _set_adj(d, None)
+    _set_connected(d, None)
+    _set_comps(d, None)
+    _set_order(d, None)

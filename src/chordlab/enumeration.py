@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 from .diagram import ChordDiagram
 from .patterns import cycle_profile, in_class
 from .structure import (
-    intersection_order,
+    is_one_terminal,
     terminal_labels,
     terminality,
     t1,
@@ -56,8 +58,9 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every size-n diagram exactly once, deterministic order."""
     if n < 0:
         raise ValueError("size must be >= 0")
+    trusted = ChordDiagram._trusted
     for pairs in all_pairs(n):
-        yield ChordDiagram(pairs)
+        yield trusted(pairs)
 
 
 def branches(n: int) -> list[int]:
@@ -65,65 +68,36 @@ def branches(n: int) -> list[int]:
     return list(range(2, 2 * n + 1))
 
 
-def crossing_masks(pairs: list[tuple[int, int]]) -> list[int]:
-    """Bit i of entry j set iff chords i+1 and j+1 cross."""
-    n = len(pairs)
-    adj = [0] * n
-    for i in range(n):
-        yi = pairs[i][1]
-        bit_i = 1 << i
-        for j in range(i + 1, n):
-            xj, yj = pairs[j]
-            if xj < yi < yj:
-                adj[i] |= 1 << j
-                adj[j] |= bit_i
-    return adj
-
-
-def _is_connected_mask(adj: list[int]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for i in range(n):
-            if frontier >> i & 1:
-                nxt |= adj[i]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
-def _terminal_count_mask(adj: list[int]) -> int:
-    # a chord is terminal iff nothing after it (in source order) crosses it
-    n = len(adj)
-    return sum(1 for i in range(n) if adj[i] >> (i + 1) == 0)
+def _pool_size(n: int, jobs: int) -> int:
+    """Worker count for a parallel sweep: never more than the CPUs or the
+    branches of size n."""
+    return max(1, min(jobs, os.cpu_count() or 1, len(branches(n))))
 
 
 @lru_cache(maxsize=None)
-def census(n: int, branch: int | None = None) -> dict[str, int]:
-    """Counts of all / connected / one-terminal diagrams of size n. Cached;
-    callers must treat the result as read-only."""
+def census(n: int, branch: int | None = None) -> Mapping[str, int]:
+    """Counts of all / connected / one-terminal diagrams of size n. Cached,
+    and read-only."""
     total = conn = one_term = 0
+    trusted = ChordDiagram._trusted
     for pairs in all_pairs(n, branch):
         total += 1
-        adj = crossing_masks(pairs)
-        if _is_connected_mask(adj):
+        d = trusted(pairs)
+        if d.is_connected():
             conn += 1
-            if _terminal_count_mask(adj) == 1:
+            if len(terminal_labels(d)) == 1:
                 one_term += 1
-    return {"all": total, "connected": conn, "one-terminal": one_term}
+    return MappingProxyType({"all": total, "connected": conn, "one-terminal": one_term})
 
 
 def _census_branch(args: tuple[int, int]) -> dict[str, int]:
-    return census(args[0], args[1])
+    return dict(census(args[0], args[1]))
 
 
-def census_parallel(n: int, jobs: int = 1) -> dict[str, int]:
+def census_parallel(n: int, jobs: int = 1) -> Mapping[str, int]:
     """Same counts as census(); the split by first chord makes the result
     independent of the job count."""
+    jobs = _pool_size(n, jobs)
     if jobs <= 1 or n == 0:
         return census(n)
     work = [(n, b) for b in branches(n)]
@@ -138,9 +112,9 @@ def census_parallel(n: int, jobs: int = 1) -> dict[str, int]:
 
 def one_terminal_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
     """Raw pair lists of the one-terminal diagrams of size n."""
+    trusted = ChordDiagram._trusted
     for pairs in all_pairs(n):
-        adj = crossing_masks(pairs)
-        if _is_connected_mask(adj) and _terminal_count_mask(adj) == 1:
+        if is_one_terminal(trusted(pairs)):
             yield pairs
 
 
@@ -187,8 +161,9 @@ def count_class(
     pred = cls if callable(cls) else (lambda d: in_class(d, cls))
     name = cls if isinstance(cls, str) else getattr(cls, "__name__", "custom")
     table = CountTable(name, tuple(statistics))
+    trusted = ChordDiagram._trusted
     for pairs in all_pairs(n, branch):
-        d = ChordDiagram(pairs)
+        d = trusted(pairs)
         if not pred(d):
             continue
         key = (n,) + tuple(_STAT_FUNCS[s](d) for s in statistics)
@@ -207,6 +182,7 @@ def count_class_parallel(
     statistics: tuple[str, ...] = (),
     jobs: int = 1,
 ) -> CountTable:
+    jobs = _pool_size(n, jobs)
     if jobs <= 1 or n == 0:
         return count_class(n, cls, statistics)
     work = [(n, cls, statistics, b) for b in branches(n)]
@@ -234,16 +210,14 @@ PROFILE_CLASSES = (
 
 
 @lru_cache(maxsize=None)
-def class_census(n: int) -> dict[str, dict[str, int]]:
+def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     """One sweep over size-n diagrams scoring every profile class at once;
-    returns class -> {all, connected, one-terminal} counts. Cached; callers
-    must treat the result as read-only."""
+    returns class -> {all, connected, one-terminal} counts. Cached, and
+    read-only."""
     out = {c: {"all": 0, "connected": 0, "one-terminal": 0} for c in PROFILE_CLASSES}
-    for pairs in all_pairs(n):
-        adj = crossing_masks(pairs)
-        conn = _is_connected_mask(adj)
-        one_term = conn and _terminal_count_mask(adj) == 1
-        d = ChordDiagram(pairs)
+    for d in all_diagrams(n):
+        conn = d.is_connected()
+        one_term = conn and len(terminal_labels(d)) == 1
         profile = cycle_profile(d)
         has_top = any(k[1] == "top" or k[0] == 3 for k in profile)
         has_bottom = any(k[1] == "bottom" or k[0] == 3 for k in profile)
@@ -266,22 +240,19 @@ def class_census(n: int) -> dict[str, dict[str, int]]:
                 out[c]["connected"] += 1
             if one_term:
                 out[c]["one-terminal"] += 1
-    return out
+    return MappingProxyType({c: MappingProxyType(v) for c, v in out.items()})
 
 
 @lru_cache(maxsize=None)
-def tcf_refined(n: int) -> dict[int, int]:
-    """Connected top-cycle-free counts of size n, refined by t1. Cached."""
+def tcf_refined(n: int) -> Mapping[int, int]:
+    """Connected top-cycle-free counts of size n, refined by t1. Cached, and
+    read-only."""
     out: dict[int, int] = {}
-    for pairs in all_pairs(n):
-        adj = crossing_masks(pairs)
-        if not _is_connected_mask(adj):
-            continue
-        d = ChordDiagram(pairs)
+    for d in connected_diagrams(n):
         if in_class(d, "top-cycle-free"):
             k = t1(d)
             out[k] = out.get(k, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
@@ -290,30 +261,17 @@ def pattern_free_count(n: int, pattern: ChordDiagram, variant: str = "all") -> i
     from .patterns import contains_pattern
 
     cnt = 0
-    for pairs in all_pairs(n):
-        d = ChordDiagram(pairs)
+    for d in all_diagrams(n):
         if variant == "connected" and not d.is_connected():
             continue
-        if variant == "one-terminal":
-            adj = crossing_masks(pairs)
-            if not (_is_connected_mask(adj) and _terminal_count_mask(adj) == 1):
-                continue
+        if variant == "one-terminal" and not is_one_terminal(d):
+            continue
         if not contains_pattern(d, pattern):
             cnt += 1
     return cnt
 
 
-def witness_search(
-    pred: Callable[[ChordDiagram], bool], n: int
-) -> ChordDiagram | None:
-    """First size-n diagram satisfying pred, in generation order."""
-    for d in all_diagrams(n):
-        if pred(d):
-            return d
-    return None
-
-
 def connected_diagrams(n: int) -> Iterator[ChordDiagram]:
-    for pairs in all_pairs(n):
-        if _is_connected_mask(crossing_masks(pairs)):
-            yield ChordDiagram(pairs)
+    for d in all_diagrams(n):
+        if d.is_connected():
+            yield d

@@ -682,15 +682,6 @@ def ogf_checks(n_max: int) -> dict:
     }
 
 
-def covering_phi(s: int) -> Callable[[int], Fraction]:
-    """Preset phi_k = C(k+s, k+1), the covering-number weights."""
-
-    def phi(k: int) -> Fraction:
-        return Fraction(comb(k + s, k + 1))
-
-    return phi
-
-
 def series_rows(operator: str, n_max: int, source: str = "solve") -> list[dict]:
     """JSON-ready coefficient rows for the CLI."""
     series = (

@@ -8,17 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .diagram import ChordDiagram
-
-
-def connected_components(d: ChordDiagram) -> list[tuple[int, ...]]:
-    """Crossing-graph components as label tuples, by leftmost endpoint."""
-    return d.components()
-
-
-def indecomposable_components(d: ChordDiagram) -> list[tuple[int, ...]]:
-    """Maximal concatenation factors as label tuples, left to right."""
-    return d.indecomposable_components()
+from .diagram import ChordDiagram, component_mask
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -31,40 +21,41 @@ def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
     """
     if d.n == 0 or not d.is_connected():
         raise ValueError("intersection order needs a connected nonempty diagram")
-    return _intersection_order_any(d)
+    return _order(d)
 
 
-def _intersection_order_any(d: ChordDiagram) -> tuple[int, ...]:
-    adj = d.adjacency()
+def _order(d: ChordDiagram) -> tuple[int, ...]:
+    # the recursion runs on an explicit stack of chord-set masks, smallest
+    # component on top, and the result is cached on the diagram
+    order = d._order
+    if order is None:
+        adj = d.adjacency()
+        out = []
+        stack = [(1 << d.n) - 1]
+        while stack:
+            rest = stack.pop()
+            low = rest & -rest
+            out.append(low.bit_length())
+            rest ^= low
+            comps = []
+            while rest:
+                comp = component_mask(adj, rest & -rest, rest)
+                rest ^= comp
+                comps.append(comp)
+            stack.extend(reversed(comps))
+        order = tuple(out)
+        object.__setattr__(d, "_order", order)
+    return order
 
-    def rec(labels: list[int]) -> list[int]:
-        if not labels:
-            return []
-        out = [labels[0]]
-        remaining = set(labels[1:])
-        while remaining:
-            s = min(remaining)
-            comp = {s}
-            frontier = {s}
-            while frontier:
-                nxt = set()
-                for v in frontier:
-                    m = adj[v - 1]
-                    for w in remaining:
-                        if w not in comp and m >> (w - 1) & 1:
-                            nxt.add(w)
-                comp |= nxt
-                frontier = nxt
-            out += rec(sorted(comp))
-            remaining -= comp
-        return out
 
-    return tuple(rec(list(range(1, d.n + 1))))
+def _right_counts(d: ChordDiagram) -> list[int]:
+    # right neighbors of each chord, by 0-based label
+    return [(m >> (i + 1)).bit_count() for i, m in enumerate(d.adjacency())]
 
 
 def terminal_labels(d: ChordDiagram) -> tuple[int, ...]:
     """Chords with no right neighbor, in standard order. Any diagram."""
-    return tuple(i for i in range(1, d.n + 1) if not d.right_neighbors(i))
+    return tuple(i for i, m in enumerate(d.adjacency(), 1) if not m >> i)
 
 
 def terminal_profile(d: ChordDiagram) -> tuple[int, ...]:
@@ -73,8 +64,8 @@ def terminal_profile(d: ChordDiagram) -> tuple[int, ...]:
     Connected nonempty diagrams only.
     """
     order = intersection_order(d)
-    pos = {lab: p + 1 for p, lab in enumerate(order)}
-    return tuple(sorted(pos[lab] for lab in terminal_labels(d)))
+    adj = d.adjacency()
+    return tuple(p for p, lab in enumerate(order, 1) if not adj[lab - 1] >> lab)
 
 
 def t1(d: ChordDiagram) -> int:
@@ -85,6 +76,11 @@ def t1(d: ChordDiagram) -> int:
 def is_one_terminal(d: ChordDiagram) -> bool:
     """Connected with exactly one terminal chord."""
     return d.is_connected() and len(terminal_labels(d)) == 1
+
+
+def _terminal_at(order: tuple[int, ...], rn_count: list[int], j: int) -> bool:
+    # no chord with at most j-1 right neighbors strictly before position n-j+1
+    return all(rn_count[lab - 1] >= j for lab in order[:len(order) - j])
 
 
 def is_k_terminal(d: ChordDiagram, k: int) -> bool:
@@ -98,25 +94,19 @@ def is_k_terminal(d: ChordDiagram, k: int) -> bool:
         return True
     if not d.is_connected():
         return False
-    n = d.n
-    order = intersection_order(d)
-    rn_count = [len(d.right_neighbors(i)) for i in range(1, n + 1)]
-    for j in range(1, min(k, n) + 1):
-        cutoff = n - j + 1
-        if cutoff <= 1:
-            continue  # vacuous
-        for p in range(1, cutoff):
-            if rn_count[order[p - 1] - 1] <= j - 1:
-                return False
-    return True
+    order = _order(d)
+    rn_count = _right_counts(d)
+    return all(_terminal_at(order, rn_count, j) for j in range(1, min(k, d.n) + 1))
 
 
 def terminality(d: ChordDiagram) -> int:
     """Largest k <= n for which the diagram is k-terminal; 0 if none or empty."""
     if d.n == 0 or not d.is_connected():
         return 0
+    order = _order(d)
+    rn_count = _right_counts(d)
     k = 0
-    while k < d.n and is_k_terminal(d, k + 1):
+    while k < d.n and _terminal_at(order, rn_count, k + 1):
         k += 1
     return k
 
@@ -126,12 +116,8 @@ def is_k_terminal_minimal(d: ChordDiagram, k: int) -> bool:
     have exactly k right neighbors."""
     if not is_k_terminal(d, k):
         return False
-    n = d.n
-    order = intersection_order(d)
-    for p in range(1, n - k + 1):
-        if len(d.right_neighbors(order[p - 1])) != k:
-            return False
-    return True
+    rn_count = _right_counts(d)
+    return all(rn_count[lab - 1] == k for lab in intersection_order(d)[:d.n - k])
 
 
 def source_sink_groups(d: ChordDiagram, m: int | None = None) -> dict[int, list[int]]:
@@ -279,6 +265,8 @@ def vertex_connectivity(d: ChordDiagram) -> int:
     full = (1 << n) - 1
     best = n - 1
     for s in range(n):
+        if s > best:
+            break  # some vertex among the first best+1 lies outside a minimum cut
         if adj[s] | 1 << s == full:
             continue  # adjacent to everything, no cut excludes it as endpoint
         for t in range(s + 1, n):

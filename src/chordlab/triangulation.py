@@ -3,8 +3,6 @@ between them and connected top-cycle-free diagrams."""
 
 from __future__ import annotations
 
-import json
-
 from .bijections import alpha
 from .diagram import ChordDiagram
 from .patterns import contains_any_top_cycle
@@ -158,20 +156,6 @@ class Triangulation:
                 row.append(lab[w])
             rows.append(",".join(map(str, row)))
         return ";".join(rows)
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.vertices(),
-            "boundary": list(self.boundary),
-            "faces": sorted(list(f) for f in self.faces),
-            "root_edge": [self.boundary[0], self.boundary[-1]],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "Triangulation":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(tuple(map(tuple, obj["faces"])), tuple(obj["boundary"]))
 
 
 def triangulation_canonical_code(t: Triangulation) -> str:

@@ -29,6 +29,8 @@ def test_construction_rejects_reused_point():
 def test_construction_rejects_gap_in_points():
     with pytest.raises(ValueError):
         ChordDiagram([(1, 2), (3, 5)])
+    with pytest.raises(ValueError):
+        ChordDiagram.from_json({"pairs": [[1, 2], [3, 5]]})
 
 
 def test_empty_diagram():

@@ -1,0 +1,198 @@
+"""The cached diagram kernel against independent oracles.
+
+Every kernel result (crossing masks, neighbors, terminal chords, pair
+statistics, components, intersection order, vertex connectivity) is
+recomputed here from the raw pairs or from networkx, over every diagram
+with at most six chords, and never from the kernel itself.
+"""
+
+import random
+from types import MappingProxyType
+
+import networkx as nx
+import pytest
+
+from chordlab import cli, enumeration
+from chordlab.bijections import chi
+from chordlab.diagram import ChordDiagram
+from chordlab.enumeration import all_pairs, census, class_census, tcf_refined
+from chordlab.structure import (
+    intersection_order,
+    terminal_labels,
+    vertex_connectivity,
+)
+from conftest import sweep
+
+MAX_N = 6
+
+
+def every_diagram():
+    for n in range(MAX_N + 1):
+        yield from sweep(n)
+
+
+def interleave(p, q) -> bool:
+    (a, b), (c, d) = p, q
+    return a < c < b < d or c < a < d < b
+
+
+def crossing_graph(d: ChordDiagram) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(1, d.n + 1))
+    g.add_edges_from(
+        (i, j)
+        for i in range(1, d.n + 1)
+        for j in range(i + 1, d.n + 1)
+        if interleave(d.pairs[i - 1], d.pairs[j - 1])
+    )
+    return g
+
+
+def recursive_intersection_order(d: ChordDiagram) -> tuple[int, ...]:
+    """The definition, recursively: label the root, remove it, and recurse
+    on the components of the rest in order of their smallest label."""
+
+    def crosses(i, j):
+        return interleave(d.pairs[i - 1], d.pairs[j - 1])
+
+    def rec(labels: list[int]) -> list[int]:
+        if not labels:
+            return []
+        out = [labels[0]]
+        remaining = set(labels[1:])
+        while remaining:
+            comp = {min(remaining)}
+            frontier = set(comp)
+            while frontier:
+                frontier = {w for w in remaining - comp for v in frontier if crosses(v, w)}
+                comp |= frontier
+            out += rec(sorted(comp))
+            remaining -= comp
+        return out
+
+    return tuple(rec(list(range(1, d.n + 1))))
+
+
+def test_adjacency_matches_interleaving_of_raw_pairs():
+    for d in every_diagram():
+        adj = d.adjacency()
+        for i in range(d.n):
+            for j in range(d.n):
+                assert bool(adj[i] >> j & 1) == interleave(d.pairs[i], d.pairs[j]), d
+
+
+def test_right_neighbors_and_terminal_labels_match_their_definitions():
+    for d in every_diagram():
+        right = {}
+        for i in range(1, d.n + 1):
+            x, y = d.pairs[i - 1]
+            right[i] = tuple(
+                j for j in range(1, d.n + 1)
+                if x < d.pairs[j - 1][0] < y < d.pairs[j - 1][1]
+            )
+            assert d.right_neighbors(i) == right[i], (d, i)
+        assert terminal_labels(d) == tuple(i for i in right if not right[i]), d
+
+
+def test_crossings_and_nestings_match_relation_counts():
+    for d in every_diagram():
+        rel = [d.relation(i, j) for i in range(1, d.n + 1) for j in range(i + 1, d.n + 1)]
+        assert d.crossings() == rel.count("cross"), d
+        assert d.nestings() == rel.count("nest"), d
+        assert d.is_noncrossing() == ("cross" not in rel)
+        assert d.is_nonnesting() == ("nest" not in rel)
+
+
+def test_components_and_connectivity_match_networkx():
+    for d in every_diagram():
+        g = crossing_graph(d)
+        want = sorted(tuple(sorted(c)) for c in nx.connected_components(g))
+        assert d.components() == want, d
+        assert d.is_connected() == (d.n > 0 and nx.is_connected(g)), d
+
+
+def test_intersection_order_matches_the_recursive_definition():
+    for d in every_diagram():
+        if d.is_connected():
+            assert intersection_order(d) == recursive_intersection_order(d), d
+
+
+def test_vertex_connectivity_matches_networkx():
+    checked = 0
+    for d in every_diagram():
+        if d.n >= 2 and d.is_connected():
+            assert vertex_connectivity(d) == nx.node_connectivity(crossing_graph(d)), d
+            checked += 1
+    assert checked == 3110
+
+
+def test_intersection_order_of_a_large_diagram_needs_no_recursion():
+    rng = random.Random(1999)
+    pts = list(range(1, 2 * 1999 + 1))
+    rng.shuffle(pts)
+    d = chi(ChordDiagram(zip(pts[::2], pts[1::2])))
+    assert d.n == 2000 and d.is_connected()
+    assert sorted(intersection_order(d)) == list(range(1, 2001))
+
+
+def test_trusted_constructor_agrees_with_the_validating_one():
+    for n in range(MAX_N + 1):
+        for pairs in all_pairs(n):
+            assert ChordDiagram._trusted(pairs).pairs == ChordDiagram(pairs).pairs
+
+
+def test_mutating_returned_components_leaves_the_cache_alone():
+    d = ChordDiagram.from_text("(1,2)(3,5)(4,6)")
+    first = d.components()
+    first.append((9,))
+    first[0] = (7,)
+    assert d.components() == [(1,), (2, 3)]
+
+
+def test_cached_sweep_results_are_read_only():
+    calls = [lambda: census(4), lambda: class_census(4),
+             lambda: class_census(4)["all"], lambda: tcf_refined(4)]
+    before = [dict(call()) for call in calls]
+    for call in calls:
+        value = call()
+        assert isinstance(value, MappingProxyType)
+        with pytest.raises(TypeError):
+            value[next(iter(value))] = 0
+    assert [dict(call()) for call in calls] == before
+    assert census(4) == {"all": 105, "connected": 27, "one-terminal": 15}
+
+
+def test_enum_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert cli.main(["enum", "--size", "3", "--count", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size, jobs, cpus, want",
+    [(3, 64, 4, 4), (2, 64, 8, 3), (3, 2, 8, 2), (4, 3, 1, None)],
+)
+def test_enum_clamps_the_pool_size(monkeypatch, capsys, size, jobs, cpus, want):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    for extra in (["--count"], ["--stats", "t1", "--class", "connected"]):
+        assert cli.main(["enum", "--size", str(size), "--jobs", str(jobs), *extra]) == 0
+    capsys.readouterr()
+    assert enumeration.census_parallel(size, jobs=jobs) == census(size)
+    # one clamped pool per parallel sweep; a single worker runs serially
+    assert requested == ([] if want is None else [want] * 3)

@@ -31,6 +31,8 @@ def test_intersection_order_agrees_with_standard_order_on_fixtures():
 def test_intersection_order_requires_connected_nonempty():
     with pytest.raises(ValueError):
         intersection_order(Cc)
+    with pytest.raises(ValueError):
+        intersection_order(ChordDiagram.empty())
 
 
 def test_intersection_order_root_first_and_extends_arcs():

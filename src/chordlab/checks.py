@@ -35,12 +35,9 @@ from .diagram import ChordDiagram
 from .enumeration import (
     all_diagrams,
     census,
-    census_parallel,
     class_census,
     count_class,
     count_class_parallel,
-    connected_diagrams,
-    one_terminal_pairs,
     pattern_free_count,
     tcf_refined,
 )
@@ -62,6 +59,7 @@ from .patterns import (
     permutation_diagram,
     top_cycle,
 )
+from .series import WeightPoly, f_monomial
 from .structure import (
     exists_nonnesting_induced_path,
     intersection_order,
@@ -102,256 +100,283 @@ def _fail(**details) -> dict:
     return details
 
 
-@lru_cache(maxsize=None)
-def _one_terminal_list(n: int) -> tuple[ChordDiagram, ...]:
-    return tuple(ChordDiagram._trusted(p) for p in one_terminal_pairs(n))
+# membership tests of the cached domains; "all" is streamed, never cached
+_DOMAIN_TESTS: dict[str, Callable[[ChordDiagram], bool]] = {
+    "connected": ChordDiagram.is_connected,
+    "one-terminal": is_one_terminal,
+}
 
 
 @lru_cache(maxsize=None)
-def _connected_list(n: int) -> tuple[ChordDiagram, ...]:
-    return tuple(connected_diagrams(n))
+def _domain(n: int, name: str) -> tuple[ChordDiagram, ...]:
+    """The size-n diagrams of a cached domain, in generation order."""
+    keep = _DOMAIN_TESTS[name]
+    return tuple(d for d in all_diagrams(n) if keep(d))
+
+
+def _sweep(
+    visit: Callable[[ChordDiagram], dict | None],
+    domain: str,
+    start: int,
+    budget: int,
+    where: Callable[[ChordDiagram], bool] | None = None,
+) -> dict:
+    """Visit the diagrams of `domain` ("all", "connected" or "one-terminal")
+    with start <= n <= budget in generation order, skipping those `where`
+    rejects. The visitor returns None, or the details of a failure; the
+    first failing diagram is the reported witness."""
+    checked = 0
+    for n in range(start, budget + 1):
+        for d in all_diagrams(n) if domain == "all" else _domain(n, domain):
+            if where is not None and not where(d):
+                continue
+            failure = visit(d)
+            if failure is not None:
+                return _fail(witness=d.to_text(), **failure)
+            checked += 1
+    return {"ok": True, "checked": checked}
+
+
+def _register_sweep(
+    check_id: str,
+    module: str,
+    description: str,
+    budget: int,
+    domain: str,
+    start: int,
+    where: Callable[[ChordDiagram], bool] | None = None,
+):
+    """Register a check that runs the decorated visitor through `_sweep`."""
+
+    def wrap(visit: Callable[[ChordDiagram], dict | None]):
+        _register(check_id, module, description, budget)(
+            lambda b: _sweep(visit, domain, start, b, where)
+        )
+        return visit
+
+    return wrap
 
 
 # ---------------------------------------------------------------- diagram core
 
 
-@_register(
+@_register_sweep(
     "core-pair-statistics",
     "diagram",
     "crossings + nestings + disjoint pairs = n(n-1)/2, and the tallies "
     "agree with the per-pair relation",
     7,
+    domain="all",
+    start=0,
 )
-def _core_pair_statistics(budget: int) -> dict:
-    checked = 0
-    for n in range(budget + 1):
-        for d in all_diagrams(n):
-            cr = ne = dj = 0
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    rel = d.relation(i, j)
-                    cr += rel == "cross"
-                    ne += rel == "nest"
-                    dj += rel == "disjoint"
-            if cr + ne + dj != n * (n - 1) // 2:
-                return _fail(witness=d.to_text())
-            if cr != d.crossings() or ne != d.nestings():
-                return _fail(witness=d.to_text(), kind="method mismatch")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _core_pair_statistics(d: ChordDiagram) -> dict | None:
+    n = d.n
+    cr = ne = dj = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rel = d.relation(i, j)
+            cr += rel == "cross"
+            ne += rel == "nest"
+            dj += rel == "disjoint"
+    if cr + ne + dj != n * (n - 1) // 2:
+        return {}
+    if cr != d.crossings() or ne != d.nestings():
+        return {"kind": "method mismatch"}
+    return None
 
 
-@_register(
+@_register_sweep(
     "core-text-roundtrip",
     "diagram",
     "from_text(to_text(C)) = C and from_json(to_json(C)) = C",
     7,
+    domain="all",
+    start=0,
 )
-def _core_text_roundtrip(budget: int) -> dict:
-    checked = 0
-    for n in range(budget + 1):
-        for d in all_diagrams(n):
-            if ChordDiagram.from_text(d.to_text()) != d:
-                return _fail(witness=d.to_text(), kind="text")
-            if ChordDiagram.from_json(d.to_json()) != d:
-                return _fail(witness=d.to_text(), kind="json")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _core_text_roundtrip(d: ChordDiagram) -> dict | None:
+    if ChordDiagram.from_text(d.to_text()) != d:
+        return {"kind": "text"}
+    if ChordDiagram.from_json(d.to_json()) != d:
+        return {"kind": "json"}
+    return None
 
 
-@_register(
+@_register_sweep(
     "core-intersection-graph",
     "diagram",
     "directed crossing arcs match an independent pairwise interleaving test",
     6,
+    domain="all",
+    start=1,
 )
-def _core_intersection_graph(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in all_diagrams(n):
-            arcs = set(d.arcs())
-            slow = set()
-            for i in range(1, n + 1):
-                xi, yi = d.chord(i)
-                for j in range(i + 1, n + 1):
-                    xj, yj = d.chord(j)
-                    if xi < xj < yi < yj:
-                        slow.add((i, j))
-            if arcs != slow:
-                return _fail(witness=d.to_text())
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _core_intersection_graph(d: ChordDiagram) -> dict | None:
+    n = d.n
+    slow = set()
+    for i in range(1, n + 1):
+        xi, yi = d.chord(i)
+        for j in range(i + 1, n + 1):
+            xj, yj = d.chord(j)
+            if xi < xj < yi < yj:
+                slow.add((i, j))
+    if set(d.arcs()) != slow:
+        return {}
+    return None
 
 
 # ----------------------------------------------------------- diagram structure
 
 
-@_register(
+@_register_sweep(
     "structure-order-agreement",
     "structure",
     "standard and intersection orders agree up to the first terminal "
     "chord, which holds the rightmost sink",
     7,
+    domain="connected",
+    start=1,
 )
-def _structure_order_agreement(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in _connected_list(n):
-            o = intersection_order(d)
-            k = t1(d)
-            prefix = o[:k]
-            if list(prefix) != sorted(prefix):
-                return _fail(witness=d.to_text(), kind="prefix order")
-            if o[k - 1] != d.chord_at(2 * n):
-                return _fail(witness=d.to_text(), kind="rightmost sink")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_order_agreement(d: ChordDiagram) -> dict | None:
+    o = intersection_order(d)
+    k = t1(d)
+    prefix = o[:k]
+    if list(prefix) != sorted(prefix):
+        return {"kind": "prefix order"}
+    if o[k - 1] != d.chord_at(2 * d.n):
+        return {"kind": "rightmost sink"}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-component-neighbors",
     "structure",
     "components left after the first t1 chords have no right neighbors "
     "outside themselves",
     7,
+    domain="connected",
+    start=2,
 )
-def _structure_component_neighbors(budget: int) -> dict:
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _connected_list(n):
-            o = intersection_order(d)
-            k = t1(d)
-            removed = set(o[:k])
-            rest = sorted(o[k:])
-            if not rest:
-                checked += 1
-                continue
-            sub = d.subdiagram(rest)
-            comp_of = {}
-            for comp in sub.indecomposable_components():
-                for idx in comp:
-                    comp_of[rest[idx - 1]] = comp[0]
-            for x in rest:
-                for y in d.right_neighbors(x):
-                    if y in removed or comp_of[y] != comp_of[x]:
-                        return _fail(witness=d.to_text(), chord=x, neighbor=y)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_component_neighbors(d: ChordDiagram) -> dict | None:
+    o = intersection_order(d)
+    k = t1(d)
+    removed = set(o[:k])
+    rest = sorted(o[k:])
+    if not rest:
+        return None
+    sub = d.subdiagram(rest)
+    comp_of = {}
+    for comp in sub.indecomposable_components():
+        for idx in comp:
+            comp_of[rest[idx - 1]] = comp[0]
+    for x in rest:
+        for y in d.right_neighbors(x):
+            if y in removed or comp_of[y] != comp_of[x]:
+                return {"chord": x, "neighbor": y}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-one-terminal-characterization",
     "structure",
     "1-terminal iff diagram minus root is 1-terminal iff every chord has "
     "a nonnesting induced path to the last chord",
     7,
+    domain="connected",
+    start=1,
 )
-def _structure_one_terminal_characterization(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in _connected_list(n):
-            a = is_one_terminal(d)
-            b = a if n == 1 else is_one_terminal(d.remove_chord(d.root_label()))
-            last = intersection_order(d)[-1]
-            c = all(
-                exists_nonnesting_induced_path(d, x, last) for x in range(1, n + 1)
-            )
-            if not (a == b == c):
-                return _fail(witness=d.to_text(), clauses=(a, b, c))
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_one_terminal_characterization(d: ChordDiagram) -> dict | None:
+    n = d.n
+    a = is_one_terminal(d)
+    b = a if n == 1 else is_one_terminal(d.remove_chord(d.root_label()))
+    last = intersection_order(d)[-1]
+    c = all(exists_nonnesting_induced_path(d, x, last) for x in range(1, n + 1))
+    if not (a == b == c):
+        return {"clauses": (a, b, c)}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-traced-partition",
     "structure",
     "traced subdiagrams are 1-terminal with the base chord terminal; those "
     "of the terminal chord's neighbors partition D minus the terminal chord",
     7,
+    domain="one-terminal",
+    start=1,
 )
-def _structure_traced_partition(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in _one_terminal_list(n):
-            term = terminal_labels(d)[0]
-            for c in range(1, n + 1):
-                tr = traced_subdiagram(d, c)
-                sub = d.subdiagram(sorted(tr))
-                if not is_one_terminal(sub):
-                    return _fail(witness=d.to_text(), base=c, kind="not 1-terminal")
-                if set(d.right_neighbors(c)) & tr:
-                    return _fail(witness=d.to_text(), base=c, kind="base not terminal")
-            if traced_subdiagram(d, term) != set(range(1, n + 1)):
-                return _fail(witness=d.to_text(), kind="terminal trace not full")
-            seen: set[int] = set()
-            for x in range(1, n + 1):
-                if x == term or not d.crosses(term, x):
-                    continue
-                tr = traced_subdiagram(d, x)
-                if tr & seen:
-                    return _fail(witness=d.to_text(), kind="overlap", base=x)
-                seen |= tr
-            if seen != set(range(1, n + 1)) - {term}:
-                return _fail(witness=d.to_text(), kind="not a partition")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_traced_partition(d: ChordDiagram) -> dict | None:
+    n = d.n
+    term = terminal_labels(d)[0]
+    for c in range(1, n + 1):
+        tr = traced_subdiagram(d, c)
+        sub = d.subdiagram(sorted(tr))
+        if not is_one_terminal(sub):
+            return {"base": c, "kind": "not 1-terminal"}
+        if set(d.right_neighbors(c)) & tr:
+            return {"base": c, "kind": "base not terminal"}
+    if traced_subdiagram(d, term) != set(range(1, n + 1)):
+        return {"kind": "terminal trace not full"}
+    seen: set[int] = set()
+    for x in range(1, n + 1):
+        if x == term or not d.crosses(term, x):
+            continue
+        tr = traced_subdiagram(d, x)
+        if tr & seen:
+            return {"kind": "overlap", "base": x}
+        seen |= tr
+    if seen != set(range(1, n + 1)) - {term}:
+        return {"kind": "not a partition"}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-kterminal-connectivity",
     "structure",
     "a k-terminal diagram with at least k+1 chords is k-connected",
     7,
+    domain="connected",
+    start=2,
 )
-def _structure_kterminal_connectivity(budget: int) -> dict:
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _connected_list(n):
-            kt = terminality(d)
-            kappa = vertex_connectivity(d)
-            for k in range(1, kt + 1):
-                if n >= k + 1 and kappa < k:
-                    return _fail(witness=d.to_text(), k=k, kappa=kappa)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_kterminal_connectivity(d: ChordDiagram) -> dict | None:
+    kt = terminality(d)
+    kappa = vertex_connectivity(d)
+    for k in range(1, kt + 1):
+        if d.n >= k + 1 and kappa < k:
+            return {"k": k, "kappa": kappa}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-nonnesting-connectivity",
     "structure",
     "for nonnesting diagrams: k-connected iff k-terminal with size >= k",
     7,
+    domain="all",
+    start=1,
+    where=ChordDiagram.is_nonnesting,
 )
-def _structure_nonnesting_connectivity(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in all_diagrams(n):
-            if not d.is_nonnesting():
-                continue
-            for k in range(1, n + 1):
-                if is_k_connected(d, k) != (is_k_terminal(d, k) and n >= k):
-                    return _fail(witness=d.to_text(), k=k)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_nonnesting_connectivity(d: ChordDiagram) -> dict | None:
+    n = d.n
+    for k in range(1, n + 1):
+        if is_k_connected(d, k) != (is_k_terminal(d, k) and n >= k):
+            return {"k": k}
+    return None
 
 
-@_register(
+@_register_sweep(
     "structure-order-linear-extension",
     "structure",
     "the intersection order linearly extends crossing reachability",
     6,
+    domain="connected",
+    start=1,
 )
-def _structure_order_linear_extension(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in _connected_list(n):
-            pos = {lbl: r for r, lbl in enumerate(intersection_order(d))}
-            for x in range(1, n + 1):
-                for y in d.right_neighbors(x):
-                    if pos[x] >= pos[y]:
-                        return _fail(witness=d.to_text(), arc=(x, y))
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _structure_order_linear_extension(d: ChordDiagram) -> dict | None:
+    pos = {lbl: r for r, lbl in enumerate(intersection_order(d))}
+    for x in range(1, d.n + 1):
+        for y in d.right_neighbors(x):
+            if pos[x] >= pos[y]:
+                return {"arc": (x, y)}
+    return None
 
 
 # ------------------------------------------------------------ diagram patterns
@@ -377,54 +402,49 @@ def _patterns_cycle_realizations(budget: int) -> dict:
     return {"ok": True, "m_max": budget}
 
 
-@_register(
+@_register_sweep(
     "patterns-topcycle-tree-characterization",
     "patterns",
     "a top-cycle-free diagram is 1-terminal iff it is a tree diagram whose "
     "non-terminal chords each have exactly one right neighbor",
     7,
+    domain="all",
+    start=1,
+    where=lambda d: not contains_any_top_cycle(d),
 )
-def _patterns_topcycle_tree_characterization(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in all_diagrams(n):
-            if contains_any_top_cycle(d):
-                continue
-            lhs = is_one_terminal(d)
-            terms = set(terminal_labels(d))
-            rhs = (
-                d.is_connected()
-                and in_class(d, "tree")
-                and all(
-                    len(d.right_neighbors(x)) == 1
-                    for x in range(1, n + 1)
-                    if x not in terms
-                )
-            )
-            if lhs != rhs:
-                return _fail(witness=d.to_text(), lhs=lhs, rhs=rhs)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _patterns_topcycle_tree_characterization(d: ChordDiagram) -> dict | None:
+    lhs = is_one_terminal(d)
+    terms = set(terminal_labels(d))
+    rhs = (
+        d.is_connected()
+        and in_class(d, "tree")
+        and all(
+            len(d.right_neighbors(x)) == 1
+            for x in range(1, d.n + 1)
+            if x not in terms
+        )
+    )
+    if lhs != rhs:
+        return {"lhs": lhs, "rhs": rhs}
+    return None
 
 
-@_register(
+@_register_sweep(
     "patterns-crossing-nesting-definitions",
     "patterns",
     "noncrossing iff zero crossings; nonnesting iff zero nestings",
     6,
+    domain="all",
+    start=1,
 )
-def _patterns_crossing_nesting_definitions(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in all_diagrams(n):
-            if d.is_noncrossing() != (d.crossings() == 0):
-                return _fail(witness=d.to_text(), kind="noncrossing")
-            if d.is_nonnesting() != (d.nestings() == 0):
-                return _fail(witness=d.to_text(), kind="nonnesting")
-            if in_class(d, "noncrossing") != d.is_noncrossing():
-                return _fail(witness=d.to_text(), kind="class name")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _patterns_crossing_nesting_definitions(d: ChordDiagram) -> dict | None:
+    if d.is_noncrossing() != (d.crossings() == 0):
+        return {"kind": "noncrossing"}
+    if d.is_nonnesting() != (d.nestings() == 0):
+        return {"kind": "nonnesting"}
+    if in_class(d, "noncrossing") != d.is_noncrossing():
+        return {"kind": "class name"}
+    return None
 
 
 @_register(
@@ -458,7 +478,7 @@ def _psi_bijection(budget: int) -> dict:
     for n in range(1, budget + 1):
         images = set()
         count = 0
-        for d in _one_terminal_list(n):
+        for d in _domain(n, "one-terminal"):
             img = psi(d)
             if chi(img) != d:
                 return _fail(witness=d.to_text(), kind="chi(psi) != id")
@@ -476,59 +496,53 @@ def _psi_bijection(budget: int) -> dict:
     return {"ok": True, "n_max": budget}
 
 
-@_register(
+@_register_sweep(
     "psi-right-neighbor-drop",
     "bijections",
     "every non-terminal chord loses exactly one right neighbor under psi",
     7,
+    domain="one-terminal",
+    start=2,
 )
-def _psi_right_neighbor_drop(budget: int) -> dict:
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _one_terminal_list(n):
-            img = psi(d)
-            for i in range(1, n):
-                if len(d.right_neighbors(i)) - 1 != len(img.right_neighbors(i)):
-                    return _fail(witness=d.to_text(), chord=i)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _psi_right_neighbor_drop(d: ChordDiagram) -> dict | None:
+    img = psi(d)
+    for i in range(1, d.n):
+        if len(d.right_neighbors(i)) - 1 != len(img.right_neighbors(i)):
+            return {"chord": i}
+    return None
 
 
-@_register(
+@_register_sweep(
     "psi-statistics",
     "bijections",
     "psi drops crossings by n-1 and preserves nestings",
     8,
+    domain="one-terminal",
+    start=1,
 )
-def _psi_statistics(budget: int) -> dict:
-    checked = 0
-    for n in range(1, budget + 1):
-        for d in _one_terminal_list(n):
-            img = psi(d)
-            if img.crossings() != d.crossings() - n + 1:
-                return _fail(witness=d.to_text(), kind="crossings")
-            if img.nestings() != d.nestings():
-                return _fail(witness=d.to_text(), kind="nestings")
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _psi_statistics(d: ChordDiagram) -> dict | None:
+    img = psi(d)
+    if img.crossings() != d.crossings() - d.n + 1:
+        return {"kind": "crossings"}
+    if img.nestings() != d.nestings():
+        return {"kind": "nestings"}
+    return None
 
 
-@_register(
+@_register_sweep(
     "psi-kterminal-shift",
     "bijections",
     "T is k-terminal iff psi(T) is (k-1)-terminal, k >= 2",
     7,
+    domain="one-terminal",
+    start=2,
 )
-def _psi_kterminal_shift(budget: int) -> dict:
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _one_terminal_list(n):
-            img = psi(d)
-            for k in range(2, n + 1):
-                if is_k_terminal(d, k) != is_k_terminal(img, k - 1):
-                    return _fail(witness=d.to_text(), k=k)
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _psi_kterminal_shift(d: ChordDiagram) -> dict | None:
+    img = psi(d)
+    for k in range(2, d.n + 1):
+        if is_k_terminal(d, k) != is_k_terminal(img, k - 1):
+            return {"k": k}
+    return None
 
 
 @_register(
@@ -540,7 +554,7 @@ def _psi_kterminal_shift(budget: int) -> dict:
 )
 def _psi_noncrossing_image(budget: int) -> dict:
     for n in range(1, budget + 1):
-        for d in _one_terminal_list(n):
+        for d in _domain(n, "one-terminal"):
             if psi(d).is_noncrossing() != (not contains_any_top_cycle(d)):
                 return _fail(witness=d.to_text(), kind="noncrossing iff tcf")
     # iterated flips: k-terminal-minimal of size m <-> noncrossing of size m-k
@@ -550,7 +564,7 @@ def _psi_noncrossing_image(budget: int) -> dict:
                 continue
             target = {d for d in all_diagrams(m - k) if d.is_noncrossing()}
             images = set()
-            for d in _one_terminal_list(m):
+            for d in _domain(m, "one-terminal"):
                 if not is_k_terminal_minimal(d, k):
                     continue
                 img = d
@@ -575,7 +589,7 @@ def _psi_noncrossing_image(budget: int) -> dict:
 def _psi_connectivity(budget: int) -> dict:
     for n in range(2, budget + 1):
         seen = set()
-        for d in _one_terminal_list(n):
+        for d in _domain(n, "one-terminal"):
             c = vertex_connectivity(d)
             k = n - c
             if not 1 <= k < n:
@@ -604,12 +618,12 @@ def _psi_connectivity(budget: int) -> dict:
 def _alpha_beta_roundtrip(budget: int) -> dict:
     checked = 0
     for n in range(2, budget + 1):
-        for d in _connected_list(n):
+        for d in _domain(n, "connected"):
             parts = alpha(d)
             if beta(parts) != d:
                 return _fail(witness=d.to_text(), kind="beta(alpha) != id")
             checked += 1
-    pool = {s: _connected_list(s) for s in range(1, 5)}
+    pool = {s: _domain(s, "connected") for s in range(1, 5)}
     rng = random.Random(20240817)
     for _ in range(500):
         m = rng.randint(1, 3)
@@ -639,7 +653,7 @@ def _alpha_interval_blocks(budget: int) -> dict:
     checked = 0
     tcf_pool: dict[int, list[ChordDiagram]] = {s: [] for s in range(1, 5)}
     for n in range(1, budget + 1):
-        for d in _connected_list(n):
+        for d in _domain(n, "connected"):
             if contains_any_top_cycle(d):
                 continue
             if n <= 4:
@@ -685,7 +699,7 @@ def _omega_code_suite(budget: int) -> dict:
     for n in range(1, budget + 1):
         per_t1: dict[int, int] = {}
         total = 0
-        for d in _connected_list(n):
+        for d in _domain(n, "connected"):
             if contains_any_top_cycle(d):
                 continue
             t = omega(d)
@@ -764,7 +778,7 @@ def _eta_theta_bijections(budget: int) -> dict:
         trees = set()
         words = set()
         count = 0
-        for d in _one_terminal_list(n):
+        for d in _domain(n, "one-terminal"):
             tr = theta(d)
             if theta_inverse(tr) != d:
                 return _fail(witness=d.to_text(), kind="theta roundtrip")
@@ -816,41 +830,37 @@ def _series_main_identity(budget: int) -> dict:
     return {"ok": True, "order": budget}
 
 
-@_register(
+@_register_sweep(
     "series-monomial-factorization",
     "series",
     "the f-monomial factors over the connected components beyond the first "
     "terminal chord",
     6,
+    domain="connected",
+    start=2,
 )
-def _series_monomial_factorization(budget: int) -> dict:
-    from .series import WeightPoly, f_monomial
-
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _connected_list(n):
-            o = intersection_order(d)
-            k = t1(d)
-            rest = sorted(o[k:])
-            rhs = f_monomial(d.subdiagram(o[:k]))
-            if rest:
-                sub = d.subdiagram(rest)
-                comp_of = {}
-                for ci, comp in enumerate(sub.components()):
-                    for idx in comp:
-                        comp_of[rest[idx - 1]] = ci
-                # components occupy consecutive runs of the intersection order
-                runs = [comp_of[x] for x in o[k:]]
-                heads = [v for i, v in enumerate(runs) if i == 0 or runs[i - 1] != v]
-                if len(heads) != len(set(runs)):
-                    return _fail(witness=d.to_text(), kind="interleaved", runs=runs)
-                for comp in sub.components():
-                    b = sub.subdiagram(comp)
-                    rhs = rhs * WeightPoly.f(t1(b)) * f_monomial(b)
-            if f_monomial(d) != rhs:
-                return _fail(witness=d.to_text())
-            checked += 1
-    return {"ok": True, "checked": checked}
+def _series_monomial_factorization(d: ChordDiagram) -> dict | None:
+    o = intersection_order(d)
+    k = t1(d)
+    rest = sorted(o[k:])
+    rhs = f_monomial(d.subdiagram(o[:k]))
+    if rest:
+        sub = d.subdiagram(rest)
+        comp_of = {}
+        for ci, comp in enumerate(sub.components()):
+            for idx in comp:
+                comp_of[rest[idx - 1]] = ci
+        # components occupy consecutive runs of the intersection order
+        runs = [comp_of[x] for x in o[k:]]
+        heads = [v for i, v in enumerate(runs) if i == 0 or runs[i - 1] != v]
+        if len(heads) != len(set(runs)):
+            return {"kind": "interleaved", "runs": runs}
+        for comp in sub.components():
+            b = sub.subdiagram(comp)
+            rhs = rhs * WeightPoly.f(t1(b)) * f_monomial(b)
+    if f_monomial(d) != rhs:
+        return {}
+    return None
 
 
 @_register(
@@ -987,6 +997,11 @@ def _series_ogf_egf(budget: int) -> dict:
 # ---------------------------------------------------------- enumeration oracle
 
 
+def _parallel_census(n: int, jobs: int) -> dict[str, int]:
+    """census(n) counted again by the parallel sweep."""
+    return {c: count_class_parallel(n, c, jobs=jobs).total(n) for c in census(n)}
+
+
 @_register(
     "enum-stream-counts",
     "enumeration",
@@ -1001,7 +1016,7 @@ def _enum_stream_counts(budget: int) -> dict:
         if got != double_factorial(n):
             return _fail(n=n, got=got)
         rows[n] = got
-    if census_parallel(min(budget, 5), jobs=2) != census(min(budget, 5)):
+    if _parallel_census(min(budget, 5), jobs=2) != census(min(budget, 5)):
         return _fail(kind="job-count dependence")
     return {"ok": True, "rows": rows}
 
@@ -1134,7 +1149,7 @@ def _enum_one_terminal_tcf_catalan(budget: int) -> dict:
     rows = {}
     for n in range(1, budget + 1):
         count = 0
-        for d in _one_terminal_list(n):
+        for d in _domain(n, "one-terminal"):
             if contains_any_top_cycle(d):
                 continue
             if contains_any_bottom_cycle(d):
@@ -1159,7 +1174,7 @@ def _enum_kterminal_minimal_catalan(budget: int) -> dict:
             if k >= n + 1:
                 continue
             got = sum(
-                1 for d in _one_terminal_list(n) if is_k_terminal_minimal(d, k)
+                1 for d in _domain(n, "one-terminal") if is_k_terminal_minimal(d, k)
             )
             if got != catalan(n - k):
                 return _fail(n=n, k=k, got=got, want=catalan(n - k))
@@ -1184,7 +1199,7 @@ def _report_determinism(budget: int) -> dict:
     b = json.dumps(standard_reports(budget), sort_keys=True)
     if a != b:
         return _fail(kind="conjecture report differs between runs")
-    if census_parallel(budget, jobs=2) != census(budget):
+    if _parallel_census(budget, jobs=2) != census(budget):
         return _fail(kind="census differs by job count")
     t1_rows = count_class(budget, "connected", ("t1",)).rows
     t2_rows = count_class_parallel(budget, "connected", ("t1",), jobs=2).rows

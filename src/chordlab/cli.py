@@ -53,6 +53,19 @@ def _env_size(fallback: int) -> int:
         raise SystemExit("CHORDLAB_MAX_SIZE must be an integer, got %r" % raw)
 
 
+def _outside_budget(flag: str, n: int) -> bool:
+    """Report a size outside 0..CHORDLAB_MAX_SIZE (default DEFAULT_BUDGET)
+    as a usage error."""
+    budget = _env_size(DEFAULT_BUDGET)
+    if 0 <= n <= budget:
+        return False
+    print(
+        "error: %s %d outside budget 0..%d (raise CHORDLAB_MAX_SIZE)" % (flag, n, budget),
+        file=sys.stderr,
+    )
+    return True
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -68,13 +81,7 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 def _cmd_enum(args) -> int:
     n = args.size
-    budget = _env_size(DEFAULT_BUDGET)
-    if n < 0 or n > budget:
-        print(
-            "error: --size %d outside budget 0..%d (raise CHORDLAB_MAX_SIZE)"
-            % (n, budget),
-            file=sys.stderr,
-        )
+    if _outside_budget("--size", n):
         return 2
     if args.jobs < 1:
         print("error: --jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
@@ -257,6 +264,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if _outside_budget("--max-size", args.max_size):
+        return 2
     rows = series_rows(args.operator, args.max_size, args.source)
     if args.format == "csv":
         _emit_csv(
@@ -284,6 +293,8 @@ def _cmd_verify(args) -> int:
             print("registered: %s" % ", ".join(CHECKS), file=sys.stderr)
             return 2
         ids = args.ids
+    if args.max_size is not None and _outside_budget("--max-size", args.max_size):
+        return 2
     results = [run_check(i, args.max_size) for i in ids]
     ok = all(r["ok"] for r in results)
     if args.format == "json":
@@ -306,6 +317,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjectures(args) -> int:
+    if _outside_budget("--max-size", args.max_size):
+        return 2
     rep = standard_reports(args.max_size)
     if args.format == "json":
         _emit_json(rep)

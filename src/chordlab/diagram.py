@@ -279,10 +279,6 @@ class ChordDiagram:
                 block = []
         return out
 
-    def indecomposable_factors(self) -> list["ChordDiagram"]:
-        """The concatenation factors as standalone diagrams."""
-        return [self.subdiagram(labels) for labels in self.indecomposable_components()]
-
     def is_indecomposable(self) -> bool:
         return self.n > 0 and len(self.indecomposable_components()) == 1
 

@@ -10,9 +10,8 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from .diagram import ChordDiagram
-from .patterns import cycle_profile, in_class
+from .patterns import CYCLE_CLASSES, cycle_classes, cycle_profile, in_class
 from .structure import (
-    is_one_terminal,
     terminal_labels,
     terminality,
     t1,
@@ -38,6 +37,8 @@ def _gen_pairs(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
 def all_pairs(n: int, branch: int | None = None) -> Iterator[list[tuple[int, int]]]:
     """Raw source-sorted pair lists, lexicographic in the partner array.
     `branch` restricts to diagrams whose first chord is (1, branch)."""
+    if n < 0:
+        raise ValueError("size must be >= 0")
     if n == 0:
         yield []
         return
@@ -56,8 +57,6 @@ def all_pairs(n: int, branch: int | None = None) -> Iterator[list[tuple[int, int
 
 def all_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every size-n diagram exactly once, deterministic order."""
-    if n < 0:
-        raise ValueError("size must be >= 0")
     trusted = ChordDiagram._trusted
     for pairs in all_pairs(n):
         yield trusted(pairs)
@@ -75,47 +74,17 @@ def _pool_size(n: int, jobs: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def census(n: int, branch: int | None = None) -> Mapping[str, int]:
+def census(n: int) -> Mapping[str, int]:
     """Counts of all / connected / one-terminal diagrams of size n. Cached,
     and read-only."""
     total = conn = one_term = 0
-    trusted = ChordDiagram._trusted
-    for pairs in all_pairs(n, branch):
+    for d in all_diagrams(n):
         total += 1
-        d = trusted(pairs)
         if d.is_connected():
             conn += 1
             if len(terminal_labels(d)) == 1:
                 one_term += 1
     return MappingProxyType({"all": total, "connected": conn, "one-terminal": one_term})
-
-
-def _census_branch(args: tuple[int, int]) -> dict[str, int]:
-    return dict(census(args[0], args[1]))
-
-
-def census_parallel(n: int, jobs: int = 1) -> Mapping[str, int]:
-    """Same counts as census(); the split by first chord makes the result
-    independent of the job count."""
-    jobs = _pool_size(n, jobs)
-    if jobs <= 1 or n == 0:
-        return census(n)
-    work = [(n, b) for b in branches(n)]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_census_branch, work)
-    out = {"all": 0, "connected": 0, "one-terminal": 0}
-    for part in parts:
-        for k, v in part.items():
-            out[k] += v
-    return out
-
-
-def one_terminal_pairs(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Raw pair lists of the one-terminal diagrams of size n."""
-    trusted = ChordDiagram._trusted
-    for pairs in all_pairs(n):
-        if is_one_terminal(trusted(pairs)):
-            yield pairs
 
 
 @dataclass
@@ -131,9 +100,6 @@ class CountTable:
 
     def total(self, n: int) -> int:
         return sum(v for k, v in self.rows.items() if k[0] == n)
-
-    def sorted_rows(self) -> list[tuple[tuple, int]]:
-        return sorted(self.rows.items())
 
 
 _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
@@ -196,17 +162,7 @@ def count_class_parallel(
 
 
 # classes whose membership falls out of one crossing-graph cycle profile
-PROFILE_CLASSES = (
-    "all",
-    "top-cycle-free",
-    "bottom-cycle-free",
-    "triangle-free",
-    "tree",
-    "chordal",
-    "bipartite",
-    "noncrossing",
-    "nonnesting",
-)
+PROFILE_CLASSES = ("all", *CYCLE_CLASSES, "noncrossing", "nonnesting")
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +174,9 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     for d in all_diagrams(n):
         conn = d.is_connected()
         one_term = conn and len(terminal_labels(d)) == 1
-        profile = cycle_profile(d)
-        has_top = any(k[1] == "top" or k[0] == 3 for k in profile)
-        has_bottom = any(k[1] == "bottom" or k[0] == 3 for k in profile)
         member = {
             "all": True,
-            "top-cycle-free": not has_top,
-            "bottom-cycle-free": not has_bottom,
-            "triangle-free": (3, "top") not in profile,
-            "tree": not profile,
-            "chordal": all(k[0] == 3 for k in profile),
-            "bipartite": all(k[0] % 2 == 0 for k in profile),
+            **cycle_classes(cycle_profile(d)),
             "noncrossing": d.is_noncrossing(),
             "nonnesting": d.is_nonnesting(),
         }
@@ -256,19 +204,11 @@ def tcf_refined(n: int) -> Mapping[int, int]:
 
 
 @lru_cache(maxsize=None)
-def pattern_free_count(n: int, pattern: ChordDiagram, variant: str = "all") -> int:
+def pattern_free_count(n: int, pattern: ChordDiagram) -> int:
     """Size-n diagrams with no induced copy of `pattern`. Cached."""
     from .patterns import contains_pattern
 
-    cnt = 0
-    for d in all_diagrams(n):
-        if variant == "connected" and not d.is_connected():
-            continue
-        if variant == "one-terminal" and not is_one_terminal(d):
-            continue
-        if not contains_pattern(d, pattern):
-            cnt += 1
-    return cnt
+    return sum(1 for d in all_diagrams(n) if not contains_pattern(d, pattern))
 
 
 def connected_diagrams(n: int) -> Iterator[ChordDiagram]:

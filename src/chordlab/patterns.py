@@ -138,12 +138,39 @@ def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
     return profile
 
 
+CYCLE_CLASSES = (
+    "top-cycle-free",
+    "bottom-cycle-free",
+    "triangle-free",
+    "tree",
+    "chordal",
+    "bipartite",
+)
+
+
+def cycle_classes(profile: dict[tuple[int, str], int]) -> dict[str, bool]:
+    """Membership in each of CYCLE_CLASSES, read off a cycle profile.
+
+    The triangle is both a top and a bottom cycle.
+    """
+    lengths = {m for m, _ in profile}
+    kinds = {kind for _, kind in profile}
+    return {
+        "top-cycle-free": 3 not in lengths and "top" not in kinds,
+        "bottom-cycle-free": 3 not in lengths and "bottom" not in kinds,
+        "triangle-free": (3, "top") not in profile,
+        "tree": not profile,
+        "chordal": lengths <= {3},
+        "bipartite": all(m % 2 == 0 for m in lengths),
+    }
+
+
 def contains_any_top_cycle(d: ChordDiagram) -> bool:
-    return any(kind == "top" or m == 3 for (m, kind) in cycle_profile(d))
+    return not cycle_classes(cycle_profile(d))["top-cycle-free"]
 
 
 def contains_any_bottom_cycle(d: ChordDiagram) -> bool:
-    return any(kind == "bottom" or m == 3 for (m, kind) in cycle_profile(d))
+    return not cycle_classes(cycle_profile(d))["bottom-cycle-free"]
 
 
 CLASS_NAMES = (
@@ -182,10 +209,8 @@ def in_class(d: ChordDiagram, name: str) -> bool:
         return d.is_noncrossing()
     if name == "nonnesting":
         return d.is_nonnesting()
-    if name in ("top-cycle-free", "bottom-cycle-free", "triangle-free", "tree",
-                "chordal", "bipartite"):
-        profile = cycle_profile(d)
-        return _cycle_class_from_profile(profile, name)
+    if name in CYCLE_CLASSES:
+        return cycle_classes(cycle_profile(d))[name]
     if name.endswith("-free"):
         base = name[: -len("-free")]
         if base.startswith("K") and base[1:].isdigit():
@@ -196,20 +221,3 @@ def in_class(d: ChordDiagram, name: str) -> bool:
             return not contains_pattern(d, permutation_diagram(base[len("perm-"):]))
     raise ValueError(f"unknown class name: {name}")
 
-
-def _cycle_class_from_profile(profile: dict[tuple[int, str], int], name: str) -> bool:
-    has_top = any(kind == "top" or m == 3 for (m, kind) in profile)
-    has_bottom = any(kind == "bottom" or m == 3 for (m, kind) in profile)
-    if name == "top-cycle-free":
-        return not has_top
-    if name == "bottom-cycle-free":
-        return not has_bottom
-    if name == "triangle-free":
-        return (3, "top") not in profile
-    if name == "tree":
-        return not profile
-    if name == "chordal":
-        return all(m == 3 for (m, _) in profile)
-    if name == "bipartite":
-        return all(m % 2 == 0 for (m, _) in profile)
-    raise ValueError(name)

@@ -59,3 +59,41 @@ def test_every_check_passes_at_smoke_budget(check_id):
     budget = min(CHECKS[check_id].budget, 4)
     rep = run_check(check_id, budget=budget)
     assert rep["ok"], rep["details"]
+
+
+# diagrams visited at budget 5 by each check that runs through the sweep runner
+SWEEP_COUNTS = {
+    "core-pair-statistics": 1070,
+    "core-text-roundtrip": 1070,
+    "core-intersection-graph": 1069,
+    "patterns-crossing-nesting-definitions": 1069,
+    "structure-nonnesting-connectivity": 64,
+    "patterns-topcycle-tree-characterization": 671,
+    "structure-order-agreement": 281,
+    "structure-component-neighbors": 280,
+    "structure-one-terminal-characterization": 281,
+    "structure-kterminal-connectivity": 280,
+    "structure-order-linear-extension": 281,
+    "series-monomial-factorization": 280,
+    "structure-traced-partition": 125,
+    "psi-right-neighbor-drop": 124,
+    "psi-statistics": 125,
+    "psi-kterminal-shift": 124,
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(SWEEP_COUNTS))
+def test_sweep_checks_count_the_diagrams_they_visit(check_id):
+    assert run_check(check_id, 5)["details"] == {"checked": SWEEP_COUNTS[check_id]}
+
+
+def test_sweep_reports_the_first_failing_diagram():
+    from chordlab.checks import _sweep
+    from chordlab.diagram import ChordDiagram
+
+    # every connected 3-chord diagram fails; the first generated is the witness
+    rep = _sweep(lambda d: {"size": 3} if d.n == 3 else None, "connected", 1, 4)
+    assert rep == {"ok": False, "witness": "(1,3)(2,5)(4,6)", "size": 3}
+    # diagrams `where` rejects are neither visited nor counted: 1 + 2 + 5 + 14
+    rep = _sweep(lambda d: None, "all", 1, 4, where=ChordDiagram.is_nonnesting)
+    assert rep == {"ok": True, "checked": 22}

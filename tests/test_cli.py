@@ -6,6 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from chordlab import cli
+
 CLI = [sys.executable, "-m", "chordlab.cli"]
 
 
@@ -135,3 +139,29 @@ def test_conjectures_lines_include_sequences():
     assert r.returncode == 0
     assert "OEIS" in r.stdout
     assert "dominance" in r.stdout
+
+
+# each command that takes a size, with the size flag last
+SIZED = [
+    ["enum", "--count", "--size"],
+    ["series", "--operator", "binomial", "--max-size"],
+    ["conjectures", "--format", "json", "--max-size"],
+    ["verify", "core-pair-statistics", "--max-size"],
+]
+
+
+@pytest.mark.parametrize("argv", SIZED, ids=lambda argv: argv[0])
+def test_sizes_outside_the_budget_are_usage_errors(monkeypatch, capsys, argv):
+    # a lowered budget keeps the work small should the guard ever let a size by
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "2")
+    for size in ("-1", "3"):
+        assert cli.main([*argv, size]) == 2
+        assert "outside budget 0..2" in capsys.readouterr().err
+
+
+def test_sizes_inside_the_budget_still_run(monkeypatch, capsys):
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "2")
+    for argv in SIZED:
+        for size in ("0", "2"):
+            assert cli.main([*argv, size]) == 0, (argv, size)
+    capsys.readouterr()

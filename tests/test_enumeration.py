@@ -2,16 +2,14 @@
 
 import pytest
 
-from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
     all_diagrams,
+    all_pairs,
     branches,
     census,
-    census_parallel,
     class_census,
     count_class,
     count_class_parallel,
-    one_terminal_pairs,
     pattern_free_count,
     tcf_refined,
 )
@@ -47,13 +45,22 @@ def test_stream_counts_match_double_factorial():
 
 
 def test_census_is_job_count_independent():
-    assert census_parallel(5, jobs=1) == census(5)
-    assert census_parallel(5, jobs=3) == census(5)
+    for jobs in (1, 3):
+        for cls, want in census(5).items():
+            assert count_class_parallel(5, cls, jobs=jobs).total(5) == want
 
 
 def test_branches_split_the_stream():
-    counts = [census(4, branch=b)["all"] for b in branches(4)]
+    counts = [count_class(4, branch=b).total(4) for b in branches(4)]
     assert sum(counts) == double_factorial(4)
+    # the branches are consecutive blocks of the stream, in branch order
+    assert [p for b in branches(4) for p in all_pairs(4, b)] == list(all_pairs(4))
+
+
+def test_negative_sizes_are_rejected():
+    for call in (lambda: list(all_pairs(-1)), lambda: census(-1), lambda: count_class(-1)):
+        with pytest.raises(ValueError, match="size must be >= 0"):
+            call()
 
 
 def test_count_class_examples():
@@ -85,13 +92,14 @@ def test_count_class_rejects_unknown_inputs():
 
 
 def test_one_terminal_stream_matches_filter():
+    from chordlab.checks import _domain
     from chordlab.structure import is_one_terminal
 
     for n in range(1, 6):
-        fast = {ChordDiagram(p) for p in one_terminal_pairs(n)}
-        slow = {d for d in sweep(n) if is_one_terminal(d)}
-        assert fast == slow
-        assert len(fast) == one_terminal(n)
+        slow = tuple(d for d in sweep(n) if is_one_terminal(d))
+        assert _domain(n, "one-terminal") == slow
+        assert len(slow) == one_terminal(n)
+        assert _domain(n, "connected") == tuple(d for d in sweep(n) if d.is_connected())
 
 
 def test_class_census_cross_class_identities():
@@ -115,7 +123,6 @@ def test_tcf_refined_matches_corollary_counts():
 
 def test_pattern_free_counts():
     assert pattern_free_count(3, K3) == 14
-    assert pattern_free_count(3, K3, variant="all") == 14
 
 
 def test_oracle_fixed_values():

@@ -7,7 +7,8 @@ series (coefficient tables), verify (run registered checks), conjectures
 Exit codes: 0 success, 1 a verified claim failed (or a map input was outside
 its domain), 2 usage error.  Reports are byte-deterministic for fixed flags:
 fixed orderings, sorted JSON keys, no timestamps.  The environment variable
-CHORDLAB_MAX_SIZE supplies the default size budget.
+CHORDLAB_MAX_SIZE caps every size (default 8); when set, it is also the
+default --max-size of series and conjectures.
 """
 
 from __future__ import annotations
@@ -293,9 +294,17 @@ def _cmd_verify(args) -> int:
             print("registered: %s" % ", ".join(CHECKS), file=sys.stderr)
             return 2
         ids = args.ids
-    if args.max_size is not None and _outside_budget("--max-size", args.max_size):
+    if args.max_size is None:
+        # each check at its registry budget, capped by CHORDLAB_MAX_SIZE
+        cap = _env_size(DEFAULT_BUDGET)
+        if cap < 0:
+            print("error: CHORDLAB_MAX_SIZE %d is negative" % cap, file=sys.stderr)
+            return 2
+        results = [run_check(i, min(CHECKS[i].budget, cap)) for i in ids]
+    elif _outside_budget("--max-size", args.max_size):
         return 2
-    results = [run_check(i, args.max_size) for i in ids]
+    else:
+        results = [run_check(i, args.max_size) for i in ids]
     ok = all(r["ok"] for r in results)
     if args.format == "json":
         _emit_json({"checks": results, "ok": ok})
@@ -409,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-size",
         type=int,
-        default=_env_size(0) or None,
-        help="budget override (default: per-check registry budgets)",
+        default=None,
+        help="budget override (default: each check's registry budget, "
+        "capped by CHORDLAB_MAX_SIZE)",
     )
     p.add_argument("--format", choices=("json", "lines"), default="lines")
     p.set_defaults(fn=_cmd_verify)

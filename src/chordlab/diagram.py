@@ -243,11 +243,18 @@ class ChordDiagram:
     # -- subdiagrams and concatenation
 
     def subdiagram(self, labels: Iterable[int]) -> "ChordDiagram":
-        """Induced subdiagram on the given chord labels, endpoints renumbered."""
+        """Induced subdiagram on the given chord labels, endpoints renumbered.
+
+        Labels outside 1..n raise ValueError.
+        """
         keep = sorted(set(labels))
-        pts = sorted(p for i in keep for p in self.pairs[i - 1])
+        ps = self.pairs
+        if keep and not (1 <= keep[0] and keep[-1] <= len(ps)):
+            raise ValueError(f"chord labels must lie in 1..{len(ps)}")
+        pts = sorted(p for i in keep for p in ps[i - 1])
         rank = {p: r + 1 for r, p in enumerate(pts)}
-        return ChordDiagram((rank[a], rank[b]) for a, b in (self.pairs[i - 1] for i in keep))
+        # kept in label order, the renumbered pairs are already in standard form
+        return ChordDiagram._trusted([(rank[a], rank[b]) for a, b in (ps[i - 1] for i in keep)])
 
     def remove_chords(self, labels: Iterable[int]) -> "ChordDiagram":
         drop = set(labels)

@@ -3,14 +3,26 @@
 Complete and nesting patterns, the two realizations of induced cycles,
 permutation diagrams, containment tests, and the class predicates built
 from them.
+
+Two algorithms do the work, both over the crossing masks of the diagram:
+
+- Induced cycles of the crossing graph are found by a depth-first search
+  over chordless paths from each cycle's lowest chord (Uno and Satoh,
+  2014), so the cost follows the number of chordless paths, not the 2^n
+  chord subsets.
+- Pattern containment is a backtracking embedding. With chords numbered
+  in source order, the pairwise relations (cross, nest, disjoint) fix the
+  induced subdiagram, so the candidates for each pattern chord are the
+  AND of relation masks picked out by the chords already placed.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable
 
-from .diagram import ChordDiagram
+from .diagram import ChordDiagram, _mask_labels
 
 
 def complete_diagram(k: int) -> ChordDiagram:
@@ -75,47 +87,121 @@ def is_shifted_permutation_diagram(d: ChordDiagram) -> bool:
     return is_permutation_diagram(d.remove_chord(terminal_labels(d)[0]))
 
 
+# relation codes of a later chord j to an earlier chord i
+_CROSS, _NEST, _RIGHT = 0, 1, 2
+
+
+@lru_cache
+def _relation_table(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """Entry t lists the relation code of chord t to each earlier chord s < t
+    (0-based, source order)."""
+    table = []
+    for t, (at, bt) in enumerate(pairs):
+        row = []
+        for a, b in pairs[:t]:
+            if at > b:
+                row.append(_RIGHT)
+            else:
+                row.append(_NEST if bt < b else _CROSS)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _relation_masks(d: ChordDiagram) -> tuple[list[int], list[int], list[int]]:
+    """Per chord i (0-based), masks of the later chords that cross i, that
+    nest inside i and that lie wholly to its right, indexed by relation code."""
+    adj = d.adjacency()
+    sources = [a for a, _ in d.pairs]
+    full = (1 << len(adj)) - 1
+    cross, nest, right = [], [], []
+    for i, (_, b) in enumerate(d.pairs):
+        above = full & (-2 << i)
+        # later chords whose source lies inside i
+        inside = above & ((1 << bisect_left(sources, b)) - 1)
+        c = adj[i] & above
+        cross.append(c)
+        nest.append(inside ^ c)
+        right.append(above ^ inside)
+    return cross, nest, right
+
+
 def contains_pattern(d: ChordDiagram, pattern: ChordDiagram) -> bool:
-    """Does some chord subset of d induce exactly the pattern's configuration?"""
+    """Does some chord subset of d induce exactly the pattern's configuration?
+
+    Places the pattern's chords at chords s1 < s2 < ... of d, one at a time;
+    the candidates for the next place are the chords related to every
+    placed chord as the pattern requires.
+    """
     k = pattern.n
     if k == 0:
         return True
-    if k > d.n:
+    n = d.n
+    if k > n:
         return False
-    for subset in combinations(range(1, d.n + 1), k):
-        if d.subdiagram(subset) == pattern:
+    table = _relation_table(pattern.pairs)
+    masks = _relation_masks(d)
+    placed = [0] * k
+    # the first chord leaves room for the k - 1 after it
+    cand = [(1 << (n - k + 1)) - 1] + [0] * (k - 1)
+    t = 0
+    while t >= 0:
+        c = cand[t]
+        if not c:
+            t -= 1
+            continue
+        low = c & -c
+        cand[t] = c ^ low
+        placed[t] = low.bit_length() - 1
+        if t == k - 1:
             return True
+        t += 1
+        m = (1 << (n - k + t + 1)) - 1
+        for s, r in enumerate(table[t]):
+            m &= masks[r][placed[s]]
+        cand[t] = m
     return False
 
 
 def _induced_cycles(d: ChordDiagram) -> list[tuple[int, tuple[int, ...]]]:
-    """All chord subsets whose induced crossing graph is a cycle, as
-    (length, labels). Includes m = 3 triangles."""
-    n = d.n
+    """All chord subsets whose induced crossing graph is a cycle, each once,
+    as (length, labels). Includes m = 3 triangles.
+
+    Each cycle is grown from its lowest chord v as a chordless path
+    v, p1, ..., last over higher chords and closed by a neighbour w of v
+    with w > p1, so it is found once.
+    """
     adj = d.adjacency()
     out = []
-    for m in range(3, n + 1):
-        for subset in combinations(range(n), m):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if any((adj[v] & mask).bit_count() != 2 for v in subset):
-                continue
-            # degrees all 2; connected means a single cycle
-            seen = 1 << subset[0]
-            frontier = seen
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[v] & mask
-                frontier = nxt & ~seen
-                seen |= nxt
-            if seen == mask:
-                out.append((m, tuple(v + 1 for v in subset)))
+    for v, nv in enumerate(adj):
+        below = (1 << (v + 1)) - 1
+        rest = nv & ~below
+        while rest:
+            b1 = rest & -rest
+            rest ^= b1
+            p1 = b1.bit_length() - 1
+            # forbid: the path, the chords at or below v, the neighbours of
+            # v below p1 (they could only close a cycle already found the
+            # other way round) and, as the path grows, the neighbours of its
+            # interior chords
+            start = (1 << v) | b1
+            stack = [(p1, start, below | start | (nv & (b1 - 1)))]
+            while stack:
+                last, path, forbid = stack.pop()
+                cand = adj[last] & ~forbid
+                while cand:
+                    bw = cand & -cand
+                    cand ^= bw
+                    if nv & bw:
+                        cycle = path | bw
+                        out.append((cycle.bit_count(), _mask_labels(cycle)))
+                    else:
+                        stack.append((bw.bit_length() - 1, path | bw, forbid | adj[last] | bw))
     return out
+
+
+@lru_cache
+def _realizations(m: int) -> tuple[ChordDiagram, ChordDiagram]:
+    return top_cycle(m), bottom_cycle(m)
 
 
 def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
@@ -128,9 +214,10 @@ def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
     profile: dict[tuple[int, str], int] = {}
     for m, labels in _induced_cycles(d):
         sub = d.subdiagram(labels)
-        if sub == top_cycle(m):
+        top, bottom = _realizations(m)
+        if sub == top:
             key = (m, "top")
-        elif sub == bottom_cycle(m):
+        elif sub == bottom:
             key = (m, "bottom")
         else:
             raise AssertionError(f"induced {m}-cycle with unknown realization: {sub.to_text()}")
@@ -211,13 +298,19 @@ def in_class(d: ChordDiagram, name: str) -> bool:
         return d.is_nonnesting()
     if name in CYCLE_CLASSES:
         return cycle_classes(cycle_profile(d))[name]
+    return not contains_pattern(d, _forbidden_pattern(name))
+
+
+@lru_cache
+def _forbidden_pattern(name: str) -> ChordDiagram:
+    """The pattern excluded by a parametric class name such as "K3-free"."""
     if name.endswith("-free"):
         base = name[: -len("-free")]
         if base.startswith("K") and base[1:].isdigit():
-            return not contains_pattern(d, complete_diagram(int(base[1:])))
+            return complete_diagram(int(base[1:]))
         if base.startswith("N") and base[1:].isdigit():
-            return not contains_pattern(d, nesting_diagram(int(base[1:])))
+            return nesting_diagram(int(base[1:]))
         if base.startswith("perm-") and base[len("perm-"):].isdigit():
-            return not contains_pattern(d, permutation_diagram(base[len("perm-"):]))
+            return permutation_diagram(base[len("perm-"):])
     raise ValueError(f"unknown class name: {name}")
 

@@ -165,3 +165,17 @@ def test_sizes_inside_the_budget_still_run(monkeypatch, capsys):
         for size in ("0", "2"):
             assert cli.main([*argv, size]) == 0, (argv, size)
     capsys.readouterr()
+
+
+def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsys):
+    # registry budget 6, capped at 2
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "2")
+    assert cli.main(["verify", "core-intersection-graph"]) == 0
+    assert "PASS core-intersection-graph (budget 2)" in capsys.readouterr().out
+    # a cap above the registry budget leaves it alone
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "9")
+    assert cli.main(["verify", "series-y-degree", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["budget"] == 6
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "-1")
+    assert cli.main(["verify", "core-intersection-graph"]) == 2
+    assert "negative" in capsys.readouterr().err

@@ -99,6 +99,22 @@ def test_subdiagram_of_all_chords_is_identity(d):
     assert d.subdiagram(range(1, d.n + 1)) == d
 
 
+def test_subdiagram_rejects_labels_outside_the_diagram():
+    # label 0 would otherwise read the last chord through pairs[-1]
+    for labels in ([0], [0, 1], [1, 4], [4]):
+        with pytest.raises(ValueError):
+            K3.subdiagram(labels)
+    assert K3.subdiagram([]) == ChordDiagram.empty()
+
+
+@given(diagrams(max_size=6), st.data())
+def test_subdiagram_matches_the_validating_constructor(d, data):
+    labels = data.draw(st.sets(st.integers(1, d.n)))
+    sub = d.subdiagram(labels)
+    assert sub == ChordDiagram(sub.pairs)
+    assert sub.n == len(labels)
+
+
 def test_components_distinguish_connected_from_indecomposable():
     assert Cc.components() == [(1,), (2,)]
     assert Cc.indecomposable_components() == [(1,), (2,)]

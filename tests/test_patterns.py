@@ -1,16 +1,22 @@
 """Pattern containment, the named pattern families, induced-cycle
 realizations, and the profile classes."""
 
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from chordlab.diagram import ChordDiagram
 from chordlab.patterns import (
     CLASS_NAMES,
+    _induced_cycles,
     bottom_cycle,
     complete_diagram,
     contains_any_bottom_cycle,
     contains_any_top_cycle,
     contains_pattern,
+    cycle_profile,
     in_class,
     is_permutation_diagram,
     is_shifted_permutation_diagram,
@@ -19,6 +25,119 @@ from chordlab.patterns import (
     top_cycle,
 )
 from conftest import Ca, Cb, Cc, Ce, Cg, K3, sweep
+
+# -- brute-force oracles: chord subsets, pairwise relations and point ranks,
+# with none of the crossing masks, path search or embedding of the library
+
+
+def crossing_sets(d):
+    """Neighbour sets of the crossing graph, 1-based, from relation()."""
+    nbrs = {i: set() for i in range(1, d.n + 1)}
+    for i, j in combinations(range(1, d.n + 1), 2):
+        if d.relation(i, j) == "cross":
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    return nbrs
+
+
+def induced_cycles_oracle(d):
+    """Every chord subset whose induced crossing graph is one cycle."""
+    nbrs = crossing_sets(d)
+    out = []
+    for m in range(3, d.n + 1):
+        for subset in combinations(range(1, d.n + 1), m):
+            keep = set(subset)
+            if any(len(nbrs[v] & keep) != 2 for v in subset):
+                continue
+            # all degrees 2: one cycle exactly when connected
+            seen, todo = {subset[0]}, [subset[0]]
+            while todo:
+                for w in nbrs[todo.pop()] & keep - seen:
+                    seen.add(w)
+                    todo.append(w)
+            if seen == keep:
+                out.append((m, subset))
+    return out
+
+
+def induced_pairs(d, labels):
+    """Pairs of the subdiagram on the labels, its points ranked."""
+    chords = [d.pairs[i - 1] for i in labels]
+    rank = {p: r for r, p in enumerate(sorted(p for c in chords for p in c), 1)}
+    return tuple(sorted((rank[a], rank[b]) for a, b in chords))
+
+
+def contains_pattern_oracle(d, pattern):
+    return any(
+        induced_pairs(d, subset) == pattern.pairs
+        for subset in combinations(range(1, d.n + 1), pattern.n)
+    )
+
+
+def cycle_profile_oracle(d):
+    profile = {}
+    for m, labels in induced_cycles_oracle(d):
+        sub = induced_pairs(d, labels)
+        # the triangle is both; it counts as "top"
+        if sub == top_cycle(m).pairs:
+            kind = "top"
+        else:
+            assert sub == bottom_cycle(m).pairs, (d, labels)
+            kind = "bottom"
+        profile[(m, kind)] = profile.get((m, kind), 0) + 1
+    return profile
+
+
+ORACLE_PATTERNS = [
+    complete_diagram(3),
+    complete_diagram(4),
+    nesting_diagram(2),
+    nesting_diagram(3),
+    permutation_diagram("213"),
+    permutation_diagram("132"),
+    permutation_diagram("231"),
+    top_cycle(4),
+    top_cycle(5),
+    bottom_cycle(4),
+    bottom_cycle(5),
+]
+
+
+def uniform_matchings(count, sizes, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(sizes)
+        pts = list(range(1, 2 * n + 1))
+        rng.shuffle(pts)
+        yield ChordDiagram(zip(pts[::2], pts[1::2]))
+
+
+def assert_matches_oracles(d):
+    assert sorted(_induced_cycles(d)) == induced_cycles_oracle(d), d
+    assert cycle_profile(d) == cycle_profile_oracle(d), d
+    for pattern in ORACLE_PATTERNS:
+        assert contains_pattern(d, pattern) == contains_pattern_oracle(d, pattern), (d, pattern)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_cycles_and_patterns_match_the_oracles_exhaustively(n):
+    for d in sweep(n):
+        assert_matches_oracles(d)
+
+
+def test_cycles_and_patterns_match_the_oracles_on_random_matchings():
+    for d in uniform_matchings(50, (9, 10, 11), seed=2014):
+        assert_matches_oracles(d)
+
+
+def test_graph_classes_match_networkx():
+    for n in range(1, 7):
+        for d in sweep(n):
+            g = nx.Graph(crossing_sets(d))
+            assert in_class(d, "bipartite") == nx.is_bipartite(g), d
+            assert in_class(d, "chordal") == nx.is_chordal(g), d
+            assert in_class(d, "tree") == nx.is_forest(g), d
+            assert in_class(d, "triangle-free") == (sum(nx.triangles(g).values()) == 0), d
 
 
 def test_pattern_family_constructors():

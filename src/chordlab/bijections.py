@@ -6,18 +6,29 @@ zeta             diagrams <-> Stirling words
 eta              increasing ordered trees <-> Stirling words
 theta            one-terminal diagrams <-> increasing ordered trees
 root share       connected diagrams <-> (smaller connected) x (connected) x index
+
+Each public map validates its input once; none recurses per chord or per
+tree level.  alpha works on the crossing masks: a traced subdiagram is one
+downward scan of the masks restricted to the chords before the first
+terminal one (structure.traced_mask), and a leftover component meets a
+chord set when the OR of its masks does.  zeta and zeta_inverse are loops
+over the root-removal sequence: chord k goes in after the live points
+inside it, counted from the source order and the right-neighbor masks.
+theta, theta_inverse and the tree maps run on explicit stacks.
 """
 
 from __future__ import annotations
 
-from .diagram import ChordDiagram
+from bisect import bisect_left
+
+from .diagram import ChordDiagram, _mask_labels
 from .structure import (
     intersection_order,
     is_one_terminal,
     source_sink_groups,
     t1,
     terminal_labels,
-    traced_subdiagram,
+    traced_mask,
 )
 
 # parts: (component diagram, block of intersection-order positions)
@@ -85,14 +96,6 @@ def chi(c: ChordDiagram) -> ChordDiagram:
     return ChordDiagram(tuple(sorted((pos[a], pos[b]))) for a, b in big)
 
 
-def _traced_within(c: ChordDiagram, d_labels: list[int], x: int) -> set[int]:
-    # traced subdiagram of chord x inside the prefix diagram on d_labels
-    sub = c.subdiagram(d_labels)
-    back = dict(enumerate(sorted(d_labels), 1))
-    fwd = {v: k for k, v in back.items()}
-    return {back[y] for y in traced_subdiagram(sub, fwd[x])}
-
-
 def alpha(c: ChordDiagram) -> Parts:
     """Split a connected diagram of size >= 2 at its first terminal chord.
 
@@ -102,69 +105,69 @@ def alpha(c: ChordDiagram) -> Parts:
     """
     if not c.is_connected() or c.n < 2:
         raise ValueError("alpha requires a connected diagram of size >= 2")
+    return _alpha(c)
+
+
+def _alpha(c: ChordDiagram) -> Parts:
+    # alpha on a diagram already known to be connected, of size >= 2
+    adj = c.adjacency()
     order = intersection_order(c)
-    cut = t1(c)
-    j = cut - 1
-    term = order[cut - 1]
-    d_labels = sorted(order[:cut])
-    d_set = set(d_labels)
-    pos_of = {lbl: r + 1 for r, lbl in enumerate(order)}
+    j = t1(c) - 1
+    term = order[j]
+    pos_of = [0] * (c.n + 1)
+    for r, lbl in enumerate(order, 1):
+        pos_of[lbl] = r
+    d_mask = 0
+    for lbl in order[:j + 1]:
+        d_mask |= 1 << (lbl - 1)
+    neighbors = adj[term - 1]
+    assert not neighbors & ~d_mask
 
-    neighbors = [x for x in range(1, c.n + 1) if c.crosses(term, x)]
-    assert all(x in d_set for x in neighbors)
-
-    rest = sorted(x for x in range(1, c.n + 1) if x not in d_set)
-    comps: list[tuple[int, ...]] = []
+    # the indecomposable components of C - D, each as (chords, chords it crosses)
+    full = (1 << c.n) - 1
+    rest = _mask_labels(full ^ d_mask)
+    comps: list[tuple[int, int]] = []
     if rest:
-        sub = c.subdiagram(rest)
-        comps = [
-            tuple(rest[i - 1] for i in comp)
-            for comp in sub.indecomposable_components()
-        ]
+        for comp in c.subdiagram(rest).indecomposable_components():
+            mask = reach = 0
+            for i in comp:
+                y = rest[i - 1]
+                mask |= 1 << (y - 1)
+                reach |= adj[y - 1]
+            comps.append((mask, reach))
 
     # group the terminal chord's neighbors: two neighbors stick together
     # when some leftover component crosses both (transitively)
-    parent = {x: x for x in neighbors}
+    groups = [1 << (x - 1) for x in _mask_labels(neighbors)]
+    for _, reach in comps:
+        touched = neighbors & reach
+        joined = [g for g in groups if g & touched]
+        if len(joined) > 1:
+            groups = [g for g in groups if not g & touched]
+            groups.append(sum(joined))  # the masks are disjoint
 
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for comp in comps:
-        touched = [
-            x for x in neighbors
-            if any(c.crosses(y, x) for y in comp)
-        ]
-        for x in touched[1:]:
-            parent[root(x)] = root(touched[0])
-
-    groups: dict[int, list[int]] = {}
-    for x in neighbors:
-        groups.setdefault(root(x), []).append(x)
-
-    parts: list[tuple[int, set[int]]] = []
-    for members in groups.values():
-        dl: set[int] = set()
-        for x in members:
-            dl |= _traced_within(c, d_labels, x)
-        cl = set(dl)
-        for comp in comps:
-            if any(c.crosses(y, z) for y in comp for z in dl):
-                cl |= set(comp)
-        attach = max(c.sink(x) for x in members)
+    parts: list[tuple[int, int]] = []
+    for members in groups:
+        dl = 0
+        for x in _mask_labels(members):
+            dl |= traced_mask(adj, x, d_mask)
+        cl = dl
+        for mask, reach in comps:
+            if reach & dl:
+                cl |= mask
+        attach = max(c.sink(x) for x in _mask_labels(members))
         parts.append((attach, cl))
 
     parts.sort(key=lambda pr: -pr[0])
-    seen: set[int] = set()
+    seen = 0
     out: Parts = []
     for _, cl in parts:
-        assert not (cl & seen), "parts must be disjoint"
+        assert not cl & seen, "parts must be disjoint"
         seen |= cl
-        block = tuple(sorted(pos_of[y] for y in cl if pos_of[y] <= j))
-        out.append((c.subdiagram(sorted(cl)), block))
-    assert seen == set(range(1, c.n + 1)) - {term}, "parts must cover C - term"
+        labels = _mask_labels(cl)
+        block = tuple(sorted(pos_of[y] for y in labels if pos_of[y] <= j))
+        out.append((c.subdiagram(labels), block))
+    assert seen == full ^ (1 << (term - 1)), "parts must cover C - term"
     flat = sorted(x for _, b in out for x in b)
     assert flat == list(range(1, j + 1)), "blocks must partition 1..t1-1"
     return out
@@ -185,12 +188,17 @@ def beta(parts: Parts) -> ChordDiagram:
             raise ValueError("parts must be connected")
         if not 1 <= len(b) <= t1(p):
             raise ValueError("block size must be between 1 and t1(part)")
+    return _beta([(p, b) for (p, _), b in zip(parts, blocks)])
 
+
+def _beta(parts: Parts) -> ChordDiagram:
+    # beta on valid parts whose blocks are sorted
+    j = sum(len(b) for _, b in parts)
     # one slot per position 1..j, then the new source, then the unused
     # tails of the parts in reverse order, then the new sink
     slots: list[list[tuple[int, int]]] = [[] for _ in range(j)]
     tails: list[list[tuple[int, int]]] = []
-    for idx, ((p, _), b) in enumerate(zip(parts, blocks)):
+    for idx, (p, b) in enumerate(parts):
         groups = source_sink_groups(p, m=len(b))
         used: set[int] = set()
         for r, g in enumerate(groups.values()):
@@ -253,20 +261,46 @@ def root_share_compose(c1: ChordDiagram, c2: ChordDiagram, idx: int) -> ChordDia
 def zeta(c: ChordDiagram) -> tuple[int, ...]:
     """Encode a diagram as a Stirling word: recursively insert the pair
     `n n` at the gap just before where the root sink sat."""
-    if c.n == 0:
-        return ()
-    p = c.sink(1)
-    w = zeta(c.remove_chord(1))
-    at = p - 2
-    return w[:at] + (c.n, c.n) + w[at:]
+    # removing the root n times removes chords 1, 2, ..., n; so build the
+    # word from chord n up, inserting chord k's pair after the live points
+    # inside it: twice the later sources inside it less its right neighbors
+    n = c.n
+    adj = c.adjacency()
+    sources = [a for a, _ in c.pairs]
+    word: list[int] = []
+    for k in range(n, 0, -1):
+        inside = bisect_left(sources, c.pairs[k - 1][1]) - k
+        at = 2 * inside - (adj[k - 1] >> k).bit_count()
+        s = n - k + 1
+        word[at:at] = (s, s)
+    return tuple(word)
 
 
 def _stirling_check(w: tuple[int, ...]) -> int:
     n, r = divmod(len(w), 2)
     if r:
         raise ValueError("word length must be even")
-    if sorted(w) != sorted(list(range(1, n + 1)) * 2):
-        raise ValueError("word must use each of 1..n exactly twice")
+    copies = [0] * (n + 1)
+    for s in w:
+        if not 0 < s <= n or copies[s] == 2:
+            raise ValueError("word must use each of 1..n exactly twice")
+        copies[s] += 1
+    # the open symbols increase toward the top of the stack, and a symbol
+    # closes only from the top
+    stack = [0]
+    for s in w:
+        if s > stack[-1]:
+            stack.append(s)
+        elif s == stack[-1]:
+            stack.pop()
+        else:
+            raise ValueError("smaller symbol between the two copies of %d"
+                             % _first_unstirling(w, n))
+    return n
+
+
+def _first_unstirling(w: tuple[int, ...], n: int) -> int:
+    # the smallest symbol with a smaller one between its copies
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, s in enumerate(w):
@@ -274,54 +308,65 @@ def _stirling_check(w: tuple[int, ...]) -> int:
             last[s] = i
         else:
             first[s] = i
-    for s in range(1, n + 1):
-        if any(x < s for x in w[first[s] + 1:last[s]]):
-            raise ValueError("smaller symbol between the two copies of %d" % s)
-    return n
+    return next(s for s in range(1, n + 1)
+                if any(x < s for x in w[first[s] + 1:last[s]]))
 
 
 def zeta_inverse(w) -> ChordDiagram:
     """Decode a Stirling word back into the unique diagram mapping to it."""
     w = tuple(int(x) for x in w)
     n = _stirling_check(w)
-    if n == 0:
-        return ChordDiagram.empty()
-    i0 = w.index(n)
-    inner = w[:i0] + w[i0 + 2:]
-    sub = zeta_inverse(inner)
-    p = i0 + 2
-    mapping: dict[int, int] = {}
-    q = 2
-    for old in range(1, 2 * n - 1):
-        if q == p:
-            q += 1
-        mapping[old] = q
-        q += 1
-    pairs = [(1, p)] + [(mapping[a], mapping[b]) for a, b in sub]
-    return ChordDiagram(pairs)
+    # peel n, n-1, ..., 1: symbol s stands for chord n-s+1, and where its
+    # two copies sit, that chord's sink follows its source and `at` points
+    rest = list(w)
+    ats = []
+    for s in range(n, 0, -1):
+        at = rest.index(s)
+        del rest[at:at + 2]
+        ats.append(at)
+    # put chords n, n-1, ..., 1 back; the chord labels in point order are
+    # kept reversed, so that each new source is an append
+    points: list[int] = []
+    for k in range(n, 0, -1):
+        points.insert(len(points) - ats[k - 1], k)
+        points.append(k)
+    first = [0] * (n + 1)
+    pairs: list = [None] * n
+    for p, k in enumerate(reversed(points), 1):
+        if first[k]:
+            pairs[k - 1] = (first[k], p)
+        else:
+            first[k] = p
+    return ChordDiagram._trusted(pairs)
 
 
 def check_tree(t: Tree) -> int:
     """Validate an increasing ordered tree (label, children); root label 0,
     labels 0..n each once, child labels exceed parents.  Returns n."""
-    labels: list[int] = []
-
-    def walk(node: Tree) -> None:
-        lbl, kids = node
-        labels.append(lbl)
-        for k in kids:
-            if k[0] <= lbl:
-                raise ValueError("labels must increase away from the root")
-            walk(k)
-
     if not isinstance(t, tuple) or len(t) != 2:
         raise ValueError("tree nodes are (label, children) pairs")
     if t[0] != 0:
         raise ValueError("root label must be 0")
-    walk(t)
+    labels: list[int] = []
+    stack = [(-1, t)]  # (parent label, node), popped in preorder
+    while stack:
+        up, node = stack.pop()
+        if node[0] <= up:
+            raise ValueError("labels must increase away from the root")
+        lbl, kids = node
+        labels.append(lbl)
+        stack.extend((lbl, k) for k in reversed(kids))
     if sorted(labels) != list(range(len(labels))):
         raise ValueError("labels must be exactly 0..n")
     return len(labels) - 1
+
+
+def _freeze(label: list[int], kids: list[list[int]]) -> Tree:
+    # nested tuples from nodes numbered parents first, node 0 the root
+    done: list = [None] * len(label)
+    for v in range(len(label) - 1, -1, -1):
+        done[v] = (label[v], tuple(done[k] for k in kids[v]))
+    return done[0]
 
 
 def eta(t: Tree) -> tuple[int, ...]:
@@ -329,14 +374,14 @@ def eta(t: Tree) -> tuple[int, ...]:
     contributes the child's label on the way down and on the way back."""
     check_tree(t)
     out: list[int] = []
-
-    def walk(node: Tree) -> None:
-        for k in node[1]:
-            out.append(k[0])
-            walk(k)
-            out.append(k[0])
-
-    walk(t)
+    # nodes to enter, and (label,) markers to leave them
+    stack = list(reversed(t[1]))
+    while stack:
+        node = stack.pop()
+        out.append(node[0])
+        if len(node) == 2:
+            stack.append((node[0],))
+            stack.extend(reversed(node[1]))
     return tuple(out)
 
 
@@ -344,27 +389,21 @@ def eta_inverse(w) -> Tree:
     """Parse a Stirling word into the increasing ordered tree tracing it."""
     w = tuple(int(x) for x in w)
     _stirling_check(w)
-    root: list = [0, []]
-    stack: list[list] = [root]
+    label = [0]
+    kids: list[list[int]] = [[]]
+    stack = [0]
     for s in w:
-        cur = stack[-1]
-        if cur[0] == s:
+        v = stack[-1]
+        if label[v] == s:
             stack.pop()
         else:
-            node = [s, []]
-            cur[1].append(node)
-            stack.append(node)
+            kids[v].append(len(label))
+            stack.append(len(label))
+            label.append(s)
+            kids.append([])
     if len(stack) != 1:
         raise ValueError("unbalanced word")
-
-    def freeze(node: list) -> Tree:
-        return (node[0], tuple(freeze(k) for k in node[1]))
-
-    return freeze(root)
-
-
-def _relabel_tree(t: Tree, values: list[int]) -> Tree:
-    return (values[t[0]], tuple(_relabel_tree(k, values) for k in t[1]))
+    return _freeze(label, kids)
 
 
 def theta(t: ChordDiagram) -> Tree:
@@ -372,32 +411,42 @@ def theta(t: ChordDiagram) -> Tree:
     tree on labels 0..n by recursing on the alpha-parts."""
     if not is_one_terminal(t):
         raise ValueError("theta requires a one-terminal diagram")
-    if t.n == 1:
-        return (0, ())
-    kids = []
-    for p, block in alpha(t):
-        assert len(block) == p.n, "one-terminal parts fill their blocks"
-        sub = theta(p)
-        kids.append(_relabel_tree(sub, list(block)))
-    return (0, tuple(kids))
+    # the alpha-parts of a one-terminal diagram are one-terminal; each node
+    # is (part, tree label of each label of the part's own tree)
+    label = [0]
+    kids: list[list[int]] = [[]]
+    todo = [(t, list(range(t.n)), 0)]
+    while todo:
+        p, values, v = todo.pop()
+        if p.n == 1:
+            continue
+        for q, block in _alpha(p):
+            assert len(block) == q.n, "one-terminal parts fill their blocks"
+            sub = [values[b] for b in block]
+            kids[v].append(len(label))
+            todo.append((q, sub, len(label)))
+            label.append(sub[0])
+            kids.append([])
+    return _freeze(label, kids)
 
 
 def theta_inverse(t: Tree) -> ChordDiagram:
     """Inverse of theta: rebuild the one-terminal diagram from the tree."""
     check_tree(t)
-
-    def labels_of(node: Tree) -> list[int]:
-        out = [node[0]]
-        for k in node[1]:
-            out.extend(labels_of(k))
-        return out
-
-    def normalize(node: Tree, rank: dict[int, int]) -> Tree:
-        return (rank[node[0]], tuple(normalize(k, rank) for k in node[1]))
-
-    parts: Parts = []
-    for k in t[1]:
-        block = sorted(labels_of(k))
-        rank = {v: r for r, v in enumerate(block)}
-        parts.append((theta_inverse(normalize(k, rank)), tuple(block)))
-    return beta(parts)
+    nodes = [t]
+    kids: list[list[int]] = []
+    for node in nodes:  # grows while it is read: breadth first, parents first
+        kids.append(list(range(len(nodes), len(nodes) + len(node[1]))))
+        nodes.extend(node[1])
+    # children before parents: each subtree's sorted labels and diagram;
+    # a child's block holds the ranks of its labels among its parent's
+    labels: list = [None] * len(nodes)
+    built: list = [None] * len(nodes)
+    for v in range(len(nodes) - 1, -1, -1):
+        lab = sorted([nodes[v][0], *(x for k in kids[v] for x in labels[k])])
+        rank = {x: r for r, x in enumerate(lab)}
+        built[v] = _beta([(built[k], tuple(rank[x] for x in labels[k])) for k in kids[v]])
+        labels[v] = lab
+        for k in kids[v]:
+            labels[k] = built[k] = None
+    return built[0]

@@ -270,17 +270,20 @@ class ChordDiagram:
 
     def indecomposable_components(self) -> list[tuple[int, ...]]:
         """Maximal concatenation factors as label tuples, cut at every closed prefix."""
+        # event p-1 is the label of the chord at point p, negated at its sink
+        events = [0] * (2 * len(self.pairs))
+        for i, (a, b) in enumerate(self.pairs, 1):
+            events[a - 1] = i
+            events[b - 1] = -i
         out = []
         open_count = 0
         block: list[int] = []
-        partner = self.partner()
-        for p in range(1, 2 * self.n + 1):
-            q = partner[p - 1]
-            if q > p:
+        for e in events:
+            if e > 0:
                 open_count += 1
             else:
                 open_count -= 1
-                block.append(self.chord_at(q))
+                block.append(-e)
             if open_count == 0:
                 out.append(tuple(sorted(block)))
                 block = []

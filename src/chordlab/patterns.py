@@ -213,6 +213,10 @@ def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
     """
     profile: dict[tuple[int, str], int] = {}
     for m, labels in _induced_cycles(d):
+        if m == 3:
+            # three pairwise-crossing chords can only be (1,4)(2,5)(3,6)
+            profile[3, "top"] = profile.get((3, "top"), 0) + 1
+            continue
         sub = d.subdiagram(labels)
         top, bottom = _realizations(m)
         if sub == top:

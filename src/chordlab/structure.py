@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .diagram import ChordDiagram, component_mask
+from .diagram import ChordDiagram, _mask_labels, component_mask
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -191,20 +191,27 @@ def source_sink_groups(d: ChordDiagram, m: int | None = None) -> dict[int, list[
 
 def traced_subdiagram(d: ChordDiagram, label: int) -> set[int]:
     """Closure of {label}: a chord joins when its rightmost-source right
-    neighbor is already in the set. Meaningful for 1-terminal diagrams."""
-    last_rn = {}
-    for i in range(1, d.n + 1):
-        rn = d.right_neighbors(i)
-        if rn:
-            last_rn[i] = max(rn, key=lambda j: d.pairs[j - 1][0])
-    out = {label}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in last_rn.items():
-            if i not in out and j in out:
-                out.add(i)
-                changed = True
+    neighbor is already in the set. Meaningful for 1-terminal diagrams.
+
+    Labels follow source order, so that neighbor is the top bit of the
+    chord's crossing mask and lies above the chord: one downward scan of
+    the masks from `label` (traced_mask) finds the closure in O(n) steps.
+    """
+    adj = d.adjacency()
+    return set(_mask_labels(traced_mask(adj, label, (1 << len(adj)) - 1)))
+
+
+def traced_mask(adj: tuple[int, ...], label: int, within: int) -> int:
+    """traced_subdiagram of `label` in the subdiagram on the chord set
+    `within` (a mask holding label), as a mask over the whole diagram."""
+    out = 1 << (label - 1)
+    below = within & (out - 1)
+    while below:
+        i = below.bit_length()  # the highest chord left to decide
+        below ^= 1 << (i - 1)
+        top = (adj[i - 1] & within).bit_length()
+        if top > i and out >> (top - 1) & 1:
+            out |= 1 << (i - 1)
     return out
 
 

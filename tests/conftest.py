@@ -1,4 +1,7 @@
-"""Shared fixtures: the named small diagrams and cached exhaustive sweeps."""
+"""Shared fixtures: the named small diagrams, cached exhaustive sweeps and
+seeded random diagrams for tests beyond exhaustive reach."""
+
+import random
 
 import pytest
 
@@ -29,3 +32,18 @@ def sweep(n: int) -> tuple[ChordDiagram, ...]:
 @pytest.fixture(scope="session")
 def diagrams_by_size():
     return sweep
+
+
+def uniform_matching(n: int, rng: random.Random) -> ChordDiagram:
+    """A uniformly random diagram of size n."""
+    pts = list(range(1, 2 * n + 1))
+    rng.shuffle(pts)
+    return ChordDiagram(zip(pts[::2], pts[1::2]))
+
+
+def connected_matching(n: int, rng: random.Random) -> ChordDiagram:
+    """A uniformly random connected diagram of size n >= 1, by rejection."""
+    while True:
+        d = uniform_matching(n, rng)
+        if d.is_connected():
+            return d

@@ -1,12 +1,18 @@
 """The terminal-flip bijection and its relatives: psi/chi, alpha/beta,
 the Stirling-word and tree encodings, and root-share decomposition."""
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+import recursive_maps
 from chordlab.bijections import (
+    _stirling_check,
     alpha,
     beta,
+    check_tree,
     chi,
     eta,
     eta_inverse,
@@ -20,7 +26,9 @@ from chordlab.bijections import (
 )
 from chordlab.diagram import ChordDiagram
 from chordlab.structure import is_one_terminal, t1, vertex_connectivity
-from conftest import Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, sweep
+from conftest import (
+    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, sweep, uniform_matching,
+)
 
 
 @st.composite
@@ -249,3 +257,90 @@ def test_word_to_diagram_composites_differ():
     assert direct == Cb
     assert via_trees == Cc
     assert direct != via_trees
+
+
+# ------------------------------------------------------- Stirling-word check
+
+
+def _outcome(check, w):
+    try:
+        return check(w)
+    except ValueError as e:
+        return str(e)
+
+
+def test_stirling_check_matches_definition_on_every_word_of_size_four():
+    words = set(permutations((1, 1, 2, 2, 3, 3, 4, 4)))
+    assert len(words) == 2520
+    accepted = 0
+    for w in words:
+        got = _outcome(_stirling_check, w)
+        assert got == _outcome(recursive_maps.stirling_check, w), w
+        if got == 4:
+            accepted += 1
+    assert accepted == 105  # 7!!, one word per diagram of size 4
+
+
+def test_stirling_check_matches_definition_on_random_words():
+    rng = random.Random(20261018)
+    for _ in range(5000):
+        n = rng.randint(0, 8)
+        w = list(range(1, n + 1)) * 2
+        rng.shuffle(w)
+        if n and rng.random() < 0.2:
+            w[rng.randrange(2 * n)] = rng.randint(0, n + 1)
+        if rng.random() < 0.1:
+            w.append(rng.randint(1, n + 1))
+        w = tuple(w)
+        assert _outcome(_stirling_check, w) == _outcome(recursive_maps.stirling_check, w), w
+
+
+# --------------------------------------------- recursive oracles and large n
+
+
+def test_maps_match_recursive_oracles_exhaustive():
+    for n in range(0, 7):
+        for d in sweep(n):
+            w = zeta(d)
+            assert w == recursive_maps.zeta(d)
+            assert zeta_inverse(w) == recursive_maps.zeta_inverse(w) == d
+            if n >= 2 and d.is_connected():
+                assert alpha(d) == recursive_maps.alpha(d)
+            if n >= 1 and is_one_terminal(d):
+                tree = theta(d)
+                assert tree == recursive_maps.theta(d)
+                assert theta_inverse(tree) == recursive_maps.theta_inverse(tree) == d
+
+
+def test_maps_match_recursive_oracles_at_large_n():
+    rng = random.Random(20261019)
+    for n in (40, 60, 80, 100):
+        for d in (uniform_matching(n, rng), chi(uniform_matching(n - 1, rng))):
+            w = zeta(d)
+            assert w == recursive_maps.zeta(d)
+            assert zeta_inverse(w) == recursive_maps.zeta_inverse(w) == d
+        for d in (connected_matching(n, rng), chi(uniform_matching(n - 1, rng))):
+            assert alpha(d) == recursive_maps.alpha(d)
+        lift = chi(uniform_matching(n - 1, rng))
+        tree = theta(lift)
+        assert tree == recursive_maps.theta(lift)
+        assert theta_inverse(tree) == recursive_maps.theta_inverse(tree) == lift
+
+
+def test_round_trips_far_beyond_exhaustive_reach():
+    rng = random.Random(20261020)
+    d = uniform_matching(2000, rng)
+    assert zeta_inverse(zeta(d)) == d
+    lift = chi(d)
+    assert lift.n == 2001 and psi(lift) == d
+    d = connected_matching(1000, rng)
+    assert beta(alpha(d)) == d
+    assert root_share_compose(*root_share_decompose(d)) == d
+
+
+def test_deep_tree_round_trip():
+    # a path of 1500 nodes: deeper than the default recursion limit
+    w = tuple(range(1, 1501)) + tuple(range(1500, 0, -1))
+    tree = eta_inverse(w)
+    assert check_tree(tree) == 1500
+    assert eta(tree) == w

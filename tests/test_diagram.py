@@ -150,3 +150,17 @@ def test_exhaustive_size_two_and_three_counts():
     assert len(sweep(2)) == 3
     assert len(sweep(3)) == 15
     assert len(set(sweep(3))) == 15
+
+
+def test_indecomposable_components_cut_at_every_closed_prefix():
+    # a cut after point p means every chord with a point in 1..p ends there
+    for n in range(0, 6):
+        for d in sweep(n):
+            cuts = [p for p in range(1, 2 * n + 1)
+                    if all(b <= p for a, b in d if a <= p)]
+            want = []
+            lo = 0
+            for hi in cuts:
+                want.append(tuple(i for i, (a, b) in enumerate(d, 1) if lo < b <= hi))
+                lo = hi
+            assert d.indecomposable_components() == want

@@ -1,8 +1,12 @@
 """Structural statistics: intersection order, terminal chords, source-sink
 groups, traced subdiagrams, valency, and crossing-graph connectivity."""
 
+import random
+
 import pytest
 
+import recursive_maps
+from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
 from chordlab.structure import (
     edge_connectivity,
@@ -19,7 +23,9 @@ from chordlab.structure import (
     valency,
     vertex_connectivity,
 )
-from conftest import Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, sweep
+from conftest import (
+    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, sweep, uniform_matching,
+)
 
 
 def test_intersection_order_agrees_with_standard_order_on_fixtures():
@@ -116,6 +122,22 @@ def test_traced_subdiagrams_are_one_terminal():
             for c in range(1, n + 1):
                 labels = traced_subdiagram(d, c)
                 assert is_one_terminal(d.subdiagram(labels))
+
+
+def test_traced_subdiagram_matches_fixed_point_oracle_exhaustive():
+    for n in range(1, 7):
+        for d in sweep(n):
+            for c in range(1, n + 1):
+                assert traced_subdiagram(d, c) == recursive_maps.traced_subdiagram(d, c)
+
+
+def test_traced_subdiagram_matches_fixed_point_oracle_at_large_n():
+    rng = random.Random(20261018)
+    for n in (40, 60, 80, 100):
+        for d in (uniform_matching(n, rng), connected_matching(n, rng),
+                  chi(uniform_matching(n - 1, rng))):
+            for c in range(1, n + 1):
+                assert traced_subdiagram(d, c) == recursive_maps.traced_subdiagram(d, c)
 
 
 def test_valency_examples():

@@ -38,6 +38,7 @@ from .enumeration import (
     class_census,
     count_class,
     count_class_parallel,
+    count_classes_parallel,
     pattern_free_count,
     tcf_refined,
 )
@@ -998,8 +999,9 @@ def _series_ogf_egf(budget: int) -> dict:
 
 
 def _parallel_census(n: int, jobs: int) -> dict[str, int]:
-    """census(n) counted again by the parallel sweep."""
-    return {c: count_class_parallel(n, c, jobs=jobs).total(n) for c in census(n)}
+    """census(n) counted again by one parallel sweep over its classes."""
+    tables = count_classes_parallel(n, tuple(census(n)), jobs=jobs)
+    return {c: t.total(n) for c, t in tables.items()}
 
 
 @_register(

@@ -142,23 +142,34 @@ def _count_class_branch(args) -> dict[tuple, int]:
     return count_class(n, cls, statistics, branch=b).rows
 
 
+def count_classes_parallel(
+    n: int,
+    classes: tuple[str, ...],
+    statistics: tuple[str, ...] = (),
+    jobs: int = 1,
+) -> dict[str, CountTable]:
+    """count_class for each of several classes, with one pool of at most
+    `jobs` workers mapping (class, branch) work items."""
+    jobs = _pool_size(n, jobs)
+    if jobs <= 1 or n == 0:
+        return {c: count_class(n, c, statistics) for c in classes}
+    work = [(n, c, statistics, b) for c in classes for b in branches(n)]
+    with multiprocessing.Pool(jobs) as pool:
+        parts = pool.map(_count_class_branch, work)
+    tables = {c: CountTable(c, tuple(statistics)) for c in classes}
+    for (_, c, _, _), rows in zip(work, parts):
+        for k, v in rows.items():
+            tables[c].add(k, v)
+    return tables
+
+
 def count_class_parallel(
     n: int,
     cls: str = "all",
     statistics: tuple[str, ...] = (),
     jobs: int = 1,
 ) -> CountTable:
-    jobs = _pool_size(n, jobs)
-    if jobs <= 1 or n == 0:
-        return count_class(n, cls, statistics)
-    work = [(n, cls, statistics, b) for b in branches(n)]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_count_class_branch, work)
-    table = CountTable(cls, tuple(statistics))
-    for rows in parts:
-        for k, v in rows.items():
-            table.add(k, v)
-    return table
+    return count_classes_parallel(n, (cls,), statistics, jobs)[cls]
 
 
 # classes whose membership falls out of one crossing-graph cycle profile

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .diagram import ChordDiagram, _mask_labels
+from .structure import is_one_terminal, terminal_labels
 
 
 def complete_diagram(k: int) -> ChordDiagram:
@@ -80,8 +81,6 @@ def is_permutation_diagram(d: ChordDiagram) -> bool:
 
 def is_shifted_permutation_diagram(d: ChordDiagram) -> bool:
     """1-terminal, and a permutation diagram once the terminal chord is removed."""
-    from .structure import is_one_terminal, terminal_labels
-
     if d.n == 0 or not is_one_terminal(d):
         return False
     return is_permutation_diagram(d.remove_chord(terminal_labels(d)[0]))
@@ -293,8 +292,6 @@ def in_class(d: ChordDiagram, name: str) -> bool:
     if name == "indecomposable":
         return d.is_indecomposable()
     if name == "one-terminal":
-        from .structure import is_one_terminal
-
         return is_one_terminal(d)
     if name == "noncrossing":
         return d.is_noncrossing()

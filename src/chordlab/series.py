@@ -4,6 +4,11 @@ functional identity checks.
 
 Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
 with 1. Everything is exact; floats never appear.
+
+The diagram sums (diagram_series, root_share_sum) walk the connected
+diagrams of each size once and tally integer counts keyed by (t1, weight
+monomial), building only monomial tuples per diagram. The operator is then
+applied once per distinct t1, to one WeightPoly made from that t1's tally.
 """
 
 from __future__ import annotations
@@ -428,32 +433,62 @@ def solve_tree_like(operator: str, n_max: int) -> list[YPoly]:
     return h
 
 
+def _f_mono(c: ChordDiagram, profile: tuple[int, ...]) -> Mono:
+    # f0 to the non-terminal count times f_{gap} per pair of consecutive
+    # terminal positions; `profile` is the terminal profile of c
+    mono: dict[int, int] = {}
+    if c.n - len(profile):
+        mono[0] = c.n - len(profile)
+    for a, b in zip(profile, profile[1:]):
+        mono[b - a] = mono.get(b - a, 0) + 1
+    return tuple(("f", i, e) for i, e in sorted(mono.items()))
+
+
+def _phi_mono(c: ChordDiagram) -> Mono:
+    mono: dict[int, int] = {}
+    for i in range(1, c.n + 1):
+        v = valency(c, i)
+        if v:
+            mono[v] = mono.get(v, 0) + 1
+    return tuple(("p", k, e) for k, e in sorted(mono.items()))
+
+
 def f_monomial(c: ChordDiagram) -> WeightPoly:
     """f_C: f0 to the non-terminal count times the terminal-gap factors."""
     if not c.is_connected():
         raise ValueError("weight requires a connected diagram")
-    t = terminal_profile(c)
-    mono: dict[tuple[str, int], int] = {}
-    if c.n - len(t):
-        mono[("f", 0)] = c.n - len(t)
-    for a, b in zip(t, t[1:]):
-        key = ("f", b - a)
-        mono[key] = mono.get(key, 0) + 1
-    m: Mono = tuple(sorted((k, i, e) for (k, i), e in mono.items()))
-    return WeightPoly({m: Fraction(1)})
+    return WeightPoly({_f_mono(c, terminal_profile(c)): Fraction(1)})
 
 
 def phi_monomial(c: ChordDiagram) -> WeightPoly:
     """phi_C: product of phi_{val(chord)} over all chords (phi0 = 1)."""
     if not c.is_connected():
         raise ValueError("weight requires a connected diagram")
-    mono: dict[tuple[str, int], int] = {}
-    for i in range(1, c.n + 1):
-        v = valency(c, i)
-        if v:
-            mono[("p", v)] = mono.get(("p", v), 0) + 1
-    m: Mono = tuple(sorted((k, i, e) for (k, i), e in mono.items()))
-    return WeightPoly({m: Fraction(1)})
+    return WeightPoly({_phi_mono(c): Fraction(1)})
+
+
+# t1 -> weight monomial -> number of diagrams
+Tally = dict[int, dict[Mono, int]]
+
+
+def _weight_tally(n: int, with_phi: bool, top_cycle_free: bool = False) -> Tally:
+    """One walk over the connected diagrams of size n (top-cycle-free ones
+    only if asked), counting them by t1 and by f_C, times phi_C if
+    `with_phi`."""
+    from .enumeration import connected_diagrams
+    from .patterns import contains_any_top_cycle
+
+    tally: Tally = {}
+    for d in connected_diagrams(n):
+        if top_cycle_free and contains_any_top_cycle(d):
+            continue
+        profile = terminal_profile(d)
+        mono = _f_mono(d, profile)
+        if with_phi:
+            mono += _phi_mono(d)  # "f" letters sort before "p" letters
+        row = tally.setdefault(profile[0], {})
+        row[mono] = row.get(mono, 0) + 1
+    return tally
 
 
 def diagram_series(operator: str, n_max: int) -> list[YPoly]:
@@ -461,23 +496,19 @@ def diagram_series(operator: str, n_max: int) -> list[YPoly]:
     operator, connected top-cycle-free for divided-power.
 
     Each diagram C contributes f_C phi_C x^{|C|} L(y^{t1-1}), divided by
-    (t1-1)! in the binomial case.
+    (t1-1)! in the binomial case. The diagrams of each size are tallied by
+    (t1, f_C phi_C), so L is applied once per t1 to the summed weights.
     """
-    from .enumeration import connected_diagrams
-    from .patterns import contains_any_top_cycle
-
     op = operator_kind(operator)
     out = [YPoly.zero() for _ in range(n_max + 1)]
     for n in range(1, n_max + 1):
         acc = YPoly.zero()
-        for d in connected_diagrams(n):
-            if op == "divided-power" and contains_any_top_cycle(d):
-                continue
-            k = terminal_profile(d)[0]
+        tally = _weight_tally(n, with_phi=True, top_cycle_free=op == "divided-power")
+        for k in sorted(tally):
             ypart = apply_operator(op, YPoly.basis(k - 1))
             if op == "binomial":
                 ypart = ypart * Fraction(1, factorial(k - 1))
-            acc = acc + ypart * (f_monomial(d) * phi_monomial(d))
+            acc = acc + ypart * WeightPoly(tally[k])
         out[n] = acc
     return out
 
@@ -527,23 +558,32 @@ def check_rge(
     return True
 
 
+def _root_share_from(tally: Tally, i: int) -> WeightPoly:
+    # sum of f_{t1-i} f_C over the tallied diagrams with t1 >= i
+    terms: dict[Mono, int] = {}
+    for k, row in tally.items():
+        if k >= i:
+            shift: Mono = (("f", k - i, 1),)
+            for m, c in row.items():
+                key = _mono_mul(shift, m)
+                terms[key] = terms.get(key, 0) + c
+    return WeightPoly(terms)
+
+
 def root_share_sum(n: int, i: int) -> WeightPoly:
     """Sum of f_{t1(C)-i} f_C over connected C of size n with t1 >= i."""
-    from .enumeration import connected_diagrams
-
     if n < 1:
         return WeightPoly.zero()
-    total = WeightPoly.zero()
-    for d in connected_diagrams(n):
-        k = terminal_profile(d)[0]
-        if k >= i:
-            total = total + WeightPoly.f(k - i) * f_monomial(d)
-    return total
+    return _root_share_from(_weight_tally(n, with_phi=False), i)
 
 
 def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
     """Root-share convolution: A(n,i) = sum_m (2(n-m)-1) A(m,1) A(n-m,i-1)
-    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f."""
+    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f.
+
+    The diagrams of each size are walked once, into a (t1, f_C) tally that
+    every A(n, i) is read from."""
+    tallies: dict[int, Tally] = {}
     cache: dict[tuple[int, int], WeightPoly] = {}
 
     def a(n: int, i: int) -> WeightPoly:
@@ -551,7 +591,9 @@ def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
             return WeightPoly.zero()
         key = (n, i)
         if key not in cache:
-            cache[key] = root_share_sum(n, i)
+            if n not in tallies:
+                tallies[n] = _weight_tally(n, with_phi=False)
+            cache[key] = _root_share_from(tallies[n], i)
         return cache[key]
 
     for n in range(2, n_max + 1):

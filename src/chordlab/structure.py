@@ -6,8 +6,6 @@ traced subdiagrams, chord valencies, and crossing-graph connectivity.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .diagram import ChordDiagram, _mask_labels, component_mask
 
 
@@ -220,39 +218,33 @@ def valency_parts(d: ChordDiagram, i: int) -> tuple[int, int]:
     than i; l counts the closed chord blocks packed consecutively after i's
     source once all left neighbors are deleted, stopping at i's own sink or
     at a block that cannot close before reaching it."""
+    adj = d.adjacency()
     x, y = d.pairs[i - 1]
-    left = set(d.left_neighbors(i))
-    k = 0
-    for b in left:
-        if not any(d.crosses(b, e) for e in range(i + 1, d.n + 1)):
-            k += 1
+    # a left neighbor b crosses no chord after i iff its mask has no bit >= i
+    left = _mask_labels(adj[i - 1] & ((1 << (i - 1)) - 1))
+    k = sum(1 for b in left if not adj[b - 1] >> i)
 
-    partner: dict[int, int] = {}
-    for c in range(1, d.n + 1):
-        if c == i or c in left:
-            continue
-        a, b = d.pairs[c - 1]
-        partner[a] = b
-        partner[b] = a
-    pts = sorted(partner)
-
+    # Inside (x, y), a point whose partner lies left of x is the sink of a
+    # left neighbor, so it is skipped as deleted; every other point there
+    # belongs to a chord nested in i or to a right neighbor.
+    partner = d.partner()
     l = 0
-    idx = bisect_right(pts, x)
-    while idx < len(pts):
-        p = pts[idx]
-        if p > y:
-            break
-        h = partner[p]
+    p = x + 1
+    while p < y:
+        h = partner[p - 1]
+        if h < x:
+            p += 1
+            continue
         if h < p or h > y:
             break
-        j = idx + 1
-        while j < len(pts) and pts[j] < h:
-            h = max(h, partner[pts[j]])
-            j += 1
+        q = p + 1
+        while q < h <= y:
+            h = max(h, partner[q - 1])
+            q += 1
         if h > y:
             break
         l += 1
-        idx = bisect_right(pts, h)
+        p = h + 1
     return k, l
 
 
@@ -270,6 +262,16 @@ def vertex_connectivity(d: ChordDiagram) -> int:
         return 0
     adj = d.adjacency()
     full = (1 << n) - 1
+    # the split graph, built once: node v -> v_in (2v) -> v_out (2v+1) ->
+    # w_in for every neighbor w, as successor bitmasks
+    split = []
+    for v, m in enumerate(adj):
+        out = 0
+        while m:
+            low = m & -m
+            m ^= low
+            out |= low * low  # bit w -> bit 2w
+        split += (1 << (2 * v + 1), out)
     best = n - 1
     for s in range(n):
         if s > best:
@@ -278,7 +280,7 @@ def vertex_connectivity(d: ChordDiagram) -> int:
             continue  # adjacent to everything, no cut excludes it as endpoint
         for t in range(s + 1, n):
             if not adj[s] >> t & 1:
-                best = min(best, _vertex_flow(adj, n, s, t, best))
+                best = min(best, _vertex_flow(split, s, t, best))
     return best
 
 
@@ -302,36 +304,34 @@ def is_k_connected(d: ChordDiagram, k: int) -> bool:
     return vertex_connectivity(d) >= k
 
 
-def _vertex_flow(adj: tuple[int, ...], n: int, s: int, t: int, cap_at: int) -> int:
-    # unit vertex capacities via splitting: node v -> v_in (2v), v_out (2v+1)
-    succ: list[set[int]] = [set() for _ in range(2 * n)]
-    for v in range(n):
-        succ[2 * v].add(2 * v + 1)
-        m = adj[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            succ[2 * v + 1].add(2 * w)
+def _vertex_flow(split: list[int], s: int, t: int, cap_at: int) -> int:
+    # unit-capacity augmenting paths from s_out to t_in, at most cap_at of
+    # them, on a copy of the split graph's successor masks
+    succ = list(split)
     src, dst = 2 * s + 1, 2 * t
+    prev = [0] * len(succ)
     flow = 0
     while flow < cap_at:
-        prev = {src: -1}
+        seen = 1 << src
         queue = [src]
-        qi = 0
-        while qi < len(queue) and dst not in prev:
-            u = queue[qi]
-            qi += 1
-            for w in succ[u]:
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        if dst not in prev:
+        for u in queue:
+            new = succ[u] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                prev[w] = u
+                queue.append(w)
+            if seen >> dst & 1:
+                break
+        else:
             break
         v = dst
         while v != src:
             u = prev[v]
-            succ[u].discard(v)
-            succ[v].add(u)
+            succ[u] &= ~(1 << v)
+            succ[v] |= 1 << u
             v = u
         flow += 1
     return flow

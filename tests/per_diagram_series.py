@@ -1,0 +1,103 @@
+"""Test-only oracles: the diagram-by-diagram versions of the weighted sums
+that chordlab tallies by (t1, weight monomial), and the pairwise valency.
+
+They share with the fast paths only ChordDiagram, the connected-diagram
+stream, the terminal profile, the top-cycle test and the polynomial
+arithmetic, which are tested on their own.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from chordlab.enumeration import connected_diagrams
+from chordlab.patterns import contains_any_top_cycle
+from chordlab.series import WeightPoly, YPoly, apply_operator, operator_kind
+from chordlab.structure import terminal_profile
+
+
+def valency_parts(d, i):
+    """(k, l) for chord i, straight from the definition: k counts left
+    neighbors crossing no chord after i; l counts the closed blocks packed
+    after i's source once the left neighbors are deleted."""
+    x, y = d.pairs[i - 1]
+    left = {b for b in range(1, i) if d.crosses(b, i)}
+    k = 0
+    for b in left:
+        if not any(d.crosses(b, e) for e in range(i + 1, d.n + 1)):
+            k += 1
+
+    partner = {}
+    for c in range(1, d.n + 1):
+        if c == i or c in left:
+            continue
+        a, b = d.pairs[c - 1]
+        partner[a] = b
+        partner[b] = a
+    pts = sorted(partner)
+
+    l = 0
+    idx = next((j for j, p in enumerate(pts) if p > x), len(pts))
+    while idx < len(pts):
+        p = pts[idx]
+        if p > y:
+            break
+        h = partner[p]
+        if h < p or h > y:
+            break
+        j = idx + 1
+        while j < len(pts) and pts[j] < h:
+            h = max(h, partner[pts[j]])
+            j += 1
+        if h > y:
+            break
+        l += 1
+        idx = next((j for j, q in enumerate(pts) if q > h), len(pts))
+    return k, l
+
+
+def f_monomial(c):
+    t = terminal_profile(c)
+    mono = {}
+    if c.n - len(t):
+        mono[("f", 0)] = c.n - len(t)
+    for a, b in zip(t, t[1:]):
+        mono[("f", b - a)] = mono.get(("f", b - a), 0) + 1
+    return WeightPoly({tuple(sorted((k, i, e) for (k, i), e in mono.items())): 1})
+
+
+def phi_monomial(c):
+    out = WeightPoly.one()
+    for i in range(1, c.n + 1):
+        out = out * WeightPoly.phi(sum(valency_parts(c, i)))
+    return out
+
+
+def diagram_series(operator, n_max):
+    """Sum f_C phi_C x^|C| L(y^{t1-1}) (over (t1-1)! for binomial), one
+    diagram at a time."""
+    op = operator_kind(operator)
+    out = [YPoly.zero() for _ in range(n_max + 1)]
+    for n in range(1, n_max + 1):
+        acc = YPoly.zero()
+        for d in connected_diagrams(n):
+            if op == "divided-power" and contains_any_top_cycle(d):
+                continue
+            k = terminal_profile(d)[0]
+            ypart = apply_operator(op, YPoly.basis(k - 1))
+            if op == "binomial":
+                ypart = ypart * Fraction(1, factorial(k - 1))
+            acc = acc + ypart * (f_monomial(d) * phi_monomial(d))
+        out[n] = acc
+    return out
+
+
+def root_share_sum(n, i):
+    """Sum of f_{t1(C)-i} f_C over connected C of size n with t1 >= i."""
+    total = WeightPoly.zero()
+    if n < 1:
+        return total
+    for d in connected_diagrams(n):
+        k = terminal_profile(d)[0]
+        if k >= i:
+            total = total + WeightPoly.f(k - i) * f_monomial(d)
+    return total

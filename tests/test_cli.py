@@ -94,6 +94,17 @@ def test_map_alpha_beta_wire_format():
     assert r.stdout.strip() == "(1,5)(2,4)(3,6)"
 
 
+@pytest.mark.parametrize("operator", ["binomial", "divided-power"])
+def test_series_sources_print_identical_rows(operator):
+    out = {}
+    for source in ("diagrams", "solve"):
+        r = run("series", "--operator", operator, "--source", source, "--max-size", "5")
+        assert r.returncode == 0
+        out[source] = r.stdout
+    assert out["diagrams"] == out["solve"]
+    assert out["solve"].count("\n") > 5
+
+
 def test_series_csv():
     r = run("series", "--operator", "binomial", "--max-size", "2", "--format", "csv")
     assert r.returncode == 0

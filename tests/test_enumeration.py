@@ -10,6 +10,7 @@ from chordlab.enumeration import (
     class_census,
     count_class,
     count_class_parallel,
+    count_classes_parallel,
     pattern_free_count,
     tcf_refined,
 )
@@ -48,6 +49,22 @@ def test_census_is_job_count_independent():
     for jobs in (1, 3):
         for cls, want in census(5).items():
             assert count_class_parallel(5, cls, jobs=jobs).total(5) == want
+
+
+def test_one_pool_counts_several_classes(monkeypatch):
+    from chordlab import enumeration
+
+    pools = []
+    real_pool = enumeration.multiprocessing.Pool
+    monkeypatch.setattr(
+        enumeration.multiprocessing, "Pool", lambda jobs: pools.append(jobs) or real_pool(jobs)
+    )
+    classes = ("connected", "one-terminal", "top-cycle-free")
+    tables = count_classes_parallel(5, classes, ("crossings",), jobs=2)
+    assert pools == [2]
+    assert list(tables) == list(classes)
+    for cls in classes:
+        assert tables[cls].rows == count_class(5, cls, ("crossings",)).rows
 
 
 def test_branches_split_the_stream():

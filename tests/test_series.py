@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import per_diagram_series
 from chordlab.diagram import ChordDiagram
 from chordlab.series import (
     WeightPoly,
@@ -25,7 +26,7 @@ from chordlab.series import (
     series_rows,
     solve_tree_like,
 )
-from conftest import Cb, Cf, K3
+from conftest import Cb, Cf, K3, sweep
 
 
 def test_weight_poly_arithmetic_is_exact():
@@ -114,6 +115,25 @@ def test_divided_power_diagram_sum_skips_the_triangle():
 def test_main_identity_order_four_both_operators():
     for name in ("binomial", "divided-power"):
         assert diagram_series(name, 4) == solve_tree_like(name, 4)[:5]
+
+
+@pytest.mark.parametrize("name", ["binomial", "divided-power"])
+def test_tallied_diagram_series_matches_the_per_diagram_sum(name):
+    assert diagram_series(name, 5) == per_diagram_series.diagram_series(name, 5)
+
+
+def test_weight_monomials_match_the_oracle():
+    for n in range(1, 6):
+        for d in sweep(n):
+            if d.is_connected():
+                assert f_monomial(d) == per_diagram_series.f_monomial(d)
+                assert phi_monomial(d) == per_diagram_series.phi_monomial(d)
+
+
+def test_root_share_sum_matches_the_per_diagram_sum():
+    for n in range(7):
+        for i in range(-1, n + 2):
+            assert root_share_sum(n, i) == per_diagram_series.root_share_sum(n, i), (n, i)
 
 
 def test_series_rows_wire_format():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import per_diagram_series
 import recursive_maps
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
@@ -21,6 +22,7 @@ from chordlab.structure import (
     terminal_profile,
     traced_subdiagram,
     valency,
+    valency_parts,
     vertex_connectivity,
 )
 from conftest import (
@@ -144,6 +146,14 @@ def test_valency_examples():
     assert [valency(Ce, i) for i in (1, 2, 3)] == [0, 0, 2]
     assert [valency(Cf, i) for i in (1, 2, 3)] == [0, 1, 1]
     assert valency(Ca, 1) == 0
+
+
+def test_valency_parts_match_the_pairwise_oracle():
+    rng = random.Random(7)
+    seeded = [uniform_matching(n, rng) for n in (12, 20, 30) for _ in range(5)]
+    for d in [d for n in range(7) for d in sweep(n)] + seeded:
+        for i in range(1, d.n + 1):
+            assert valency_parts(d, i) == per_diagram_series.valency_parts(d, i), (d, i)
 
 
 def test_connectivity_fixtures():

@@ -101,18 +101,11 @@ def _fail(**details) -> dict:
     return details
 
 
-# membership tests of the cached domains; "all" is streamed, never cached
-_DOMAIN_TESTS: dict[str, Callable[[ChordDiagram], bool]] = {
-    "connected": ChordDiagram.is_connected,
-    "one-terminal": is_one_terminal,
-}
-
-
 @lru_cache(maxsize=None)
 def _domain(n: int, name: str) -> tuple[ChordDiagram, ...]:
-    """The size-n diagrams of a cached domain, in generation order."""
-    keep = _DOMAIN_TESTS[name]
-    return tuple(d for d in all_diagrams(n) if keep(d))
+    """The size-n diagrams of a class ("connected" or "one-terminal"), in
+    generation order; "all" is streamed, never cached."""
+    return tuple(d for d in all_diagrams(n) if in_class(d, name))
 
 
 def _sweep(
@@ -617,13 +610,14 @@ def _psi_connectivity(budget: int) -> dict:
     7,
 )
 def _alpha_beta_roundtrip(budget: int) -> dict:
-    checked = 0
-    for n in range(2, budget + 1):
-        for d in _domain(n, "connected"):
-            parts = alpha(d)
-            if beta(parts) != d:
-                return _fail(witness=d.to_text(), kind="beta(alpha) != id")
-            checked += 1
+    def visit(d: ChordDiagram) -> dict | None:
+        if beta(alpha(d)) != d:
+            return {"kind": "beta(alpha) != id"}
+        return None
+
+    report = _sweep(visit, "connected", 2, budget)
+    if not report["ok"]:
+        return report
     pool = {s: _domain(s, "connected") for s in range(1, 5)}
     rng = random.Random(20240817)
     for _ in range(500):
@@ -640,7 +634,7 @@ def _alpha_beta_roundtrip(budget: int) -> dict:
         if alpha(beta(tup)) != tup:
             return _fail(kind="alpha(beta) != id",
                          tuple=[(p.to_text(), b) for p, b in tup])
-    return {"ok": True, "checked": checked, "random_tuples": 500}
+    return {**report, "random_tuples": 500}
 
 
 @_register(
@@ -651,21 +645,22 @@ def _alpha_beta_roundtrip(budget: int) -> dict:
     7,
 )
 def _alpha_interval_blocks(budget: int) -> dict:
-    checked = 0
-    tcf_pool: dict[int, list[ChordDiagram]] = {s: [] for s in range(1, 5)}
-    for n in range(1, budget + 1):
-        for d in _domain(n, "connected"):
-            if contains_any_top_cycle(d):
-                continue
-            if n <= 4:
-                tcf_pool[n].append(d)
-            if n < 2:
-                continue
-            flat = [pos for _, block in alpha(d) for pos in block]
-            if flat != list(range(1, len(flat) + 1)):
-                return _fail(witness=d.to_text(), blocks=flat)
-            checked += 1
+    def visit(d: ChordDiagram) -> dict | None:
+        flat = [pos for _, block in alpha(d) for pos in block]
+        if flat != list(range(1, len(flat) + 1)):
+            return {"blocks": flat}
+        return None
+
+    def top_cycle_free(d: ChordDiagram) -> bool:
+        return not contains_any_top_cycle(d)
+
+    report = _sweep(visit, "connected", 2, budget, where=top_cycle_free)
+    if not report["ok"]:
+        return report
     # the converse layout: parts tiled by increasing intervals in part order
+    tcf_pool = {
+        s: [d for d in _domain(s, "connected") if top_cycle_free(d)] for s in range(1, 5)
+    }
     rng = random.Random(20240818)
     for _ in range(300):
         m = rng.randint(1, 3)
@@ -680,7 +675,7 @@ def _alpha_interval_blocks(budget: int) -> dict:
         if contains_any_top_cycle(d):
             return _fail(kind="beta output has a top cycle",
                          tuple=[(p.to_text(), b) for p, b in tup])
-    return {"ok": True, "checked": checked, "random_tuples": 300}
+    return {**report, "random_tuples": 300}
 
 
 @_register(
@@ -1023,36 +1018,42 @@ def _enum_stream_counts(budget: int) -> dict:
     return {"ok": True, "rows": rows}
 
 
-@_register(
+def _register_sequence(
+    check_id: str,
+    description: str,
+    budget: int,
+    count: Callable[[int], int],
+    want: Callable[[int], int],
+) -> None:
+    """Register an enumeration check that compares count(n) with want(n)
+    for 1 <= n <= budget."""
+
+    def run(b: int) -> dict:
+        rows = {}
+        for n in range(1, b + 1):
+            got = count(n)
+            if got != want(n):
+                return _fail(n=n, got=got, want=want(n))
+            rows[n] = got
+        return {"ok": True, "rows": rows}
+
+    _register(check_id, "enumeration", description, budget)(run)
+
+
+_register_sequence(
     "enum-connected-stein",
-    "enumeration",
     "connected counts match the Stein recurrence",
     8,
+    lambda n: census(n)["connected"],
+    stein,
 )
-def _enum_connected_stein(budget: int) -> dict:
-    rows = {}
-    for n in range(1, budget + 1):
-        got = census(n)["connected"]
-        if got != stein(n):
-            return _fail(n=n, got=got, want=stein(n))
-        rows[n] = got
-    return {"ok": True, "rows": rows}
-
-
-@_register(
+_register_sequence(
     "enum-one-terminal-counts",
-    "enumeration",
     "1-terminal counts equal (2n-3)!!",
     8,
+    lambda n: census(n)["one-terminal"],
+    one_terminal,
 )
-def _enum_one_terminal_counts(budget: int) -> dict:
-    rows = {}
-    for n in range(1, budget + 1):
-        got = census(n)["one-terminal"]
-        if got != one_terminal(n):
-            return _fail(n=n, got=got, want=one_terminal(n))
-        rows[n] = got
-    return {"ok": True, "rows": rows}
 
 
 @_register(
@@ -1105,20 +1106,13 @@ def _enum_catalan_classes(budget: int) -> dict:
     return {"ok": True, "n_max": budget}
 
 
-@_register(
+_register_sequence(
     "enum-k3-stanley",
-    "enumeration",
     "triangle-pattern-free counts match the Catalan determinant formula",
     6,
+    lambda n: pattern_free_count(n, complete_diagram(3)),
+    stanley,
 )
-def _enum_k3_stanley(budget: int) -> dict:
-    rows = {}
-    for n in range(1, budget + 1):
-        got = pattern_free_count(n, complete_diagram(3))
-        if got != stanley(n):
-            return _fail(n=n, got=got, want=stanley(n))
-        rows[n] = got
-    return {"ok": True, "rows": rows}
 
 
 @_register(

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import PROFILE_CLASSES, all_diagrams, class_census
+from .enumeration import PROFILE_CLASSES, VARIANTS, _variant_fold, class_census
 from .oracles import oracle_value
-from .structure import is_one_terminal
-
-VARIANTS = ("all", "connected", "one-terminal")
+from .patterns import in_class
 
 OFFSETS = (-1, 0, 1)
 
@@ -25,20 +23,9 @@ def variant_counts(class_name: str, n_max: int) -> dict[str, list[int]]:
     if class_name in PROFILE_CLASSES:
         rows = [class_census(n)[class_name] for n in range(1, n_max + 1)]
     else:
-        from .patterns import in_class
-
-        rows = []
-        for n in range(1, n_max + 1):
-            tally = {"all": 0, "connected": 0, "one-terminal": 0}
-            for d in all_diagrams(n):
-                if not in_class(d, class_name):
-                    continue
-                tally["all"] += 1
-                if d.is_connected():
-                    tally["connected"] += 1
-                    if is_one_terminal(d):
-                        tally["one-terminal"] += 1
-            rows.append(tally)
+        only = (class_name,)
+        member = lambda d: only if in_class(d, class_name) else ()
+        rows = [_variant_fold(n, member, only)[class_name] for n in range(1, n_max + 1)]
     return {v: [row[v] for row in rows] for v in VARIANTS}
 
 

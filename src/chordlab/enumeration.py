@@ -1,4 +1,9 @@
-"""Exhaustive generation of rooted chord diagrams and class counting."""
+"""Exhaustive generation of rooted chord diagrams and class counting.
+
+`tally` is the one counting loop: every exhaustive count here (`census`,
+`count_class`, `class_census`, `tcf_refined`, `pattern_free_count`) is a
+key function over it, and so are the counts of the other modules.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +12,12 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .diagram import ChordDiagram
-from .patterns import CYCLE_CLASSES, cycle_classes, cycle_profile, in_class
+from .patterns import CYCLE_CLASSES, contains_pattern, cycle_classes, cycle_profile, in_class
 from .structure import (
+    is_one_terminal,
     terminal_labels,
     terminality,
     t1,
@@ -62,6 +68,22 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
         yield trusted(pairs)
 
 
+def tally(
+    n: int,
+    key: Callable[[ChordDiagram], Hashable | None],
+    branch: int | None = None,
+) -> dict:
+    """Counts of the values of `key` over the size-n diagrams (of one branch,
+    if given), in first-occurrence order; a key of None skips the diagram."""
+    trusted = ChordDiagram._trusted
+    counts: dict = {}
+    for pairs in all_pairs(n, branch):
+        k = key(trusted(pairs))
+        if k is not None:
+            counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
 def branches(n: int) -> list[int]:
     """Partner choices for point 1; prefix-split handles for parallel sweeps."""
     return list(range(2, 2 * n + 1))
@@ -71,20 +93,6 @@ def _pool_size(n: int, jobs: int) -> int:
     """Worker count for a parallel sweep: never more than the CPUs or the
     branches of size n."""
     return max(1, min(jobs, os.cpu_count() or 1, len(branches(n))))
-
-
-@lru_cache(maxsize=None)
-def census(n: int) -> Mapping[str, int]:
-    """Counts of all / connected / one-terminal diagrams of size n. Cached,
-    and read-only."""
-    total = conn = one_term = 0
-    for d in all_diagrams(n):
-        total += 1
-        if d.is_connected():
-            conn += 1
-            if len(terminal_labels(d)) == 1:
-                one_term += 1
-    return MappingProxyType({"all": total, "connected": conn, "one-terminal": one_term})
 
 
 @dataclass
@@ -126,15 +134,12 @@ def count_class(
             raise ValueError("unknown statistic: %s" % s)
     pred = cls if callable(cls) else (lambda d: in_class(d, cls))
     name = cls if isinstance(cls, str) else getattr(cls, "__name__", "custom")
-    table = CountTable(name, tuple(statistics))
-    trusted = ChordDiagram._trusted
-    for pairs in all_pairs(n, branch):
-        d = trusted(pairs)
-        if not pred(d):
-            continue
-        key = (n,) + tuple(_STAT_FUNCS[s](d) for s in statistics)
-        table.add(key)
-    return table
+    funcs = [_STAT_FUNCS[s] for s in statistics]
+
+    def key(d: ChordDiagram) -> tuple | None:
+        return (n, *(f(d) for f in funcs)) if pred(d) else None
+
+    return CountTable(name, tuple(statistics), tally(n, key, branch))
 
 
 def _count_class_branch(args) -> dict[tuple, int]:
@@ -172,8 +177,53 @@ def count_class_parallel(
     return count_classes_parallel(n, (cls,), statistics, jobs)[cls]
 
 
+VARIANTS = ("all", "connected", "one-terminal")
+
+
+def _variant_fold(
+    n: int,
+    member: Callable[[ChordDiagram], tuple[str, ...]],
+    classes: tuple[str, ...],
+) -> dict[str, dict[str, int]]:
+    """class -> {all, connected, one-terminal} counts of size n, where
+    `member` names the classes a diagram belongs to."""
+
+    def key(d: ChordDiagram) -> tuple | None:
+        inside = member(d)
+        if not inside:
+            return None
+        # how many of VARIANTS the diagram counts towards
+        if not d.is_connected():
+            return inside, 1
+        return inside, 3 if is_one_terminal(d) else 2
+
+    out = {c: dict.fromkeys(VARIANTS, 0) for c in classes}
+    for (inside, depth), count in tally(n, key).items():
+        for c in inside:
+            for v in VARIANTS[:depth]:
+                out[c][v] += count
+    return out
+
+
+@lru_cache(maxsize=None)
+def census(n: int) -> Mapping[str, int]:
+    """Counts of all / connected / one-terminal diagrams of size n. Cached,
+    and read-only."""
+    return MappingProxyType(_variant_fold(n, lambda d: ("all",), ("all",))["all"])
+
+
 # classes whose membership falls out of one crossing-graph cycle profile
 PROFILE_CLASSES = ("all", *CYCLE_CLASSES, "noncrossing", "nonnesting")
+
+
+def _profile_member(d: ChordDiagram) -> tuple[str, ...]:
+    flags = {
+        "all": True,
+        **cycle_classes(cycle_profile(d)),
+        "noncrossing": d.is_noncrossing(),
+        "nonnesting": d.is_nonnesting(),
+    }
+    return tuple(c for c, ok in flags.items() if ok)
 
 
 @lru_cache(maxsize=None)
@@ -181,24 +231,7 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     """One sweep over size-n diagrams scoring every profile class at once;
     returns class -> {all, connected, one-terminal} counts. Cached, and
     read-only."""
-    out = {c: {"all": 0, "connected": 0, "one-terminal": 0} for c in PROFILE_CLASSES}
-    for d in all_diagrams(n):
-        conn = d.is_connected()
-        one_term = conn and len(terminal_labels(d)) == 1
-        member = {
-            "all": True,
-            **cycle_classes(cycle_profile(d)),
-            "noncrossing": d.is_noncrossing(),
-            "nonnesting": d.is_nonnesting(),
-        }
-        for c, ok in member.items():
-            if not ok:
-                continue
-            out[c]["all"] += 1
-            if conn:
-                out[c]["connected"] += 1
-            if one_term:
-                out[c]["one-terminal"] += 1
+    out = _variant_fold(n, _profile_member, PROFILE_CLASSES)
     return MappingProxyType({c: MappingProxyType(v) for c, v in out.items()})
 
 
@@ -206,23 +239,14 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
 def tcf_refined(n: int) -> Mapping[int, int]:
     """Connected top-cycle-free counts of size n, refined by t1. Cached, and
     read-only."""
-    out: dict[int, int] = {}
-    for d in connected_diagrams(n):
-        if in_class(d, "top-cycle-free"):
-            k = t1(d)
-            out[k] = out.get(k, 0) + 1
-    return MappingProxyType(out)
+
+    def key(d: ChordDiagram) -> int | None:
+        return t1(d) if d.is_connected() and in_class(d, "top-cycle-free") else None
+
+    return MappingProxyType(tally(n, key))
 
 
 @lru_cache(maxsize=None)
 def pattern_free_count(n: int, pattern: ChordDiagram) -> int:
     """Size-n diagrams with no induced copy of `pattern`. Cached."""
-    from .patterns import contains_pattern
-
-    return sum(1 for d in all_diagrams(n) if not contains_pattern(d, pattern))
-
-
-def connected_diagrams(n: int) -> Iterator[ChordDiagram]:
-    for d in all_diagrams(n):
-        if d.is_connected():
-            yield d
+    return tally(n, lambda d: contains_pattern(d, pattern)).get(False, 0)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagram import ChordDiagram, _mask_labels
-from .structure import is_one_terminal, terminal_labels
+from .structure import is_one_terminal
 
 
 def complete_diagram(k: int) -> ChordDiagram:
@@ -77,13 +77,6 @@ def is_permutation_diagram(d: ChordDiagram) -> bool:
     """All n sources precede all n sinks."""
     n = d.n
     return all(a <= n < b for a, b in d.pairs)
-
-
-def is_shifted_permutation_diagram(d: ChordDiagram) -> bool:
-    """1-terminal, and a permutation diagram once the terminal chord is removed."""
-    if d.n == 0 or not is_one_terminal(d):
-        return False
-    return is_permutation_diagram(d.remove_chord(terminal_labels(d)[0]))
 
 
 # relation codes of a later chord j to an earlier chord i
@@ -161,8 +154,8 @@ def contains_pattern(d: ChordDiagram, pattern: ChordDiagram) -> bool:
     return False
 
 
-def _induced_cycles(d: ChordDiagram) -> list[tuple[int, tuple[int, ...]]]:
-    """All chord subsets whose induced crossing graph is a cycle, each once,
+def _induced_cycles(d: ChordDiagram) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield every chord subset whose induced crossing graph is a cycle, once,
     as (length, labels). Includes m = 3 triangles.
 
     Each cycle is grown from its lowest chord v as a chordless path
@@ -170,7 +163,6 @@ def _induced_cycles(d: ChordDiagram) -> list[tuple[int, tuple[int, ...]]]:
     with w > p1, so it is found once.
     """
     adj = d.adjacency()
-    out = []
     for v, nv in enumerate(adj):
         below = (1 << (v + 1)) - 1
         rest = nv & ~below
@@ -192,15 +184,29 @@ def _induced_cycles(d: ChordDiagram) -> list[tuple[int, tuple[int, ...]]]:
                     cand ^= bw
                     if nv & bw:
                         cycle = path | bw
-                        out.append((cycle.bit_count(), _mask_labels(cycle)))
+                        yield cycle.bit_count(), _mask_labels(cycle)
                     else:
                         stack.append((bw.bit_length() - 1, path | bw, forbid | adj[last] | bw))
-    return out
 
 
 @lru_cache
 def _realizations(m: int) -> tuple[ChordDiagram, ChordDiagram]:
     return top_cycle(m), bottom_cycle(m)
+
+
+def _kind(d: ChordDiagram, m: int, labels: tuple[int, ...]) -> str:
+    """The named realization, "top" or "bottom", that the induced m-cycle on
+    the labels compresses to. The m = 3 triangle is both, reported as "top"."""
+    if m == 3:
+        # three pairwise-crossing chords can only be (1,4)(2,5)(3,6)
+        return "top"
+    sub = d.subdiagram(labels)
+    top, bottom = _realizations(m)
+    if sub == top:
+        return "top"
+    if sub == bottom:
+        return "bottom"
+    raise AssertionError(f"induced {m}-cycle with unknown realization: {sub.to_text()}")
 
 
 def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
@@ -212,18 +218,7 @@ def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
     """
     profile: dict[tuple[int, str], int] = {}
     for m, labels in _induced_cycles(d):
-        if m == 3:
-            # three pairwise-crossing chords can only be (1,4)(2,5)(3,6)
-            profile[3, "top"] = profile.get((3, "top"), 0) + 1
-            continue
-        sub = d.subdiagram(labels)
-        top, bottom = _realizations(m)
-        if sub == top:
-            key = (m, "top")
-        elif sub == bottom:
-            key = (m, "bottom")
-        else:
-            raise AssertionError(f"induced {m}-cycle with unknown realization: {sub.to_text()}")
+        key = (m, _kind(d, m, labels))
         profile[key] = profile.get(key, 0) + 1
     return profile
 
@@ -256,11 +251,15 @@ def cycle_classes(profile: dict[tuple[int, str], int]) -> dict[str, bool]:
 
 
 def contains_any_top_cycle(d: ChordDiagram) -> bool:
-    return not cycle_classes(cycle_profile(d))["top-cycle-free"]
+    """Some induced cycle is a top cycle (a triangle counts); stops at the
+    first one."""
+    return any(_kind(d, m, labels) == "top" for m, labels in _induced_cycles(d))
 
 
 def contains_any_bottom_cycle(d: ChordDiagram) -> bool:
-    return not cycle_classes(cycle_profile(d))["bottom-cycle-free"]
+    """Some induced cycle is a bottom cycle (a triangle counts); stops at the
+    first one."""
+    return any(m == 3 or _kind(d, m, labels) == "bottom" for m, labels in _induced_cycles(d))
 
 
 CLASS_NAMES = (
@@ -297,6 +296,10 @@ def in_class(d: ChordDiagram, name: str) -> bool:
         return d.is_noncrossing()
     if name == "nonnesting":
         return d.is_nonnesting()
+    if name == "top-cycle-free":
+        return not contains_any_top_cycle(d)
+    if name == "bottom-cycle-free":
+        return not contains_any_bottom_cycle(d)
     if name in CYCLE_CLASSES:
         return cycle_classes(cycle_profile(d))[name]
     return not contains_pattern(d, _forbidden_pattern(name))

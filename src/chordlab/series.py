@@ -475,20 +475,22 @@ def _weight_tally(n: int, with_phi: bool, top_cycle_free: bool = False) -> Tally
     """One walk over the connected diagrams of size n (top-cycle-free ones
     only if asked), counting them by t1 and by f_C, times phi_C if
     `with_phi`."""
-    from .enumeration import connected_diagrams
+    from .enumeration import tally
     from .patterns import contains_any_top_cycle
 
-    tally: Tally = {}
-    for d in connected_diagrams(n):
-        if top_cycle_free and contains_any_top_cycle(d):
-            continue
+    def key(d: ChordDiagram) -> tuple[int, Mono] | None:
+        if not d.is_connected() or top_cycle_free and contains_any_top_cycle(d):
+            return None
         profile = terminal_profile(d)
         mono = _f_mono(d, profile)
         if with_phi:
             mono += _phi_mono(d)  # "f" letters sort before "p" letters
-        row = tally.setdefault(profile[0], {})
-        row[mono] = row.get(mono, 0) + 1
-    return tally
+        return profile[0], mono
+
+    out: Tally = {}
+    for (k, mono), count in tally(n, key).items():
+        out.setdefault(k, {})[mono] = count
+    return out
 
 
 def diagram_series(operator: str, n_max: int) -> list[YPoly]:

@@ -337,47 +337,6 @@ def _vertex_flow(split: list[int], s: int, t: int, cap_at: int) -> int:
     return flow
 
 
-def edge_connectivity(d: ChordDiagram) -> int:
-    """Edge connectivity of the crossing graph; 0 when empty, single, or
-    disconnected."""
-    n = d.n
-    if n <= 1 or not d.is_connected():
-        return 0
-    adj = d.adjacency()
-    best = n - 1
-    for t in range(1, n):
-        cap = {}
-        for v in range(n):
-            m = adj[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                cap[(v, w)] = 1
-        flow = 0
-        while flow < best:
-            prev = {0: -1}
-            queue = [0]
-            qi = 0
-            while qi < len(queue) and t not in prev:
-                u = queue[qi]
-                qi += 1
-                for w in range(n):
-                    if w not in prev and cap.get((u, w), 0) > 0:
-                        prev[w] = u
-                        queue.append(w)
-            if t not in prev:
-                break
-            v = t
-            while v != 0:
-                u = prev[v]
-                cap[(u, v)] -= 1
-                cap[(v, u)] = cap.get((v, u), 0) + 1
-                v = u
-            flow += 1
-        best = min(best, flow)
-    return best
-
-
 def exists_nonnesting_induced_path(d: ChordDiagram, a: int, b: int) -> bool:
     """Is there an induced crossing-graph path from a to b whose chords are
     pairwise non-nesting (non-consecutive ones disjoint)?"""

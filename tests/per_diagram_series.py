@@ -1,15 +1,15 @@
 """Test-only oracles: the diagram-by-diagram versions of the weighted sums
 that chordlab tallies by (t1, weight monomial), and the pairwise valency.
 
-They share with the fast paths only ChordDiagram, the connected-diagram
-stream, the terminal profile, the top-cycle test and the polynomial
-arithmetic, which are tested on their own.
+They share with the fast paths only ChordDiagram, the diagram stream, the
+terminal profile, the top-cycle test and the polynomial arithmetic, which
+are tested on their own.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from chordlab.enumeration import connected_diagrams
+from chordlab.enumeration import all_diagrams
 from chordlab.patterns import contains_any_top_cycle
 from chordlab.series import WeightPoly, YPoly, apply_operator, operator_kind
 from chordlab.structure import terminal_profile
@@ -79,7 +79,9 @@ def diagram_series(operator, n_max):
     out = [YPoly.zero() for _ in range(n_max + 1)]
     for n in range(1, n_max + 1):
         acc = YPoly.zero()
-        for d in connected_diagrams(n):
+        for d in all_diagrams(n):
+            if not d.is_connected():
+                continue
             if op == "divided-power" and contains_any_top_cycle(d):
                 continue
             k = terminal_profile(d)[0]
@@ -96,7 +98,9 @@ def root_share_sum(n, i):
     total = WeightPoly.zero()
     if n < 1:
         return total
-    for d in connected_diagrams(n):
+    for d in all_diagrams(n):
+        if not d.is_connected():
+            continue
         k = terminal_profile(d)[0]
         if k >= i:
             total = total + WeightPoly.f(k - i) * f_monomial(d)

@@ -87,6 +87,21 @@ def test_sweep_checks_count_the_diagrams_they_visit(check_id):
     assert run_check(check_id, 5)["details"] == {"checked": SWEEP_COUNTS[check_id]}
 
 
+@pytest.mark.parametrize(
+    "check_id, budget, details",
+    [
+        # connected diagrams of sizes 2..5, then the random parts tuples
+        ("alpha-beta-roundtrip", 5, {"checked": 280, "random_tuples": 500}),
+        # connected top-cycle-free diagrams of sizes 2..5
+        ("alpha-interval-blocks", 5, {"checked": 85, "random_tuples": 300}),
+        # the random tuples draw parts of up to 4 chords whatever the budget
+        ("alpha-interval-blocks", 3, {"checked": 4, "random_tuples": 300}),
+    ],
+)
+def test_alpha_checks_report_their_sweep_and_random_tuples(check_id, budget, details):
+    assert run_check(check_id, budget)["details"] == details
+
+
 def test_sweep_reports_the_first_failing_diagram():
     from chordlab.checks import _sweep
     from chordlab.diagram import ChordDiagram

@@ -1,8 +1,12 @@
 """Exhaustive enumeration and the counting oracles it is checked against."""
 
+from collections import Counter
+
 import pytest
 
+from chordlab.conjectures import variant_counts
 from chordlab.enumeration import (
+    PROFILE_CLASSES,
     all_diagrams,
     all_pairs,
     branches,
@@ -12,6 +16,7 @@ from chordlab.enumeration import (
     count_class_parallel,
     count_classes_parallel,
     pattern_free_count,
+    tally,
     tcf_refined,
 )
 from chordlab.oracles import (
@@ -31,6 +36,8 @@ from chordlab.oracles import (
     stein,
     tutte,
 )
+from chordlab.patterns import in_class
+from chordlab.structure import is_one_terminal, t1
 from conftest import K3, sweep
 
 
@@ -136,6 +143,51 @@ def test_tcf_refined_matches_corollary_counts():
             i: corollary_count(n, i) for i in range(min(2, n), n + 1)
         }
         assert sum(refined.values()) == corollary_sum(n)
+
+
+def direct_variants(n, cls):
+    """{all, connected, one-terminal} counts of a class, one diagram at a time."""
+    out = {"all": 0, "connected": 0, "one-terminal": 0}
+    for d in all_diagrams(n):
+        if in_class(d, cls):
+            out["all"] += 1
+            out["connected"] += d.is_connected()
+            out["one-terminal"] += is_one_terminal(d)
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_census_and_class_census_match_a_direct_loop(n):
+    assert dict(census(n)) == direct_variants(n, "all")
+    rows = class_census(n)
+    assert list(rows) == list(PROFILE_CLASSES)
+    for cls in PROFILE_CLASSES:
+        want = direct_variants(n, cls)
+        for variant, count in want.items():
+            assert rows[cls][variant] == count, (cls, variant)
+
+
+@pytest.mark.parametrize("cls", ["K3-free", "indecomposable"])
+def test_variant_counts_outside_the_profile_classes_match_a_direct_loop(cls):
+    rows = [direct_variants(n, cls) for n in range(1, 6)]
+    assert variant_counts(cls, 5) == {v: [row[v] for row in rows] for v in rows[0]}
+
+
+def test_tally_counts_key_values_in_first_occurrence_order():
+    def key(d):
+        return (d.crossings(), t1(d)) if d.is_connected() else None
+
+    for n in range(1, 6):
+        whole = tally(n, key)
+        keys = [key(d) for d in all_diagrams(n)]
+        assert list(whole) == list(dict.fromkeys(k for k in keys if k is not None))
+        assert whole == Counter(k for k in keys if k is not None)
+        assert sum(whole.values()) == census(n)["connected"]
+        # the branches split the tally as they split the stream
+        parts = Counter()
+        for b in branches(n):
+            parts.update(tally(n, key, b))
+        assert parts == Counter(whole)
 
 
 def test_pattern_free_counts():

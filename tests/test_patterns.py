@@ -10,16 +10,17 @@ import pytest
 from chordlab.diagram import ChordDiagram
 from chordlab.patterns import (
     CLASS_NAMES,
+    CYCLE_CLASSES,
     _induced_cycles,
     bottom_cycle,
     complete_diagram,
     contains_any_bottom_cycle,
     contains_any_top_cycle,
     contains_pattern,
+    cycle_classes,
     cycle_profile,
     in_class,
     is_permutation_diagram,
-    is_shifted_permutation_diagram,
     nesting_diagram,
     permutation_diagram,
     top_cycle,
@@ -114,7 +115,13 @@ def uniform_matchings(count, sizes, seed):
 
 def assert_matches_oracles(d):
     assert sorted(_induced_cycles(d)) == induced_cycles_oracle(d), d
-    assert cycle_profile(d) == cycle_profile_oracle(d), d
+    profile = cycle_profile_oracle(d)
+    assert cycle_profile(d) == profile, d
+    classes = cycle_classes(profile)
+    assert contains_any_top_cycle(d) == (not classes["top-cycle-free"]), d
+    assert contains_any_bottom_cycle(d) == (not classes["bottom-cycle-free"]), d
+    for name in CYCLE_CLASSES:
+        assert in_class(d, name) == classes[name], (d, name)
     for pattern in ORACLE_PATTERNS:
         assert contains_pattern(d, pattern) == contains_pattern_oracle(d, pattern), (d, pattern)
 
@@ -186,7 +193,6 @@ def test_permutation_diagrams():
     # all sources precede all sinks in Ce, so it encodes a permutation too
     assert is_permutation_diagram(Ce)
     assert not is_permutation_diagram(ChordDiagram.from_text("(1,3)(2,5)(4,6)"))
-    assert is_shifted_permutation_diagram(K3)
 
 
 def test_in_class_examples():

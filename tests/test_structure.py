@@ -10,7 +10,6 @@ import recursive_maps
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
 from chordlab.structure import (
-    edge_connectivity,
     exists_nonnesting_induced_path,
     intersection_order,
     is_k_connected,
@@ -159,7 +158,6 @@ def test_valency_parts_match_the_pairwise_oracle():
 def test_connectivity_fixtures():
     assert vertex_connectivity(K3) == 2
     assert vertex_connectivity(Cb) == 1
-    assert edge_connectivity(Cb) == 1
     assert vertex_connectivity(Cc) == 0
     assert vertex_connectivity(Ca) == 0
 

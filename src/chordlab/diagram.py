@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
@@ -151,14 +150,13 @@ class ChordDiagram:
         return self.relation(i, j) == "disjoint"
 
     def crossings(self) -> int:
-        return sum(m.bit_count() for m in self.adjacency()) // 2
+        return sum(map(int.bit_count, self.adjacency())) // 2
 
     def nestings(self) -> int:
-        # the sources strictly inside chord i belong to its right neighbors
-        # or to the chords it nests over
-        sources = [a for a, _ in self.pairs]
-        inside = sum(bisect_left(sources, b) - i - 1 for i, (_, b) in enumerate(self.pairs))
-        return inside - self.crossings()
+        # the points strictly inside chord i are two for each chord it nests
+        # over and one for each chord it crosses
+        inside = sum(b - a for a, b in self.pairs) - len(self.pairs)
+        return inside // 2 - self.crossings()
 
     def is_noncrossing(self) -> bool:
         return not any(self.adjacency())

@@ -25,40 +25,41 @@ from .structure import (
 )
 
 
-def _gen_pairs(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-    # match the smallest free point with every later one, in order; this
-    # walks partner arrays lexicographically
-    if not points:
-        yield []
-        return
-    a = points[0]
-    for i in range(1, len(points)):
-        b = points[i]
-        rest = points[1:i] + points[i + 1:]
-        for tail in _gen_pairs(rest):
-            tail.append((a, b))
-            yield tail
-
-
-def all_pairs(n: int, branch: int | None = None) -> Iterator[list[tuple[int, int]]]:
-    """Raw source-sorted pair lists, lexicographic in the partner array.
-    `branch` restricts to diagrams whose first chord is (1, branch)."""
+def all_pairs(n: int, branch: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Source-sorted pair tuples, lexicographic in the partner array.
+    `branch` restricts to diagrams whose first chord is (1, branch); it must
+    be one of `branches(n)`."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    if n == 0:
-        yield []
-        return
     points = tuple(range(1, 2 * n + 1))
     if branch is None:
-        for pairs in _gen_pairs(points):
-            pairs.reverse()
-            yield pairs
+        stack = [((), points)]
+    elif 2 <= branch <= 2 * n:
+        stack = [(((1, branch),), points[1:branch - 1] + points[branch:])]
     else:
-        rest = tuple(p for p in points[1:] if p != branch)
-        for tail in _gen_pairs(rest):
-            tail.append((1, branch))
-            tail.reverse()
-            yield tail
+        raise ValueError("branch %r is not in branches(%d)" % (branch, n))
+    # depth first on an explicit stack of (chords placed, free points): the
+    # smallest free point is matched with every later one, and the children
+    # are pushed in reverse so that they pop in that order; the last four
+    # points give their three completions at once
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        prefix, free = pop()
+        k = len(free)
+        if k > 4:
+            a = free[0]
+            for i in range(k - 1, 0, -1):
+                push((prefix + ((a, free[i]),), free[1:i] + free[i + 1:]))
+        elif k == 4:
+            a, p, q, r = free
+            yield prefix + ((a, p), (q, r))
+            yield prefix + ((a, q), (p, r))
+            yield prefix + ((a, r), (p, q))
+        elif free:
+            yield prefix + (free,)
+        else:
+            yield prefix
 
 
 def all_diagrams(n: int) -> Iterator[ChordDiagram]:

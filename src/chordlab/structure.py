@@ -6,7 +6,7 @@ traced subdiagrams, chord valencies, and crossing-graph connectivity.
 
 from __future__ import annotations
 
-from .diagram import ChordDiagram, _mask_labels, component_mask
+from .diagram import ChordDiagram, _mask_labels, _set_order
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -33,16 +33,31 @@ def _order(d: ChordDiagram) -> tuple[int, ...]:
         while stack:
             rest = stack.pop()
             low = rest & -rest
-            out.append(low.bit_length())
+            root = low.bit_length()
+            out.append(root)
             rest ^= low
+            # rest was connected, so each of its pieces holds a neighbour of
+            # the root: a piece that holds all the neighbours left is all of
+            # what is left, and its search can stop there
+            need = adj[root - 1] & rest
             comps = []
             while rest:
-                comp = component_mask(adj, rest & -rest, rest)
-                rest ^= comp
+                comp = frontier = rest & -rest
+                while frontier and need & ~comp:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grow = adj[low.bit_length() - 1] & rest & ~comp
+                    comp |= grow
+                    frontier |= grow
+                if not need & ~comp:
+                    comps.append(rest)
+                    break
                 comps.append(comp)
+                rest ^= comp
+                need &= ~comp
             stack.extend(reversed(comps))
         order = tuple(out)
-        object.__setattr__(d, "_order", order)
+        _set_order(d, order)
     return order
 
 

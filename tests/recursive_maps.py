@@ -1,13 +1,59 @@
 """Test-only oracles: the recursive, definition-following versions of the
-maps that chordlab computes on crossing masks and explicit stacks.
+maps that chordlab computes on crossing masks and explicit stacks, the
+recursive pair generator, and the full mask search for the intersection
+order.
 
 They share with the fast paths only ChordDiagram itself, the intersection
-order, t1 and beta, which are tested on their own.
+order, t1 and beta, which are tested on their own. `mask_order` uses the
+crossing masks and `component_mask`, not the order's own search.
 """
 
 from chordlab.bijections import beta
-from chordlab.diagram import ChordDiagram
+from chordlab.diagram import ChordDiagram, component_mask
 from chordlab.structure import intersection_order, is_one_terminal, t1
+
+
+def gen_pairs(points):
+    """Every perfect matching of `points` as a source-sorted pair list:
+    match the smallest point with every later one, in order, recursively."""
+    if not points:
+        yield []
+        return
+    a = points[0]
+    for i in range(1, len(points)):
+        rest = points[1:i] + points[i + 1:]
+        for tail in gen_pairs(rest):
+            yield [(a, points[i])] + tail
+
+
+def all_pairs(n, branch=None):
+    """The size-n pair lists, or those whose first chord is (1, branch)."""
+    points = tuple(range(1, 2 * n + 1))
+    if branch is None:
+        yield from gen_pairs(points)
+        return
+    for tail in gen_pairs(tuple(p for p in points[1:] if p != branch)):
+        yield [(1, branch)] + tail
+
+
+def mask_order(d):
+    """The intersection order by a full component search of what is left
+    after each root: quadratic, but with no recursion."""
+    adj = d.adjacency()
+    out = []
+    stack = [(1 << d.n) - 1]
+    while stack:
+        rest = stack.pop()
+        low = rest & -rest
+        out.append(low.bit_length())
+        rest ^= low
+        comps = []
+        while rest:
+            comp = component_mask(adj, rest & -rest, rest)
+            rest ^= comp
+            comps.append(comp)
+        stack.extend(reversed(comps))
+    return tuple(out)
 
 
 def stirling_check(w):

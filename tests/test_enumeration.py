@@ -1,8 +1,11 @@
 """Exhaustive enumeration and the counting oracles it is checked against."""
 
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
+
+import recursive_maps
 
 from chordlab.conjectures import variant_counts
 from chordlab.enumeration import (
@@ -79,6 +82,47 @@ def test_branches_split_the_stream():
     assert sum(counts) == double_factorial(4)
     # the branches are consecutive blocks of the stream, in branch order
     assert [p for b in branches(4) for p in all_pairs(4, b)] == list(all_pairs(4))
+
+
+def test_all_pairs_matches_the_recursive_generator():
+    for n in range(8):
+        for got, want in zip_longest(all_pairs(n), recursive_maps.all_pairs(n)):
+            assert got == tuple(want), n
+    for n in range(7):
+        for b in branches(n):
+            for got, want in zip_longest(all_pairs(n, b), recursive_maps.all_pairs(n, b)):
+                assert got == tuple(want), (n, b)
+
+
+def test_all_pairs_walks_standard_pair_tuples_in_partner_order():
+    for n in range(8):
+        count = 0
+        last = None
+        for pairs in all_pairs(n):
+            assert type(pairs) is tuple and len(pairs) == n
+            for pair in pairs:
+                assert type(pair) is tuple and len(pair) == 2
+                assert all(type(p) is int for p in pair)
+                assert pair[0] < pair[1]
+            assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
+            partner = [0] * (2 * n)
+            for a, b in pairs:
+                partner[a - 1] = b
+                partner[b - 1] = a
+            assert sorted(partner) == list(range(1, 2 * n + 1))
+            assert last is None or partner > last
+            last = partner
+            count += 1
+        assert count == double_factorial(n)
+    assert list(all_pairs(0)) == [()]
+
+
+@pytest.mark.parametrize("n, b", [(3, 1), (3, 99), (2, 0), (0, 2), (3, -2), (1, 3)])
+def test_branches_outside_the_split_are_rejected(n, b):
+    with pytest.raises(ValueError, match="branch"):
+        list(all_pairs(n, b))
+    with pytest.raises(ValueError, match="branch"):
+        count_class(n, branch=b)
 
 
 def test_negative_sizes_are_rejected():

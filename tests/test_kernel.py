@@ -3,10 +3,14 @@
 Every kernel result (crossing masks, neighbors, terminal chords, pair
 statistics, components, intersection order, vertex connectivity) is
 recomputed here from the raw pairs or from networkx, over every diagram
-with at most six chords, and never from the kernel itself.
+with at most six chords, and never from the kernel itself. The
+intersection order is also compared with the full mask search of
+`recursive_maps.mask_order` on inputs too deep for the recursive
+definition.
 """
 
 import random
+from fractions import Fraction
 from types import MappingProxyType
 
 import networkx as nx
@@ -15,13 +19,14 @@ import pytest
 from chordlab import cli, enumeration
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
-from chordlab.enumeration import all_pairs, census, class_census, tcf_refined
+from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.structure import (
     intersection_order,
     terminal_labels,
     vertex_connectivity,
 )
-from conftest import sweep
+from conftest import connected_matching, sweep, uniform_matching
+from recursive_maps import mask_order
 
 MAX_N = 6
 
@@ -115,6 +120,90 @@ def test_intersection_order_matches_the_recursive_definition():
     for d in every_diagram():
         if d.is_connected():
             assert intersection_order(d) == recursive_intersection_order(d), d
+
+
+def from_points(chords) -> ChordDiagram:
+    """The diagram of chords given by any distinct sortable endpoints."""
+    rank = {p: r for r, p in enumerate(sorted(p for c in chords for p in c), 1)}
+    return ChordDiagram((rank[a], rank[b]) for a, b in chords)
+
+
+def path_diagram(n: int) -> ChordDiagram:
+    """Chord i crosses only chords i - 1 and i + 1 (n >= 2)."""
+    middle = ((2 * i - 2, 2 * i + 1) for i in range(2, n))
+    return ChordDiagram([(1, 3), *middle, (2 * n - 2, 2 * n)])
+
+
+def caterpillar(m: int) -> ChordDiagram:
+    """A path of m chords with a leaf chord crossing each of them, labelled
+    between its spine chord and the next: removing a spine chord leaves its
+    leaf and the rest of the spine, the leaf first."""
+    half = Fraction(1, 2)
+    spine = path_diagram(m).pairs
+    leaves = [(2 * i - half, 3 * m + 1 - i) for i in range(1, m + 1)]
+    return from_points([*spine, *leaves])
+
+
+def root_over_blocks(k: int) -> ChordDiagram:
+    """A root crossing k pairwise disjoint two-chord blocks."""
+    gap = Fraction(2, 5)
+    crossing = [(j, 100 - j) for j in range(1, k + 1)]
+    hanging = [(100 - j - gap, 100 - j + gap) for j in range(1, k + 1)]
+    return from_points([(0, k + gap), *crossing, *hanging])
+
+
+def test_intersection_order_matches_the_mask_search_exhaustively():
+    checked = 0
+    for n in range(8):
+        for d in sweep(n) if n <= MAX_N else all_diagrams(n):
+            if d.is_connected():
+                assert intersection_order(d) == mask_order(d), d
+                checked += 1
+    assert checked == 41343
+
+
+def test_intersection_order_matches_the_mask_search_at_large_n():
+    rng = random.Random(2104)
+    for n in (40, 75, 150, 300):
+        d = connected_matching(n, rng)
+        assert intersection_order(d) == mask_order(d), n
+        lift = chi(uniform_matching(n - 1, rng))
+        assert lift.n == n and intersection_order(lift) == mask_order(lift), n
+    for n in (400, 2000):
+        d = path_diagram(n)
+        assert intersection_order(d) == mask_order(d) == tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_intersection_order_of_a_root_over_disjoint_blocks(k):
+    d = root_over_blocks(k)
+    assert d.is_connected() and len(d.remove_chord(1).components()) == k
+    want = recursive_intersection_order(d)
+    assert intersection_order(d) == mask_order(d) == want
+    assert want[:3] == (1, 2, 2 * k + 1)
+
+
+class CountingMasks(tuple):
+    """Crossing masks that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("shape", ["path", "caterpillar"])
+def test_intersection_order_reads_linearly_many_masks(monkeypatch, shape):
+    # each root's last piece holds all its remaining neighbours at once,
+    # so no component search may run over the rest of the spine
+    d = path_diagram(2000) if shape == "path" else caterpillar(1000)
+    assert d.is_connected()
+    want = mask_order(d)
+    masks = CountingMasks(d.adjacency())
+    monkeypatch.setattr(ChordDiagram, "adjacency", lambda self: masks)
+    assert intersection_order(d) == want
+    assert masks.reads <= 3 * d.n
 
 
 def test_vertex_connectivity_matches_networkx():

@@ -8,7 +8,10 @@ theta            one-terminal diagrams <-> increasing ordered trees
 root share       connected diagrams <-> (smaller connected) x (connected) x index
 
 Each public map validates its input once; none recurses per chord or per
-tree level.  alpha works on the crossing masks: a traced subdiagram is one
+tree level.  psi, chi, beta, root share and zeta_inverse each lay out the
+chord labels of their result along its points and hand that one layout to
+the trusted constructor ChordDiagram._from_point_labels, which joins equal
+labels.  alpha works on the crossing masks: a traced subdiagram is one
 downward scan of the masks restricted to the chords before the first
 terminal one (structure.traced_mask), and a leftover component meets a
 chord set when the OR of its masks does.  zeta and zeta_inverse are loops
@@ -46,54 +49,40 @@ def psi(t: ChordDiagram) -> ChordDiagram:
     """
     if not is_one_terminal(t):
         raise ValueError("psi requires a one-terminal diagram")
-    n = t.n
-    partner = t.partner()
-    order: list[int] = []
-    p = 1
-    while p <= 2 * n:
-        if partner[p - 1] > p:
-            own = partner[p - 1]
-            q = p + 1
-            run = []
-            while q <= 2 * n and partner[q - 1] < q and q != own:
-                run.append(q)
-                q += 1
-            order.extend(run)
-            order.append(p)
-            p = q
+    # a point is a source iff its label is the next new one (standard
+    # form); each source is held back until the next source, so it lands
+    # after the sinks that follow it.  Only the terminal chord, whose
+    # letters are dropped, can land after its own sink.
+    out: list[int] = []
+    nxt = 1
+    for x in t.point_labels():
+        if x == nxt:
+            if x > 1:
+                out.append(x - 1)
+            nxt += 1
         else:
-            order.append(p)
-            p += 1
-    pos = {pt: r + 1 for r, pt in enumerate(order)}
+            out.append(x)
+    out.append(nxt - 1)
     term = terminal_labels(t)[0]
-    kept = [
-        tuple(sorted((pos[a], pos[b])))
-        for lbl, (a, b) in enumerate(t, 1)
-        if lbl != term
-    ]
-    used = sorted(v for pair in kept for v in pair)
-    rank = {v: r + 1 for r, v in enumerate(used)}
-    return ChordDiagram((rank[a], rank[b]) for a, b in kept)
+    return ChordDiagram._from_point_labels([x for x in out if x != term])
 
 
 def chi(c: ChordDiagram) -> ChordDiagram:
     """Inverse of psi: append a fresh terminal chord, then pull every
     source in front of the sink run that precedes it."""
-    n = c.n
-    big = ChordDiagram(list(c) + [(2 * n + 1, 2 * n + 2)])
-    partner = big.partner()
-    order: list[int] = []
+    out: list[int] = []
     run: list[int] = []
-    for p in range(1, 2 * n + 3):
-        if partner[p - 1] > p:
-            order.append(p)
-            order.extend(run)
+    nxt = 1
+    for x in c.point_labels() + (c.n + 1, c.n + 1):
+        if x == nxt:  # a source
+            nxt += 1
+            out.append(x)
+            out.extend(run)
             run = []
         else:
-            run.append(p)
-    order.extend(run)
-    pos = {pt: r + 1 for r, pt in enumerate(order)}
-    return ChordDiagram(tuple(sorted((pos[a], pos[b]))) for a, b in big)
+            run.append(x)
+    out.extend(run)
+    return ChordDiagram._from_point_labels(out)
 
 
 def alpha(c: ChordDiagram) -> Parts:
@@ -192,34 +181,31 @@ def beta(parts: Parts) -> ChordDiagram:
 
 
 def _beta(parts: Parts) -> ChordDiagram:
-    # beta on valid parts whose blocks are sorted
+    # beta on valid parts whose blocks are sorted; a part's chord i is the
+    # letter off + i, off counting the chords of the parts before it, and
+    # the new chord is the last letter
     j = sum(len(b) for _, b in parts)
     # one slot per position 1..j, then the new source, then the unused
     # tails of the parts in reverse order, then the new sink
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(j)]
-    tails: list[list[tuple[int, int]]] = []
-    for idx, (p, b) in enumerate(parts):
+    slots: list[list[int]] = [[] for _ in range(j)]
+    tails: list[list[int]] = []
+    off = 0
+    for p, b in parts:
+        w = p.point_labels()
         groups = source_sink_groups(p, m=len(b))
         used: set[int] = set()
         for r, g in enumerate(groups.values()):
-            slots[b[r] - 1] = [(idx, pt) for pt in g]
+            slots[b[r] - 1] = [off + w[pt - 1] for pt in g]
             used.update(g)
-        tails.append([(idx, pt) for pt in range(1, 2 * p.n + 1) if pt not in used])
+        tails.append([off + x for pt, x in enumerate(w, 1) if pt not in used])
+        off += p.n
 
-    layout: list[tuple[int, int]] = []
-    for s in slots:
-        layout.extend(s)
-    layout.append((-1, 1))
+    layout = [x for s in slots for x in s]
+    layout.append(off + 1)
     for tail in reversed(tails):
         layout.extend(tail)
-    layout.append((-1, 2))
-
-    pos = {key: r + 1 for r, key in enumerate(layout)}
-    pairs = [(pos[(-1, 1)], pos[(-1, 2)])]
-    for idx, (p, _) in enumerate(parts):
-        for a, b2 in p:
-            pairs.append((pos[(idx, a)], pos[(idx, b2)]))
-    return ChordDiagram(pairs)
+    layout.append(off + 1)
+    return ChordDiagram._from_point_labels(layout)
 
 
 def root_share_decompose(c: ChordDiagram) -> tuple[ChordDiagram, ChordDiagram, int]:
@@ -248,14 +234,9 @@ def root_share_compose(c1: ChordDiagram, c2: ChordDiagram, idx: int) -> ChordDia
         raise ValueError("root share composes connected diagrams")
     if not 1 <= idx <= 2 * c2.n - 1:
         raise ValueError("index out of range")
-    layout = [(1, 1)]
-    layout += [(2, p) for p in range(1, idx + 1)]
-    layout += [(1, p) for p in range(2, 2 * c1.n + 1)]
-    layout += [(2, p) for p in range(idx + 1, 2 * c2.n + 1)]
-    pos = {key: r + 1 for r, key in enumerate(layout)}
-    pairs = [(pos[(1, a)], pos[(1, b)]) for a, b in c1]
-    pairs += [(pos[(2, a)], pos[(2, b)]) for a, b in c2]
-    return ChordDiagram(pairs)
+    w1 = c1.point_labels()
+    w2 = tuple(c1.n + x for x in c2.point_labels())
+    return ChordDiagram._from_point_labels(w1[:1] + w2[:idx] + w1[1:] + w2[idx:])
 
 
 def zeta(c: ChordDiagram) -> tuple[int, ...]:
@@ -330,14 +311,7 @@ def zeta_inverse(w) -> ChordDiagram:
     for k in range(n, 0, -1):
         points.insert(len(points) - ats[k - 1], k)
         points.append(k)
-    first = [0] * (n + 1)
-    pairs: list = [None] * n
-    for p, k in enumerate(reversed(points), 1):
-        if first[k]:
-            pairs[k - 1] = (first[k], p)
-        else:
-            first[k] = p
-    return ChordDiagram._trusted(pairs)
+    return ChordDiagram._from_point_labels(points[::-1])
 
 
 def check_tree(t: Tree) -> int:

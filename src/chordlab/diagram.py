@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 
@@ -45,6 +45,22 @@ class ChordDiagram:
         d = _new(cls)
         _init(d, tuple(pairs))
         return d
+
+    @classmethod
+    def _from_point_labels(cls, seq: Sequence[int]) -> "ChordDiagram":
+        """Join the two occurrences of each letter into a chord, without
+        checking: the letters are ints in 1..len(seq), each used twice.
+        Chords are numbered by first occurrence, which is standard form."""
+        opened = [-1] * (len(seq) + 1)  # letter -> index of its open chord
+        pairs: list = []
+        for p, x in enumerate(seq, 1):
+            i = opened[x]
+            if i < 0:
+                opened[x] = len(pairs)
+                pairs.append(p)
+            else:
+                pairs[i] = (pairs[i], p)
+        return cls._trusted(pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChordDiagram is immutable")
@@ -102,6 +118,13 @@ class ChordDiagram:
             arr[a - 1] = b
             arr[b - 1] = a
         return tuple(arr)
+
+    def point_labels(self) -> tuple[int, ...]:
+        """Chord labels read along points 1..2n; each label appears twice."""
+        out = [0] * (2 * len(self.pairs))
+        for i, (a, b) in enumerate(self.pairs, 1):
+            out[a - 1] = out[b - 1] = i
+        return tuple(out)
 
     def chord_at(self, point: int) -> int:
         """Label of the chord having the given endpoint."""
@@ -264,7 +287,7 @@ class ChordDiagram:
     def concat(self, other: "ChordDiagram") -> "ChordDiagram":
         """Place other entirely to the right of self."""
         off = 2 * self.n
-        return ChordDiagram(list(self.pairs) + [(a + off, b + off) for a, b in other.pairs])
+        return ChordDiagram._trusted(self.pairs + tuple((a + off, b + off) for a, b in other.pairs))
 
     def indecomposable_components(self) -> list[tuple[int, ...]]:
         """Maximal concatenation factors as label tuples, cut at every closed prefix."""

@@ -292,10 +292,8 @@ def operator_kind(name: str) -> str:
     raise ValueError("unknown operator: %s" % name)
 
 
-def l_bin(p: YPoly, t_max: int | None = None) -> YPoly:
+def l_bin(p: YPoly) -> YPoly:
     """y^n -> n! sum_{i=1}^{n+1} f_{n+1-i} y^i / i!, extended linearly."""
-    if t_max is not None and p.degree + 1 > t_max:
-        raise ValueError("truncation exceeded: need f index %d" % (p.degree))
     out = YPoly.zero()
     for n, c in enumerate(p.coeffs):
         if not c:
@@ -308,10 +306,8 @@ def l_bin(p: YPoly, t_max: int | None = None) -> YPoly:
     return out
 
 
-def l_div(p: YPoly, t_max: int | None = None) -> YPoly:
+def l_div(p: YPoly) -> YPoly:
     """y^n -> sum_{i=1}^{n+1} f_{n+1-i} y^i, extended linearly."""
-    if t_max is not None and p.degree + 1 > t_max:
-        raise ValueError("truncation exceeded: need f index %d" % (p.degree))
     out = YPoly.zero()
     for n, c in enumerate(p.coeffs):
         if not c:
@@ -323,8 +319,8 @@ def l_div(p: YPoly, t_max: int | None = None) -> YPoly:
     return out
 
 
-def apply_operator(name: str, p: YPoly, t_max: int | None = None) -> YPoly:
-    return (l_bin if operator_kind(name) == "binomial" else l_div)(p, t_max)
+def apply_operator(name: str, p: YPoly) -> YPoly:
+    return (l_bin if operator_kind(name) == "binomial" else l_div)(p)
 
 
 # tensor square of the y-polynomial space: (y-power, y-power) -> WeightPoly
@@ -398,16 +394,15 @@ def check_cocycle(
     return True
 
 
-def _xseries_mul(a: list[YPoly], b: list[YPoly], n_max: int) -> list[YPoly]:
-    out = [YPoly.zero() for _ in range(n_max + 1)]
-    for i, ai in enumerate(a):
-        if not ai or i > n_max:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n_max:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
+def _series_mul(a: list, b: list, n_max: int, zero) -> list:
+    """Product of two power series given as coefficient lists, truncated
+    after x^n_max; `zero` is the zero of the coefficient ring."""
+    out = [zero] * (n_max + 1)
+    for i, ai in enumerate(a[:n_max + 1]):
+        if ai:
+            for j, bj in enumerate(b[:n_max + 1 - i]):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -426,7 +421,7 @@ def solve_tree_like(operator: str, n_max: int) -> list[YPoly]:
         power[0] = YPoly.basis(0)
         rhs = YPoly.zero()
         for k in range(1, n + 1):
-            power = _xseries_mul(power, h[: n + 1], n)
+            power = _series_mul(power, h[: n + 1], n, YPoly.zero())
             if power[n]:
                 rhs = rhs + WeightPoly.phi(k) * power[n]
         h[n + 1] = apply_operator(op, rhs)
@@ -619,16 +614,6 @@ def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
     return True
 
 
-def _int_series_mul(a: list, b: list, n_max: int) -> list:
-    out = [0] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if not ai or i > n_max:
-            continue
-        for j in range(min(len(b), n_max - i + 1)):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def forbidden_class_recurrence(a: list[int], b: list[int]) -> list[int]:
     """Right side of a_n = [x^n](1 + F(x G(x)^2)) given the class series
     G = 1 + sum a_n x^n and its connected counterpart F = sum b_n x^n."""
@@ -637,10 +622,10 @@ def forbidden_class_recurrence(a: list[int], b: list[int]) -> list[int]:
     g[0] = 1
     out = [0] * (n_max + 1)
     out[0] = 1
-    g2 = _int_series_mul(g, g, n_max)
+    g2 = _series_mul(g, g, n_max, 0)
     power = [1] + [0] * n_max  # (x G^2)^k accumulates a shift of k
     for k in range(1, n_max + 1):
-        power = _int_series_mul(power, g2, n_max - k)
+        power = _series_mul(power, g2, n_max - k, 0)
         if k >= len(b):
             break
         for n in range(k, n_max + 1):
@@ -656,14 +641,9 @@ def egf_antiderivative_counts(n_max: int) -> list[int]:
     for n in range(n_max):
         # [x^n] 1/(1 - C) via powers of the truncation built so far
         total = Fraction(1) if n == 0 else Fraction(0)
-        cur = [Fraction(1)] + [Fraction(0)] * n
+        cur = [Fraction(1)]
         for _ in range(1, n + 1):
-            nxt = [Fraction(0)] * (n + 1)
-            for i, ci in enumerate(cur):
-                if ci:
-                    for j in range(1, n + 1 - i):
-                        nxt[i + j] += ci * c[j]
-            cur = nxt
+            cur = _series_mul(cur, c, n, Fraction(0))
             total += cur[n]
         c[n + 1] = total / (n + 1)
     out = []

@@ -170,14 +170,32 @@ def _remap(t: Triangulation, m: dict[int, int]) -> Triangulation:
     )
 
 
-def _build(c: ChordDiagram, base: int) -> tuple[Triangulation, int]:
-    if c.n == 1:
-        return Triangulation((), (base, base + 1)), base + 2
-    pieces: list[tuple[Triangulation, int]] = []
-    nxt = base
-    for p, block in alpha(c):
-        t, nxt = _build(p, nxt)
-        pieces.append((t, len(block)))
+def _build(c: ChordDiagram) -> Triangulation:
+    # the tree of alpha parts, parents first: each node's children with
+    # their block sizes; a part is dropped once it is split
+    todo: list = [c]
+    kids: list[list[tuple[int, int]]] = []
+    for v, d in enumerate(todo):  # todo grows while it is read
+        parts = alpha(d) if d.n > 1 else []
+        todo[v] = None
+        kids.append([(len(todo) + r, len(block)) for r, (_, block) in enumerate(parts)])
+        todo.extend(p for p, _ in parts)
+    # children before parents; each new vertex takes the next number
+    built: list = [None] * len(kids)
+    nxt = 0
+    for v in range(len(kids) - 1, -1, -1):
+        if kids[v]:
+            built[v] = _join([(built[k], i) for k, i in kids[v]], nxt)
+            nxt += 1
+            for k, _ in kids[v]:
+                built[k] = None
+        else:
+            built[v] = Triangulation((), (nxt, nxt + 1))
+            nxt += 2
+    return built[0]
+
+
+def _join(pieces: list[tuple[Triangulation, int]], apex: int) -> Triangulation:
     # chain the pieces: each next piece's first boundary vertex lands on
     # the previous piece's boundary at its block size
     glued = [pieces[0]]
@@ -192,15 +210,13 @@ def _build(c: ChordDiagram, base: int) -> tuple[Triangulation, int]:
     for t, i in glued:
         b = t.boundary
         walk.extend(b[len(b) - 1:i - 1:-1])
-    apex = nxt
-    nxt += 1
     for r in range(len(walk) - 1):
         faces.append((walk[r + 1], walk[r], apex))
     boundary = list(glued[0][0].boundary[:glued[0][1] + 1])
     for t, i in glued[1:]:
         boundary.extend(t.boundary[1:i + 1])
     boundary.append(apex)
-    return Triangulation(faces, boundary), nxt
+    return Triangulation(faces, boundary)
 
 
 def omega(c: ChordDiagram) -> Triangulation:
@@ -210,8 +226,7 @@ def omega(c: ChordDiagram) -> Triangulation:
         raise ValueError("omega requires a connected diagram")
     if contains_any_top_cycle(c):
         raise ValueError("omega requires a top-cycle-free diagram")
-    t, _ = _build(c, 0)
-    return t
+    return _build(c)
 
 
 def _third(f: tuple[int, int, int], u: int, v: int) -> int:

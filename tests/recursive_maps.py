@@ -1,16 +1,25 @@
 """Test-only oracles: the recursive, definition-following versions of the
 maps that chordlab computes on crossing masks and explicit stacks, the
-recursive pair generator, and the full mask search for the intersection
-order.
+point-by-point relabellings that chordlab replaces with one label layout,
+the recursive pair generator, and the full mask search for the
+intersection order.
 
-They share with the fast paths only ChordDiagram itself, the intersection
-order, t1 and beta, which are tested on their own. `mask_order` uses the
-crossing masks and `component_mask`, not the order's own search.
+They share with the fast paths only ChordDiagram itself (its validating
+constructor and `partner`), the intersection order, t1, the terminal
+chords, the source-sink groups and the Triangulation type with `_remap`,
+which are tested on their own. `mask_order` uses the crossing masks and
+`component_mask`, not the order's own search.
 """
 
-from chordlab.bijections import beta
 from chordlab.diagram import ChordDiagram, component_mask
-from chordlab.structure import intersection_order, is_one_terminal, t1
+from chordlab.structure import (
+    intersection_order,
+    is_one_terminal,
+    source_sink_groups,
+    t1,
+    terminal_labels,
+)
+from chordlab.triangulation import Triangulation, _remap
 
 
 def gen_pairs(points):
@@ -54,6 +63,135 @@ def mask_order(d):
             comps.append(comp)
         stack.extend(reversed(comps))
     return tuple(out)
+
+
+def psi(t):
+    """Order the points (each source after the sink run that follows it),
+    renumber them by that order, drop the terminal chord and rank the rest."""
+    if not is_one_terminal(t):
+        raise ValueError("psi requires a one-terminal diagram")
+    n = t.n
+    partner = t.partner()
+    order = []
+    p = 1
+    while p <= 2 * n:
+        if partner[p - 1] > p:
+            own = partner[p - 1]
+            q = p + 1
+            run = []
+            while q <= 2 * n and partner[q - 1] < q and q != own:
+                run.append(q)
+                q += 1
+            order.extend(run)
+            order.append(p)
+            p = q
+        else:
+            order.append(p)
+            p += 1
+    pos = {pt: r + 1 for r, pt in enumerate(order)}
+    term = terminal_labels(t)[0]
+    kept = [
+        tuple(sorted((pos[a], pos[b])))
+        for lbl, (a, b) in enumerate(t, 1)
+        if lbl != term
+    ]
+    used = sorted(v for pair in kept for v in pair)
+    rank = {v: r + 1 for r, v in enumerate(used)}
+    return ChordDiagram((rank[a], rank[b]) for a, b in kept)
+
+
+def chi(c):
+    """Append the chord (2n+1, 2n+2), then move every source in front of
+    the sink run before it, renumbering points by the new order."""
+    n = c.n
+    big = ChordDiagram(list(c) + [(2 * n + 1, 2 * n + 2)])
+    partner = big.partner()
+    order = []
+    run = []
+    for p in range(1, 2 * n + 3):
+        if partner[p - 1] > p:
+            order.append(p)
+            order.extend(run)
+            run = []
+        else:
+            run.append(p)
+    order.extend(run)
+    pos = {pt: r + 1 for r, pt in enumerate(order)}
+    return ChordDiagram(tuple(sorted((pos[a], pos[b]))) for a, b in big)
+
+
+def beta(parts):
+    """Lay out (part, point) keys, then look up each chord's two keys."""
+    parts = [(p, tuple(sorted(block))) for p, block in parts]
+    j = sum(len(b) for _, b in parts)
+    slots = [[] for _ in range(j)]
+    tails = []
+    for idx, (p, b) in enumerate(parts):
+        groups = source_sink_groups(p, m=len(b))
+        used = set()
+        for r, g in enumerate(groups.values()):
+            slots[b[r] - 1] = [(idx, pt) for pt in g]
+            used.update(g)
+        tails.append([(idx, pt) for pt in range(1, 2 * p.n + 1) if pt not in used])
+    layout = [key for s in slots for key in s]
+    layout.append((-1, 1))
+    for tail in reversed(tails):
+        layout.extend(tail)
+    layout.append((-1, 2))
+    pos = {key: r + 1 for r, key in enumerate(layout)}
+    pairs = [(pos[(-1, 1)], pos[(-1, 2)])]
+    for idx, (p, _) in enumerate(parts):
+        for a, b2 in p:
+            pairs.append((pos[(idx, a)], pos[(idx, b2)]))
+    return ChordDiagram(pairs)
+
+
+def root_share_compose(c1, c2, idx):
+    """Lay out (diagram, point) keys: C1's root source, C2's first idx
+    points, the rest of C1, the rest of C2."""
+    layout = [(1, 1)]
+    layout += [(2, p) for p in range(1, idx + 1)]
+    layout += [(1, p) for p in range(2, 2 * c1.n + 1)]
+    layout += [(2, p) for p in range(idx + 1, 2 * c2.n + 1)]
+    pos = {key: r + 1 for r, key in enumerate(layout)}
+    pairs = [(pos[(1, a)], pos[(1, b)]) for a, b in c1]
+    pairs += [(pos[(2, a)], pos[(2, b)]) for a, b in c2]
+    return ChordDiagram(pairs)
+
+
+def omega(c):
+    """Build the triangulation recursively over the alpha parts: a part's
+    apex is numbered after every vertex of its children."""
+    return _build(c, 0)[0]
+
+
+def _build(c, base):
+    if c.n == 1:
+        return Triangulation((), (base, base + 1)), base + 2
+    pieces = []
+    nxt = base
+    for p, block in alpha(c):
+        t, nxt = _build(p, nxt)
+        pieces.append((t, len(block)))
+    glued = [pieces[0]]
+    for t, i in pieces[1:]:
+        prev_t, prev_i = glued[-1]
+        join = prev_t.boundary[prev_i]
+        glued.append((_remap(t, {t.boundary[0]: join}), i))
+    faces = [f for t, _ in glued for f in t.faces]
+    walk = [glued[0][0].boundary[0]]
+    for t, i in glued:
+        b = t.boundary
+        walk.extend(b[len(b) - 1:i - 1:-1])
+    apex = nxt
+    nxt += 1
+    for r in range(len(walk) - 1):
+        faces.append((walk[r + 1], walk[r], apex))
+    boundary = list(glued[0][0].boundary[:glued[0][1] + 1])
+    for t, i in glued[1:]:
+        boundary.extend(t.boundary[1:i + 1])
+    boundary.append(apex)
+    return Triangulation(faces, boundary), nxt
 
 
 def stirling_check(w):

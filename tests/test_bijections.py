@@ -298,12 +298,25 @@ def test_stirling_check_matches_definition_on_random_words():
 # --------------------------------------------- recursive oracles and large n
 
 
+def _assert_layout_maps_match_oracles(d):
+    # psi, chi, beta and root share against the point-by-point relabellings
+    assert chi(d) == recursive_maps.chi(d)
+    if d.n >= 1 and is_one_terminal(d):
+        assert psi(d) == recursive_maps.psi(d)
+    if d.n >= 2 and d.is_connected():
+        parts = alpha(d)
+        assert beta(parts) == recursive_maps.beta(parts) == d
+        c1, c2, idx = root_share_decompose(d)
+        assert root_share_compose(c1, c2, idx) == recursive_maps.root_share_compose(c1, c2, idx) == d
+
+
 def test_maps_match_recursive_oracles_exhaustive():
     for n in range(0, 7):
         for d in sweep(n):
             w = zeta(d)
             assert w == recursive_maps.zeta(d)
             assert zeta_inverse(w) == recursive_maps.zeta_inverse(w) == d
+            _assert_layout_maps_match_oracles(d)
             if n >= 2 and d.is_connected():
                 assert alpha(d) == recursive_maps.alpha(d)
             if n >= 1 and is_one_terminal(d):
@@ -319,8 +332,10 @@ def test_maps_match_recursive_oracles_at_large_n():
             w = zeta(d)
             assert w == recursive_maps.zeta(d)
             assert zeta_inverse(w) == recursive_maps.zeta_inverse(w) == d
+            _assert_layout_maps_match_oracles(d)
         for d in (connected_matching(n, rng), chi(uniform_matching(n - 1, rng))):
             assert alpha(d) == recursive_maps.alpha(d)
+            _assert_layout_maps_match_oracles(d)
         lift = chi(uniform_matching(n - 1, rng))
         tree = theta(lift)
         assert tree == recursive_maps.theta(lift)

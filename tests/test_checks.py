@@ -1,6 +1,7 @@
 """The verification registry: id hygiene, report shape, and a fast pass
 over every check at reduced budgets."""
 
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,16 @@ def test_run_many_subset():
         "core-pair-statistics",
         "core-text-roundtrip",
     ]
+
+
+# sha256 of every check's report at budget 4; a change that moves it changes
+# what `verify` prints and must say so
+REPORT_SHA256 = "31c125ff0edb2d1e00d7ea2925076718b97074d38e6e1e6bc7ea29b301c87bdf"
+
+
+def test_reports_at_budget_four_are_byte_identical_to_the_pin():
+    text = json.dumps(run_many(None, 4), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))

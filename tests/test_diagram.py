@@ -49,6 +49,16 @@ def test_partner_is_fixed_point_free_involution(d):
         assert p[point - 1] != point
 
 
+def test_point_labels_round_trip_through_the_trusted_constructor():
+    assert Ce.point_labels() == (1, 2, 3, 2, 1, 3)
+    assert ChordDiagram.empty().point_labels() == ()
+    # any letters in 1..2n; chords are numbered by first occurrence
+    assert ChordDiagram._from_point_labels([4, 2, 4, 2]) == Cb
+    for n in range(0, 7):
+        for d in sweep(n):
+            assert ChordDiagram._from_point_labels(d.point_labels()) == d
+
+
 @given(diagrams())
 def test_chords_sorted_by_source_with_source_below_sink(d):
     sources = [d.source(i) for i in range(1, d.n + 1)]

@@ -3,6 +3,7 @@ the child decomposition gamma."""
 
 import pytest
 
+import recursive_maps
 from chordlab.diagram import ChordDiagram
 from chordlab.oracles import corollary_count
 from chordlab.patterns import contains_any_top_cycle
@@ -42,6 +43,26 @@ def test_omega_boundary_and_interior_sizes():
             t.validate()
             assert len(t.boundary) == t1(d) + 1
             assert len(t.vertices()) - len(t.boundary) == d.n - t1(d)
+
+
+def test_omega_matches_the_recursive_construction():
+    for n in range(1, 7):
+        for d in _tcf_connected(n):
+            ref = recursive_maps.omega(d)
+            assert triangulation_canonical_code(omega(d)) == triangulation_canonical_code(ref)
+
+
+def test_omega_of_a_long_path_diagram():
+    # chord i crosses only chords i-1 and i+1; its alpha parts nest deeper
+    # than the default recursion limit
+    n = 1200
+    path = ChordDiagram(
+        [(1, 3)] + [(2 * i - 2, 2 * i + 1) for i in range(2, n)] + [(2 * n - 2, 2 * n)]
+    )
+    t = omega(path)
+    t.validate()
+    assert len(t.boundary) == t1(path) + 1
+    assert len(t.vertices()) - len(t.boundary) == n - t1(path)
 
 
 def test_canonical_code_identifies_rooted_maps():

@@ -39,6 +39,8 @@ from .enumeration import (
     count_class,
     count_class_parallel,
     count_classes_parallel,
+    count_members,
+    members,
     pattern_free_count,
     tcf_refined,
 )
@@ -104,8 +106,10 @@ def _fail(**details) -> dict:
 @lru_cache(maxsize=None)
 def _domain(n: int, name: str) -> tuple[ChordDiagram, ...]:
     """The size-n diagrams of a class ("connected" or "one-terminal"), in
-    generation order; "all" is streamed, never cached."""
-    return tuple(d for d in all_diagrams(n) if in_class(d, name))
+    generation order, built by root insertion over size n-1 with their
+    crossing masks, connectivity and intersection order filled in; "all"
+    is streamed, never cached."""
+    return tuple(members(n, name))
 
 
 def _sweep(
@@ -280,6 +284,8 @@ def _structure_component_neighbors(d: ChordDiagram) -> dict | None:
 def _structure_one_terminal_characterization(d: ChordDiagram) -> dict | None:
     n = d.n
     a = is_one_terminal(d)
+    # clause b is the proof obligation for the root-insertion rule that
+    # builds the one-terminal class, so it must test each leaf, not use it
     b = a if n == 1 else is_one_terminal(d.remove_chord(d.root_label()))
     last = intersection_order(d)[-1]
     c = all(exists_nonnesting_induced_path(d, x, last) for x in range(1, n + 1))
@@ -556,7 +562,7 @@ def _psi_noncrossing_image(budget: int) -> dict:
         for k in range(1, min(3, m - 1) + 1):
             if m - k > 5:
                 continue
-            target = {d for d in all_diagrams(m - k) if d.is_noncrossing()}
+            target = set(members(m - k, "noncrossing"))
             images = set()
             for d in _domain(m, "one-terminal"):
                 if not is_k_terminal_minimal(d, k):
@@ -1091,14 +1097,12 @@ def _enum_tcf_refined(budget: int) -> dict:
 )
 def _enum_catalan_classes(budget: int) -> dict:
     for n in range(1, budget + 1):
-        nc = nn = 0
-        for d in all_diagrams(n):
-            nc += d.is_noncrossing()
-            nn += d.is_nonnesting()
+        nc = count_members(n, "noncrossing")
+        nn = count_members(n, "nonnesting")
         if nc != catalan(n) or nn != catalan(n):
             return _fail(n=n, noncrossing=nc, nonnesting=nn)
     for n in range(1, min(budget, 7) + 1):
-        nonnesting = [d for d in all_diagrams(n) if d.is_nonnesting()]
+        nonnesting = list(members(n, "nonnesting"))
         for k in range(0, n + 1):
             got = sum(1 for d in nonnesting if is_k_connected(d, k))
             if got != catalan(n - k):

@@ -36,8 +36,7 @@ from .bijections import (
 from .checks import CHECKS, run_check
 from .conjectures import sequence_lines, standard_reports
 from .diagram import ChordDiagram
-from .enumeration import STAT_NAMES, all_diagrams, count_class_parallel
-from .patterns import in_class
+from .enumeration import STAT_NAMES, count_class_parallel, members
 from .series import series_rows
 from .triangulation import gamma, omega, triangulation_canonical_code
 
@@ -125,9 +124,7 @@ def _cmd_enum(args) -> int:
             else:
                 print(total)
         else:
-            texts = [
-                d.to_text() for d in all_diagrams(n) if in_class(d, args.cls)
-            ]
+            texts = [d.to_text() for d in members(n, args.cls)]
             if args.format == "csv":
                 _emit_csv(["diagram"], [[t] for t in texts])
             elif args.format == "json":

@@ -221,9 +221,6 @@ class ChordDiagram:
         """Chords crossing i whose source lies inside chord i (so their sink is to its right)."""
         return _mask_labels(self.adjacency()[i - 1] >> i, i)
 
-    def left_neighbors(self, i: int) -> tuple[int, ...]:
-        return _mask_labels(self.adjacency()[i - 1] & ((1 << (i - 1)) - 1))
-
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Directed crossing pairs (i, j): j is a right neighbor of i. Always acyclic."""
         out = []
@@ -240,14 +237,7 @@ class ChordDiagram:
         """
         comps = self._comps
         if comps is None:
-            adj = self.adjacency()
-            rest = (1 << len(adj)) - 1
-            out = []
-            while rest:
-                comp = component_mask(adj, rest & -rest, rest)
-                rest ^= comp
-                out.append(_mask_labels(comp))
-            comps = tuple(out)
+            comps = tuple(map(_mask_labels, component_masks(self.adjacency())))
             _set_comps(self, comps)
         return list(comps)
 
@@ -353,6 +343,17 @@ def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
         frontier = reach & within & ~comp
         comp |= frontier
     return comp
+
+
+def component_masks(adj: tuple[int, ...]) -> list[int]:
+    """Bitmasks of the crossing graph's components, by smallest label."""
+    rest = (1 << len(adj)) - 1
+    out = []
+    while rest:
+        comp = component_mask(adj, rest & -rest, rest)
+        rest ^= comp
+        out.append(comp)
+    return out
 
 
 _new = object.__new__

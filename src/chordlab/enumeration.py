@@ -1,8 +1,18 @@
 """Exhaustive generation of rooted chord diagrams and class counting.
 
-`tally` is the one counting loop: every exhaustive count here (`census`,
-`count_class`, `class_census`, `tcf_refined`, `pattern_free_count`) is a
-key function over it, and so are the counts of the other modules.
+`all_pairs` walks every diagram of a size. `members` walks one class: the
+connected, one-terminal, noncrossing and nonnesting classes are built by
+root insertion, a root chord (1, p) over each member of the class one size
+down (`ROOT_PARENTS`), and the children come with their crossing masks,
+connectivity and intersection order filled in. Other classes filter the
+`all_pairs` stream.
+
+`tally` is the one counting loop: every refined count here (`count_class`
+with statistics, `class_census`, `tcf_refined`, `pattern_free_count`) is a
+key function over it, and so are the counts of the other modules. A class
+size alone (`count_members`, `census`, `count_class` without statistics)
+counts the stream, or adds up the member bits of each root-insertion
+parent, without building the diagrams.
 """
 
 from __future__ import annotations
@@ -14,10 +24,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
-from .diagram import ChordDiagram
+from .diagram import ChordDiagram, _set_adj, _set_connected, _set_order, component_masks
 from .patterns import CYCLE_CLASSES, contains_pattern, cycle_classes, cycle_profile, in_class
 from .structure import (
+    _order,
     is_one_terminal,
+    mask_order,
     terminal_labels,
     terminality,
     t1,
@@ -69,17 +81,156 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
         yield trusted(pairs)
 
 
+# The classes built by root insertion, each with the class of what is left
+# of its members once their root chord is removed. A diagram of size n is a
+# root chord (1, p) over a diagram S of size n-1, and the child's membership
+# follows from S's crossing masks and the root's mask over S.
+ROOT_PARENTS = {
+    "connected": "all",
+    "one-terminal": "one-terminal",
+    "noncrossing": "noncrossing",
+    "nonnesting": "nonnesting",
+}
+
+
+def members(
+    n: int,
+    cls: str | Callable[[ChordDiagram], bool] = "all",
+    branch: int | None = None,
+    ordered: bool = True,
+) -> Iterator[ChordDiagram]:
+    """The size-n diagrams of a class (whose first chord is (1, branch), if
+    given), in generation order. The classes of ROOT_PARENTS are built by
+    root insertion over the members of size n-1; any other class filters
+    the `all_pairs` stream. Unless `ordered`, each parent's children come
+    together, so that no level of parents is held: for callers that only
+    count."""
+    if cls not in ROOT_PARENTS:
+        test = cls if callable(cls) else (lambda d: in_class(d, cls))
+        trusted = ChordDiagram._trusted
+        for pairs in all_pairs(n, branch):
+            d = trusted(pairs)
+            if cls == "all" or test(d):
+                yield d
+        return
+    within = _root_sinks(n, branch)
+    if n == 0:
+        if cls in ("noncrossing", "nonnesting"):
+            yield ChordDiagram._trusted(())
+        return
+    # k = p - 2 points of S lie inside the root. The child's pairs start
+    # with moved[k][0], and S's chord (a, b) becomes moved[k][1][(a, b)]:
+    # every child shares these pair tuples, as the `all_pairs` stream does
+    ks = [k for k in range(2 * n - 1) if within >> k & 1]
+    moved = {}
+    for k in ks:
+        at = (0, *range(2, k + 2), *range(k + 3, 2 * n + 1))
+        table = {(a, b): (at[a], at[b]) for b in range(2, 2 * n - 1) for a in range(1, b)}
+        moved[k] = (((1, k + 2),), table)
+    sites = (_site(s, cls) for s in _parents(n, cls, ordered))
+    if ordered and len(ks) > 1:
+        sites = list(sites)  # held for this call
+        walk = ((k, site) for k in ks for site in sites)
+    else:
+        walk = ((k, site) for site in sites for k in ks)
+    for k, (pairs, adj, roots, member, connected, order) in walk:
+        if member >> k & 1:
+            head, table = moved[k]
+            r = roots[k]
+            d = ChordDiagram._trusted(head + tuple([table[p] for p in pairs]))
+            _set_adj(d, (r << 1,) + tuple([m << 1 | r >> j & 1 for j, m in enumerate(adj)]))
+            conn = connected >> k & 1 == 1
+            _set_connected(d, conn)
+            _set_order(d, order if conn else None)
+            yield d
+
+
+def count_members(
+    n: int,
+    cls: str | Callable[[ChordDiagram], bool] = "all",
+    branch: int | None = None,
+) -> int:
+    """How many diagrams `members` yields. "all" counts the `all_pairs`
+    stream itself, and a class of ROOT_PARENTS adds up the member bits of
+    each parent, without building the children."""
+    if cls == "all":
+        return sum(1 for _ in all_pairs(n, branch))
+    if cls not in ROOT_PARENTS or n == 0:
+        return sum(1 for _ in members(n, cls, branch))
+    within = _root_sinks(n, branch)
+    return sum(
+        (_insertions(s, cls)[1] & within).bit_count() for s in _parents(n, cls, False)
+    )
+
+
+def _root_sinks(n: int, branch: int | None) -> int:
+    """Bit k set for each root (1, k + 2) a walk of size n takes."""
+    if branch is None:
+        return (1 << max(2 * n - 1, 0)) - 1
+    if branch not in branches(n):
+        raise ValueError("branch %r is not in branches(%d)" % (branch, n))
+    return 1 << (branch - 2)
+
+
+def _parents(n: int, cls: str, ordered: bool) -> Iterator[ChordDiagram]:
+    # the empty diagram is the parent of every single chord, although it is
+    # neither connected nor one-terminal
+    return members(n - 1, ROOT_PARENTS[cls] if n > 1 else "all", ordered=ordered)
+
+
+def _insertions(s: ChordDiagram, cls: str) -> tuple[list[int], int, int, list[int]]:
+    """The root insertions over s. Returns the root's crossing mask over
+    s's labels for each k (the root's sink follows k points of s), the bits
+    k whose child is in `cls`, those whose child is connected, and the
+    masks of s's components."""
+    # the root crosses the chords with one end among s's first k points
+    roots = [0]
+    for x in s.point_labels():
+        roots.append(roots[-1] ^ 1 << (x - 1))
+    comps = component_masks(s.adjacency())
+    connected = 0
+    for k, r in enumerate(roots):
+        for c in comps:
+            if not r & c:
+                break
+        else:
+            connected |= 1 << k
+    if cls == "noncrossing":
+        member = sum(1 << k for k, r in enumerate(roots) if not r)
+    elif cls == "nonnesting":
+        # no chord of s may close inside the root
+        member = (1 << min((b for _, b in s.pairs), default=1)) - 1
+    else:
+        # a one-terminal s is connected: its child is one-terminal iff the
+        # root crosses a chord, so that the root is not terminal too
+        member = connected
+    return roots, member, connected, comps
+
+
+def _site(s: ChordDiagram, cls: str) -> tuple:
+    """What building the children of s needs: its pairs and crossing masks,
+    `_insertions`, and the connected children's intersection order."""
+    roots, member, connected, comps = _insertions(s, cls)
+    order = None
+    if connected:
+        # the root comes first, then s's components, each in its own order
+        rest = _order(s) if len(comps) == 1 else mask_order(s.adjacency(), comps)
+        order = (1, *[x + 1 for x in rest])
+    return s.pairs, s.adjacency(), roots, member, connected, order
+
+
 def tally(
     n: int,
     key: Callable[[ChordDiagram], Hashable | None],
     branch: int | None = None,
+    cls: str | Callable[[ChordDiagram], bool] = "all",
 ) -> dict:
-    """Counts of the values of `key` over the size-n diagrams (of one branch,
-    if given), in first-occurrence order; a key of None skips the diagram."""
-    trusted = ChordDiagram._trusted
+    """Counts of the values of `key` over the size-n members of a class (of
+    one branch, if given), in first-occurrence order over the walk of
+    `members(..., ordered=False)`; a key of None skips the diagram."""
     counts: dict = {}
-    for pairs in all_pairs(n, branch):
-        k = key(trusted(pairs))
+    for d in members(n, cls, branch, ordered=False):
+        k = key(d)
         if k is not None:
             counts[k] = counts.get(k, 0) + 1
     return counts
@@ -133,14 +284,16 @@ def count_class(
     for s in statistics:
         if s not in _STAT_FUNCS:
             raise ValueError("unknown statistic: %s" % s)
-    pred = cls if callable(cls) else (lambda d: in_class(d, cls))
     name = cls if isinstance(cls, str) else getattr(cls, "__name__", "custom")
+    if not statistics:
+        total = count_members(n, cls, branch)
+        return CountTable(name, (), {(n,): total} if total else {})
     funcs = [_STAT_FUNCS[s] for s in statistics]
 
-    def key(d: ChordDiagram) -> tuple | None:
-        return (n, *(f(d) for f in funcs)) if pred(d) else None
+    def key(d: ChordDiagram) -> tuple:
+        return (n, *(f(d) for f in funcs))
 
-    return CountTable(name, tuple(statistics), tally(n, key, branch))
+    return CountTable(name, tuple(statistics), tally(n, key, branch, cls))
 
 
 def _count_class_branch(args) -> dict[tuple, int]:
@@ -208,9 +361,10 @@ def _variant_fold(
 
 @lru_cache(maxsize=None)
 def census(n: int) -> Mapping[str, int]:
-    """Counts of all / connected / one-terminal diagrams of size n. Cached,
-    and read-only."""
-    return MappingProxyType(_variant_fold(n, lambda d: ("all",), ("all",))["all"])
+    """Counts of all / connected / one-terminal diagrams of size n: "all"
+    counts the `all_pairs` stream, the others are built by root insertion.
+    Cached, and read-only."""
+    return MappingProxyType({v: count_class(n, v).total(n) for v in VARIANTS})
 
 
 # classes whose membership falls out of one crossing-graph cycle profile
@@ -242,9 +396,9 @@ def tcf_refined(n: int) -> Mapping[int, int]:
     read-only."""
 
     def key(d: ChordDiagram) -> int | None:
-        return t1(d) if d.is_connected() and in_class(d, "top-cycle-free") else None
+        return t1(d) if in_class(d, "top-cycle-free") else None
 
-    return MappingProxyType(tally(n, key))
+    return MappingProxyType(tally(n, key, cls="connected"))
 
 
 @lru_cache(maxsize=None)

@@ -73,12 +73,6 @@ def permutation_diagram(sigma: Iterable[int] | int | str) -> ChordDiagram:
     return ChordDiagram((i + 1, k + perm[i]) for i in range(k))
 
 
-def is_permutation_diagram(d: ChordDiagram) -> bool:
-    """All n sources precede all n sinks."""
-    n = d.n
-    return all(a <= n < b for a, b in d.pairs)
-
-
 # relation codes of a later chord j to an earlier chord i
 _CROSS, _NEST, _RIGHT = 0, 1, 2
 

@@ -455,13 +455,6 @@ def f_monomial(c: ChordDiagram) -> WeightPoly:
     return WeightPoly({_f_mono(c, terminal_profile(c)): Fraction(1)})
 
 
-def phi_monomial(c: ChordDiagram) -> WeightPoly:
-    """phi_C: product of phi_{val(chord)} over all chords (phi0 = 1)."""
-    if not c.is_connected():
-        raise ValueError("weight requires a connected diagram")
-    return WeightPoly({_phi_mono(c): Fraction(1)})
-
-
 # t1 -> weight monomial -> number of diagrams
 Tally = dict[int, dict[Mono, int]]
 
@@ -474,7 +467,7 @@ def _weight_tally(n: int, with_phi: bool, top_cycle_free: bool = False) -> Tally
     from .patterns import contains_any_top_cycle
 
     def key(d: ChordDiagram) -> tuple[int, Mono] | None:
-        if not d.is_connected() or top_cycle_free and contains_any_top_cycle(d):
+        if top_cycle_free and contains_any_top_cycle(d):
             return None
         profile = terminal_profile(d)
         mono = _f_mono(d, profile)
@@ -483,7 +476,7 @@ def _weight_tally(n: int, with_phi: bool, top_cycle_free: bool = False) -> Tally
         return profile[0], mono
 
     out: Tally = {}
-    for (k, mono), count in tally(n, key).items():
+    for (k, mono), count in tally(n, key, cls="connected").items():
         out.setdefault(k, {})[mono] = count
     return out
 

@@ -23,42 +23,49 @@ def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
 
 
 def _order(d: ChordDiagram) -> tuple[int, ...]:
-    # the recursion runs on an explicit stack of chord-set masks, smallest
-    # component on top, and the result is cached on the diagram
+    # cached on the diagram
     order = d._order
     if order is None:
-        adj = d.adjacency()
-        out = []
-        stack = [(1 << d.n) - 1]
-        while stack:
-            rest = stack.pop()
-            low = rest & -rest
-            root = low.bit_length()
-            out.append(root)
-            rest ^= low
-            # rest was connected, so each of its pieces holds a neighbour of
-            # the root: a piece that holds all the neighbours left is all of
-            # what is left, and its search can stop there
-            need = adj[root - 1] & rest
-            comps = []
-            while rest:
-                comp = frontier = rest & -rest
-                while frontier and need & ~comp:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grow = adj[low.bit_length() - 1] & rest & ~comp
-                    comp |= grow
-                    frontier |= grow
-                if not need & ~comp:
-                    comps.append(rest)
-                    break
-                comps.append(comp)
-                rest ^= comp
-                need &= ~comp
-            stack.extend(reversed(comps))
-        order = tuple(out)
+        order = mask_order(d.adjacency(), [(1 << d.n) - 1])
         _set_order(d, order)
     return order
+
+
+def mask_order(adj: tuple[int, ...], parts: list[int]) -> tuple[int, ...]:
+    """The intersection orders of the connected chord sets `parts` (masks,
+    by smallest label), one after another: what is left of a diagram once
+    its root is removed is ordered this way, one component at a time."""
+    # the recursion runs on an explicit stack of chord-set masks, smallest
+    # component on top
+    out = []
+    stack = parts[::-1]
+    while stack:
+        rest = stack.pop()
+        low = rest & -rest
+        root = low.bit_length()
+        out.append(root)
+        rest ^= low
+        # rest was connected, so each of its pieces holds a neighbour of
+        # the root: a piece that holds all the neighbours left is all of
+        # what is left, and its search can stop there
+        need = adj[root - 1] & rest
+        comps = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier and need & ~comp:
+                low = frontier & -frontier
+                frontier ^= low
+                grow = adj[low.bit_length() - 1] & rest & ~comp
+                comp |= grow
+                frontier |= grow
+            if not need & ~comp:
+                comps.append(rest)
+                break
+            comps.append(comp)
+            rest ^= comp
+            need &= ~comp
+        stack.extend(reversed(comps))
+    return tuple(out)
 
 
 def _right_counts(d: ChordDiagram) -> list[int]:
@@ -287,15 +294,19 @@ def vertex_connectivity(d: ChordDiagram) -> int:
             m ^= low
             out |= low * low  # bit w -> bit 2w
         split += (1 << (2 * v + 1), out)
-    best = n - 1
+    # Whitney: no vertex cut is larger than the smallest degree, and the
+    # graph is connected, so none is smaller than 1
+    best = min(map(int.bit_count, adj))
     for s in range(n):
-        if s > best:
+        if s > best or best == 1:
             break  # some vertex among the first best+1 lies outside a minimum cut
         if adj[s] | 1 << s == full:
             continue  # adjacent to everything, no cut excludes it as endpoint
         for t in range(s + 1, n):
             if not adj[s] >> t & 1:
                 best = min(best, _vertex_flow(split, s, t, best))
+                if best == 1:
+                    break
     return best
 
 

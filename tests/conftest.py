@@ -34,6 +34,11 @@ def diagrams_by_size():
     return sweep
 
 
+def left_neighbors(d: ChordDiagram, i: int) -> tuple[int, ...]:
+    """Chords crossing chord i from the left, read off `relation()`."""
+    return tuple(j for j in range(1, i) if d.relation(i, j) == "cross")
+
+
 def uniform_matching(n: int, rng: random.Random) -> ChordDiagram:
     """A uniformly random diagram of size n."""
     pts = list(range(1, 2 * n + 1))

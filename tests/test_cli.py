@@ -1,10 +1,13 @@
 """End-to-end runs of the chordlab command: the documented invocations,
 exit codes, wire formats, and report determinism."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -190,3 +193,40 @@ def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsy
     monkeypatch.setenv("CHORDLAB_MAX_SIZE", "-1")
     assert cli.main(["verify", "core-intersection-graph"]) == 2
     assert "negative" in capsys.readouterr().err
+
+
+# sha256 of `enum --size 6` stdout for the benchmark's five sweep calls and
+# for each root-insertion class listed and counted at one and two jobs, read
+# before those classes were built by root insertion; a change that moves
+# one changes what `enum` prints and must say so
+ENUM_SHA256 = [
+    ('--jobs 1', '6143a4fb095eccf655ee5688634f8294e62ae4cbddca027d2fbd3019940a1339'),
+    ('--jobs 1 --count', '552e5471bbfd498426887d2cbbde1fda9c1f8bb421f4c4ac71c4d48dfc0485b4'),
+    ('--jobs 1 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
+    ('--jobs 1 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
+    ('--jobs 1 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
+    ('--jobs 1 --class connected', '0f762da8948ba811c15f24c7d6ed4b8deb6a96c71dab1fba3fb4773551305ba6'),
+    ('--jobs 2 --class connected', '0f762da8948ba811c15f24c7d6ed4b8deb6a96c71dab1fba3fb4773551305ba6'),
+    ('--jobs 1 --class connected --count', '06b4c890d0dd3e58620ec38ff5dc7ca35540354e30bda2ec0caadd912fc632ac'),
+    ('--jobs 2 --class connected --count', '06b4c890d0dd3e58620ec38ff5dc7ca35540354e30bda2ec0caadd912fc632ac'),
+    ('--jobs 1 --class one-terminal', 'd1d58792b9d71b39a5939c96b6f7905a32fcc41d1db3db3fac2e0d988dd752c6'),
+    ('--jobs 2 --class one-terminal', 'd1d58792b9d71b39a5939c96b6f7905a32fcc41d1db3db3fac2e0d988dd752c6'),
+    ('--jobs 1 --class one-terminal --count', '3a96b71ac1f074b212347595e9e0bee7b8afd941c76d607a450d3174d6f42258'),
+    ('--jobs 2 --class one-terminal --count', '3a96b71ac1f074b212347595e9e0bee7b8afd941c76d607a450d3174d6f42258'),
+    ('--jobs 1 --class noncrossing', '088be6e930a316f14c6757bff8c5a096f648aaba5c567e3d4f5e72f067d72049'),
+    ('--jobs 2 --class noncrossing', '088be6e930a316f14c6757bff8c5a096f648aaba5c567e3d4f5e72f067d72049'),
+    ('--jobs 1 --class noncrossing --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
+    ('--jobs 2 --class noncrossing --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
+    ('--jobs 1 --class nonnesting', '3efdefc5073f2842eeff8ab30915f064cb5d3ab93839552b85d3be80242597e9'),
+    ('--jobs 2 --class nonnesting', '3efdefc5073f2842eeff8ab30915f064cb5d3ab93839552b85d3be80242597e9'),
+    ('--jobs 1 --class nonnesting --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
+    ('--jobs 2 --class nonnesting --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
+]
+
+
+@pytest.mark.parametrize("args, digest", ENUM_SHA256, ids=[a for a, _ in ENUM_SHA256])
+def test_enum_output_is_byte_identical_to_the_pin(args, digest):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["enum", "--size", "6", *args.split()]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

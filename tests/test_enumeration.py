@@ -7,9 +7,12 @@ import pytest
 
 import recursive_maps
 
+from chordlab import bijections, checks, enumeration
 from chordlab.conjectures import variant_counts
+from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
     PROFILE_CLASSES,
+    ROOT_PARENTS,
     all_diagrams,
     all_pairs,
     branches,
@@ -18,6 +21,7 @@ from chordlab.enumeration import (
     count_class,
     count_class_parallel,
     count_classes_parallel,
+    members,
     pattern_free_count,
     tally,
     tcf_refined,
@@ -40,7 +44,7 @@ from chordlab.oracles import (
     tutte,
 )
 from chordlab.patterns import in_class
-from chordlab.structure import is_one_terminal, t1
+from chordlab.structure import intersection_order, is_one_terminal, t1
 from conftest import K3, sweep
 
 
@@ -159,15 +163,86 @@ def test_count_class_rejects_unknown_inputs():
         count_class(3, "all", statistics=("no-such-stat",))
 
 
-def test_one_terminal_stream_matches_filter():
-    from chordlab.checks import _domain
-    from chordlab.structure import is_one_terminal
+def leaf_filter(n, cls):
+    """The size-n members of a class, filtered from every leaf of the stream."""
+    return tuple(d for d in all_diagrams(n) if in_class(d, cls))
 
-    for n in range(1, 6):
-        slow = tuple(d for d in sweep(n) if is_one_terminal(d))
-        assert _domain(n, "one-terminal") == slow
+
+@pytest.mark.parametrize("n", range(8))
+def test_root_insertion_matches_the_leaf_filter(n):
+    for cls in ROOT_PARENTS:
+        want = tuple(d.pairs for d in leaf_filter(n, cls))
+        assert tuple(d.pairs for d in members(n, cls)) == want, cls
+        # walked parent by parent, the same diagrams in another order
+        assert sorted(d.pairs for d in members(n, cls, ordered=False)) == sorted(want), cls
+
+
+def test_one_terminal_stream_matches_filter():
+    for n in range(1, 8):
+        slow = leaf_filter(n, "one-terminal")
+        assert checks._domain(n, "one-terminal") == slow
         assert len(slow) == one_terminal(n)
-        assert _domain(n, "connected") == tuple(d for d in sweep(n) if d.is_connected())
+        assert checks._domain(n, "connected") == leaf_filter(n, "connected")
+
+
+def test_root_insertion_at_sizes_zero_and_one():
+    empty, chord = ChordDiagram(()), ChordDiagram([(1, 2)])
+    assert list(members(0, "noncrossing")) == list(members(0, "nonnesting")) == [empty]
+    assert list(members(0, "connected")) == list(members(0, "one-terminal")) == []
+    for cls in ROOT_PARENTS:
+        assert list(members(1, cls)) == list(members(1, cls, branch=2)) == [chord], cls
+        assert list(members(1, cls))[0].is_connected()
+
+
+def test_root_insertion_branches_are_the_leaf_filter_by_first_chord():
+    for n in range(1, 7):
+        for cls in ROOT_PARENTS:
+            want = leaf_filter(n, cls)
+            for b in branches(n):
+                got = tuple(members(n, cls, branch=b))
+                assert got == tuple(d for d in want if d.pairs[0] == (1, b)), (n, cls, b)
+                assert count_class(n, cls, branch=b).total(n) == len(got)
+        with pytest.raises(ValueError, match="branch"):
+            list(members(n, "connected", branch=2 * n + 1))
+
+
+def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
+    for n in range(1, 7):
+        for cls in ROOT_PARENTS:
+            for d in members(n, cls):
+                fresh = ChordDiagram._trusted(d.pairs)
+                assert d._adj == fresh.adjacency(), d
+                assert d._connected == fresh.is_connected(), d
+                if d._connected:
+                    assert d._order == intersection_order(fresh), d
+                else:
+                    assert d._order is None, d
+
+
+def test_census_counts_the_stream_itself(monkeypatch):
+    real = enumeration.all_pairs
+
+    def one_short(n, branch=None):
+        stream = real(n, branch)
+        next(stream)
+        return stream
+
+    want = census(4)["all"]
+    monkeypatch.setattr(enumeration, "all_pairs", one_short)
+    assert census.__wrapped__(4)["all"] == want - 1
+
+
+def test_the_one_terminal_domain_is_not_built_by_chi(monkeypatch):
+    # psi-bijection walks this domain; built from chi's image, it would
+    # test psi only where chi already inverts it
+    def refuse(*_):
+        raise AssertionError("the one-terminal domain must not call chi or psi")
+
+    for name in ("chi", "psi"):
+        monkeypatch.setattr(bijections, name, refuse)
+        monkeypatch.setattr(checks, name, refuse)
+    for n in range(1, 6):
+        assert checks._domain.__wrapped__(n, "one-terminal") == leaf_filter(n, "one-terminal")
 
 
 def test_class_census_cross_class_identities():

@@ -215,6 +215,16 @@ def test_vertex_connectivity_matches_networkx():
     assert checked == 3110
 
 
+def test_vertex_connectivity_matches_networkx_beyond_exhaustive_sizes():
+    # uniform connected diagrams and chi lifts, which have chords of low
+    # degree, so that the minimum degree is sometimes a loose bound
+    rng = random.Random(2104)
+    for n in range(9, 13):
+        for _ in range(12):
+            for d in (connected_matching(n, rng), chi(uniform_matching(n - 1, rng))):
+                assert vertex_connectivity(d) == nx.node_connectivity(crossing_graph(d)), d
+
+
 def test_intersection_order_of_a_large_diagram_needs_no_recursion():
     rng = random.Random(1999)
     pts = list(range(1, 2 * 1999 + 1))

@@ -11,6 +11,7 @@ from chordlab.diagram import ChordDiagram
 from chordlab.series import (
     WeightPoly,
     YPoly,
+    _phi_mono,
     apply_operator,
     check_cocycle,
     check_rge,
@@ -21,12 +22,16 @@ from chordlab.series import (
     l_div,
     ogf_checks,
     operator_kind,
-    phi_monomial,
     root_share_sum,
     series_rows,
     solve_tree_like,
 )
 from conftest import Cb, Cf, K3, sweep
+
+
+def phi_monomial(c):
+    """phi_C as a WeightPoly: product of phi_{val(chord)} over all chords."""
+    return WeightPoly({_phi_mono(c): Fraction(1)})
 
 
 def test_weight_poly_arithmetic_is_exact():

@@ -25,7 +25,8 @@ from chordlab.structure import (
     vertex_connectivity,
 )
 from conftest import (
-    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, sweep, uniform_matching,
+    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, left_neighbors, sweep,
+    uniform_matching,
 )
 
 
@@ -177,7 +178,7 @@ def test_k_connected_matches_kappa_off_the_complete_case():
         for d in sweep(n):
             kappa = vertex_connectivity(d)
             full = d.is_connected() and all(
-                len(d.right_neighbors(i)) + len(d.left_neighbors(i)) == n - 1
+                len(d.right_neighbors(i)) + len(left_neighbors(d, i)) == n - 1
                 for i in range(1, n + 1)
             )
             for k in range(1, n + 2):

@@ -176,10 +176,13 @@ class ChordDiagram:
         return sum(map(int.bit_count, self.adjacency())) // 2
 
     def nestings(self) -> int:
-        # the points strictly inside chord i are two for each chord it nests
-        # over and one for each chord it crosses
-        inside = sum(b - a for a, b in self.pairs) - len(self.pairs)
-        return inside // 2 - self.crossings()
+        # chords come in source order, so a chord nests inside an earlier
+        # one iff its sink comes first: count the earlier sinks past each
+        seen = total = 0
+        for _, b in self.pairs:
+            total += (seen >> b).bit_count()
+            seen |= 1 << b
+        return total
 
     def is_noncrossing(self) -> bool:
         return not any(self.adjacency())

@@ -1,18 +1,30 @@
 """Exhaustive generation of rooted chord diagrams and class counting.
 
-`all_pairs` walks every diagram of a size. `members` walks one class: the
-connected, one-terminal, noncrossing and nonnesting classes are built by
-root insertion, a root chord (1, p) over each member of the class one size
-down (`ROOT_PARENTS`), and the children come with their crossing masks,
-connectivity and intersection order filled in. Other classes filter the
-`all_pairs` stream.
+`all_pairs` walks every diagram of a size. `members` walks one class. A
+diagram of size n is a root chord (1, p) over a diagram S of size n-1, and
+most classes are built that way from their members one size down, with
+the children's crossing masks, connectivity and intersection order filled
+in:
+
+- connected: S is any diagram, and the root crosses every component of S;
+- one-terminal: S is one-terminal, and the root crosses a chord of it;
+- the hereditary classes, closed under removing the root (noncrossing,
+  nonnesting, the cycle classes and the pattern classes such as
+  "K3-free"): S is in the class, and `patterns.root_members` tests only
+  the configurations that use the new root.
+
+Any other class (indecomposable, a predicate) filters the `all_pairs`
+stream.
 
 `tally` is the one counting loop: every refined count here (`count_class`
-with statistics, `class_census`, `tcf_refined`, `pattern_free_count`) is a
-key function over it, and so are the counts of the other modules. A class
-size alone (`count_members`, `census`, `count_class` without statistics)
-counts the stream, or adds up the member bits of each root-insertion
-parent, without building the diagrams.
+with statistics, `class_census`, `tcf_refined`) is a key function over
+it, and so are the counts of the other modules. A class size alone
+(`count_members`, `census`, `count_class` without statistics,
+`pattern_free_count`) counts the stream, or adds up the member bits of
+each root-insertion parent, without building the diagrams.
+`class_census` still tests every diagram of the stream, one cycle profile
+each, so that the root-insertion counts have an independent sweep to be
+checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +37,15 @@ from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
 from .diagram import ChordDiagram, _set_adj, _set_connected, _set_order, component_masks
-from .patterns import CYCLE_CLASSES, contains_pattern, cycle_classes, cycle_profile, in_class
+from .patterns import (
+    CYCLE_CLASSES,
+    contains_pattern,
+    cycle_classes,
+    cycle_profile,
+    hereditary_key,
+    in_class,
+    root_members,
+)
 from .structure import (
     _order,
     is_one_terminal,
@@ -81,18 +101,6 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
         yield trusted(pairs)
 
 
-# The classes built by root insertion, each with the class of what is left
-# of its members once their root chord is removed. A diagram of size n is a
-# root chord (1, p) over a diagram S of size n-1, and the child's membership
-# follows from S's crossing masks and the root's mask over S.
-ROOT_PARENTS = {
-    "connected": "all",
-    "one-terminal": "one-terminal",
-    "noncrossing": "noncrossing",
-    "nonnesting": "nonnesting",
-}
-
-
 def members(
     n: int,
     cls: str | Callable[[ChordDiagram], bool] = "all",
@@ -100,12 +108,13 @@ def members(
     ordered: bool = True,
 ) -> Iterator[ChordDiagram]:
     """The size-n diagrams of a class (whose first chord is (1, branch), if
-    given), in generation order. The classes of ROOT_PARENTS are built by
-    root insertion over the members of size n-1; any other class filters
-    the `all_pairs` stream. Unless `ordered`, each parent's children come
-    together, so that no level of parents is held: for callers that only
-    count."""
-    if cls not in ROOT_PARENTS:
+    given), in generation order. The connected, the one-terminal and the
+    hereditary classes are built by root insertion over size n-1; any other
+    class filters the `all_pairs` stream. Unless `ordered`, each parent's
+    children come together, so that no level of parents is held: for
+    callers that only count."""
+    key = _root_key(cls)
+    if key is None:
         test = cls if callable(cls) else (lambda d: in_class(d, cls))
         trusted = ChordDiagram._trusted
         for pairs in all_pairs(n, branch):
@@ -113,10 +122,45 @@ def members(
             if cls == "all" or test(d):
                 yield d
         return
+    yield from _grown(n, key, branch, ordered)
+
+
+def count_members(
+    n: int,
+    cls: str | Callable[[ChordDiagram], bool] = "all",
+    branch: int | None = None,
+) -> int:
+    """How many diagrams `members` yields. "all" counts the `all_pairs`
+    stream itself, and a class built by root insertion adds up the member
+    bits of each parent, without building the children."""
+    if cls == "all":
+        return sum(1 for _ in all_pairs(n, branch))
+    key = _root_key(cls)
+    if key is None:
+        return sum(1 for _ in members(n, cls, branch))
+    return _count(n, key, branch)
+
+
+def _root_key(cls: str | Callable[[ChordDiagram], bool]) -> str | ChordDiagram | None:
+    """How root insertion tells the class apart: "connected", "one-terminal"
+    or a `hereditary_key`; None for a class that filters the stream."""
+    if callable(cls):
+        return None
+    if cls in ("connected", "one-terminal"):
+        return cls
+    return hereditary_key(cls)
+
+
+def _grown(
+    n: int, key, branch: int | None, ordered: bool, split: int | None = None
+) -> Iterator[ChordDiagram]:
+    """`members` of a class built by root insertion over its parents of
+    size n-1 (only those whose first chord is (1, split), if given)."""
     within = _root_sinks(n, branch)
     if n == 0:
-        if cls in ("noncrossing", "nonnesting"):
-            yield ChordDiagram._trusted(())
+        empty = ChordDiagram._trusted(())
+        if _holds(empty, key):
+            yield empty
         return
     # k = p - 2 points of S lie inside the root. The child's pairs start
     # with moved[k][0], and S's chord (a, b) becomes moved[k][1][(a, b)]:
@@ -127,7 +171,7 @@ def members(
         at = (0, *range(2, k + 2), *range(k + 3, 2 * n + 1))
         table = {(a, b): (at[a], at[b]) for b in range(2, 2 * n - 1) for a in range(1, b)}
         moved[k] = (((1, k + 2),), table)
-    sites = (_site(s, cls) for s in _parents(n, cls, ordered))
+    sites = (_site(s, key, ks) for s in _parents(n, key, ordered, split))
     if ordered and len(ks) > 1:
         sites = list(sites)  # held for this call
         walk = ((k, site) for k in ks for site in sites)
@@ -145,22 +189,22 @@ def members(
             yield d
 
 
-def count_members(
-    n: int,
-    cls: str | Callable[[ChordDiagram], bool] = "all",
-    branch: int | None = None,
-) -> int:
-    """How many diagrams `members` yields. "all" counts the `all_pairs`
-    stream itself, and a class of ROOT_PARENTS adds up the member bits of
-    each parent, without building the children."""
-    if cls == "all":
-        return sum(1 for _ in all_pairs(n, branch))
-    if cls not in ROOT_PARENTS or n == 0:
-        return sum(1 for _ in members(n, cls, branch))
+def _count(n: int, key, branch: int | None, split: int | None = None) -> int:
+    """count_members of a class built by root insertion (over the parents
+    whose first chord is (1, split), if given)."""
+    if n == 0:
+        return sum(1 for _ in _grown(0, key, branch, False))
     within = _root_sinks(n, branch)
+    ks = [k for k in range(2 * n - 1) if within >> k & 1]
     return sum(
-        (_insertions(s, cls)[1] & within).bit_count() for s in _parents(n, cls, False)
+        _insertions(s, key, ks)[1].bit_count() for s in _parents(n, key, False, split)
     )
+
+
+def _holds(d: ChordDiagram, key) -> bool:
+    if isinstance(key, ChordDiagram):
+        return not contains_pattern(d, key)
+    return in_class(d, key)
 
 
 def _root_sinks(n: int, branch: int | None) -> int:
@@ -172,45 +216,46 @@ def _root_sinks(n: int, branch: int | None) -> int:
     return 1 << (branch - 2)
 
 
-def _parents(n: int, cls: str, ordered: bool) -> Iterator[ChordDiagram]:
+def _parents(n: int, key, ordered: bool, split: int | None) -> Iterator[ChordDiagram]:
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
-    return members(n - 1, ROOT_PARENTS[cls] if n > 1 else "all", ordered=ordered)
+    if key == "connected" or (key == "one-terminal" and n == 1):
+        return members(n - 1, "all", split)
+    return _grown(n - 1, key, split, ordered)
 
 
-def _insertions(s: ChordDiagram, cls: str) -> tuple[list[int], int, int, list[int]]:
+def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, int, list[int]]:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
-    k whose child is in `cls`, those whose child is connected, and the
-    masks of s's components."""
+    k of `ks` whose child is in the class, those whose child is connected,
+    and the masks of s's components."""
     # the root crosses the chords with one end among s's first k points
     roots = [0]
     for x in s.point_labels():
         roots.append(roots[-1] ^ 1 << (x - 1))
     comps = component_masks(s.adjacency())
     connected = 0
-    for k, r in enumerate(roots):
+    for k in ks:
+        r = roots[k]
         for c in comps:
             if not r & c:
                 break
         else:
             connected |= 1 << k
-    if cls == "noncrossing":
-        member = sum(1 << k for k, r in enumerate(roots) if not r)
-    elif cls == "nonnesting":
-        # no chord of s may close inside the root
-        member = (1 << min((b for _, b in s.pairs), default=1)) - 1
-    else:
+    if key in ("connected", "one-terminal"):
         # a one-terminal s is connected: its child is one-terminal iff the
         # root crosses a chord, so that the root is not terminal too
         member = connected
+    else:
+        member = root_members(key, s, roots, comps, ks)
     return roots, member, connected, comps
 
 
-def _site(s: ChordDiagram, cls: str) -> tuple:
-    """What building the children of s needs: its pairs and crossing masks,
-    `_insertions`, and the connected children's intersection order."""
-    roots, member, connected, comps = _insertions(s, cls)
+def _site(s: ChordDiagram, key, ks: list[int]) -> tuple:
+    """What building the children of s with the roots `ks` needs: its pairs
+    and crossing masks, `_insertions`, and the connected children's
+    intersection order."""
+    roots, member, connected, comps = _insertions(s, key, ks)
     order = None
     if connected:
         # the root comes first, then s's components, each in its own order
@@ -228,8 +273,12 @@ def tally(
     """Counts of the values of `key` over the size-n members of a class (of
     one branch, if given), in first-occurrence order over the walk of
     `members(..., ordered=False)`; a key of None skips the diagram."""
+    return _tally(members(n, cls, branch, ordered=False), key)
+
+
+def _tally(diagrams: Iterator[ChordDiagram], key: Callable[[ChordDiagram], Hashable | None]) -> dict:
     counts: dict = {}
-    for d in members(n, cls, branch, ordered=False):
+    for d in diagrams:
         k = key(d)
         if k is not None:
             counts[k] = counts.get(k, 0) + 1
@@ -281,24 +330,40 @@ def count_class(
     branch: int | None = None,
 ) -> CountTable:
     """Count size-n diagrams of a class, refined by the named statistics."""
-    for s in statistics:
-        if s not in _STAT_FUNCS:
-            raise ValueError("unknown statistic: %s" % s)
+    key = _stat_key(n, statistics)
     name = cls if isinstance(cls, str) else getattr(cls, "__name__", "custom")
     if not statistics:
         total = count_members(n, cls, branch)
         return CountTable(name, (), {(n,): total} if total else {})
+    return CountTable(name, tuple(statistics), tally(n, key, branch, cls))
+
+
+def _stat_key(n: int, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
+    """The row key of count_class: (n, *statistic values)."""
+    for s in statistics:
+        if s not in _STAT_FUNCS:
+            raise ValueError("unknown statistic: %s" % s)
     funcs = [_STAT_FUNCS[s] for s in statistics]
 
     def key(d: ChordDiagram) -> tuple:
         return (n, *(f(d) for f in funcs))
 
-    return CountTable(name, tuple(statistics), tally(n, key, branch, cls))
+    return key
 
 
-def _count_class_branch(args) -> dict[tuple, int]:
-    n, cls, statistics, b = args
-    return count_class(n, cls, statistics, branch=b).rows
+def _count_class_share(args) -> dict[tuple, int]:
+    """The count_class rows of one work item of count_classes_parallel: the
+    branch `share` of a class that filters the stream, or the children of
+    the parents whose first chord is (1, share) for a class built by root
+    insertion, whose every branch needs every parent."""
+    n, cls, statistics, share = args
+    key = _root_key(cls)
+    if key is None:
+        return count_class(n, cls, statistics, branch=share).rows
+    if statistics:
+        return _tally(_grown(n, key, None, False, share), _stat_key(n, statistics))
+    total = _count(n, key, None, share)
+    return {(n,): total} if total else {}
 
 
 def count_classes_parallel(
@@ -308,13 +373,19 @@ def count_classes_parallel(
     jobs: int = 1,
 ) -> dict[str, CountTable]:
     """count_class for each of several classes, with one pool of at most
-    `jobs` workers mapping (class, branch) work items."""
+    `jobs` workers mapping (class, share) work items: a class built by root
+    insertion is shared out by the first chord of the parents, any other by
+    the first chord (branch)."""
     jobs = _pool_size(n, jobs)
-    if jobs <= 1 or n == 0:
+    if jobs <= 1 or n <= 1:
         return {c: count_class(n, c, statistics) for c in classes}
-    work = [(n, c, statistics, b) for c in classes for b in branches(n)]
+    work = [
+        (n, c, statistics, b)
+        for c in classes
+        for b in branches(n if _root_key(c) is None else n - 1)
+    ]
     with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_count_class_branch, work)
+        parts = pool.map(_count_class_share, work)
     tables = {c: CountTable(c, tuple(statistics)) for c in classes}
     for (_, c, _, _), rows in zip(work, parts):
         for k, v in rows.items():
@@ -396,12 +467,13 @@ def tcf_refined(n: int) -> Mapping[int, int]:
     read-only."""
 
     def key(d: ChordDiagram) -> int | None:
-        return t1(d) if in_class(d, "top-cycle-free") else None
+        return t1(d) if d.is_connected() else None
 
-    return MappingProxyType(tally(n, key, cls="connected"))
+    return MappingProxyType(tally(n, key, cls="top-cycle-free"))
 
 
 @lru_cache(maxsize=None)
 def pattern_free_count(n: int, pattern: ChordDiagram) -> int:
-    """Size-n diagrams with no induced copy of `pattern`. Cached."""
-    return tally(n, lambda d: contains_pattern(d, pattern)).get(False, 0)
+    """Size-n diagrams with no induced copy of `pattern`, counted by root
+    insertion. Cached."""
+    return _count(n, pattern, None)

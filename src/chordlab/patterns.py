@@ -14,6 +14,13 @@ Two algorithms do the work, both over the crossing masks of the diagram:
   in source order, the pairwise relations (cross, nest, disjoint) fix the
   induced subdiagram, so the candidates for each pattern chord are the
   AND of relation masks picked out by the chords already placed.
+
+The hereditary classes (closed under removing the root chord) are built
+by root insertion in `enumeration`. `root_members` decides which roots over
+a member of size n-1 keep the class, testing only what uses the new root:
+by a mask rule for triangle-free, tree and bipartite, by the two searches
+above anchored at the root for the other classes. `in_class` stays the
+per-diagram predicate, independent of this.
 """
 
 from __future__ import annotations
@@ -112,23 +119,26 @@ def _relation_masks(d: ChordDiagram) -> tuple[list[int], list[int], list[int]]:
 
 
 def contains_pattern(d: ChordDiagram, pattern: ChordDiagram) -> bool:
-    """Does some chord subset of d induce exactly the pattern's configuration?
-
-    Places the pattern's chords at chords s1 < s2 < ... of d, one at a time;
-    the candidates for the next place are the chords related to every
-    placed chord as the pattern requires.
-    """
+    """Does some chord subset of d induce exactly the pattern's configuration?"""
     k = pattern.n
     if k == 0:
         return True
     n = d.n
     if k > n:
         return False
-    table = _relation_table(pattern.pairs)
-    masks = _relation_masks(d)
-    placed = [0] * k
     # the first chord leaves room for the k - 1 after it
-    cand = [(1 << (n - k + 1)) - 1] + [0] * (k - 1)
+    return _embeds(_relation_masks(d), n, _relation_table(pattern.pairs), (1 << (n - k + 1)) - 1)
+
+
+def _embeds(masks, n: int, table, first: int) -> bool:
+    """Places the pattern's chords (relation `table`, at most n of them) at
+    chords s1 < s2 < ... of a size-n diagram with relation `masks`, one at a
+    time, the first at one of the chords of the mask `first`; the
+    candidates for the next place are the chords related to every placed
+    chord as the pattern requires."""
+    k = len(table)
+    placed = [0] * k
+    cand = [first] + [0] * (k - 1)
     t = 0
     while t >= 0:
         c = cand[t]
@@ -148,16 +158,17 @@ def contains_pattern(d: ChordDiagram, pattern: ChordDiagram) -> bool:
     return False
 
 
-def _induced_cycles(d: ChordDiagram) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield every chord subset whose induced crossing graph is a cycle, once,
-    as (length, labels). Includes m = 3 triangles.
+def _induced_cycles(adj: tuple[int, ...], lows: Iterable[int]) -> Iterator[int]:
+    """Yield, as masks, the chord subsets whose induced crossing graph is a
+    cycle and whose lowest chord is one of `lows` (0-based), each once.
+    Includes m = 3 triangles.
 
     Each cycle is grown from its lowest chord v as a chordless path
     v, p1, ..., last over higher chords and closed by a neighbour w of v
     with w > p1, so it is found once.
     """
-    adj = d.adjacency()
-    for v, nv in enumerate(adj):
+    for v in lows:
+        nv = adj[v]
         below = (1 << (v + 1)) - 1
         rest = nv & ~below
         while rest:
@@ -177,8 +188,7 @@ def _induced_cycles(d: ChordDiagram) -> Iterator[tuple[int, tuple[int, ...]]]:
                     bw = cand & -cand
                     cand ^= bw
                     if nv & bw:
-                        cycle = path | bw
-                        yield cycle.bit_count(), _mask_labels(cycle)
+                        yield path | bw
                     else:
                         stack.append((bw.bit_length() - 1, path | bw, forbid | adj[last] | bw))
 
@@ -188,13 +198,15 @@ def _realizations(m: int) -> tuple[ChordDiagram, ChordDiagram]:
     return top_cycle(m), bottom_cycle(m)
 
 
-def _kind(d: ChordDiagram, m: int, labels: tuple[int, ...]) -> str:
-    """The named realization, "top" or "bottom", that the induced m-cycle on
-    the labels compresses to. The m = 3 triangle is both, reported as "top"."""
+def _kind(d: ChordDiagram, cycle: int) -> str:
+    """The named realization, "top" or "bottom", that the induced cycle on
+    the chord mask `cycle` compresses to. The m = 3 triangle is both,
+    reported as "top"."""
+    m = cycle.bit_count()
     if m == 3:
         # three pairwise-crossing chords can only be (1,4)(2,5)(3,6)
         return "top"
-    sub = d.subdiagram(labels)
+    sub = d.subdiagram(_mask_labels(cycle))
     top, bottom = _realizations(m)
     if sub == top:
         return "top"
@@ -211,8 +223,8 @@ def cycle_profile(d: ChordDiagram) -> dict[tuple[int, str], int]:
     recorded under "top" only with bottom_cycle(3) equal to it.
     """
     profile: dict[tuple[int, str], int] = {}
-    for m, labels in _induced_cycles(d):
-        key = (m, _kind(d, m, labels))
+    for cycle in _induced_cycles(d.adjacency(), range(d.n)):
+        key = (cycle.bit_count(), _kind(d, cycle))
         profile[key] = profile.get(key, 0) + 1
     return profile
 
@@ -247,13 +259,16 @@ def cycle_classes(profile: dict[tuple[int, str], int]) -> dict[str, bool]:
 def contains_any_top_cycle(d: ChordDiagram) -> bool:
     """Some induced cycle is a top cycle (a triangle counts); stops at the
     first one."""
-    return any(_kind(d, m, labels) == "top" for m, labels in _induced_cycles(d))
+    return any(_kind(d, c) == "top" for c in _induced_cycles(d.adjacency(), range(d.n)))
 
 
 def contains_any_bottom_cycle(d: ChordDiagram) -> bool:
     """Some induced cycle is a bottom cycle (a triangle counts); stops at the
     first one."""
-    return any(m == 3 or _kind(d, m, labels) == "bottom" for m, labels in _induced_cycles(d))
+    return any(
+        c.bit_count() == 3 or _kind(d, c) == "bottom"
+        for c in _induced_cycles(d.adjacency(), range(d.n))
+    )
 
 
 CLASS_NAMES = (
@@ -312,3 +327,137 @@ def _forbidden_pattern(name: str) -> ChordDiagram:
             return permutation_diagram(base[len("perm-"):])
     raise ValueError(f"unknown class name: {name}")
 
+
+# Every class here is closed under removing the root chord, as are the
+# parametric pattern classes: its members of size n are root chords over its
+# members of size n-1, and such a child is a member iff no forbidden
+# configuration uses the root.
+HEREDITARY_CLASSES = ("noncrossing", "nonnesting", *CYCLE_CLASSES)
+
+
+def hereditary_key(name: str) -> str | ChordDiagram | None:
+    """The key `root_members` takes for a hereditary class: the name of a
+    class of HEREDITARY_CLASSES, or the forbidden pattern of a parametric
+    class such as "K3-free". None for the other names of CLASS_NAMES;
+    unknown names raise ValueError."""
+    if name in HEREDITARY_CLASSES:
+        return name
+    if name in CLASS_NAMES:
+        return None
+    return _forbidden_pattern(name)
+
+
+def root_members(
+    key: str | ChordDiagram, s: ChordDiagram, roots: list[int], comps: list[int], ks: list[int]
+) -> int:
+    """Which root insertions over a member s of the hereditary class `key`
+    (see hereditary_key) stay in the class: bit k of the result is set when
+    the root (1, k + 2) gives a member, for each k of `ks`. That root
+    crosses the chords of s in the mask roots[k], and comps are the masks
+    of s's components. Only configurations that use the root are tested:
+    the others lie in s. No child is built, except to tell a top from a
+    bottom cycle through the root."""
+    adj = s.adjacency()
+    if isinstance(key, ChordDiagram):
+        return _pattern_free_roots(s, key, roots, ks)
+    if key == "noncrossing":
+        return sum(1 << k for k in ks if not roots[k])
+    if key == "nonnesting":
+        # no chord of s may close inside the root
+        low = min((b for _, b in s.pairs), default=1)
+        return sum(1 << k for k in ks if k < low)
+    if key == "triangle-free":
+        # the root's neighbours must be pairwise non-crossing
+        return sum(
+            1 << k for k in ks
+            if not any(adj[j - 1] & roots[k] for j in _mask_labels(roots[k]))
+        )
+    if key == "tree":
+        # a second neighbour in one component of s closes a cycle
+        return sum(1 << k for k in ks if all(_at_most_one(roots[k] & c) for c in comps))
+    if key == "bipartite":
+        # within a component of s, the root's neighbours must share a colour
+        sides = [(c, _colour_class(adj, c)) for c in comps]
+        return sum(
+            1 << k for k in ks
+            if all(not roots[k] & a or not roots[k] & (c ^ a) for c, a in sides)
+        )
+    return _cycle_free_roots(key, s, roots, ks)
+
+
+def _at_most_one(mask: int) -> bool:
+    return not mask & (mask - 1)
+
+
+def _colour_class(adj: tuple[int, ...], comp: int) -> int:
+    """The chords of the component `comp` at even distance from its lowest
+    chord: one side of its 2-colouring, when it is bipartite."""
+    side = seen = frontier = comp & -comp
+    even = True
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        even = not even
+        if even:
+            side |= frontier
+    return side
+
+
+def _cycle_free_roots(key: str, s: ChordDiagram, roots: list[int], ks: list[int]) -> int:
+    """root_members for chordal, top- and bottom-cycle-free: a search for
+    the induced cycles whose lowest chord is the root."""
+    adj = s.adjacency()
+    labels = s.point_labels()
+    banned = "top" if key == "top-cycle-free" else "bottom"
+    bits = 0
+    for k in ks:
+        r = roots[k]
+        # the child's crossing masks: the root is chord 0, s's chords move up one
+        child_adj = (r << 1, *[m << 1 | r >> j & 1 for j, m in enumerate(adj)])
+        child = None
+        for cycle in _induced_cycles(child_adj, (0,)):
+            if cycle.bit_count() == 3:
+                if key != "chordal":
+                    break
+                continue
+            if key == "chordal":
+                break
+            if child is None:
+                top = s.n + 1
+                child = ChordDiagram._from_point_labels((top, *labels[:k], top, *labels[k:]))
+            if _kind(child, cycle) == banned:
+                break
+        else:
+            bits |= 1 << k
+    return bits
+
+
+def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int], ks: list[int]) -> int:
+    """root_members for a pattern class: the embedding with the pattern's
+    first chord pinned to the root, on s's relation masks moved up one chord
+    behind the root's own. The root is the child's first chord, so every
+    later-chord mask of s carries over."""
+    n = s.n + 1
+    table = _relation_table(pattern.pairs)
+    if not table:
+        return 0
+    if len(table) > n:
+        return sum(1 << k for k in ks)
+    cross, nest, right = ([m << 1 for m in ms] for ms in _relation_masks(s))
+    full = (1 << s.n) - 1
+    # opened[k]: the chords of s with an end among its first k points
+    opened = [0]
+    for x in s.point_labels():
+        opened.append(opened[-1] | 1 << (x - 1))
+    bits = 0
+    for k in ks:
+        r, o = roots[k], opened[k]
+        masks = ([r << 1, *cross], [(o ^ r) << 1, *nest], [(full ^ o) << 1, *right])
+        if not _embeds(masks, n, table, 1):
+            bits |= 1 << k
+    return bits

@@ -368,16 +368,38 @@ def exists_nonnesting_induced_path(d: ChordDiagram, a: int, b: int) -> bool:
     pairwise non-nesting (non-consecutive ones disjoint)?"""
     if a == b:
         return True
+    adj = d.adjacency()
+    apart = _apart_masks(d)
+    goal = 1 << (b - 1)
+    # depth first over paths: each ends at `last`, and `allowed` holds the
+    # chords disjoint from every chord before last, so the path's next chord
+    # is one of allowed that crosses last
+    stack = [(a - 1, (1 << d.n) - 1)]
+    while stack:
+        last, allowed = stack.pop()
+        step = adj[last] & allowed
+        if step & goal:
+            return True
+        allowed &= apart[last]
+        while step:
+            low = step & -step
+            step ^= low
+            stack.append((low.bit_length() - 1, allowed))
+    return False
 
-    def extend(path: tuple[int, ...]) -> bool:
-        last = path[-1]
-        for w in range(1, d.n + 1):
-            if w in path or not d.crosses(last, w):
-                continue
-            if any(d.relation(u, w) != "disjoint" for u in path[:-1]):
-                continue
-            if w == b or extend(path + (w,)):
-                return True
-        return False
 
-    return extend((a,))
+def _apart_masks(d: ChordDiagram) -> list[int]:
+    """Per chord (0-based), the mask of the chords wholly to its left or
+    right: those closed before its source and those opened after its sink."""
+    full = (1 << d.n) - 1
+    apart = [0] * d.n
+    opened = closed = 0
+    for x in d.point_labels():
+        bit = 1 << (x - 1)
+        if opened & bit:
+            closed |= bit
+            apart[x - 1] |= full ^ opened
+        else:
+            opened |= bit
+            apart[x - 1] = closed
+    return apart

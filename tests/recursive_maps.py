@@ -1,13 +1,13 @@
 """Test-only oracles: the recursive, definition-following versions of the
 maps that chordlab computes on crossing masks and explicit stacks, the
 point-by-point relabellings that chordlab replaces with one label layout,
-the recursive pair generator, and the full mask search for the
-intersection order.
+the recursive pair generator, the full mask search for the intersection
+order, and the path-by-path search for non-nesting induced paths.
 
 They share with the fast paths only ChordDiagram itself (its validating
-constructor and `partner`), the intersection order, t1, the terminal
-chords, the source-sink groups and the Triangulation type with `_remap`,
-which are tested on their own. `mask_order` uses the crossing masks and
+constructor, `partner` and `relation`), the intersection order, t1, the
+terminal chords, the source-sink groups and the Triangulation type with
+`_remap`, which are tested on their own. `mask_order` uses the crossing masks and
 `component_mask`, not the order's own search.
 """
 
@@ -353,3 +353,24 @@ def theta_inverse(t):
         rank = {v: r for r, v in enumerate(block)}
         parts.append((theta_inverse(normalize(k, rank)), tuple(block)))
     return beta(parts)
+
+
+def nonnesting_induced_path(d, a, b):
+    """Is there an induced path from a to b of pairwise non-nesting chords?
+    Extends every path by each chord that crosses its last chord and is
+    disjoint from the others, read off `relation()`."""
+    if a == b:
+        return True
+
+    def extend(path):
+        last = path[-1]
+        for w in range(1, d.n + 1):
+            if w in path or not d.crosses(last, w):
+                continue
+            if any(d.relation(u, w) != "disjoint" for u in path[:-1]):
+                continue
+            if w == b or extend(path + (w,)):
+                return True
+        return False
+
+    return extend((a,))

@@ -12,13 +12,13 @@ from chordlab.conjectures import variant_counts
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
     PROFILE_CLASSES,
-    ROOT_PARENTS,
     all_diagrams,
     all_pairs,
     branches,
     census,
     class_census,
     count_class,
+    count_members,
     count_class_parallel,
     count_classes_parallel,
     members,
@@ -43,7 +43,7 @@ from chordlab.oracles import (
     stein,
     tutte,
 )
-from chordlab.patterns import in_class
+from chordlab.patterns import HEREDITARY_CLASSES, in_class, permutation_diagram
 from chordlab.structure import intersection_order, is_one_terminal, t1
 from conftest import K3, sweep
 
@@ -73,12 +73,14 @@ def test_one_pool_counts_several_classes(monkeypatch):
     monkeypatch.setattr(
         enumeration.multiprocessing, "Pool", lambda jobs: pools.append(jobs) or real_pool(jobs)
     )
-    classes = ("connected", "one-terminal", "top-cycle-free")
-    tables = count_classes_parallel(5, classes, ("crossings",), jobs=2)
-    assert pools == [2]
-    assert list(tables) == list(classes)
-    for cls in classes:
-        assert tables[cls].rows == count_class(5, cls, ("crossings",)).rows
+    # shared out by the parents' first chord, then by the first chord
+    classes = ("connected", "one-terminal", "top-cycle-free", "K3-free", "indecomposable")
+    for stats in (("crossings",), ()):
+        tables = count_classes_parallel(5, classes, stats, jobs=2)
+        assert list(tables) == list(classes)
+        for cls in classes:
+            assert tables[cls].rows == count_class(5, cls, stats).rows, (cls, stats)
+    assert pools == [2, 2]
 
 
 def test_branches_split_the_stream():
@@ -168,9 +170,22 @@ def leaf_filter(n, cls):
     return tuple(d for d in all_diagrams(n) if in_class(d, cls))
 
 
+# the classes with a root-insertion rule of their own, filtered up to n = 7
+# below; the other hereditary classes are filtered up to n = 6
+ROOT_RULES = ("connected", "one-terminal", "noncrossing", "nonnesting")
+# a sample of the parametric pattern classes, the empty and one-chord
+# patterns included (K2, N2, K3 and N3 are the permutation diagrams of 12,
+# 21, 123 and 321)
+PATTERN_CLASSES = (
+    "K0-free", "K1-free", "K2-free", "K3-free", "K4-free", "N2-free", "N3-free",
+    "perm-132-free", "perm-213-free", "perm-231-free", "perm-312-free", "perm-2143-free",
+)
+HEREDITARY = (*HEREDITARY_CLASSES, *PATTERN_CLASSES)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_root_insertion_matches_the_leaf_filter(n):
-    for cls in ROOT_PARENTS:
+    for cls in ROOT_RULES:
         want = tuple(d.pairs for d in leaf_filter(n, cls))
         assert tuple(d.pairs for d in members(n, cls)) == want, cls
         # walked parent by parent, the same diagrams in another order
@@ -187,16 +202,20 @@ def test_one_terminal_stream_matches_filter():
 
 def test_root_insertion_at_sizes_zero_and_one():
     empty, chord = ChordDiagram(()), ChordDiagram([(1, 2)])
-    assert list(members(0, "noncrossing")) == list(members(0, "nonnesting")) == [empty]
+    for cls in HEREDITARY_CLASSES:
+        assert list(members(0, cls)) == [empty], cls
     assert list(members(0, "connected")) == list(members(0, "one-terminal")) == []
-    for cls in ROOT_PARENTS:
+    for cls in (*ROOT_RULES, *HEREDITARY_CLASSES):
         assert list(members(1, cls)) == list(members(1, cls, branch=2)) == [chord], cls
         assert list(members(1, cls))[0].is_connected()
+    # every diagram holds the empty pattern, and every nonempty one a chord
+    assert [count_members(n, "K0-free") for n in range(3)] == [0, 0, 0]
+    assert [count_members(n, "K1-free") for n in range(3)] == [1, 0, 0]
 
 
 def test_root_insertion_branches_are_the_leaf_filter_by_first_chord():
     for n in range(1, 7):
-        for cls in ROOT_PARENTS:
+        for cls in ROOT_RULES:
             want = leaf_filter(n, cls)
             for b in branches(n):
                 got = tuple(members(n, cls, branch=b))
@@ -208,7 +227,7 @@ def test_root_insertion_branches_are_the_leaf_filter_by_first_chord():
 
 def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
     for n in range(1, 7):
-        for cls in ROOT_PARENTS:
+        for cls in (*ROOT_RULES, "chordal", "K3-free", "perm-213-free"):
             for d in members(n, cls):
                 fresh = ChordDiagram._trusted(d.pairs)
                 assert d._adj == fresh.adjacency(), d
@@ -217,6 +236,55 @@ def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
                     assert d._order == intersection_order(fresh), d
                 else:
                     assert d._order is None, d
+
+
+@pytest.mark.parametrize("cls", HEREDITARY)
+def test_hereditary_classes_match_the_leaf_filter(cls):
+    for n in range(7):
+        want = tuple(d for d in sweep(n) if in_class(d, cls))
+        assert tuple(members(n, cls)) == want, n
+        assert sorted(d.pairs for d in members(n, cls, ordered=False)) == sorted(
+            d.pairs for d in want
+        ), n
+        assert count_members(n, cls) == len(want), n
+        for b in branches(n):
+            part = tuple(d for d in want if d.pairs[0] == (1, b))
+            assert tuple(members(n, cls, branch=b)) == part, (n, b)
+            # each branch walks the whole level below: counted up to n = 5
+            if n < 6:
+                assert count_members(n, cls, branch=b) == len(part), (n, b)
+
+
+def test_k3_n3_and_triangle_free_counts_are_stanley():
+    for n in range(8):
+        counts = {count_members(n, c) for c in ("triangle-free", "K3-free", "N3-free")}
+        assert counts == {stanley(n)}, n
+
+
+def count_built(monkeypatch):
+    """Count the diagrams built through `_trusted` (which
+    `_from_point_labels` calls too), by size."""
+    built = Counter()
+    trusted = ChordDiagram._trusted.__func__
+
+    def counted(cls, pairs):
+        pairs = tuple(pairs)
+        built[len(pairs)] += 1
+        return trusted(cls, pairs)
+
+    monkeypatch.setattr(ChordDiagram, "_trusted", classmethod(counted))
+    return built
+
+
+def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
+    built = count_built(monkeypatch)
+    for cls, want in (("bipartite", 4659), ("K3-free", stanley(6))):
+        built.clear()
+        assert count_members(6, cls) == want
+        assert built[6] == 0 and built[5] > 0, (cls, built)
+    built.clear()
+    assert pattern_free_count.__wrapped__(6, permutation_diagram("213")) == 4318
+    assert built[6] == 0 and built[5] > 0, built
 
 
 def test_census_counts_the_stream_itself(monkeypatch):

@@ -7,7 +7,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from chordlab.diagram import ChordDiagram
+from chordlab.diagram import ChordDiagram, _mask_labels
 from chordlab.patterns import (
     CLASS_NAMES,
     CYCLE_CLASSES,
@@ -113,7 +113,8 @@ def uniform_matchings(count, sizes, seed):
 
 
 def assert_matches_oracles(d):
-    assert sorted(_induced_cycles(d)) == induced_cycles_oracle(d), d
+    cycles = _induced_cycles(d.adjacency(), range(d.n))
+    assert sorted((c.bit_count(), _mask_labels(c)) for c in cycles) == induced_cycles_oracle(d), d
     profile = cycle_profile_oracle(d)
     assert cycle_profile(d) == profile, d
     classes = cycle_classes(profile)

@@ -9,6 +9,7 @@ import per_diagram_series
 import recursive_maps
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
+from chordlab.enumeration import members
 from chordlab.structure import (
     exists_nonnesting_induced_path,
     intersection_order,
@@ -190,3 +191,12 @@ def test_nonnesting_induced_path_examples():
     assert exists_nonnesting_induced_path(Cf, 1, 3)
     assert exists_nonnesting_induced_path(Ce, 2, 3)
     assert not exists_nonnesting_induced_path(N2, 1, 2)
+
+
+def test_nonnesting_induced_path_matches_the_recursive_search():
+    for n in range(1, 7):
+        for d in members(n, "connected"):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    want = recursive_maps.nonnesting_induced_path(d, a, b)
+                    assert exists_nonnesting_induced_path(d, a, b) == want, (d, a, b)

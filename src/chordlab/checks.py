@@ -105,10 +105,10 @@ def _fail(**details) -> dict:
 
 @lru_cache(maxsize=None)
 def _domain(n: int, name: str) -> tuple[ChordDiagram, ...]:
-    """The size-n diagrams of a class ("connected" or "one-terminal"), in
-    generation order, built by root insertion over size n-1 with their
-    crossing masks, connectivity and intersection order filled in; "all"
-    is streamed, never cached."""
+    """The size-n members of a named class other than "all", in generation
+    order, as `members` walks them: a class built by root insertion comes
+    with its crossing masks, connectivity and intersection order filled
+    in. Cached; "all" is streamed by `_sweep`, never cached."""
     return tuple(members(n, name))
 
 
@@ -119,10 +119,11 @@ def _sweep(
     budget: int,
     where: Callable[[ChordDiagram], bool] | None = None,
 ) -> dict:
-    """Visit the diagrams of `domain` ("all", "connected" or "one-terminal")
-    with start <= n <= budget in generation order, skipping those `where`
-    rejects. The visitor returns None, or the details of a failure; the
-    first failing diagram is the reported witness."""
+    """Visit the members of the class `domain` (any class name; "all" is
+    streamed, any other class is its cached `_domain`) with start <= n <=
+    budget in generation order, skipping those `where` rejects. The
+    visitor returns None, or the details of a failure; the first failing
+    diagram is the reported witness."""
     checked = 0
     for n in range(start, budget + 1):
         for d in all_diagrams(n) if domain == "all" else _domain(n, domain):
@@ -142,13 +143,12 @@ def _register_sweep(
     budget: int,
     domain: str,
     start: int,
-    where: Callable[[ChordDiagram], bool] | None = None,
 ):
     """Register a check that runs the decorated visitor through `_sweep`."""
 
     def wrap(visit: Callable[[ChordDiagram], dict | None]):
         _register(check_id, module, description, budget)(
-            lambda b: _sweep(visit, domain, start, b, where)
+            lambda b: _sweep(visit, domain, start, b)
         )
         return visit
 
@@ -350,9 +350,8 @@ def _structure_kterminal_connectivity(d: ChordDiagram) -> dict | None:
     "structure",
     "for nonnesting diagrams: k-connected iff k-terminal with size >= k",
     7,
-    domain="all",
+    domain="nonnesting",
     start=1,
-    where=ChordDiagram.is_nonnesting,
 )
 def _structure_nonnesting_connectivity(d: ChordDiagram) -> dict | None:
     n = d.n
@@ -391,10 +390,8 @@ def _structure_order_linear_extension(d: ChordDiagram) -> dict | None:
 def _patterns_cycle_realizations(budget: int) -> dict:
     for m in range(3, budget + 1):
         found = set()
-        for d in all_diagrams(m):
-            adj = d.adjacency()
-            degs = [bin(a).count("1") for a in adj]
-            if d.is_connected() and all(x == 2 for x in degs):
+        for d in _domain(m, "connected"):
+            if all(a.bit_count() == 2 for a in d.adjacency()):
                 found.add(d)
         expect = {top_cycle(m), bottom_cycle(m)}
         if found != expect or len(found) != (1 if m == 3 else 2):
@@ -408,9 +405,8 @@ def _patterns_cycle_realizations(budget: int) -> dict:
     "a top-cycle-free diagram is 1-terminal iff it is a tree diagram whose "
     "non-terminal chords each have exactly one right neighbor",
     7,
-    domain="all",
+    domain="top-cycle-free",
     start=1,
-    where=lambda d: not contains_any_top_cycle(d),
 )
 def _patterns_topcycle_tree_characterization(d: ChordDiagram) -> dict | None:
     lhs = is_one_terminal(d)
@@ -657,16 +653,12 @@ def _alpha_interval_blocks(budget: int) -> dict:
             return {"blocks": flat}
         return None
 
-    def top_cycle_free(d: ChordDiagram) -> bool:
-        return not contains_any_top_cycle(d)
-
-    report = _sweep(visit, "connected", 2, budget, where=top_cycle_free)
+    connected = ChordDiagram.is_connected
+    report = _sweep(visit, "top-cycle-free", 2, budget, where=connected)
     if not report["ok"]:
         return report
     # the converse layout: parts tiled by increasing intervals in part order
-    tcf_pool = {
-        s: [d for d in _domain(s, "connected") if top_cycle_free(d)] for s in range(1, 5)
-    }
+    tcf_pool = {s: list(filter(connected, _domain(s, "top-cycle-free"))) for s in range(1, 5)}
     rng = random.Random(20240818)
     for _ in range(300):
         m = rng.randint(1, 3)
@@ -701,8 +693,8 @@ def _omega_code_suite(budget: int) -> dict:
     for n in range(1, budget + 1):
         per_t1: dict[int, int] = {}
         total = 0
-        for d in _domain(n, "connected"):
-            if contains_any_top_cycle(d):
+        for d in _domain(n, "top-cycle-free"):
+            if not d.is_connected():
                 continue
             t = omega(d)
             t.validate()
@@ -1149,8 +1141,8 @@ def _enum_one_terminal_tcf_catalan(budget: int) -> dict:
     rows = {}
     for n in range(1, budget + 1):
         count = 0
-        for d in _domain(n, "one-terminal"):
-            if contains_any_top_cycle(d):
+        for d in _domain(n, "top-cycle-free"):
+            if not is_one_terminal(d):
                 continue
             if contains_any_bottom_cycle(d):
                 return _fail(witness=d.to_text(), kind="bottom cycle present")

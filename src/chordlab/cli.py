@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 from .bijections import (
@@ -66,6 +67,19 @@ def _outside_budget(flag: str, n: int) -> bool:
     return True
 
 
+def _refuse_large_pattern(cls: str) -> None:
+    """Refuse a K<k>-free or N<k>-free class whose k exceeds the size
+    budget, before its k-chord pattern is built: no diagram within the
+    budget can contain it."""
+    budget = _env_size(DEFAULT_BUDGET)
+    m = re.fullmatch(r"[KN]([0-9]+)-free", cls)
+    if m and int(m[1]) > budget:
+        raise ValueError(
+            "class %s: a pattern of %s chords, outside budget 0..%d (raise CHORDLAB_MAX_SIZE)"
+            % (cls, m[1], budget)
+        )
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -88,6 +102,7 @@ def _cmd_enum(args) -> int:
         return 2
     stats = tuple(s for s in args.stats.split(",") if s)
     try:
+        _refuse_large_pattern(args.cls)
         if stats:
             table = count_class_parallel(n, args.cls, stats, jobs=args.jobs)
             keys = sorted(table.rows)

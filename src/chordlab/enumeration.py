@@ -13,8 +13,9 @@ in:
   "K3-free"): S is in the class, and `patterns.root_members` tests only
   the configurations that use the new root.
 
-Any other class (indecomposable, a predicate) filters the `all_pairs`
-stream.
+Any other class ("indecomposable") filters the `all_pairs` stream. A class
+is always named (see `patterns.in_class`), so that its walk is the one
+place where membership is decided.
 
 `tally` is the one counting loop: every refined count here (`count_class`
 with statistics, `class_census`, `tcf_refined`) is a key function over
@@ -39,7 +40,7 @@ from typing import Callable, Hashable, Iterator, Mapping
 from .diagram import ChordDiagram, _set_adj, _set_connected, _set_order, component_masks
 from .patterns import (
     CYCLE_CLASSES,
-    contains_pattern,
+    HEREDITARY_CLASSES,
     cycle_classes,
     cycle_profile,
     hereditary_key,
@@ -101,71 +102,75 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
         yield trusted(pairs)
 
 
-def members(
-    n: int,
-    cls: str | Callable[[ChordDiagram], bool] = "all",
-    branch: int | None = None,
-    ordered: bool = True,
-) -> Iterator[ChordDiagram]:
-    """The size-n diagrams of a class (whose first chord is (1, branch), if
-    given), in generation order. The connected, the one-terminal and the
-    hereditary classes are built by root insertion over size n-1; any other
-    class filters the `all_pairs` stream. Unless `ordered`, each parent's
-    children come together, so that no level of parents is held: for
-    callers that only count."""
+def members(n: int, cls: str = "all", ordered: bool = True) -> Iterator[ChordDiagram]:
+    """The size-n diagrams of a class, in generation order. The connected,
+    the one-terminal and the hereditary classes are built by root insertion
+    over size n-1; any other class filters the `all_pairs` stream. Unless
+    `ordered`, each parent's children come together, so that no level of
+    parents is held: for callers that only count."""
+    return _members(n, cls, ordered, None)
+
+
+def _members(n: int, cls: str, ordered: bool, share: int | None) -> Iterator[ChordDiagram]:
+    """`members`, or one work item of `count_classes_parallel` if `share`
+    is given: the diagrams whose first chord is (1, share) for a class
+    that filters the stream, the children of the parents whose first chord
+    is (1, share) for a class built by root insertion."""
     key = _root_key(cls)
-    if key is None:
-        test = cls if callable(cls) else (lambda d: in_class(d, cls))
-        trusted = ChordDiagram._trusted
-        for pairs in all_pairs(n, branch):
-            d = trusted(pairs)
-            if cls == "all" or test(d):
-                yield d
+    if key is not None:
+        yield from _grown(n, key, ordered, share)
         return
-    yield from _grown(n, key, branch, ordered)
+    trusted = ChordDiagram._trusted
+    for pairs in all_pairs(n, share):
+        d = trusted(pairs)
+        if cls == "all" or in_class(d, cls):
+            yield d
 
 
-def count_members(
-    n: int,
-    cls: str | Callable[[ChordDiagram], bool] = "all",
-    branch: int | None = None,
-) -> int:
+def count_members(n: int, cls: str = "all") -> int:
     """How many diagrams `members` yields. "all" counts the `all_pairs`
     stream itself, and a class built by root insertion adds up the member
     bits of each parent, without building the children."""
+    return _size(n, cls, None)
+
+
+def _size(n: int, cls: str, share: int | None) -> int:
+    """How many diagrams `_members` yields."""
     if cls == "all":
-        return sum(1 for _ in all_pairs(n, branch))
+        return sum(1 for _ in all_pairs(n, share))
     key = _root_key(cls)
     if key is None:
-        return sum(1 for _ in members(n, cls, branch))
-    return _count(n, key, branch)
+        return sum(1 for _ in _members(n, cls, False, share))
+    return _count(n, key, share)
 
 
-def _root_key(cls: str | Callable[[ChordDiagram], bool]) -> str | ChordDiagram | None:
+def _root_key(cls: str) -> str | ChordDiagram | None:
     """How root insertion tells the class apart: "connected", "one-terminal"
     or a `hereditary_key`; None for a class that filters the stream."""
-    if callable(cls):
-        return None
     if cls in ("connected", "one-terminal"):
         return cls
     return hereditary_key(cls)
 
 
 def _grown(
-    n: int, key, branch: int | None, ordered: bool, split: int | None = None
+    n: int, key, ordered: bool, split: int | None = None, ks: list[int] | None = None
 ) -> Iterator[ChordDiagram]:
     """`members` of a class built by root insertion over its parents of
-    size n-1 (only those whose first chord is (1, split), if given)."""
-    within = _root_sinks(n, branch)
+    size n-1 (only those whose first chord is (1, split), if given), with
+    the roots (1, k + 2) for k in `ks` (every root if None)."""
+    if n < 0:
+        raise ValueError("size must be >= 0")
     if n == 0:
-        empty = ChordDiagram._trusted(())
-        if _holds(empty, key):
-            yield empty
+        # the empty diagram is in every hereditary class but the one that
+        # forbids the empty pattern, and is neither connected nor one-terminal
+        if key.n > 0 if isinstance(key, ChordDiagram) else key in HEREDITARY_CLASSES:
+            yield ChordDiagram._trusted(())
         return
     # k = p - 2 points of S lie inside the root. The child's pairs start
     # with moved[k][0], and S's chord (a, b) becomes moved[k][1][(a, b)]:
     # every child shares these pair tuples, as the `all_pairs` stream does
-    ks = [k for k in range(2 * n - 1) if within >> k & 1]
+    if ks is None:
+        ks = list(range(2 * n - 1))
     moved = {}
     for k in ks:
         at = (0, *range(2, k + 2), *range(k + 3, 2 * n + 1))
@@ -189,39 +194,24 @@ def _grown(
             yield d
 
 
-def _count(n: int, key, branch: int | None, split: int | None = None) -> int:
+def _count(n: int, key, split: int | None = None) -> int:
     """count_members of a class built by root insertion (over the parents
     whose first chord is (1, split), if given)."""
+    if n < 0:
+        raise ValueError("size must be >= 0")
     if n == 0:
-        return sum(1 for _ in _grown(0, key, branch, False))
-    within = _root_sinks(n, branch)
-    ks = [k for k in range(2 * n - 1) if within >> k & 1]
-    return sum(
-        _insertions(s, key, ks)[1].bit_count() for s in _parents(n, key, False, split)
-    )
-
-
-def _holds(d: ChordDiagram, key) -> bool:
-    if isinstance(key, ChordDiagram):
-        return not contains_pattern(d, key)
-    return in_class(d, key)
-
-
-def _root_sinks(n: int, branch: int | None) -> int:
-    """Bit k set for each root (1, k + 2) a walk of size n takes."""
-    if branch is None:
-        return (1 << max(2 * n - 1, 0)) - 1
-    if branch not in branches(n):
-        raise ValueError("branch %r is not in branches(%d)" % (branch, n))
-    return 1 << (branch - 2)
+        return sum(1 for _ in _grown(0, key, False))
+    ks = list(range(2 * n - 1))
+    return sum(_insertions(s, key, ks)[1].bit_count() for s in _parents(n, key, False, split))
 
 
 def _parents(n: int, key, ordered: bool, split: int | None) -> Iterator[ChordDiagram]:
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
     if key == "connected" or (key == "one-terminal" and n == 1):
-        return members(n - 1, "all", split)
-    return _grown(n - 1, key, split, ordered)
+        return map(ChordDiagram._trusted, all_pairs(n - 1, split))
+    # the parents whose first chord is (1, split) are the roots k = split - 2
+    return _grown(n - 1, key, ordered, ks=None if split is None else [split - 2])
 
 
 def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, int, list[int]]:
@@ -264,16 +254,11 @@ def _site(s: ChordDiagram, key, ks: list[int]) -> tuple:
     return s.pairs, s.adjacency(), roots, member, connected, order
 
 
-def tally(
-    n: int,
-    key: Callable[[ChordDiagram], Hashable | None],
-    branch: int | None = None,
-    cls: str | Callable[[ChordDiagram], bool] = "all",
-) -> dict:
-    """Counts of the values of `key` over the size-n members of a class (of
-    one branch, if given), in first-occurrence order over the walk of
-    `members(..., ordered=False)`; a key of None skips the diagram."""
-    return _tally(members(n, cls, branch, ordered=False), key)
+def tally(n: int, key: Callable[[ChordDiagram], Hashable | None], cls: str = "all") -> dict:
+    """Counts of the values of `key` over the size-n members of a class, in
+    first-occurrence order over the walk of `members(..., ordered=False)`;
+    a key of None skips the diagram."""
+    return _tally(members(n, cls, ordered=False), key)
 
 
 def _tally(diagrams: Iterator[ChordDiagram], key: Callable[[ChordDiagram], Hashable | None]) -> dict:
@@ -323,19 +308,10 @@ _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
 STAT_NAMES = tuple(_STAT_FUNCS)
 
 
-def count_class(
-    n: int,
-    cls: str | Callable[[ChordDiagram], bool] = "all",
-    statistics: tuple[str, ...] = (),
-    branch: int | None = None,
-) -> CountTable:
+def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
     """Count size-n diagrams of a class, refined by the named statistics."""
-    key = _stat_key(n, statistics)
-    name = cls if isinstance(cls, str) else getattr(cls, "__name__", "custom")
-    if not statistics:
-        total = count_members(n, cls, branch)
-        return CountTable(name, (), {(n,): total} if total else {})
-    return CountTable(name, tuple(statistics), tally(n, key, branch, cls))
+    statistics = tuple(statistics)
+    return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
 
 def _stat_key(n: int, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
@@ -352,17 +328,13 @@ def _stat_key(n: int, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], t
 
 
 def _count_class_share(args) -> dict[tuple, int]:
-    """The count_class rows of one work item of count_classes_parallel: the
-    branch `share` of a class that filters the stream, or the children of
-    the parents whose first chord is (1, share) for a class built by root
-    insertion, whose every branch needs every parent."""
+    """The count_class rows of one work item of count_classes_parallel (the
+    diagrams `_members` walks for `share`), or of the whole class if
+    `share` is None."""
     n, cls, statistics, share = args
-    key = _root_key(cls)
-    if key is None:
-        return count_class(n, cls, statistics, branch=share).rows
     if statistics:
-        return _tally(_grown(n, key, None, False, share), _stat_key(n, statistics))
-    total = _count(n, key, None, share)
+        return _tally(_members(n, cls, False, share), _stat_key(n, statistics))
+    total = _size(n, cls, share)
     return {(n,): total} if total else {}
 
 
@@ -476,4 +448,4 @@ def tcf_refined(n: int) -> Mapping[int, int]:
 def pattern_free_count(n: int, pattern: ChordDiagram) -> int:
     """Size-n diagrams with no induced copy of `pattern`, counted by root
     insertion. Cached."""
-    return _count(n, pattern, None)
+    return _count(n, pattern)

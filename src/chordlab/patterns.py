@@ -443,11 +443,12 @@ def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int]
     behind the root's own. The root is the child's first chord, so every
     later-chord mask of s carries over."""
     n = s.n + 1
+    # sized before its relation table, which is quadratic in the pattern
+    if pattern.n > n:
+        return sum(1 << k for k in ks)
     table = _relation_table(pattern.pairs)
     if not table:
         return 0
-    if len(table) > n:
-        return sum(1 << k for k in ks)
     cross, nest, right = ([m << 1 for m in ms] for ms in _relation_masks(s))
     full = (1 << s.n) - 1
     # opened[k]: the chords of s with an end among its first k points

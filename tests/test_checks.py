@@ -3,10 +3,14 @@ over every check at reduced budgets."""
 
 import hashlib
 import json
+from functools import lru_cache
 
 import pytest
 
+from chordlab import checks, patterns
 from chordlab.checks import CHECKS, check_ids, run_check, run_many
+from chordlab.diagram import ChordDiagram
+from chordlab.series import diagram_series
 
 EXPECTED_MODULES = {
     "diagram",
@@ -63,6 +67,54 @@ REPORT_SHA256 = "31c125ff0edb2d1e00d7ea2925076718b97074d38e6e1e6bc7ea29b301c87bd
 def test_reports_at_budget_four_are_byte_identical_to_the_pin():
     text = json.dumps(run_many(None, 4), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+# sha256 of the budget-6 report of each check that walks the members of a
+# class, read while it still filtered a larger domain leaf by leaf: the
+# budget-4 pin never reaches the sizes 5 and 6 that such a walk replaces
+CLASS_WALK_SHA256 = {
+    "structure-nonnesting-connectivity": "dcef287530729fc33e6a96bbfb66df9ccef65c41106a5e85831089675b3d91e1",
+    "patterns-topcycle-tree-characterization": "764a083c8e0f488b21f8dd3a2fd0d2171f57465a958cb7d24f69cb460103ee29",
+    "patterns-cycle-realizations": "2e6df5d2df149b344fe37ac0f2b271a3022a76e8084ed30c1a7471cccb3bc2fe",
+    "alpha-interval-blocks": "371c91e2441d5306a67972ca67251aca55a4109b285a3e7ce58391c1d9f04193",
+    "omega-code-suite": "264eeb2fb495dfa71ec9f5fa79797ed8f8fecae2dc362676947e72c1e4ac281c",
+    "enum-one-terminal-tcf-catalan": "5cabc3f478b6664136f8909fd18b98638f9c76634347b3559496fc2b1f6b6f8c",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(CLASS_WALK_SHA256))
+def test_class_walk_reports_at_budget_six_are_byte_identical_to_the_pin(check_id):
+    text = json.dumps(run_check(check_id, 6), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_WALK_SHA256[check_id]
+
+
+def test_class_walks_do_not_test_their_members_again(monkeypatch):
+    # the walk of a class is where membership is decided: a check over the
+    # class, and the divided-power diagram sum, test no leaf for it again
+    calls = []
+
+    def counted(fn):
+        def wrap(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrap
+
+    top_cycle = counted(patterns.contains_any_top_cycle)
+    for module in (checks, patterns):
+        monkeypatch.setattr(module, "contains_any_top_cycle", top_cycle)
+    monkeypatch.setattr(ChordDiagram, "is_nonnesting", counted(ChordDiagram.is_nonnesting))
+    # an empty cache, so that each domain is walked here
+    monkeypatch.setattr(checks, "_domain", lru_cache(maxsize=None)(checks._domain.__wrapped__))
+    for check_id in (
+        "patterns-topcycle-tree-characterization",
+        "structure-nonnesting-connectivity",
+        "enum-one-terminal-tcf-catalan",
+    ):
+        assert run_check(check_id, 5)["ok"]
+        assert calls == [], check_id
+    diagram_series("divided-power", 5)
+    assert calls == []
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from chordlab import cli
+from chordlab import cli, patterns
 
 CLI = [sys.executable, "-m", "chordlab.cli"]
 
@@ -179,6 +179,23 @@ def test_sizes_inside_the_budget_still_run(monkeypatch, capsys):
         for size in ("0", "2"):
             assert cli.main([*argv, size]) == 0, (argv, size)
     capsys.readouterr()
+
+
+def test_pattern_classes_beyond_the_budget_are_usage_errors(monkeypatch, capsys):
+    # refused before the pattern is built: no size within the budget holds it
+    def refuse(k):
+        raise AssertionError("the pattern of a refused class must not be built")
+
+    monkeypatch.setattr(patterns, "complete_diagram", refuse)
+    monkeypatch.setattr(patterns, "nesting_diagram", refuse)
+    for cls in ("K9-free", "N9-free", "K5000-free"):
+        assert cli.main(["enum", "--size", "2", "--count", "--class", cls]) == 2
+        assert "%s: a pattern of %s chords, outside budget 0..8" % (cls, cls[1:-5]) in capsys.readouterr().err
+    monkeypatch.undo()
+    # a raised budget lets the same class through
+    monkeypatch.setenv("CHORDLAB_MAX_SIZE", "9")
+    assert cli.main(["enum", "--size", "2", "--count", "--class", "K9-free"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsys):

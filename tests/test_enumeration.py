@@ -7,7 +7,7 @@ import pytest
 
 import recursive_maps
 
-from chordlab import bijections, checks, enumeration
+from chordlab import bijections, checks, enumeration, patterns
 from chordlab.conjectures import variant_counts
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
@@ -43,7 +43,7 @@ from chordlab.oracles import (
     stein,
     tutte,
 )
-from chordlab.patterns import HEREDITARY_CLASSES, in_class, permutation_diagram
+from chordlab.patterns import HEREDITARY_CLASSES, complete_diagram, in_class, permutation_diagram
 from chordlab.structure import intersection_order, is_one_terminal, t1
 from conftest import K3, sweep
 
@@ -84,7 +84,7 @@ def test_one_pool_counts_several_classes(monkeypatch):
 
 
 def test_branches_split_the_stream():
-    counts = [count_class(4, branch=b).total(4) for b in branches(4)]
+    counts = [sum(1 for _ in all_pairs(4, b)) for b in branches(4)]
     assert sum(counts) == double_factorial(4)
     # the branches are consecutive blocks of the stream, in branch order
     assert [p for b in branches(4) for p in all_pairs(4, b)] == list(all_pairs(4))
@@ -127,12 +127,22 @@ def test_all_pairs_walks_standard_pair_tuples_in_partner_order():
 def test_branches_outside_the_split_are_rejected(n, b):
     with pytest.raises(ValueError, match="branch"):
         list(all_pairs(n, b))
-    with pytest.raises(ValueError, match="branch"):
-        count_class(n, branch=b)
 
 
 def test_negative_sizes_are_rejected():
-    for call in (lambda: list(all_pairs(-1)), lambda: census(-1), lambda: count_class(-1)):
+    calls = (
+        lambda: list(all_pairs(-1)),
+        lambda: census(-1),
+        lambda: count_class(-1),
+        # classes built by root insertion, which would recurse one size down
+        lambda: list(members(-1, "K3-free")),
+        lambda: count_members(-1, "nonnesting"),
+        lambda: count_members(-1, "one-terminal"),
+        lambda: count_class(-2, "tree"),
+        lambda: pattern_free_count(-1, K3),
+        lambda: tally(-1, t1, cls="chordal"),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="size must be >= 0"):
             call()
 
@@ -206,23 +216,45 @@ def test_root_insertion_at_sizes_zero_and_one():
         assert list(members(0, cls)) == [empty], cls
     assert list(members(0, "connected")) == list(members(0, "one-terminal")) == []
     for cls in (*ROOT_RULES, *HEREDITARY_CLASSES):
-        assert list(members(1, cls)) == list(members(1, cls, branch=2)) == [chord], cls
+        assert list(members(1, cls)) == [chord], cls
         assert list(members(1, cls))[0].is_connected()
     # every diagram holds the empty pattern, and every nonempty one a chord
     assert [count_members(n, "K0-free") for n in range(3)] == [0, 0, 0]
     assert [count_members(n, "K1-free") for n in range(3)] == [1, 0, 0]
 
 
-def test_root_insertion_branches_are_the_leaf_filter_by_first_chord():
-    for n in range(1, 7):
-        for cls in ROOT_RULES:
-            want = leaf_filter(n, cls)
-            for b in branches(n):
-                got = tuple(members(n, cls, branch=b))
-                assert got == tuple(d for d in want if d.pairs[0] == (1, b)), (n, cls, b)
-                assert count_class(n, cls, branch=b).total(n) == len(got)
-        with pytest.raises(ValueError, match="branch"):
-            list(members(n, "connected", branch=2 * n + 1))
+class SerialPool:
+    """A stand-in for multiprocessing.Pool that maps in this process."""
+
+    def __init__(self, jobs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_parallel_shares_match_the_leaf_filter(monkeypatch):
+    # the work items of a parallel count, mapped in this process: the
+    # parents' first chord for a class built by root insertion, the first
+    # chord for one that filters the stream
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    classes = (*ROOT_RULES, "K3-free", "chordal", "indecomposable")
+    for n in range(2, 7):
+        want = {cls: leaf_filter(n, cls) for cls in classes}
+        tables = count_classes_parallel(n, classes, jobs=2)
+        for cls in classes:
+            assert tables[cls].rows == {(n,): len(want[cls])}, (n, cls)
+        tables = count_classes_parallel(n, classes, ("crossings",), jobs=2)
+        for cls in classes:
+            rows = Counter((n, d.crossings()) for d in want[cls])
+            assert tables[cls].rows == rows, (n, cls)
 
 
 def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
@@ -247,12 +279,6 @@ def test_hereditary_classes_match_the_leaf_filter(cls):
             d.pairs for d in want
         ), n
         assert count_members(n, cls) == len(want), n
-        for b in branches(n):
-            part = tuple(d for d in want if d.pairs[0] == (1, b))
-            assert tuple(members(n, cls, branch=b)) == part, (n, b)
-            # each branch walks the whole level below: counted up to n = 5
-            if n < 6:
-                assert count_members(n, cls, branch=b) == len(part), (n, b)
 
 
 def test_k3_n3_and_triangle_free_counts_are_stanley():
@@ -370,15 +396,21 @@ def test_tally_counts_key_values_in_first_occurrence_order():
         assert list(whole) == list(dict.fromkeys(k for k in keys if k is not None))
         assert whole == Counter(k for k in keys if k is not None)
         assert sum(whole.values()) == census(n)["connected"]
-        # the branches split the tally as they split the stream
-        parts = Counter()
-        for b in branches(n):
-            parts.update(tally(n, key, b))
-        assert parts == Counter(whole)
 
 
 def test_pattern_free_counts():
     assert pattern_free_count(3, K3) == 14
+
+
+def test_patterns_larger_than_every_child_build_no_relation_table(monkeypatch):
+    # the table is quadratic in the pattern; a pattern with more chords
+    # than the child is absent from it, whatever the table would say
+    sizes = []
+    real = patterns._relation_table
+    monkeypatch.setattr(patterns, "_relation_table", lambda pairs: sizes.append(len(pairs)) or real(pairs))
+    assert pattern_free_count.__wrapped__(3, complete_diagram(5000)) == 15
+    assert count_members(3, "N5000-free") == 15
+    assert sizes == []
 
 
 def test_oracle_fixed_values():

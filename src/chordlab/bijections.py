@@ -11,13 +11,19 @@ Each public map validates its input once; none recurses per chord or per
 tree level.  psi, chi, beta, root share and zeta_inverse each lay out the
 chord labels of their result along its points and hand that one layout to
 the trusted constructor ChordDiagram._from_point_labels, which joins equal
-labels.  alpha works on the crossing masks: a traced subdiagram is one
-downward scan of the masks restricted to the chords before the first
-terminal one (structure.traced_mask), and a leftover component meets a
-chord set when the OR of its masks does.  zeta and zeta_inverse are loops
-over the root-removal sequence: chord k goes in after the live points
-inside it, counted from the source order and the right-neighbor masks.
-theta, theta_inverse and the tree maps run on explicit stacks.
+labels.  alpha runs on the crossing masks (_alpha_parts): it takes a chord
+set with its intersection order and returns each part as a chord mask, a
+block and the part's order, which is the parent's order restricted to the
+part, so a walk over the part tree (omega's) computes one order in all.
+One downward scan of the masks traces every neighbor of the terminal
+chord, and a leftover component meets a chord set when the OR of its
+masks does.  In a one-terminal diagram the part tree is the tree of
+latest crossing chords (_top_tree): theta reads its labels off that tree,
+and theta_inverse rebuilds the chord order from the labels and lays out
+one word, each chord's source followed by its children's sinks.  zeta
+and zeta_inverse are loops over the root-removal sequence: chord k goes
+in after the live points inside it, counted from the source order and
+the right-neighbor masks.  The tree maps run on explicit stacks.
 """
 
 from __future__ import annotations
@@ -25,14 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .diagram import ChordDiagram, _mask_labels
-from .structure import (
-    intersection_order,
-    is_one_terminal,
-    source_sink_groups,
-    t1,
-    terminal_labels,
-    traced_mask,
-)
+from .structure import _order, is_one_terminal, source_sink_groups, t1, terminal_labels
 
 # parts: (component diagram, block of intersection-order positions)
 Parts = list[tuple[ChordDiagram, tuple[int, ...]]]
@@ -94,39 +93,50 @@ def alpha(c: ChordDiagram) -> Parts:
     """
     if not c.is_connected() or c.n < 2:
         raise ValueError("alpha requires a connected diagram of size >= 2")
-    return _alpha(c)
+    parts = _alpha_parts(c.adjacency(), c.pairs, _order(c), (1 << c.n) - 1)
+    subs = _subdiagrams(c, [mask for mask, _, _ in parts])
+    return [(sub, block) for sub, (_, block, _) in zip(subs, parts)]
 
 
-def _alpha(c: ChordDiagram) -> Parts:
-    # alpha on a diagram already known to be connected, of size >= 2
-    adj = c.adjacency()
-    order = intersection_order(c)
-    j = t1(c) - 1
+def _first_terminal(adj: tuple[int, ...], order, mask: int) -> int:
+    # index in `order` of the first chord that crosses no later chord of
+    # mask; the last chord of mask is one
+    return next(j for j, x in enumerate(order) if not (adj[x - 1] & mask) >> x)
+
+
+def _alpha_parts(adj: tuple[int, ...], pairs, order, mask: int) -> list[tuple[int, tuple, list]]:
+    """alpha on the connected chord set `mask` (two chords or more) of a
+    diagram with crossing masks `adj` and chords `pairs`, where `order` is
+    the intersection order of the chord set, as the diagram's labels.
+
+    Returns the parts as (chord mask, block, order), where a part's order
+    is `order` restricted to its chords: every alpha part inherits its
+    parent's order, so the walks over the part tree never recompute one.
+    """
+    j = _first_terminal(adj, order, mask)
     term = order[j]
-    pos_of = [0] * (c.n + 1)
-    for r, lbl in enumerate(order, 1):
-        pos_of[lbl] = r
     d_mask = 0
-    for lbl in order[:j + 1]:
-        d_mask |= 1 << (lbl - 1)
-    neighbors = adj[term - 1]
+    for x in order[:j + 1]:
+        d_mask |= 1 << (x - 1)
+    neighbors = adj[term - 1] & mask
     assert not neighbors & ~d_mask
 
-    # the indecomposable components of C - D, each as (chords, chords it crosses)
-    full = (1 << c.n) - 1
-    rest = _mask_labels(full ^ d_mask)
-    comps: list[tuple[int, int]] = []
-    if rest:
-        for comp in c.subdiagram(rest).indecomposable_components():
-            mask = reach = 0
-            for i in comp:
-                y = rest[i - 1]
-                mask |= 1 << (y - 1)
-                reach |= adj[y - 1]
-            comps.append((mask, reach))
+    # the indecomposable components of C - D as [chords, chords they
+    # cross]: in source order, a component starts at a source past every
+    # sink so far
+    comps: list[list[int]] = []
+    end = 0
+    for x in _mask_labels(mask ^ d_mask):
+        a, b = pairs[x - 1]
+        if a > end:
+            comps.append([0, 0])
+        comps[-1][0] |= 1 << (x - 1)
+        comps[-1][1] |= adj[x - 1]
+        end = max(end, b)
 
     # group the terminal chord's neighbors: two neighbors stick together
-    # when some leftover component crosses both (transitively)
+    # when some leftover component crosses both (transitively).  The parts
+    # come in order of their neighbors' latest sink, last first.
     groups = [1 << (x - 1) for x in _mask_labels(neighbors)]
     for _, reach in comps:
         touched = neighbors & reach
@@ -134,32 +144,74 @@ def _alpha(c: ChordDiagram) -> Parts:
         if len(joined) > 1:
             groups = [g for g in groups if not g & touched]
             groups.append(sum(joined))  # the masks are disjoint
+    groups.sort(key=lambda g: -max(pairs[x - 1][1] for x in _mask_labels(g)))
 
-    parts: list[tuple[int, int]] = []
-    for members in groups:
-        dl = 0
-        for x in _mask_labels(members):
-            dl |= traced_mask(adj, x, d_mask)
-        cl = dl
-        for mask, reach in comps:
-            if reach & dl:
-                cl |= mask
-        attach = max(c.sink(x) for x in _mask_labels(members))
-        parts.append((attach, cl))
+    # each part: its group, the traced subdiagrams in D of the group's
+    # chords, and the leftover components crossing those.  A chord of D
+    # joins the traced subdiagram holding its latest crossing chord in D,
+    # if that chord is later than itself (structure.traced_mask), so one
+    # downward scan of D traces every neighbor at once.
+    part: dict[int, int] = {}
+    for r, g in enumerate(groups):
+        for x in _mask_labels(g):
+            part[x] = r
+    for x in reversed(_mask_labels(d_mask ^ neighbors)):
+        top = (adj[x - 1] & d_mask).bit_length()
+        if top > x and top in part:
+            part[x] = part[top]
+    for chords, reach in comps:
+        touched = reach & d_mask
+        r = part[(touched & -touched).bit_length()]
+        for x in _mask_labels(chords):
+            part[x] = r
 
-    parts.sort(key=lambda pr: -pr[0])
-    seen = 0
-    out: Parts = []
-    for _, cl in parts:
-        assert not cl & seen, "parts must be disjoint"
-        seen |= cl
-        labels = _mask_labels(cl)
-        block = tuple(sorted(pos_of[y] for y in labels if pos_of[y] <= j))
-        out.append((c.subdiagram(labels), block))
-    assert seen == full ^ (1 << (term - 1)), "parts must cover C - term"
-    flat = sorted(x for _, b in out for x in b)
-    assert flat == list(range(1, j + 1)), "blocks must partition 1..t1-1"
-    return out
+    # one pass over `order` gives each part its chords, order and block
+    masks = [0] * len(groups)
+    blocks: list[list[int]] = [[] for _ in groups]
+    orders: list[list[int]] = [[] for _ in groups]
+    for p, x in enumerate(order, 1):
+        if x != term:
+            r = part[x]
+            masks[r] |= 1 << (x - 1)
+            orders[r].append(x)
+            if p <= j:
+                blocks[r].append(p)
+    assert sum(masks) == mask ^ (1 << (term - 1)), "parts must partition C - term"
+    return [(m, tuple(b), o) for m, b, o in zip(masks, blocks, orders)]
+
+
+def _subdiagrams(c: ChordDiagram, masks: list[int]) -> list[ChordDiagram]:
+    # the subdiagram on each chord set, from one pass over c's points; a
+    # chord's label in its part is its rank there, which is standard form
+    where: list = [None] * (c.n + 1)
+    for r, m in enumerate(masks):
+        for i, x in enumerate(_mask_labels(m), 1):
+            where[x] = (r, i)
+    words: list[list[int]] = [[] for _ in masks]
+    for x in c.point_labels():
+        if where[x]:
+            r, i = where[x]
+            words[r].append(i)
+    return [ChordDiagram._from_point_labels(w) for w in words]
+
+
+def _top_tree(adj: tuple[int, ...], pairs, mask: int) -> dict[int, list[int]]:
+    """The alpha-part tree of the one-terminal chord set `mask`: each chord
+    with the chords whose latest crossing chord in `mask` it is, latest
+    sink first.  Its root is the last chord, the terminal one.
+
+    Removing the root of a one-terminal diagram leaves a one-terminal
+    diagram (each crossing component holds a terminal chord), so its
+    intersection order is the source order, t1 = n and D is every chord.
+    There are no leftover components, and the part of a neighbor x of the
+    last chord is x's traced subdiagram: x's subtree here.  That part is
+    one-terminal again, with the same tree below x.
+    """
+    labels = _mask_labels(mask)
+    kids: dict[int, list[int]] = {x: [] for x in labels}
+    for x in sorted(labels[:-1], key=lambda y: -pairs[y - 1][1]):
+        kids[(adj[x - 1] & mask).bit_length()].append(x)
+    return kids
 
 
 def beta(parts: Parts) -> ChordDiagram:
@@ -177,20 +229,14 @@ def beta(parts: Parts) -> ChordDiagram:
             raise ValueError("parts must be connected")
         if not 1 <= len(b) <= t1(p):
             raise ValueError("block size must be between 1 and t1(part)")
-    return _beta([(p, b) for (p, _), b in zip(parts, blocks)])
-
-
-def _beta(parts: Parts) -> ChordDiagram:
-    # beta on valid parts whose blocks are sorted; a part's chord i is the
-    # letter off + i, off counting the chords of the parts before it, and
-    # the new chord is the last letter
-    j = sum(len(b) for _, b in parts)
-    # one slot per position 1..j, then the new source, then the unused
-    # tails of the parts in reverse order, then the new sink
+    # a part's chord i is the letter off + i, off counting the chords of
+    # the parts before it, and the new chord is the last letter.  One slot
+    # per position 1..j, then the new source, then the unused tails of the
+    # parts in reverse order, then the new sink.
     slots: list[list[int]] = [[] for _ in range(j)]
     tails: list[list[int]] = []
     off = 0
-    for p, b in parts:
+    for (p, _), b in zip(parts, blocks):
         w = p.point_labels()
         groups = source_sink_groups(p, m=len(b))
         used: set[int] = set()
@@ -385,23 +431,28 @@ def theta(t: ChordDiagram) -> Tree:
     tree on labels 0..n by recursing on the alpha-parts."""
     if not is_one_terminal(t):
         raise ValueError("theta requires a one-terminal diagram")
-    # the alpha-parts of a one-terminal diagram are one-terminal; each node
-    # is (part, tree label of each label of the part's own tree)
-    label = [0]
-    kids: list[list[int]] = [[]]
-    todo = [(t, list(range(t.n)), 0)]
-    while todo:
-        p, values, v = todo.pop()
-        if p.n == 1:
-            continue
-        for q, block in _alpha(p):
-            assert len(block) == q.n, "one-terminal parts fill their blocks"
-            sub = [values[b] for b in block]
-            kids[v].append(len(label))
-            todo.append((q, sub, len(label)))
-            label.append(sub[0])
-            kids.append([])
-    return _freeze(label, kids)
+    # In the recursion, the value a part gives its chord y is the value its
+    # parent gives the chord after y there, the whole diagram gives chord y
+    # the value y - 1 (its orders are source orders, see _top_tree), and a
+    # part's label is the value it gives its first chord.  So the label of
+    # the part whose root is chord x comes from a walk: start at the first
+    # chord of x's part, step to the next chord in each enclosing part,
+    # from x's parent up to the whole diagram, and subtract one.  All walks
+    # run at once, children before parents: each part keeps its chords in
+    # order and, beside them, the nodes whose walks stand there, on every
+    # chord but the first.  A part merges its children's lists, then puts
+    # its own walk in front and its own chord, the last, at the end, which
+    # moves every walk to the next chord.
+    kids = _top_tree(t.adjacency(), t.pairs, (1 << t.n) - 1)
+    frames: dict[int, tuple[list[int], list[int]]] = {}
+    for x in kids:  # children before parents
+        chords, walks = _merged([frames.pop(k) for k in kids[x]])
+        chords.append(x)
+        walks.insert(0, x)
+        frames[x] = chords, walks
+    # the walk standing on chord i + 1 gives label i
+    label = {x: i for i, x in enumerate(walks)}
+    return _freeze(range(t.n), [[label[k] for k in kids[x]] for x in walks])
 
 
 def theta_inverse(t: Tree) -> ChordDiagram:
@@ -412,15 +463,44 @@ def theta_inverse(t: Tree) -> ChordDiagram:
     for node in nodes:  # grows while it is read: breadth first, parents first
         kids.append(list(range(len(nodes), len(nodes) + len(node[1]))))
         nodes.extend(node[1])
-    # children before parents: each subtree's sorted labels and diagram;
-    # a child's block holds the ranks of its labels among its parent's
-    labels: list = [None] * len(nodes)
-    built: list = [None] * len(nodes)
+    # theta's walks backwards, children before parents: each subtree keeps
+    # its labels in order and, beside each, the node whose chord's position
+    # in the subtree's diagram is one more than the label's rank.  beta
+    # moves a child's chord from position r + 1 to the parent's position
+    # for the child's label of rank r, its rank among the parent's labels.
+    # So a node merges its children's lists, then puts its own label, the
+    # smallest, in front and itself, whose chord is the last, at the end.
+    frames: list = [None] * len(nodes)
     for v in range(len(nodes) - 1, -1, -1):
-        lab = sorted([nodes[v][0], *(x for k in kids[v] for x in labels[k])])
-        rank = {x: r for r, x in enumerate(lab)}
-        built[v] = _beta([(built[k], tuple(rank[x] for x in labels[k])) for k in kids[v]])
-        labels[v] = lab
+        labels, at = _merged([frames[k] for k in kids[v]])
         for k in kids[v]:
-            labels[k] = built[k] = None
-    return built[0]
+            frames[k] = None
+        labels.insert(0, nodes[v][0])
+        at.append(v)
+        frames[v] = labels, at
+    # each node's chord in order: its source, then the sinks of its
+    # children's chords, last child first; the root's sink closes the word
+    pos = [0] * len(nodes)
+    for p, v in enumerate(at, 1):
+        pos[v] = p
+    word: list[int] = []
+    for p, v in enumerate(at, 1):
+        word.append(p)
+        word.extend(pos[k] for k in reversed(kids[v]))
+    word.append(len(at))
+    return ChordDiagram._from_point_labels(word)
+
+
+def _merged(frames: list[tuple[list[int], list[int]]]) -> tuple[list[int], list[int]]:
+    # (keys, values) lists with ascending keys, merged into the longest:
+    # each value stays with its key
+    if not frames:
+        return [], []
+    frames.sort(key=lambda f: -len(f[0]))
+    keys, values = frames[0]
+    for ks, vs in frames[1:]:
+        for k, v in zip(ks, vs):
+            i = bisect_left(keys, k)
+            keys.insert(i, k)
+            values.insert(i, v)
+    return keys, values

@@ -314,7 +314,7 @@ def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> C
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
 
-def _stat_key(n: int, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
+def _stat_key(n: int, cls: str, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
     """The row key of count_class: (n, *statistic values)."""
     for s in statistics:
         if s not in _STAT_FUNCS:
@@ -322,7 +322,14 @@ def _stat_key(n: int, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], t
     funcs = [_STAT_FUNCS[s] for s in statistics]
 
     def key(d: ChordDiagram) -> tuple:
-        return (n, *(f(d) for f in funcs))
+        try:
+            return (n, *(f(d) for f in funcs))
+        except ValueError:
+            # only t1 raises, and only off connected diagrams
+            if d.is_connected():
+                raise
+            raise ValueError("statistic t1 needs connected diagrams; class %s has "
+                             "disconnected members" % cls) from None
 
     return key
 
@@ -333,7 +340,7 @@ def _count_class_share(args) -> dict[tuple, int]:
     `share` is None."""
     n, cls, statistics, share = args
     if statistics:
-        return _tally(_members(n, cls, False, share), _stat_key(n, statistics))
+        return _tally(_members(n, cls, False, share), _stat_key(n, cls, statistics))
     total = _size(n, cls, share)
     return {(n,): total} if total else {}
 

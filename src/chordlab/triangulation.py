@@ -1,11 +1,19 @@
 """Rooted plane triangulations of a polygon, and the maps omega / gamma
-between them and connected top-cycle-free diagrams."""
+between them and connected top-cycle-free diagrams.
+
+omega walks the diagram's tree of alpha parts on its crossing masks, each
+part with the order it inherits (bijections._alpha_parts, and _top_tree
+once a part is one-terminal).  It then joins the parts' boundaries
+children first, puts every face in one list and rotates each face once,
+at the end.
+"""
 
 from __future__ import annotations
 
-from .bijections import alpha
+from .bijections import _alpha_parts, _first_terminal, _top_tree
 from .diagram import ChordDiagram
 from .patterns import contains_any_top_cycle
+from .structure import _order
 
 
 def _rot_min(f: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -27,8 +35,15 @@ class Triangulation:
     __slots__ = ("faces", "boundary")
 
     def __init__(self, faces, boundary):
-        object.__setattr__(self, "faces", frozenset(_rot_min(tuple(f)) for f in faces))
-        object.__setattr__(self, "boundary", tuple(boundary))
+        _init(self, frozenset(_rot_min(tuple(f)) for f in faces), boundary)
+
+    @classmethod
+    def _trusted(cls, faces, boundary) -> "Triangulation":
+        """Wrap faces already rotated so their smallest vertex leads,
+        without rotating them again."""
+        t = object.__new__(cls)
+        _init(t, frozenset(faces), boundary)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Triangulation is immutable")
@@ -158,65 +173,83 @@ class Triangulation:
         return ";".join(rows)
 
 
+def _init(t: Triangulation, faces: frozenset, boundary) -> None:
+    object.__setattr__(t, "faces", faces)
+    object.__setattr__(t, "boundary", tuple(boundary))
+
+
 def triangulation_canonical_code(t: Triangulation) -> str:
     return t.canonical_code()
 
 
-def _remap(t: Triangulation, m: dict[int, int]) -> Triangulation:
-    g = lambda v: m.get(v, v)
-    return Triangulation(
-        [tuple(g(x) for x in f) for f in t.faces],
-        [g(x) for x in t.boundary],
-    )
-
-
 def _build(c: ChordDiagram) -> Triangulation:
     # the tree of alpha parts, parents first: each node's children with
-    # their block sizes; a part is dropped once it is split
-    todo: list = [c]
+    # their block sizes.  A node is a (chord mask, order) pair, or a chord
+    # of the _top_tree of a one-terminal part, whose own parts are the
+    # subtrees below its children, each filling its block.
+    adj, pairs = c.adjacency(), c.pairs
+    below: dict[int, list[int]] = {}
+    size: dict[int, int] = {}
+    todo: list = [((1 << c.n) - 1, _order(c))]
     kids: list[list[tuple[int, int]]] = []
-    for v, d in enumerate(todo):  # todo grows while it is read
-        parts = alpha(d) if d.n > 1 else []
+    for v, node in enumerate(todo):  # todo grows while it is read
         todo[v] = None
-        kids.append([(len(todo) + r, len(block)) for r, (_, block) in enumerate(parts)])
+        if type(node) is int:
+            parts = [(x, size[x]) for x in below.pop(node)]
+        else:
+            mask, order = node
+            if _first_terminal(adj, order, mask) < len(order) - 1:
+                parts = [((m, o), len(b)) for m, b, o in _alpha_parts(adj, pairs, order, mask)]
+            else:  # one-terminal from here down
+                tree = _top_tree(adj, pairs, mask)
+                for x, ks in tree.items():  # children before parents
+                    size[x] = 1 + sum(size[k] for k in ks)
+                below.update(tree)
+                parts = [(x, size[x]) for x in below.pop(order[-1])]
+        kids.append([(len(todo) + r, i) for r, (_, i) in enumerate(parts)])
         todo.extend(p for p, _ in parts)
-    # children before parents; each new vertex takes the next number
+    # children before parents; each new vertex takes the next number.  The
+    # faces go to one list, and a vertex merged into another at a join is
+    # renamed once, at the end.
+    faces: list[tuple[int, int, int]] = []
+    merged: dict[int, int] = {}
     built: list = [None] * len(kids)
     nxt = 0
     for v in range(len(kids) - 1, -1, -1):
         if kids[v]:
-            built[v] = _join([(built[k], i) for k, i in kids[v]], nxt)
+            built[v] = _join([(built[k], i) for k, i in kids[v]], nxt, faces, merged)
             nxt += 1
             for k, _ in kids[v]:
                 built[k] = None
         else:
-            built[v] = Triangulation((), (nxt, nxt + 1))
+            built[v] = [nxt, nxt + 1]
             nxt += 2
-    return built[0]
+    return Triangulation(
+        [tuple(merged.get(x, x) for x in f) for f in faces], built[0]
+    )
 
 
-def _join(pieces: list[tuple[Triangulation, int]], apex: int) -> Triangulation:
-    # chain the pieces: each next piece's first boundary vertex lands on
-    # the previous piece's boundary at its block size
-    glued = [pieces[0]]
-    for t, i in pieces[1:]:
-        prev_t, prev_i = glued[-1]
-        join = prev_t.boundary[prev_i]
-        glued.append((_remap(t, {t.boundary[0]: join}), i))
-    faces = [f for t, _ in glued for f in t.faces]
+def _join(pieces: list[tuple[list[int], int]], apex: int,
+          faces: list[tuple[int, int, int]], merged: dict[int, int]) -> list[int]:
+    # chain the pieces, given by their boundaries: each next piece's first
+    # boundary vertex lands on the previous piece's boundary at its block
+    # size.  That vertex leaves every boundary there, and the vertex it
+    # lands on never becomes a first one, so one renaming is final.
+    # Adds the new faces and returns the new boundary.
+    first, i = pieces[0]
     # walk of the new bounded region: start at the far root corner, then
     # ride each piece's boundary backwards down to its join vertex
-    walk = [glued[0][0].boundary[0]]
-    for t, i in glued:
-        b = t.boundary
-        walk.extend(b[len(b) - 1:i - 1:-1])
+    walk = [first[0], *first[:i - 1:-1]]
+    boundary = first
+    del boundary[i + 1:]
+    for b, i in pieces[1:]:
+        merged[b[0]] = boundary[-1]
+        walk.extend(b[:i - 1:-1])
+        boundary.extend(b[1:i + 1])
     for r in range(len(walk) - 1):
         faces.append((walk[r + 1], walk[r], apex))
-    boundary = list(glued[0][0].boundary[:glued[0][1] + 1])
-    for t, i in glued[1:]:
-        boundary.extend(t.boundary[1:i + 1])
     boundary.append(apex)
-    return Triangulation(faces, boundary)
+    return boundary
 
 
 def omega(c: ChordDiagram) -> Triangulation:
@@ -296,7 +329,7 @@ def gamma(t: Triangulation) -> list[tuple[Triangulation, int]]:
                 faces.extend(fs)
                 clusters[rep] = []
         clusters = {k: v for k, v in clusters.items() if v}
-        out.append((Triangulation(faces, b), s - prev_span))
+        out.append((Triangulation._trusted(faces, b), s - prev_span))
         prev_cut, prev_span = r, s
     assert not clusters, "every face cluster belongs to a piece"
     return out

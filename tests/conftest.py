@@ -39,6 +39,12 @@ def left_neighbors(d: ChordDiagram, i: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, i) if d.relation(i, j) == "cross")
 
 
+def path_diagram(n: int) -> ChordDiagram:
+    """Chord i crosses only chords i - 1 and i + 1 (n >= 2)."""
+    middle = ((2 * i - 2, 2 * i + 1) for i in range(2, n))
+    return ChordDiagram([(1, 3), *middle, (2 * n - 2, 2 * n)])
+
+
 def uniform_matching(n: int, rng: random.Random) -> ChordDiagram:
     """A uniformly random diagram of size n."""
     pts = list(range(1, 2 * n + 1))

@@ -6,8 +6,8 @@ order, and the path-by-path search for non-nesting induced paths.
 
 They share with the fast paths only ChordDiagram itself (its validating
 constructor, `partner` and `relation`), the intersection order, t1, the
-terminal chords, the source-sink groups and the Triangulation type with
-`_remap`, which are tested on their own. `mask_order` uses the crossing masks and
+terminal chords, the source-sink groups and the Triangulation type,
+which are tested on their own. `mask_order` uses the crossing masks and
 `component_mask`, not the order's own search.
 """
 
@@ -19,7 +19,7 @@ from chordlab.structure import (
     t1,
     terminal_labels,
 )
-from chordlab.triangulation import Triangulation, _remap
+from chordlab.triangulation import Triangulation
 
 
 def gen_pairs(points):
@@ -157,6 +157,14 @@ def root_share_compose(c1, c2, idx):
     pairs = [(pos[(1, a)], pos[(1, b)]) for a, b in c1]
     pairs += [(pos[(2, a)], pos[(2, b)]) for a, b in c2]
     return ChordDiagram(pairs)
+
+
+def _remap(t, m):
+    g = lambda v: m.get(v, v)
+    return Triangulation(
+        [tuple(g(x) for x in f) for f in t.faces],
+        [g(x) for x in t.boundary],
+    )
 
 
 def omega(c):

@@ -2,13 +2,17 @@
 the Stirling-word and tree encodings, and root-share decomposition."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import recursive_maps
+import chordlab.bijections
+import chordlab.structure
 from chordlab.bijections import (
+    _alpha_parts,
     _stirling_check,
     alpha,
     beta,
@@ -24,10 +28,12 @@ from chordlab.bijections import (
     zeta,
     zeta_inverse,
 )
-from chordlab.diagram import ChordDiagram
+from chordlab.diagram import ChordDiagram, _mask_labels
+from chordlab.enumeration import members
 from chordlab.structure import is_one_terminal, t1, vertex_connectivity
 from conftest import (
-    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, sweep, uniform_matching,
+    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, path_diagram, sweep,
+    uniform_matching,
 )
 
 
@@ -136,6 +142,78 @@ def test_non_interval_alpha_block_first_appears_at_size_four():
     witness = ChordDiagram.from_text("(1,4)(2,6)(3,7)(5,8)")
     assert alpha(witness) == [(Cb, (1, 3)), (Ca, (2,))]
     assert has_gap(witness)
+
+
+def _inherited_parts(d, order):
+    # the alpha parts of d as (chord labels, order), each order checked
+    # against a full mask search on a fresh copy of the part's pairs
+    out = []
+    for mask, _, inherited in _alpha_parts(d.adjacency(), d.pairs, order, (1 << d.n) - 1):
+        labels = _mask_labels(mask)
+        fresh = ChordDiagram(d.subdiagram(labels).pairs)
+        expect = tuple(labels[i - 1] for i in recursive_maps.mask_order(fresh))
+        assert tuple(inherited) == expect, (d, labels)
+        out.append((labels, expect))
+    return out
+
+
+def test_alpha_parts_inherit_the_order_exhaustive():
+    # every part is itself a connected diagram of a smaller size, so the
+    # parts of parts are covered by the smaller sizes
+    checked = 0
+    for n in range(2, 8):
+        for d in members(n, "connected", ordered=False):
+            checked += len(_inherited_parts(d, recursive_maps.mask_order(d)))
+    assert checked == 97_036
+
+
+def test_alpha_parts_inherit_the_order_at_large_n():
+    # the whole part tree of seeded connected diagrams and chi lifts
+    rng = random.Random(20261021)
+    for n in (40, 100, 300):
+        for d in (connected_matching(n, rng), chi(uniform_matching(n - 1, rng))):
+            todo = [(d, recursive_maps.mask_order(d))]
+            while todo:
+                c, order = todo.pop()
+                for labels, sub_order in _inherited_parts(c, order):
+                    if len(labels) > 1:
+                        sub = c.subdiagram(labels)
+                        rank = {x: i for i, x in enumerate(labels, 1)}
+                        todo.append((sub, [rank[x] for x in sub_order]))
+
+
+def test_theta_round_trip_computes_at_most_one_order(monkeypatch):
+    lift = chi(uniform_matching(99, random.Random(20261022)))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(chordlab.structure, "mask_order",
+                        counted("mask_order", chordlab.structure.mask_order))
+    monkeypatch.setattr(ChordDiagram, "subdiagram",
+                        counted("subdiagram", ChordDiagram.subdiagram))
+    for module in (chordlab.structure, chordlab.bijections):
+        monkeypatch.setattr(module, "source_sink_groups",
+                            counted("source_sink_groups", chordlab.structure.source_sink_groups))
+    assert theta_inverse(theta(lift)) == lift
+    assert calls["mask_order"] <= 1
+    assert calls["subdiagram"] == calls["source_sink_groups"] == 0
+
+
+def test_built_diagrams_carry_no_inherited_order():
+    # inherited orders stay inside the part walks: what alpha, beta and
+    # theta_inverse return computes its own order when asked
+    rng = random.Random(20261023)
+    for d in (Cg, connected_matching(60, rng), chi(uniform_matching(59, rng))):
+        parts = alpha(d)
+        assert all(p._order is None for p, _ in parts)
+        assert beta(parts)._order is None
+        if is_one_terminal(d):
+            assert theta_inverse(theta(d))._order is None
 
 
 # ------------------------------------------------------------------ root share
@@ -351,6 +429,14 @@ def test_round_trips_far_beyond_exhaustive_reach():
     d = connected_matching(1000, rng)
     assert beta(alpha(d)) == d
     assert root_share_compose(*root_share_decompose(d)) == d
+
+
+def test_theta_round_trip_on_a_long_path_diagram():
+    # the alpha parts nest 2000 deep, one chord fewer at each level
+    path = path_diagram(2000)
+    tree = theta(path)
+    assert check_tree(tree) == 1999
+    assert theta_inverse(tree) == path
 
 
 def test_deep_tree_round_trip():

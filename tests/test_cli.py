@@ -43,6 +43,19 @@ def test_enum_stats_csv():
     assert r.stdout.splitlines() == ["n,t1,count", "3,2,1", "3,3,3"]
 
 
+def test_enum_t1_on_a_class_with_disconnected_members_names_both():
+    r = run("enum", "--size", "5", "--class", "all", "--stats", "t1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        "error: statistic t1 needs connected diagrams; class all has disconnected members"
+    )
+    # where every member is connected, the same statistic still runs
+    r = run("enum", "--size", "1", "--class", "all", "--stats", "t1")
+    assert r.returncode == 0
+    assert r.stdout == "n=1 t1=1 count=1\n"
+
+
 def test_enum_unknown_class_is_usage_error():
     r = run("enum", "--size", "3", "--class", "mystery")
     assert r.returncode == 2

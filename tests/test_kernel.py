@@ -25,7 +25,7 @@ from chordlab.structure import (
     terminal_labels,
     vertex_connectivity,
 )
-from conftest import connected_matching, sweep, uniform_matching
+from conftest import connected_matching, path_diagram, sweep, uniform_matching
 from recursive_maps import mask_order
 
 MAX_N = 6
@@ -126,12 +126,6 @@ def from_points(chords) -> ChordDiagram:
     """The diagram of chords given by any distinct sortable endpoints."""
     rank = {p: r for r, p in enumerate(sorted(p for c in chords for p in c), 1)}
     return ChordDiagram((rank[a], rank[b]) for a, b in chords)
-
-
-def path_diagram(n: int) -> ChordDiagram:
-    """Chord i crosses only chords i - 1 and i + 1 (n >= 2)."""
-    middle = ((2 * i - 2, 2 * i + 1) for i in range(2, n))
-    return ChordDiagram([(1, 3), *middle, (2 * n - 2, 2 * n)])
 
 
 def caterpillar(m: int) -> ChordDiagram:

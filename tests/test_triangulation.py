@@ -4,7 +4,6 @@ the child decomposition gamma."""
 import pytest
 
 import recursive_maps
-from chordlab.diagram import ChordDiagram
 from chordlab.oracles import corollary_count
 from chordlab.patterns import contains_any_top_cycle
 from chordlab.structure import t1
@@ -14,7 +13,7 @@ from chordlab.triangulation import (
     omega,
     triangulation_canonical_code,
 )
-from conftest import Ca, Cb, Ce, Cg, sweep
+from conftest import Ca, Cb, Ce, Cg, path_diagram, sweep
 
 
 def _tcf_connected(n):
@@ -54,11 +53,9 @@ def test_omega_matches_the_recursive_construction():
 
 def test_omega_of_a_long_path_diagram():
     # chord i crosses only chords i-1 and i+1; its alpha parts nest deeper
-    # than the default recursion limit
-    n = 1200
-    path = ChordDiagram(
-        [(1, 3)] + [(2 * i - 2, 2 * i + 1) for i in range(2, n)] + [(2 * n - 2, 2 * n)]
-    )
+    # than the default recursion limit, one chord fewer at each level
+    n = 2000
+    path = path_diagram(n)
     t = omega(path)
     t.validate()
     assert len(t.boundary) == t1(path) + 1

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 
 from .bijections import (
     alpha,
@@ -138,15 +139,18 @@ def _cmd_enum(args) -> int:
                 _emit_json({"class": args.cls, "n": n, "count": total})
             else:
                 print(total)
+        elif args.format == "lines":
+            # a block of lines per write: a print per line is slow, and one
+            # write of the whole listing would hold every line at once
+            texts = map(ChordDiagram.to_text, members(n, args.cls))
+            for block in iter(lambda: list(islice(texts, 1024)), []):
+                sys.stdout.write("\n".join(block) + "\n")
         else:
             texts = [d.to_text() for d in members(n, args.cls)]
             if args.format == "csv":
                 _emit_csv(["diagram"], [[t] for t in texts])
-            elif args.format == "json":
-                _emit_json({"class": args.cls, "n": n, "diagrams": texts})
             else:
-                for t in texts:
-                    print(t)
+                _emit_json({"class": args.cls, "n": n, "diagrams": texts})
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

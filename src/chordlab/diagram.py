@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
@@ -136,9 +137,10 @@ class ChordDiagram:
     # -- serialization
 
     def to_text(self) -> str:
-        if not self.pairs:
+        ps = self.pairs
+        if not ps:
             return "()"
-        return "".join(f"({a},{b})" for a, b in self.pairs)
+        return "(%d,%d)" * len(ps) % tuple(chain(*ps))
 
     def to_json(self) -> dict:
         return {"n": self.n, "pairs": [list(p) for p in self.pairs]}

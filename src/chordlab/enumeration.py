@@ -17,12 +17,15 @@ Any other class ("indecomposable") filters the `all_pairs` stream. A class
 is always named (see `patterns.in_class`), so that its walk is the one
 place where membership is decided.
 
-`tally` is the one counting loop: every refined count here (`count_class`
-with statistics, `class_census`, `tcf_refined`) is a key function over
-it, and so are the counts of the other modules. A class size alone
-(`count_members`, `census`, `count_class` without statistics,
-`pattern_free_count`) counts the stream, or adds up the member bits of
-each root-insertion parent, without building the diagrams.
+`tally` is the one loop that counts built diagrams: `class_census`,
+`tcf_refined` and the counts of the other modules are key functions over
+it, and so is `count_class` with a statistic outside SITE_STATS or on a
+class that filters the stream. A class size alone (`count_members`,
+`census`, `count_class` without statistics, `pattern_free_count`) counts
+the stream, or adds up the member bits of each root-insertion parent,
+without building the diagrams; `count_class` with statistics of
+SITE_STATS reads them off each parent and root (`_site_columns`) the same
+way.
 `class_census` still tests every diagram of the stream, one cycle profile
 each, so that the root-insertion counts have an independent sweep to be
 checked against.
@@ -32,8 +35,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
@@ -49,6 +54,8 @@ from .patterns import (
 )
 from .structure import (
     _order,
+    _right_counts,
+    _terminal_depth,
     is_one_terminal,
     mask_order,
     terminal_labels,
@@ -208,7 +215,7 @@ def _count(n: int, key, split: int | None = None) -> int:
 def _parents(n: int, key, ordered: bool, split: int | None) -> Iterator[ChordDiagram]:
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
-    if key == "connected" or (key == "one-terminal" and n == 1):
+    if key in ("all", "connected") or (key == "one-terminal" and n == 1):
         return map(ChordDiagram._trusted, all_pairs(n - 1, split))
     # the parents whose first chord is (1, split) are the roots k = split - 2
     return _grown(n - 1, key, ordered, ks=None if split is None else [split - 2])
@@ -217,8 +224,8 @@ def _parents(n: int, key, ordered: bool, split: int | None) -> Iterator[ChordDia
 def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, int, list[int]]:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
-    k of `ks` whose child is in the class, those whose child is connected,
-    and the masks of s's components."""
+    k of `ks` whose child is in the class (every one for the key "all"),
+    those whose child is connected, and the masks of s's components."""
     # the root crosses the chords with one end among s's first k points
     roots = [0]
     for x in s.point_labels():
@@ -232,7 +239,9 @@ def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, in
                 break
         else:
             connected |= 1 << k
-    if key in ("connected", "one-terminal"):
+    if key == "all":
+        member = sum(1 << k for k in ks)
+    elif key in ("connected", "one-terminal"):
         # a one-terminal s is connected: its child is one-terminal iff the
         # root crosses a chord, so that the root is not terminal too
         member = connected
@@ -248,10 +257,14 @@ def _site(s: ChordDiagram, key, ks: list[int]) -> tuple:
     roots, member, connected, comps = _insertions(s, key, ks)
     order = None
     if connected:
-        # the root comes first, then s's components, each in its own order
-        rest = _order(s) if len(comps) == 1 else mask_order(s.adjacency(), comps)
-        order = (1, *[x + 1 for x in rest])
+        order = (1, *[x + 1 for x in _rest_order(s, comps)])
     return s.pairs, s.adjacency(), roots, member, connected, order
+
+
+def _rest_order(s: ChordDiagram, comps: list[int]) -> tuple[int, ...]:
+    """s's part of the intersection order of a connected child: the root
+    comes first, then s's components, each in its own order."""
+    return _order(s) if len(comps) == 1 else mask_order(s.adjacency(), comps)
 
 
 def tally(n: int, key: Callable[[ChordDiagram], Hashable | None], cls: str = "all") -> dict:
@@ -308,10 +321,28 @@ _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
 STAT_NAMES = tuple(_STAT_FUNCS)
 
 
+# the statistics that `_site_columns` reads off a parent and its root
+SITE_STATS = ("t1", "terminal-count", "crossings", "nestings", "terminality")
+
+_T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
+
+
 def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
     """Count size-n diagrams of a class, refined by the named statistics."""
     statistics = tuple(statistics)
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
+
+
+def _by_sites(n: int, cls: str, statistics: tuple[str, ...]) -> bool:
+    """Whether the count_class rows are tallied over the root-insertion
+    sites (`_site_rows`), without building a child: every statistic is in
+    SITE_STATS, and the class is "all" or built by root insertion."""
+    return (
+        n > 0
+        and bool(statistics)
+        and all(s in SITE_STATS for s in statistics)
+        and (cls == "all" or _root_key(cls) is not None)
+    )
 
 
 def _stat_key(n: int, cls: str, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
@@ -328,21 +359,93 @@ def _stat_key(n: int, cls: str, statistics: tuple[str, ...]) -> Callable[[ChordD
             # only t1 raises, and only off connected diagrams
             if d.is_connected():
                 raise
-            raise ValueError("statistic t1 needs connected diagrams; class %s has "
-                             "disconnected members" % cls) from None
+            raise ValueError(_T1_DISCONNECTED % cls) from None
 
     return key
 
 
 def _count_class_share(args) -> dict[tuple, int]:
     """The count_class rows of one work item of count_classes_parallel (the
-    diagrams `_members` walks for `share`), or of the whole class if
-    `share` is None."""
+    diagrams `_members` walks for `share`, or the sites of the parents whose
+    first chord is (1, share)), or of the whole class if `share` is None."""
     n, cls, statistics, share = args
-    if statistics:
-        return _tally(_members(n, cls, False, share), _stat_key(n, cls, statistics))
-    total = _size(n, cls, share)
-    return {(n,): total} if total else {}
+    if not statistics:
+        total = _size(n, cls, share)
+        return {(n,): total} if total else {}
+    key = _stat_key(n, cls, statistics)  # raises on an unknown statistic
+    if _by_sites(n, cls, statistics):
+        return _site_rows(n, cls, statistics, share)
+    return _tally(_members(n, cls, False, share), key)
+
+
+def _site_rows(n: int, cls: str, statistics: tuple[str, ...], share: int | None) -> dict[tuple, int]:
+    """The count_class rows of a class walked by root insertion, tallied
+    once per site (a parent s and a root k whose child is a member) from
+    `_site_columns`: no child is built."""
+    key = "all" if cls == "all" else _root_key(cls)
+    ks = list(range(2 * n - 1))
+    counts: Counter = Counter()
+    for s in _parents(n, key, False, share):
+        roots, member, connected, comps = _insertions(s, key, ks)
+        if not member:
+            continue
+        if "t1" in statistics and member & ~connected:
+            raise ValueError(_T1_DISCONNECTED % cls)
+        rows = zip(repeat(n), *_site_columns(s, roots, connected, comps, statistics))
+        counts.update(compress(rows, [member >> k & 1 for k in ks]))
+    return dict(counts)
+
+
+def _site_columns(
+    s: ChordDiagram, roots: list[int], connected: int, comps: list[int], statistics: tuple[str, ...]
+) -> list[list[int]]:
+    """The statistics of the children of s, one column per statistic with
+    an entry per root k; roots[k] is the mask r of s's chords that the root
+    crosses, and bit k of `connected` is set when the child is connected.
+    The root is chord 1 of the child, so it is no right neighbour of a
+    chord of s, and a connected child's intersection order is the root
+    followed by `_rest_order`, the same for every k. So, with m = s.n:
+
+    - crossings: cr(s) + |r|
+    - nestings: ne(s) + (k - |r|) / 2, the chords of s inside the root
+    - terminal-count: tc(s) + [r = 0]
+    - t1 (connected children only): 1 + the position of s's first
+      terminal chord in `_rest_order`, or 1 when s is empty
+    - terminality: 0 for a disconnected child, else min(tau, |r|), or m + 1
+      when both are m; tau is s's `_terminal_depth` along `_rest_order`,
+      and |r| >= j is the root's share of the condition at j
+    """
+    adj = s.adjacency()
+    m = len(adj)
+    size = [r.bit_count() for r in roots]
+    rest = None
+    cols = []
+    for stat in statistics:
+        if stat == "crossings":
+            cr = sum(map(int.bit_count, adj)) // 2
+            col = [cr + c for c in size]
+        elif stat == "nestings":
+            ne = s.nestings()
+            col = [ne + (k - c) // 2 for k, c in enumerate(size)]
+        elif stat == "terminal-count":
+            tc = len(terminal_labels(s))
+            col = [tc + (not r) for r in roots]
+        elif not connected:
+            col = [0] * len(roots)
+        else:
+            if rest is None:
+                rest = _rest_order(s, comps)
+            if stat == "t1":
+                first = next((p for p, x in enumerate(rest, 2) if not adj[x - 1] >> x), 1)
+                col = [first] * len(roots)
+            else:
+                tau = _terminal_depth(rest, _right_counts(s))
+                col = [
+                    (min(tau, c) if tau < m or c < m else m + 1) if connected >> k & 1 else 0
+                    for k, c in enumerate(size)
+                ]
+        cols.append(col)
+    return cols
 
 
 def count_classes_parallel(
@@ -353,15 +456,15 @@ def count_classes_parallel(
 ) -> dict[str, CountTable]:
     """count_class for each of several classes, with one pool of at most
     `jobs` workers mapping (class, share) work items: a class built by root
-    insertion is shared out by the first chord of the parents, any other by
-    the first chord (branch)."""
+    insertion, or tallied over the root-insertion sites, is shared out by
+    the first chord of the parents, any other by the first chord (branch)."""
     jobs = _pool_size(n, jobs)
     if jobs <= 1 or n <= 1:
         return {c: count_class(n, c, statistics) for c in classes}
     work = [
         (n, c, statistics, b)
         for c in classes
-        for b in branches(n if _root_key(c) is None else n - 1)
+        for b in branches(n - 1 if _root_key(c) is not None or _by_sites(n, c, statistics) else n)
     ]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_count_class_share, work)

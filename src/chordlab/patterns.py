@@ -259,16 +259,37 @@ def cycle_classes(profile: dict[tuple[int, str], int]) -> dict[str, bool]:
 def contains_any_top_cycle(d: ChordDiagram) -> bool:
     """Some induced cycle is a top cycle (a triangle counts); stops at the
     first one."""
-    return any(_kind(d, c) == "top" for c in _induced_cycles(d.adjacency(), range(d.n)))
+    return any(_kind(d, c) == "top" for c in _core_cycles(d.adjacency()))
 
 
 def contains_any_bottom_cycle(d: ChordDiagram) -> bool:
     """Some induced cycle is a bottom cycle (a triangle counts); stops at the
     first one."""
-    return any(
-        c.bit_count() == 3 or _kind(d, c) == "bottom"
-        for c in _induced_cycles(d.adjacency(), range(d.n))
-    )
+    return any(c.bit_count() == 3 or _kind(d, c) == "bottom" for c in _core_cycles(d.adjacency()))
+
+
+def _core_cycles(adj: tuple[int, ...]) -> Iterator[int]:
+    """The induced cycles of `_induced_cycles`, searched in the 2-core only:
+    every chord of an induced cycle crosses two others of it, so peeling
+    the chords that cross at most one chord left loses no cycle, and the
+    paths of a tree-like crossing graph are never grown."""
+    full = core = (1 << len(adj)) - 1
+    degree = [m.bit_count() for m in adj]
+    stack = [v for v, k in enumerate(degree) if k <= 1]
+    while stack:
+        v = stack.pop()
+        core &= ~(1 << v)
+        rest = adj[v] & core
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            degree[w] -= 1
+            if degree[w] == 1:
+                stack.append(w)
+    if core == full:
+        return _induced_cycles(adj, range(len(adj)))
+    return _induced_cycles(tuple([m & core for m in adj]), _mask_labels(core, -1))
 
 
 CLASS_NAMES = (

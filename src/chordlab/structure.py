@@ -123,10 +123,13 @@ def terminality(d: ChordDiagram) -> int:
     """Largest k <= n for which the diagram is k-terminal; 0 if none or empty."""
     if d.n == 0 or not d.is_connected():
         return 0
-    order = _order(d)
-    rn_count = _right_counts(d)
+    return _terminal_depth(_order(d), _right_counts(d))
+
+
+def _terminal_depth(order: tuple[int, ...], rn_count: list[int]) -> int:
+    # the largest k <= len(order) with _terminal_at for every j <= k
     k = 0
-    while k < d.n and _terminal_at(order, rn_count, k + 1):
+    while k < len(order) and _terminal_at(order, rn_count, k + 1):
         k += 1
     return k
 

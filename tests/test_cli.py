@@ -260,3 +260,52 @@ def test_enum_output_is_byte_identical_to_the_pin(args, digest):
     with redirect_stdout(out):
         assert cli.main(["enum", "--size", "6", *args.split()]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# (statistic, class, exit code, sha256 of stdout) of `enum --size 6 --jobs 1
+# --stats S --class C`, read while every refined count still built each
+# diagram and measured it; a change that moves one changes what `enum`
+# prints and must say so
+STATS_SHA256 = [
+    ('t1', 'all', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('terminal-count', 'all', 0, '068215ab3ce3a86d898c377681e22ad1da3efab60a4fa455c30158281aa5ca75'),
+    ('crossings', 'all', 0, '58d2a40d5ce4c3cb72f4cf3b1293fcc7e2c72cae32a7b4f7708eff94d741552f'),
+    ('nestings', 'all', 0, '5b81e0fcf5ae2c1272bdb2dcf8b7182110f777c3c0e45066e8e71eb314c052c0'),
+    ('kappa', 'all', 0, 'f22175f13c31b22e0e795ffeb4f650373890f66a6ae75bcf491276cd5698c091'),
+    ('terminality', 'all', 0, '7c8b86310caccf31c4892f155cdc30f53317d76d62d5fec698398512faab6015'),
+    ('t1', 'connected', 0, '4bda198e4acd4d8f0daedfc7d3b26a9d7ca5f394cf1cac8a2b75444a124d64c7'),
+    ('terminal-count', 'connected', 0, '2f9181376246e6c214458d053da11395e84ba3ebf482319ee5de712f1d00fe93'),
+    ('crossings', 'connected', 0, '421f0061fb15b74fa9e25b730e0508d024c388f4901e5f764a2a9cfc29381223'),
+    ('nestings', 'connected', 0, 'bff38f07e3dc1d6fa7dee0b0f33e5b641e33e95c0fc278cacda13c9f8c305970'),
+    ('kappa', 'connected', 0, '6d2605b173804450dfd80a63253b34d6805c96afdb57daeaf3bcb8c6024dcb71'),
+    ('terminality', 'connected', 0, '9a8361bd5af82c4ff1f6273a25d1d02c417561e1c4e022fd6804ab795fc32579'),
+    ('t1', 'one-terminal', 0, 'fc3737979994c8d2821e28e02706c4335bbc3578def4fa4a6e8418d00d4d1de4'),
+    ('terminal-count', 'one-terminal', 0, 'bc624df77321dc76071fb929dd8456473e0f45af8c45681d7375285130215c63'),
+    ('crossings', 'one-terminal', 0, '98c58b3562eed3b0e9d51e27a5a804a1ec976703fe2489876f5a514f182dc689'),
+    ('nestings', 'one-terminal', 0, 'dbf33f7cb85ed0d82c332a5c1161c54bb26f572ad6d705019a1472a3e9a3db51'),
+    ('kappa', 'one-terminal', 0, 'e23a6723ea3a3d2c22db64fd528ddefb8d46adff393eeab3805953442b9e38e6'),
+    ('terminality', 'one-terminal', 0, '0124ed76d2c700e211a42166d3051aec5dc693b6829bde0b10d3e7f83e7914fa'),
+    ('t1', 'K3-free', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('terminal-count', 'K3-free', 0, '607d6ca424a4a74f17f45fd25662e161cc129537276b44ab93c32a174fb60e25'),
+    ('crossings', 'K3-free', 0, '497432e37c287f2efa3c0619c294448cfe1017e2d3980fff6233166de5233ea1'),
+    ('nestings', 'K3-free', 0, 'c1ca1ea3f49460abb23850961a31dccf7e1e3183eb229adb8bdbbb1c4f6bdf32'),
+    ('kappa', 'K3-free', 0, '4b3f33c5ceddb720884c68421f2df435813694a7f7ee6f230814019758d15791'),
+    ('terminality', 'K3-free', 0, '90688d210a7b8540676995e79fb197a7a8f2bdcb68570d8cd5976a7a5f7eeaf8'),
+    ('t1', 'top-cycle-free', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('terminal-count', 'top-cycle-free', 0, 'b76dce2be735103396cf491294aa34956efc1923b0cfc8f414dba95542e331c3'),
+    ('crossings', 'top-cycle-free', 0, '4e790d47f6be542a45bad50471882d2890ea4199797c8c72d5bfa24b2382b980'),
+    ('nestings', 'top-cycle-free', 0, '6afc3a2c070d49afac1ad8ae0d8d31a41feb146fe58713d00b64a0b01db9a40d'),
+    ('kappa', 'top-cycle-free', 0, '01662cf82420c6254a3956e9821ad16afc08a4899bce27a7b2d74831b6812b6a'),
+    ('terminality', 'top-cycle-free', 0, '006fe0c6c71e4662f38ec4555044db37b8bcf6bee2771fe8263f989c4500d2a6'),
+]
+
+
+@pytest.mark.parametrize(
+    "stat, cls, code, digest", STATS_SHA256, ids=["%s-%s" % row[:2] for row in STATS_SHA256]
+)
+def test_enum_stats_are_byte_identical_to_the_pin(stat, cls, code, digest, capsys):
+    assert cli.main(["enum", "--size", "6", "--jobs", "1", "--stats", stat, "--class", cls]) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if code:
+        assert err == "error: statistic t1 needs connected diagrams; class %s has disconnected members\n" % cls

@@ -1,6 +1,7 @@
 """Exhaustive enumeration and the counting oracles it is checked against."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import zip_longest
 
 import pytest
@@ -44,7 +45,7 @@ from chordlab.oracles import (
     tutte,
 )
 from chordlab.patterns import HEREDITARY_CLASSES, complete_diagram, in_class, permutation_diagram
-from chordlab.structure import intersection_order, is_one_terminal, t1
+from chordlab.structure import intersection_order, is_one_terminal, t1, vertex_connectivity
 from conftest import K3, sweep
 
 
@@ -311,6 +312,88 @@ def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
     built.clear()
     assert pattern_free_count.__wrapped__(6, permutation_diagram("213")) == 4318
     assert built[6] == 0 and built[5] > 0, built
+
+
+# count_class reads these statistics off the root-insertion sites: each
+# alone, and the pairs of the benchmark's sweep. kappa has no site rule, so
+# the sweep's one-terminal pair builds the children; it is read on the
+# one-terminal class only, as the sweep does
+SITE_STAT_SETS = (
+    *((s,) for s in enumeration.SITE_STATS),
+    ("t1", "terminal-count"),
+    ("crossings", "nestings"),
+    ("terminality", "kappa"),
+)
+SITE_CLASSES = ("all", "connected", "one-terminal")
+SITE_CLASSES_TO_SIX = (*SITE_CLASSES, "nonnesting", "tree", "K3-free", "top-cycle-free")
+
+
+@lru_cache(maxsize=None)
+def leaf_statistics(n):
+    """(classes, every statistic of count_class) -> how many diagrams of
+    the all_pairs stream, each read off a fresh ChordDiagram(pairs) that
+    inherits no mask, order or connectivity; t1 is None off connected
+    diagrams."""
+    classes = SITE_CLASSES if n == 7 else SITE_CLASSES_TO_SIX
+    out = Counter()
+    for pairs in all_pairs(n):
+        d = ChordDiagram(pairs)
+        inside = tuple(c for c in classes if in_class(d, c))
+        if inside:
+            values = {
+                name: f(d)
+                for name, f in enumeration._STAT_FUNCS.items()
+                if name not in ("t1", "kappa")
+            }
+            values["t1"] = t1(d) if d.is_connected() else None
+            if "one-terminal" in inside:
+                values["kappa"] = vertex_connectivity(d)
+            out[inside, tuple(sorted(values.items()))] += 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_site_rules_match_the_leaf_statistics(n):
+    for cls in SITE_CLASSES if n == 7 else SITE_CLASSES_TO_SIX:
+        for stats in SITE_STAT_SETS:
+            if "kappa" in stats and cls != "one-terminal":
+                continue
+            want = Counter()
+            for (inside, values), count in leaf_statistics(n).items():
+                if cls in inside:
+                    values = dict(values)
+                    want[(n, *(values[s] for s in stats))] += count
+            if "t1" in stats and any(k[1 + stats.index("t1")] is None for k in want):
+                with pytest.raises(ValueError, match="class %s has disconnected" % cls):
+                    count_class(n, cls, stats)
+            else:
+                assert count_class(n, cls, stats).rows == want, (cls, stats)
+
+
+def test_site_rows_do_not_depend_on_the_job_count():
+    for stats in SITE_STAT_SETS:
+        classes = SITE_CLASSES_TO_SIX
+        if "t1" in stats:
+            # the classes with disconnected members refuse t1 at any job count
+            classes = ("connected", "one-terminal")
+        if "kappa" in stats:
+            classes = ("one-terminal",)
+        tables = count_classes_parallel(6, classes, stats, jobs=2)
+        for cls in classes:
+            assert tables[cls].rows == count_class(6, cls, stats).rows, (cls, stats)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            count_class_parallel(5, "all", ("crossings", "t1"), jobs=jobs)
+        assert str(raised.value) == (
+            "statistic t1 needs connected diagrams; class all has disconnected members"
+        )
+
+
+def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
+    built = count_built(monkeypatch)
+    table = count_class(7, "all", ("crossings", "nestings"))
+    assert table.total(7) == double_factorial(7)
+    assert built[7] == 0 and built[6] == double_factorial(6), built
 
 
 def test_census_counts_the_stream_itself(monkeypatch):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 
@@ -140,6 +141,8 @@ class ChordDiagram:
         ps = self.pairs
         if not ps:
             return "()"
+        if len(ps) <= _TEXT_CHORDS:
+            return "".join(map(_pair_texts(), ps))
         return "(%d,%d)" * len(ps) % tuple(chain(*ps))
 
     def to_json(self) -> dict:
@@ -360,6 +363,17 @@ def component_masks(adj: tuple[int, ...]) -> list[int]:
         out.append(comp)
     return out
 
+
+_TEXT_CHORDS = 12
+
+
+@lru_cache(maxsize=None)
+def _pair_texts() -> Callable[[tuple[int, int]], str]:
+    """The text of every chord (a, b) of a diagram with at most
+    _TEXT_CHORDS chords, looked up: a listing of all diagrams of an
+    exhaustive size joins these. Built on first use."""
+    end = 2 * _TEXT_CHORDS + 1
+    return {(a, b): "(%d,%d)" % (a, b) for b in range(2, end) for a in range(1, b)}.__getitem__
 
 _new = object.__new__
 _set_pairs = ChordDiagram.pairs.__set__

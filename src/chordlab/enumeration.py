@@ -19,13 +19,18 @@ place where membership is decided.
 
 `tally` is the one loop that counts built diagrams: `class_census`,
 `tcf_refined` and the counts of the other modules are key functions over
-it, and so is `count_class` with a statistic outside SITE_STATS or on a
-class that filters the stream. A class size alone (`count_members`,
-`census`, `count_class` without statistics, `pattern_free_count`) counts
-the stream, or adds up the member bits of each root-insertion parent,
-without building the diagrams; `count_class` with statistics of
-SITE_STATS reads them off each parent and root (`_site_columns`) the same
-way.
+it, and so is `count_class` at n = 0 or on the class that filters the
+stream. A class size alone (`count_members`, `census`, `count_class`
+without statistics, `pattern_free_count`) counts the stream, or adds up
+the member bits of each root-insertion parent, without building the
+diagrams; `count_class` with statistics reads them off each parent and
+root (`_site_columns`) the same way. The vertex connectivity `kappa` of a
+child follows from the parent's by Whitney's inequality and the expansion
+lemma (West, Introduction to Graph Theory, Lemma 4.2.3): with kappa(S) =
+K, |S| = m and r the chords of S that the root crosses, it is 0 for a
+disconnected child, m for a complete S and |r| = m, |r| for a complete S
+and |r| < m, K + 1 if |r| > K and r meets every component of S - X for
+every minimum separator X of S, and min(K, |r|) otherwise.
 `class_census` still tests every diagram of the stream, one cycle profile
 each, so that the root-insertion counts have an independent sweep to be
 checked against.
@@ -42,7 +47,14 @@ from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
-from .diagram import ChordDiagram, _set_adj, _set_connected, _set_order, component_masks
+from .diagram import (
+    ChordDiagram,
+    _mask_labels,
+    _set_adj,
+    _set_connected,
+    _set_order,
+    component_masks,
+)
 from .patterns import (
     CYCLE_CLASSES,
     HEREDITARY_CLASSES,
@@ -58,6 +70,7 @@ from .structure import (
     _terminal_depth,
     is_one_terminal,
     mask_order,
+    minimum_separators,
     terminal_labels,
     terminality,
     t1,
@@ -231,16 +244,30 @@ def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, in
     for x in s.point_labels():
         roots.append(roots[-1] ^ 1 << (x - 1))
     comps = component_masks(s.adjacency())
-    connected = 0
-    for k in ks:
-        r = roots[k]
+    # ks holds distinct roots 0..2m
+    every = (1 << len(roots)) - 1 if len(ks) == len(roots) else sum(1 << k for k in ks)
+    # the root crosses a component iff it holds the component's first point
+    # but not its last, so the child is connected iff lo <= k < hi for the
+    # largest first point lo and the smallest last point hi. The spans of
+    # the components nest or are disjoint: if the child at k = lo is
+    # connected, they nest, and hi is the last point of the innermost one,
+    # the component that starts at lo
+    connected = every
+    if len(comps) == 1:
+        connected &= (1 << len(roots) - 1) - 2  # lo = 1, hi = 2m
+    elif comps:
+        inner = comps[-1]
+        lo = s.pairs[(inner & -inner).bit_length() - 1][0]
+        r = roots[lo]
         for c in comps:
             if not r & c:
+                connected = 0
                 break
         else:
-            connected |= 1 << k
+            hi = max(s.pairs[j - 1][1] for j in _mask_labels(inner))
+            connected &= (1 << hi) - (1 << lo)
     if key == "all":
-        member = sum(1 << k for k in ks)
+        member = every
     elif key in ("connected", "one-terminal"):
         # a one-terminal s is connected: its child is one-terminal iff the
         # root crosses a chord, so that the root is not terminal too
@@ -321,28 +348,23 @@ _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
 STAT_NAMES = tuple(_STAT_FUNCS)
 
 
-# the statistics that `_site_columns` reads off a parent and its root
-SITE_STATS = ("t1", "terminal-count", "crossings", "nestings", "terminality")
-
 _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
 
 
 def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
-    """Count size-n diagrams of a class, refined by the named statistics."""
+    """Count size-n diagrams of a class, refined by the named statistics.
+    Every statistic is read off the root-insertion sites (`_site_rows`),
+    with no child built; only n = 0 and "indecomposable", the one class
+    that filters the stream, tally built diagrams."""
     statistics = tuple(statistics)
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
 
 def _by_sites(n: int, cls: str, statistics: tuple[str, ...]) -> bool:
     """Whether the count_class rows are tallied over the root-insertion
-    sites (`_site_rows`), without building a child: every statistic is in
-    SITE_STATS, and the class is "all" or built by root insertion."""
-    return (
-        n > 0
-        and bool(statistics)
-        and all(s in SITE_STATS for s in statistics)
-        and (cls == "all" or _root_key(cls) is not None)
-    )
+    sites (`_site_rows`), without building a child: some statistic is
+    asked for, and the class is "all" or built by root insertion."""
+    return n > 0 and bool(statistics) and (cls == "all" or _root_key(cls) is not None)
 
 
 def _stat_key(n: int, cls: str, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
@@ -414,6 +436,18 @@ def _site_columns(
     - terminality: 0 for a disconnected child, else min(tau, |r|), or m + 1
       when both are m; tau is s's `_terminal_depth` along `_rest_order`,
       and |r| >= j is the root's share of the condition at j
+    - kappa, by Whitney's inequality and the expansion lemma (West,
+      Introduction to Graph Theory, Lemma 4.2.3), with K = kappa(s):
+      0 for a disconnected child; m (= n - 1) when s is complete (m <= 1
+      counts) and |r| = m, since the child is complete; |r| when s is
+      complete and |r| < m; K + 1 when |r| >= K + 1 and, for every
+      minimum separator X of s, r meets every component of s - X (for a
+      disconnected s: K = 0, X is empty, and the components are s's);
+      min(K, |r|) otherwise. A separator of the child of size K must
+      avoid the root and be a minimum separator of s, and the root joins
+      what is left of s unless r misses a part. A complete s has no
+      minimum separator and K = m - 1 when m >= 1, so the last two cases
+      give its two; the empty s has r = 0 and K = 0 only.
     """
     adj = s.adjacency()
     m = len(adj)
@@ -432,6 +466,15 @@ def _site_columns(
             col = [tc + (not r) for r in roots]
         elif not connected:
             col = [0] * len(roots)
+        elif stat == "kappa":
+            kappa = vertex_connectivity(s)
+            parts = [c for _, comps_x in minimum_separators(adj, kappa) for c in comps_x]
+            col = [
+                (kappa + 1 if c > kappa and all(r & p for p in parts) else min(kappa, c))
+                if connected >> k & 1
+                else 0
+                for k, (r, c) in enumerate(zip(roots, size))
+            ]
         else:
             if rest is None:
                 rest = _rest_order(s, comps)

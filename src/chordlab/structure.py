@@ -6,7 +6,9 @@ traced subdiagrams, chord valencies, and crossing-graph connectivity.
 
 from __future__ import annotations
 
-from .diagram import ChordDiagram, _mask_labels, _set_order
+from itertools import combinations
+
+from .diagram import ChordDiagram, _mask_labels, _set_order, component_mask
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -311,6 +313,30 @@ def vertex_connectivity(d: ChordDiagram) -> int:
                 if best == 1:
                     break
     return best
+
+
+def minimum_separators(adj: tuple[int, ...], k: int) -> list[tuple[int, list[int]]]:
+    """The k-sets X of chords (as masks) whose removal disconnects the
+    crossing graph with masks `adj`, each with the component masks of the
+    rest. With k the graph's vertex connectivity these are its minimum
+    separators: none for a complete graph, and X = 0 with its components
+    for a disconnected one."""
+    full = (1 << len(adj)) - 1
+    out = []
+    for chords in combinations([1 << j for j in range(len(adj))], k):
+        x = sum(chords)
+        rest = full ^ x
+        comp = component_mask(adj, rest & -rest, rest)
+        if comp == rest:
+            continue  # what is left is connected, or nothing is
+        rest ^= comp
+        parts = [comp]
+        while rest:
+            comp = component_mask(adj, rest & -rest, rest)
+            rest ^= comp
+            parts.append(comp)
+        out.append((x, parts))
+    return out
 
 
 def is_k_connected(d: ChordDiagram, k: int) -> bool:

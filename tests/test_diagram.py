@@ -144,6 +144,15 @@ def test_text_round_trip_examples():
         ChordDiagram.from_text("(1,3)(2,3)")
 
 
+def test_text_of_small_and_large_diagrams_formats_every_chord():
+    # up to 12 chords the text is joined from a table of chord texts
+    for n in (1, 12, 13):
+        nested = ChordDiagram((i, 2 * n + 1 - i) for i in range(1, n + 1))
+        crossing = ChordDiagram((i, i + n) for i in range(1, n + 1))
+        for d in (nested, crossing):
+            assert d.to_text() == "".join("(%d,%d)" % p for p in d.pairs)
+
+
 @given(diagrams())
 def test_text_and_json_round_trips(d):
     assert ChordDiagram.from_text(d.to_text()) == d

@@ -314,12 +314,10 @@ def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
     assert built[6] == 0 and built[5] > 0, built
 
 
-# count_class reads these statistics off the root-insertion sites: each
-# alone, and the pairs of the benchmark's sweep. kappa has no site rule, so
-# the sweep's one-terminal pair builds the children; it is read on the
-# one-terminal class only, as the sweep does
+# count_class reads every statistic off the root-insertion sites: each
+# alone, and the pairs of the benchmark's sweep
 SITE_STAT_SETS = (
-    *((s,) for s in enumeration.SITE_STATS),
+    *((s,) for s in enumeration.STAT_NAMES),
     ("t1", "terminal-count"),
     ("crossings", "nestings"),
     ("terminality", "kappa"),
@@ -346,8 +344,7 @@ def leaf_statistics(n):
                 if name not in ("t1", "kappa")
             }
             values["t1"] = t1(d) if d.is_connected() else None
-            if "one-terminal" in inside:
-                values["kappa"] = vertex_connectivity(d)
+            values["kappa"] = vertex_connectivity(d)
             out[inside, tuple(sorted(values.items()))] += 1
     return out
 
@@ -356,8 +353,6 @@ def leaf_statistics(n):
 def test_site_rules_match_the_leaf_statistics(n):
     for cls in SITE_CLASSES if n == 7 else SITE_CLASSES_TO_SIX:
         for stats in SITE_STAT_SETS:
-            if "kappa" in stats and cls != "one-terminal":
-                continue
             want = Counter()
             for (inside, values), count in leaf_statistics(n).items():
                 if cls in inside:
@@ -376,8 +371,6 @@ def test_site_rows_do_not_depend_on_the_job_count():
         if "t1" in stats:
             # the classes with disconnected members refuse t1 at any job count
             classes = ("connected", "one-terminal")
-        if "kappa" in stats:
-            classes = ("one-terminal",)
         tables = count_classes_parallel(6, classes, stats, jobs=2)
         for cls in classes:
             assert tables[cls].rows == count_class(6, cls, stats).rows, (cls, stats)
@@ -394,6 +387,39 @@ def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     table = count_class(7, "all", ("crossings", "nestings"))
     assert table.total(7) == double_factorial(7)
     assert built[7] == 0 and built[6] == double_factorial(6), built
+
+
+def test_kappa_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
+    built = count_built(monkeypatch)
+    table = count_class(7, "one-terminal", ("terminality", "kappa"))
+    assert table.total(7) == one_terminal(7)
+    assert built[7] == 0 and built[6] > 0, built
+
+
+def loop_connected(s, ks):
+    """The roots k whose child is connected, by testing the root's crossing
+    mask against every component of s: the oracle of `_insertions`'
+    interval rule."""
+    roots = [0]
+    for x in s.point_labels():
+        roots.append(roots[-1] ^ 1 << (x - 1))
+    comps = s.components()
+    masks = [sum(1 << (label - 1) for label in c) for c in comps]
+    return sum(1 << k for k in ks if all(roots[k] & c for c in masks))
+
+
+def test_connected_roots_follow_the_interval_rule():
+    parents = 0
+    for m in range(7):
+        ks = list(range(2 * m + 1))
+        for s in sweep(m):
+            want = loop_connected(s, ks)
+            assert enumeration._insertions(s, "all", ks)[2] == want, s
+            # one root, as a walk split by the parents' first chord asks
+            k = (m * 7 + parents) % len(ks)
+            assert enumeration._insertions(s, "all", [k])[2] == want & 1 << k, (s, k)
+            parents += 1
+    assert parents == 11465
 
 
 def test_census_counts_the_stream_itself(monkeypatch):

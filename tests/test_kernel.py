@@ -22,6 +22,7 @@ from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.structure import (
     intersection_order,
+    minimum_separators,
     terminal_labels,
     vertex_connectivity,
 )
@@ -207,6 +208,27 @@ def test_vertex_connectivity_matches_networkx():
             assert vertex_connectivity(d) == nx.node_connectivity(crossing_graph(d)), d
             checked += 1
     assert checked == 3110
+
+
+def test_minimum_separators_match_networkx():
+    checked = 0
+    for d in every_diagram():
+        g = crossing_graph(d)
+        k = vertex_connectivity(d)
+        got = minimum_separators(d.adjacency(), k)
+        if d.n * (d.n - 1) == 2 * g.number_of_edges():
+            cuts = set()  # a complete graph has no separator
+        elif not nx.is_connected(g):
+            cuts = {0}
+        else:
+            cuts = {sum(1 << (v - 1) for v in c) for c in nx.all_node_cuts(g)}
+        assert {x for x, _ in got} == cuts, d
+        for x, parts in got:
+            rest = g.subgraph(v for v in g if not x >> (v - 1) & 1)
+            want = sorted(sum(1 << (v - 1) for v in c) for c in nx.connected_components(rest))
+            assert sorted(parts) == want, d
+        checked += len(got)
+    assert checked > 0
 
 
 def test_vertex_connectivity_matches_networkx_beyond_exhaustive_sizes():

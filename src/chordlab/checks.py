@@ -478,7 +478,7 @@ def _psi_bijection(budget: int) -> dict:
             img = psi(d)
             if chi(img) != d:
                 return _fail(witness=d.to_text(), kind="chi(psi) != id")
-            images.add(img)
+            images.add(img.pairs)
             count += 1
         if len(images) != count or count != one_terminal(n):
             return _fail(n=n, distinct=len(images), count=count)

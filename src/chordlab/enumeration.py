@@ -1,37 +1,29 @@
 """Exhaustive generation of rooted chord diagrams and class counting.
 
-`all_pairs` walks every diagram of a size. `members` walks one class. A
-diagram of size n is a root chord (1, p) over a diagram S of size n-1, and
-most classes are built that way from their members one size down, with
-the children's crossing masks, connectivity and intersection order filled
-in:
+`all_pairs` walks every diagram of a size, and `members` of "all" is that
+stream. A diagram of size n is a root chord (1, p) over a diagram S of
+size n-1, and every other class is built that way one size down, with the
+children's crossing masks, connectivity and intersection order filled in:
 
 - connected: S is any diagram, and the root crosses every component of S;
+- indecomposable: S is any diagram, and the root holds the first point of
+  S's last indecomposable block, so that no proper prefix closes up;
 - one-terminal: S is one-terminal, and the root crosses a chord of it;
 - the hereditary classes, closed under removing the root (noncrossing,
   nonnesting, the cycle classes and the pattern classes such as
   "K3-free"): S is in the class, and `patterns.root_members` tests only
   the configurations that use the new root.
 
-Any other class ("indecomposable") filters the `all_pairs` stream. A class
-is always named (see `patterns.in_class`), so that its walk is the one
-place where membership is decided.
+`_sites` is the one walk over the root-insertion parents: `members` builds
+the children from it, and a class size (`count_members`, `census`,
+`count_class`, `pattern_free_count`) adds up the member bits of each
+parent, or reads each child's statistics off the parent and its root
+(`_site_columns`), without building the children. Only the size of "all"
+counts the stream itself.
 
 `tally` is the one loop that counts built diagrams: `class_census`,
 `tcf_refined` and the counts of the other modules are key functions over
-it, and so is `count_class` at n = 0 or on the class that filters the
-stream. A class size alone (`count_members`, `census`, `count_class`
-without statistics, `pattern_free_count`) counts the stream, or adds up
-the member bits of each root-insertion parent, without building the
-diagrams; `count_class` with statistics reads them off each parent and
-root (`_site_columns`) the same way. The vertex connectivity `kappa` of a
-child follows from the parent's by Whitney's inequality and the expansion
-lemma (West, Introduction to Graph Theory, Lemma 4.2.3): with kappa(S) =
-K, |S| = m and r the chords of S that the root crosses, it is 0 for a
-disconnected child, m for a complete S and |r| = m, |r| for a complete S
-and |r| < m, K + 1 if |r| > K and r meets every component of S - X for
-every minimum separator X of S, and min(K, |r|) otherwise.
-`class_census` still tests every diagram of the stream, one cycle profile
+it. `class_census` tests every diagram of the stream, one cycle profile
 each, so that the root-insertion counts have an independent sweep to be
 checked against.
 """
@@ -61,7 +53,6 @@ from .patterns import (
     cycle_classes,
     cycle_profile,
     hereditary_key,
-    in_class,
     root_members,
 )
 from .structure import (
@@ -123,66 +114,40 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
 
 
 def members(n: int, cls: str = "all", ordered: bool = True) -> Iterator[ChordDiagram]:
-    """The size-n diagrams of a class, in generation order. The connected,
-    the one-terminal and the hereditary classes are built by root insertion
-    over size n-1; any other class filters the `all_pairs` stream. Unless
-    `ordered`, each parent's children come together, so that no level of
-    parents is held: for callers that only count."""
-    return _members(n, cls, ordered, None)
-
-
-def _members(n: int, cls: str, ordered: bool, share: int | None) -> Iterator[ChordDiagram]:
-    """`members`, or one work item of `count_classes_parallel` if `share`
-    is given: the diagrams whose first chord is (1, share) for a class
-    that filters the stream, the children of the parents whose first chord
-    is (1, share) for a class built by root insertion."""
-    key = _root_key(cls)
-    if key is not None:
-        yield from _grown(n, key, ordered, share)
-        return
-    trusted = ChordDiagram._trusted
-    for pairs in all_pairs(n, share):
-        d = trusted(pairs)
-        if cls == "all" or in_class(d, cls):
-            yield d
+    """The size-n diagrams of a class, in generation order. "all" is the
+    `all_pairs` stream, and every other class is built by root insertion
+    over size n-1 (`_grown`). Unless `ordered`, each parent's children come
+    together, so that no level of parents is held: for callers that only
+    count."""
+    if cls == "all":
+        return all_diagrams(n)
+    return _grown(n, _root_key(cls), ordered)
 
 
 def count_members(n: int, cls: str = "all") -> int:
     """How many diagrams `members` yields. "all" counts the `all_pairs`
-    stream itself, and a class built by root insertion adds up the member
-    bits of each parent, without building the children."""
-    return _size(n, cls, None)
+    stream itself, and any other class adds up the member bits of each
+    root-insertion parent, without building the children."""
+    return _count(n, _root_key(cls))
 
 
-def _size(n: int, cls: str, share: int | None) -> int:
-    """How many diagrams `_members` yields."""
-    if cls == "all":
-        return sum(1 for _ in all_pairs(n, share))
-    key = _root_key(cls)
-    if key is None:
-        return sum(1 for _ in _members(n, cls, False, share))
-    return _count(n, key, share)
+def _root_key(cls: str) -> str | ChordDiagram:
+    """How root insertion tells the class apart: "all", "connected",
+    "indecomposable", "one-terminal" or a `hereditary_key`; unknown names
+    raise ValueError."""
+    key = hereditary_key(cls)
+    return cls if key is None else key
 
 
-def _root_key(cls: str) -> str | ChordDiagram | None:
-    """How root insertion tells the class apart: "connected", "one-terminal"
-    or a `hereditary_key`; None for a class that filters the stream."""
-    if cls in ("connected", "one-terminal"):
-        return cls
-    return hereditary_key(cls)
-
-
-def _grown(
-    n: int, key, ordered: bool, split: int | None = None, ks: list[int] | None = None
-) -> Iterator[ChordDiagram]:
+def _grown(n: int, key, ordered: bool, ks: list[int] | None = None) -> Iterator[ChordDiagram]:
     """`members` of a class built by root insertion over its parents of
-    size n-1 (only those whose first chord is (1, split), if given), with
-    the roots (1, k + 2) for k in `ks` (every root if None)."""
+    size n-1, with the roots (1, k + 2) for k in `ks` (every root if None)."""
     if n < 0:
         raise ValueError("size must be >= 0")
     if n == 0:
         # the empty diagram is in every hereditary class but the one that
-        # forbids the empty pattern, and is neither connected nor one-terminal
+        # forbids the empty pattern, and is neither connected, indecomposable
+        # nor one-terminal
         if key.n > 0 if isinstance(key, ChordDiagram) else key in HEREDITARY_CLASSES:
             yield ChordDiagram._trusted(())
         return
@@ -196,7 +161,13 @@ def _grown(
         at = (0, *range(2, k + 2), *range(k + 3, 2 * n + 1))
         table = {(a, b): (at[a], at[b]) for b in range(2, 2 * n - 1) for a in range(1, b)}
         moved[k] = (((1, k + 2),), table)
-    sites = (_site(s, key, ks) for s in _parents(n, key, ordered, split))
+    # what building a child needs: the parent's pairs and crossing masks,
+    # and the connected children's intersection order, the same for every k
+    sites = (
+        (s.pairs, s.adjacency(), roots, member, connected,
+         connected and (1, *[x + 1 for x in _rest_order(s, comps)]))
+        for s, roots, member, connected, comps in _sites(n, key, ks, ordered)
+    )
     if ordered and len(ks) > 1:
         sites = list(sites)  # held for this call
         walk = ((k, site) for k in ks for site in sites)
@@ -214,32 +185,46 @@ def _grown(
             yield d
 
 
-def _count(n: int, key, split: int | None = None) -> int:
-    """count_members of a class built by root insertion (over the parents
-    whose first chord is (1, split), if given)."""
-    if n < 0:
-        raise ValueError("size must be >= 0")
-    if n == 0:
-        return sum(1 for _ in _grown(0, key, False))
-    ks = list(range(2 * n - 1))
-    return sum(_insertions(s, key, ks)[1].bit_count() for s in _parents(n, key, False, split))
+def _count(n: int, key, share: int | None = None) -> int:
+    """count_members of the class of `key`: for "all", of the diagrams whose
+    first chord is (1, share), if given; for any other class, of the
+    children of the parents whose first chord is (1, share)."""
+    if key == "all":
+        return sum(1 for _ in all_pairs(n, share))
+    if n <= 0:
+        return sum(1 for _ in _grown(n, key, False))
+    return sum(member.bit_count() for _, _, member, _, _ in _sites(n, key, share=share))
 
 
-def _parents(n: int, key, ordered: bool, split: int | None) -> Iterator[ChordDiagram]:
+def _sites(
+    n: int, key, ks: list[int] | None = None, ordered: bool = False, share: int | None = None
+) -> Iterator[tuple[ChordDiagram, list[int], int, int, list[int]]]:
+    """The root-insertion sites of size n >= 1: (s, *`_insertions`) for the
+    roots (1, k + 2), k in `ks` (every root if None), over each parent s of
+    size n-1 whose first chord is (1, share) (every parent if None), in
+    generation order if `ordered`. The parents of "all", "connected" and
+    "indecomposable" are every diagram of size n-1; those of the other
+    classes are the class's members."""
+    if ks is None:
+        ks = list(range(2 * n - 1))
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
-    if key in ("all", "connected") or (key == "one-terminal" and n == 1):
-        return map(ChordDiagram._trusted, all_pairs(n - 1, split))
-    # the parents whose first chord is (1, split) are the roots k = split - 2
-    return _grown(n - 1, key, ordered, ks=None if split is None else [split - 2])
+    if key in ("all", "connected", "indecomposable") or (key == "one-terminal" and n == 1):
+        parents = map(ChordDiagram._trusted, all_pairs(n - 1, share))
+    else:
+        # the parents whose first chord is (1, share) are the roots k = share - 2
+        parents = _grown(n - 1, key, ordered, None if share is None else [share - 2])
+    for s in parents:
+        yield (s, *_insertions(s, key, ks))
 
 
 def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, int, list[int]]:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
-    k of `ks` whose child is in the class (every one for the key "all"),
+    k of `ks` whose child is in the class of `key` (every one for "all"),
     those whose child is connected, and the masks of s's components."""
     # the root crosses the chords with one end among s's first k points
+    # (roots[k] == 0 when those points close up into chords of their own)
     roots = [0]
     for x in s.point_labels():
         roots.append(roots[-1] ^ 1 << (x - 1))
@@ -272,20 +257,17 @@ def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, in
         # a one-terminal s is connected: its child is one-terminal iff the
         # root crosses a chord, so that the root is not terminal too
         member = connected
+    elif key == "indecomposable":
+        # the child splits right after the root's sink iff s's first j
+        # points close up for some k <= j < 2m: it is indecomposable iff k
+        # exceeds the largest such j, q (-1 for the empty s)
+        q = len(roots) - 2
+        while q >= 0 and roots[q]:
+            q -= 1
+        member = every >> q + 1 << q + 1
     else:
         member = root_members(key, s, roots, comps, ks)
     return roots, member, connected, comps
-
-
-def _site(s: ChordDiagram, key, ks: list[int]) -> tuple:
-    """What building the children of s with the roots `ks` needs: its pairs
-    and crossing masks, `_insertions`, and the connected children's
-    intersection order."""
-    roots, member, connected, comps = _insertions(s, key, ks)
-    order = None
-    if connected:
-        order = (1, *[x + 1 for x in _rest_order(s, comps)])
-    return s.pairs, s.adjacency(), roots, member, connected, order
 
 
 def _rest_order(s: ChordDiagram, comps: list[int]) -> tuple[int, ...]:
@@ -353,62 +335,35 @@ _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconne
 
 def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
     """Count size-n diagrams of a class, refined by the named statistics.
-    Every statistic is read off the root-insertion sites (`_site_rows`),
-    with no child built; only n = 0 and "indecomposable", the one class
-    that filters the stream, tally built diagrams."""
+    Every statistic is read off the root-insertion sites (`_site_columns`),
+    with no child built; only n = 0 tallies a built diagram."""
     statistics = tuple(statistics)
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
 
-def _by_sites(n: int, cls: str, statistics: tuple[str, ...]) -> bool:
-    """Whether the count_class rows are tallied over the root-insertion
-    sites (`_site_rows`), without building a child: some statistic is
-    asked for, and the class is "all" or built by root insertion."""
-    return n > 0 and bool(statistics) and (cls == "all" or _root_key(cls) is not None)
-
-
-def _stat_key(n: int, cls: str, statistics: tuple[str, ...]) -> Callable[[ChordDiagram], tuple]:
-    """The row key of count_class: (n, *statistic values)."""
-    for s in statistics:
-        if s not in _STAT_FUNCS:
-            raise ValueError("unknown statistic: %s" % s)
-    funcs = [_STAT_FUNCS[s] for s in statistics]
-
-    def key(d: ChordDiagram) -> tuple:
-        try:
-            return (n, *(f(d) for f in funcs))
-        except ValueError:
-            # only t1 raises, and only off connected diagrams
-            if d.is_connected():
-                raise
-            raise ValueError(_T1_DISCONNECTED % cls) from None
-
-    return key
-
-
 def _count_class_share(args) -> dict[tuple, int]:
-    """The count_class rows of one work item of count_classes_parallel (the
-    diagrams `_members` walks for `share`, or the sites of the parents whose
-    first chord is (1, share)), or of the whole class if `share` is None."""
+    """The count_class rows of one work item of count_classes_parallel, or
+    of the whole class if `share` is None. The plain count of "all" is
+    shared out by the first chord (1, share), and the others by the first
+    chord of the root-insertion parents."""
     n, cls, statistics, share = args
+    for stat in statistics:
+        if stat not in _STAT_FUNCS:
+            raise ValueError("unknown statistic: %s" % stat)
+    key = _root_key(cls)
     if not statistics:
-        total = _size(n, cls, share)
+        total = _count(n, key, share)
         return {(n,): total} if total else {}
-    key = _stat_key(n, cls, statistics)  # raises on an unknown statistic
-    if _by_sites(n, cls, statistics):
-        return _site_rows(n, cls, statistics, share)
-    return _tally(_members(n, cls, False, share), key)
-
-
-def _site_rows(n: int, cls: str, statistics: tuple[str, ...], share: int | None) -> dict[tuple, int]:
-    """The count_class rows of a class walked by root insertion, tallied
-    once per site (a parent s and a root k whose child is a member) from
-    `_site_columns`: no child is built."""
-    key = "all" if cls == "all" else _root_key(cls)
+    if n == 0:
+        # the one diagram of size 0 is the empty one, which is disconnected
+        empty = list(members(0, cls))
+        if empty and "t1" in statistics:
+            raise ValueError(_T1_DISCONNECTED % cls)
+        return _tally(empty, lambda d: (0, *[_STAT_FUNCS[s](d) for s in statistics]))
+    # tallied once per site, a parent s and a root k whose child is a member
     ks = list(range(2 * n - 1))
     counts: Counter = Counter()
-    for s in _parents(n, key, False, share):
-        roots, member, connected, comps = _insertions(s, key, ks)
+    for s, roots, member, connected, comps in _sites(n, key, ks, share=share):
         if not member:
             continue
         if "t1" in statistics and member & ~connected:
@@ -498,16 +453,17 @@ def count_classes_parallel(
     jobs: int = 1,
 ) -> dict[str, CountTable]:
     """count_class for each of several classes, with one pool of at most
-    `jobs` workers mapping (class, share) work items: a class built by root
-    insertion, or tallied over the root-insertion sites, is shared out by
-    the first chord of the parents, any other by the first chord (branch)."""
+    `jobs` workers mapping (class, share) work items: the plain count of
+    "all" counts the stream and is shared out by its first chord, every
+    other item walks the root-insertion sites and is shared out by the
+    first chord of the parents."""
     jobs = _pool_size(n, jobs)
     if jobs <= 1 or n <= 1:
         return {c: count_class(n, c, statistics) for c in classes}
     work = [
         (n, c, statistics, b)
         for c in classes
-        for b in branches(n - 1 if _root_key(c) is not None or _by_sites(n, c, statistics) else n)
+        for b in branches(n if c == "all" and not statistics else n - 1)
     ]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_count_class_share, work)

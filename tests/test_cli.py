@@ -251,6 +251,10 @@ ENUM_SHA256 = [
     ('--jobs 2 --class nonnesting', '3efdefc5073f2842eeff8ab30915f064cb5d3ab93839552b85d3be80242597e9'),
     ('--jobs 1 --class nonnesting --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
     ('--jobs 2 --class nonnesting --count', '586900065999e00dfd03caec2bd5eb43dd939f082db4718edecd72fabfdcdbec'),
+    ('--jobs 1 --class indecomposable', '1e33ad8001f8dfca07b6cea84e18f5f596fc768b6d466981c27504230e2ac374'),
+    ('--jobs 2 --class indecomposable', '1e33ad8001f8dfca07b6cea84e18f5f596fc768b6d466981c27504230e2ac374'),
+    ('--jobs 1 --class indecomposable --count', 'c38ac2f3379b08d5d62852d89684e47ee6014e8e9cf91265d2ea42339e9f3445'),
+    ('--jobs 2 --class indecomposable --count', 'c38ac2f3379b08d5d62852d89684e47ee6014e8e9cf91265d2ea42339e9f3445'),
 ]
 
 
@@ -297,6 +301,12 @@ STATS_SHA256 = [
     ('nestings', 'top-cycle-free', 0, '6afc3a2c070d49afac1ad8ae0d8d31a41feb146fe58713d00b64a0b01db9a40d'),
     ('kappa', 'top-cycle-free', 0, '01662cf82420c6254a3956e9821ad16afc08a4899bce27a7b2d74831b6812b6a'),
     ('terminality', 'top-cycle-free', 0, '006fe0c6c71e4662f38ec4555044db37b8bcf6bee2771fe8263f989c4500d2a6'),
+    ('t1', 'indecomposable', 2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('terminal-count', 'indecomposable', 0, '4ec2369bca815ead2c2b6b9a8af8b17946230611f2c35a8e038122ab3c886389'),
+    ('crossings', 'indecomposable', 0, '47e4401cb0224fad33147aad11af2588a0de927f5393d200f5db887424544c06'),
+    ('nestings', 'indecomposable', 0, '940f7a3be6cdd943f1bf40764d9917a65a0dbc5fae8405001c6492506b82071f'),
+    ('kappa', 'indecomposable', 0, 'ed0e843e29128a34c0e0ca995da2f5913d0453f7de096828e9bdfd5ca6b8fbda'),
+    ('terminality', 'indecomposable', 0, 'e3b30422dd8e5cdca7d68b6707783861c6d4b613cb23ce65fe088b32f68f96f6'),
 ]
 
 

@@ -74,7 +74,8 @@ def test_one_pool_counts_several_classes(monkeypatch):
     monkeypatch.setattr(
         enumeration.multiprocessing, "Pool", lambda jobs: pools.append(jobs) or real_pool(jobs)
     )
-    # shared out by the parents' first chord, then by the first chord
+    # each class walks the root-insertion sites, shared out by the first
+    # chord of the parents
     classes = ("connected", "one-terminal", "top-cycle-free", "K3-free", "indecomposable")
     for stats in (("crossings",), ()):
         tables = count_classes_parallel(5, classes, stats, jobs=2)
@@ -140,6 +141,9 @@ def test_negative_sizes_are_rejected():
         lambda: count_members(-1, "nonnesting"),
         lambda: count_members(-1, "one-terminal"),
         lambda: count_class(-2, "tree"),
+        lambda: list(members(-1, "indecomposable")),
+        lambda: count_members(-1, "indecomposable"),
+        lambda: count_class(-1, "indecomposable", ("crossings",)),
         lambda: pattern_free_count(-1, K3),
         lambda: tally(-1, t1, cls="chordal"),
     )
@@ -242,11 +246,11 @@ class SerialPool:
 
 def test_parallel_shares_match_the_leaf_filter(monkeypatch):
     # the work items of a parallel count, mapped in this process: the
-    # parents' first chord for a class built by root insertion, the first
-    # chord for one that filters the stream
+    # first chord for the plain count of "all", which counts the stream,
+    # the first chord of the root-insertion parents for the others
     monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    classes = (*ROOT_RULES, "K3-free", "chordal", "indecomposable")
+    classes = ("all", *ROOT_RULES, "K3-free", "chordal", "indecomposable")
     for n in range(2, 7):
         want = {cls: leaf_filter(n, cls) for cls in classes}
         tables = count_classes_parallel(n, classes, jobs=2)
@@ -260,7 +264,7 @@ def test_parallel_shares_match_the_leaf_filter(monkeypatch):
 
 def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
     for n in range(1, 7):
-        for cls in (*ROOT_RULES, "chordal", "K3-free", "perm-213-free"):
+        for cls in (*ROOT_RULES, "indecomposable", "chordal", "K3-free", "perm-213-free"):
             for d in members(n, cls):
                 fresh = ChordDiagram._trusted(d.pairs)
                 assert d._adj == fresh.adjacency(), d
@@ -271,7 +275,8 @@ def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
                     assert d._order is None, d
 
 
-@pytest.mark.parametrize("cls", HEREDITARY)
+# "indecomposable" is not hereditary, but is built by root insertion too
+@pytest.mark.parametrize("cls", (*HEREDITARY, "indecomposable"))
 def test_hereditary_classes_match_the_leaf_filter(cls):
     for n in range(7):
         want = tuple(d for d in sweep(n) if in_class(d, cls))
@@ -323,7 +328,9 @@ SITE_STAT_SETS = (
     ("terminality", "kappa"),
 )
 SITE_CLASSES = ("all", "connected", "one-terminal")
-SITE_CLASSES_TO_SIX = (*SITE_CLASSES, "nonnesting", "tree", "K3-free", "top-cycle-free")
+SITE_CLASSES_TO_SIX = (
+    *SITE_CLASSES, "nonnesting", "tree", "K3-free", "top-cycle-free", "indecomposable"
+)
 
 
 @lru_cache(maxsize=None)
@@ -383,10 +390,17 @@ def test_site_rows_do_not_depend_on_the_job_count():
 
 
 def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
+    # the indecomposable rows of the filtered stream, read before counting
+    want = Counter((7, d.crossings()) for d in all_diagrams(7) if in_class(d, "indecomposable"))
+    assert sum(want.values()) == 110410
     built = count_built(monkeypatch)
     table = count_class(7, "all", ("crossings", "nestings"))
     assert table.total(7) == double_factorial(7)
     assert built[7] == 0 and built[6] == double_factorial(6), built
+    built.clear()
+    assert count_members(7, "indecomposable") == 110410
+    assert count_class(7, "indecomposable", ("crossings",)).rows == want
+    assert built[7] == 0 and built[6] == 2 * double_factorial(6), built
 
 
 def test_kappa_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):

@@ -38,7 +38,7 @@ from .bijections import (
 from .checks import CHECKS, run_check
 from .conjectures import sequence_lines, standard_reports
 from .diagram import ChordDiagram
-from .enumeration import STAT_NAMES, count_class_parallel, members
+from .enumeration import STAT_NAMES, all_texts, count_class_parallel, members
 from .series import series_rows
 from .triangulation import gamma, omega, triangulation_canonical_code
 
@@ -139,18 +139,21 @@ def _cmd_enum(args) -> int:
                 _emit_json({"class": args.cls, "n": n, "count": total})
             else:
                 print(total)
-        elif args.format == "lines":
-            # a block of lines per write: a print per line is slow, and one
-            # write of the whole listing would hold every line at once
-            texts = map(ChordDiagram.to_text, members(n, args.cls))
-            for block in iter(lambda: list(islice(texts, 1024)), []):
-                sys.stdout.write("\n".join(block) + "\n")
         else:
-            texts = [d.to_text() for d in members(n, args.cls)]
-            if args.format == "csv":
+            # the listing of "all" is the generator's own text stream
+            if args.cls == "all":
+                texts = all_texts(n)
+            else:
+                texts = map(ChordDiagram.to_text, members(n, args.cls))
+            if args.format == "lines":
+                # a block of lines per write: a print per line is slow, and
+                # one write of the whole listing would hold every line at once
+                for block in iter(lambda: list(islice(texts, 1024)), []):
+                    sys.stdout.write("\n".join(block) + "\n")
+            elif args.format == "csv":
                 _emit_csv(["diagram"], [[t] for t in texts])
             else:
-                _emit_json({"class": args.cls, "n": n, "diagrams": texts})
+                _emit_json({"class": args.cls, "n": n, "diagrams": list(texts)})
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

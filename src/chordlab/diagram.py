@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from operator import xor
+from typing import Iterable, Iterator, Sequence
 
 _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 
@@ -139,11 +139,7 @@ class ChordDiagram:
 
     def to_text(self) -> str:
         ps = self.pairs
-        if not ps:
-            return "()"
-        if len(ps) <= _TEXT_CHORDS:
-            return "".join(map(_pair_texts(), ps))
-        return "(%d,%d)" * len(ps) % tuple(chain(*ps))
+        return "(%d,%d)" * len(ps) % tuple(chain(*ps)) if ps else "()"
 
     def to_json(self) -> dict:
         return {"n": self.n, "pairs": [list(p) for p in self.pairs]}
@@ -199,31 +195,9 @@ class ChordDiagram:
 
     def adjacency(self) -> tuple[int, ...]:
         """Crossing-graph adjacency as bitmasks: bit j-1 of entry i-1 means i crosses j."""
-        adj = self._adj
-        if adj is None:
-            ps = self.pairs
-            n = len(ps)
-            # event p-1 is the 0-based chord at point p, complemented at its sink
-            events = [0] * (2 * n)
-            for i, (a, b) in enumerate(ps):
-                events[a - 1] = i
-                events[b - 1] = ~i
-            at_source = [0] * n
-            out = [0] * n
-            open_mask = 0
-            for e in events:
-                if e >= 0:
-                    at_source[e] = open_mask
-                    open_mask |= 1 << e
-                else:
-                    i = ~e
-                    open_mask ^= 1 << i
-                    # open at i's source xor open after its sink: the chords
-                    # that closed inside i and those that opened inside it
-                    out[i] = at_source[i] ^ open_mask
-            adj = tuple(out)
-            _set_adj(self, adj)
-        return adj
+        if self._adj is None:
+            open_masks(self)
+        return self._adj
 
     def right_neighbors(self, i: int) -> tuple[int, ...]:
         """Chords crossing i whose source lies inside chord i (so their sink is to its right)."""
@@ -289,23 +263,15 @@ class ChordDiagram:
 
     def indecomposable_components(self) -> list[tuple[int, ...]]:
         """Maximal concatenation factors as label tuples, cut at every closed prefix."""
-        # event p-1 is the label of the chord at point p, negated at its sink
-        events = [0] * (2 * len(self.pairs))
-        for i, (a, b) in enumerate(self.pairs, 1):
-            events[a - 1] = i
-            events[b - 1] = -i
+        # the first 2i points close up iff chords 1..i (numbered by source)
+        # end there, so that the largest of their sinks is 2i
         out = []
-        open_count = 0
-        block: list[int] = []
-        for e in events:
-            if e > 0:
-                open_count += 1
-            else:
-                open_count -= 1
-                block.append(-e)
-            if open_count == 0:
-                out.append(tuple(sorted(block)))
-                block = []
+        top = start = 0
+        for i, (_, b) in enumerate(self.pairs, 1):
+            top = max(top, b)
+            if top == 2 * i:
+                out.append(tuple(range(start + 1, i + 1)))
+                start = i
         return out
 
     def is_indecomposable(self) -> bool:
@@ -338,6 +304,22 @@ def _mask_labels(mask: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
+def open_masks(d: ChordDiagram) -> list[int]:
+    """Entry p is the mask of d's chords open after its first p points (bit
+    i-1 for chord i). Fills in d's crossing masks if unset: chord (a, b)
+    crosses the chords open after exactly one of a - 1 and b points."""
+    ps = d.pairs
+    bits = [0] * (2 * len(ps))
+    bit = 1
+    for a, b in ps:
+        bits[a - 1] = bits[b - 1] = bit
+        bit <<= 1
+    opened = list(accumulate(bits, xor, initial=0))
+    if d._adj is None:
+        _set_adj(d, tuple([opened[a - 1] ^ opened[b] for a, b in ps]))
+    return opened
+
+
 def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
     """Bitmask of the component containing the seed bits in the crossing
     graph induced on the chord set `within`."""
@@ -363,17 +345,6 @@ def component_masks(adj: tuple[int, ...]) -> list[int]:
         out.append(comp)
     return out
 
-
-_TEXT_CHORDS = 12
-
-
-@lru_cache(maxsize=None)
-def _pair_texts() -> Callable[[tuple[int, int]], str]:
-    """The text of every chord (a, b) of a diagram with at most
-    _TEXT_CHORDS chords, looked up: a listing of all diagrams of an
-    exhaustive size joins these. Built on first use."""
-    end = 2 * _TEXT_CHORDS + 1
-    return {(a, b): "(%d,%d)" % (a, b) for b in range(2, end) for a in range(1, b)}.__getitem__
 
 _new = object.__new__
 _set_pairs = ChordDiagram.pairs.__set__

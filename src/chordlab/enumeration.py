@@ -1,9 +1,11 @@
 """Exhaustive generation of rooted chord diagrams and class counting.
 
 `all_pairs` walks every diagram of a size, and `members` of "all" is that
-stream. A diagram of size n is a root chord (1, p) over a diagram S of
-size n-1, and every other class is built that way one size down, with the
-children's crossing masks, connectivity and intersection order filled in:
+stream. `all_texts` is the same walk as text: the listing of "all" prints
+it, and builds no diagram object. A diagram of size n is a root chord
+(1, p) over a diagram S of size n-1, and every other class is built that
+way one size down, with the children's crossing masks, connectivity and
+intersection order filled in:
 
 - connected: S is any diagram, and the root crosses every component of S;
 - indecomposable: S is any diagram, and the root holds the first point of
@@ -46,6 +48,7 @@ from .diagram import (
     _set_connected,
     _set_order,
     component_masks,
+    open_masks,
 )
 from .patterns import (
     CYCLE_CLASSES,
@@ -72,14 +75,30 @@ from .structure import (
 def all_pairs(n: int, branch: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
     """Source-sorted pair tuples, lexicographic in the partner array.
     `branch` restricts to diagrams whose first chord is (1, branch); it must
-    be one of `branches(n)`."""
+    be one of `branches(n)`. A generator function, which perfbench wraps."""
+    yield from _matchings(n, branch, False)
+
+
+def all_texts(n: int) -> Iterator[str]:
+    """The `to_text` of every diagram of `all_pairs(n)`, in its order, with
+    no diagram built."""
+    return _matchings(n, None, True) if n else iter(("()",))
+
+
+def _matchings(n: int, branch: int | None, text: bool) -> Iterator:
+    """The walk of `all_pairs`: each diagram is its chords' pieces joined in
+    source order, the text "(a,b)" if `text`, else the pair tuple ((a, b),)."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    points = tuple(range(1, 2 * n + 1))
+    # the piece of the chord (a, b) is piece[a * m + b]: a list index is
+    # cheaper than hashing a pair
+    m = 2 * n + 1
+    piece = [("(%d,%d)" % (a, b) if text else ((a, b),)) for a in range(m) for b in range(m)]
+    points = tuple(range(1, m))
     if branch is None:
-        stack = [((), points)]
-    elif 2 <= branch <= 2 * n:
-        stack = [(((1, branch),), points[1:branch - 1] + points[branch:])]
+        stack = [("" if text else (), points)]
+    elif 2 <= branch < m:
+        stack = [(piece[m + branch], points[1:branch - 1] + points[branch:])]
     else:
         raise ValueError("branch %r is not in branches(%d)" % (branch, n))
     # depth first on an explicit stack of (chords placed, free points): the
@@ -92,25 +111,24 @@ def all_pairs(n: int, branch: int | None = None) -> Iterator[tuple[tuple[int, in
         prefix, free = pop()
         k = len(free)
         if k > 4:
-            a = free[0]
+            a = free[0] * m
             for i in range(k - 1, 0, -1):
-                push((prefix + ((a, free[i]),), free[1:i] + free[i + 1:]))
+                push((prefix + piece[a + free[i]], free[1:i] + free[i + 1:]))
         elif k == 4:
             a, p, q, r = free
-            yield prefix + ((a, p), (q, r))
-            yield prefix + ((a, q), (p, r))
-            yield prefix + ((a, r), (p, q))
+            a *= m
+            yield prefix + (piece[a + p] + piece[q * m + r])
+            yield prefix + (piece[a + q] + piece[p * m + r])
+            yield prefix + (piece[a + r] + piece[p * m + q])
         elif free:
-            yield prefix + (free,)
+            yield prefix + piece[free[0] * m + free[1]]
         else:
             yield prefix
 
 
 def all_diagrams(n: int) -> Iterator[ChordDiagram]:
     """Every size-n diagram exactly once, deterministic order."""
-    trusted = ChordDiagram._trusted
-    for pairs in all_pairs(n):
-        yield trusted(pairs)
+    return map(ChordDiagram._trusted, all_pairs(n))
 
 
 def members(n: int, cls: str = "all", ordered: bool = True) -> Iterator[ChordDiagram]:
@@ -193,16 +211,18 @@ def _count(n: int, key, share: int | None = None) -> int:
         return sum(1 for _ in all_pairs(n, share))
     if n <= 0:
         return sum(1 for _ in _grown(n, key, False))
-    return sum(member.bit_count() for _, _, member, _, _ in _sites(n, key, share=share))
+    return sum(m.bit_count() for _, _, m, _, _ in _sites(n, key, share=share, components=False))
 
 
 def _sites(
-    n: int, key, ks: list[int] | None = None, ordered: bool = False, share: int | None = None
-) -> Iterator[tuple[ChordDiagram, list[int], int, int, list[int]]]:
+    n: int, key, ks: list[int] | None = None, ordered: bool = False, share: int | None = None,
+    components: bool = True,
+) -> Iterator[tuple[ChordDiagram, list[int], int, int | None, list[int] | None]]:
     """The root-insertion sites of size n >= 1: (s, *`_insertions`) for the
     roots (1, k + 2), k in `ks` (every root if None), over each parent s of
     size n-1 whose first chord is (1, share) (every parent if None), in
-    generation order if `ordered`. The parents of "all", "connected" and
+    generation order if `ordered`; with the connected bits and the
+    components of s if `components`. The parents of "all", "connected" and
     "indecomposable" are every diagram of size n-1; those of the other
     classes are the class's members."""
     if ks is None:
@@ -215,42 +235,43 @@ def _sites(
         # the parents whose first chord is (1, share) are the roots k = share - 2
         parents = _grown(n - 1, key, ordered, None if share is None else [share - 2])
     for s in parents:
-        yield (s, *_insertions(s, key, ks))
+        yield (s, *_insertions(s, key, ks, components))
 
 
-def _insertions(s: ChordDiagram, key, ks: list[int]) -> tuple[list[int], int, int, list[int]]:
+def _insertions(s: ChordDiagram, key, ks: list[int], components: bool = True) -> tuple:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
     k of `ks` whose child is in the class of `key` (every one for "all"),
-    those whose child is connected, and the masks of s's components."""
-    # the root crosses the chords with one end among s's first k points
-    # (roots[k] == 0 when those points close up into chords of their own)
-    roots = [0]
-    for x in s.point_labels():
-        roots.append(roots[-1] ^ 1 << (x - 1))
-    comps = component_masks(s.adjacency())
+    those whose child is connected, and the masks of s's components. The
+    last two are None unless `components` or the class of `key` reads them."""
+    # the root crosses the chords with one end among s's first k points,
+    # the chords open after them (none when they close up on their own)
+    roots = open_masks(s)
     # ks holds distinct roots 0..2m
     every = (1 << len(roots)) - 1 if len(ks) == len(roots) else sum(1 << k for k in ks)
-    # the root crosses a component iff it holds the component's first point
-    # but not its last, so the child is connected iff lo <= k < hi for the
-    # largest first point lo and the smallest last point hi. The spans of
-    # the components nest or are disjoint: if the child at k = lo is
-    # connected, they nest, and hi is the last point of the innermost one,
-    # the component that starts at lo
-    connected = every
-    if len(comps) == 1:
-        connected &= (1 << len(roots) - 1) - 2  # lo = 1, hi = 2m
-    elif comps:
-        inner = comps[-1]
-        lo = s.pairs[(inner & -inner).bit_length() - 1][0]
-        r = roots[lo]
-        for c in comps:
-            if not r & c:
-                connected = 0
-                break
-        else:
-            hi = max(s.pairs[j - 1][1] for j in _mask_labels(inner))
-            connected &= (1 << hi) - (1 << lo)
+    comps = connected = None
+    if components or key in ("connected", "one-terminal"):
+        comps = component_masks(s.adjacency())
+        # the root crosses a component iff it holds the component's first
+        # point but not its last, so the child is connected iff lo <= k < hi
+        # for the largest first point lo and the smallest last point hi. The
+        # spans of the components nest or are disjoint: if the child at
+        # k = lo is connected, they nest, and hi is the last point of the
+        # innermost one, the component that starts at lo
+        connected = every
+        if len(comps) == 1:
+            connected &= (1 << len(roots) - 1) - 2  # lo = 1, hi = 2m
+        elif comps:
+            inner = comps[-1]
+            lo = s.pairs[(inner & -inner).bit_length() - 1][0]
+            r = roots[lo]
+            for c in comps:
+                if not r & c:
+                    connected = 0
+                    break
+            else:
+                hi = max(s.pairs[j - 1][1] for j in _mask_labels(inner))
+                connected &= (1 << hi) - (1 << lo)
     if key == "all":
         member = every
     elif key in ("connected", "one-terminal"):
@@ -360,10 +381,12 @@ def _count_class_share(args) -> dict[tuple, int]:
         if empty and "t1" in statistics:
             raise ValueError(_T1_DISCONNECTED % cls)
         return _tally(empty, lambda d: (0, *[_STAT_FUNCS[s](d) for s in statistics]))
-    # tallied once per site, a parent s and a root k whose child is a member
+    # tallied once per site (s, k) whose child is a member; only t1,
+    # terminality and kappa read the connected bits and the components
     ks = list(range(2 * n - 1))
+    components = not {"crossings", "nestings", "terminal-count"}.issuperset(statistics)
     counts: Counter = Counter()
-    for s, roots, member, connected, comps in _sites(n, key, ks, share=share):
+    for s, roots, member, connected, comps in _sites(n, key, ks, False, share, components):
         if not member:
             continue
         if "t1" in statistics and member & ~connected:

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .diagram import ChordDiagram, _mask_labels
+from .diagram import ChordDiagram, _mask_labels, component_masks
 from .structure import is_one_terminal
 
 
@@ -369,16 +369,18 @@ def hereditary_key(name: str) -> str | ChordDiagram | None:
 
 
 def root_members(
-    key: str | ChordDiagram, s: ChordDiagram, roots: list[int], comps: list[int], ks: list[int]
+    key: str | ChordDiagram, s: ChordDiagram, roots: list[int], comps: list | None, ks: list[int]
 ) -> int:
     """Which root insertions over a member s of the hereditary class `key`
     (see hereditary_key) stay in the class: bit k of the result is set when
     the root (1, k + 2) gives a member, for each k of `ks`. That root
     crosses the chords of s in the mask roots[k], and comps are the masks
-    of s's components. Only configurations that use the root are tested:
-    the others lie in s. No child is built, except to tell a top from a
-    bottom cycle through the root."""
+    of s's components (None if not yet found). Only configurations that use
+    the root are tested: the others lie in s. No child is built, except to
+    tell a top from a bottom cycle through the root."""
     adj = s.adjacency()
+    if comps is None and key in ("tree", "bipartite"):
+        comps = component_masks(adj)
     if isinstance(key, ChordDiagram):
         return _pattern_free_roots(s, key, roots, ks)
     if key == "noncrossing":

@@ -8,16 +8,20 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from chordlab import cli, patterns
+from chordlab import cli, diagram, patterns
 
 CLI = [sys.executable, "-m", "chordlab.cli"]
 
 
 def run(*args, env_extra=None):
+    # the child imports chordlab from this checkout, as pytest does
     env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -232,6 +236,8 @@ def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsy
 ENUM_SHA256 = [
     ('--jobs 1', '6143a4fb095eccf655ee5688634f8294e62ae4cbddca027d2fbd3019940a1339'),
     ('--jobs 1 --count', '552e5471bbfd498426887d2cbbde1fda9c1f8bb421f4c4ac71c4d48dfc0485b4'),
+    ('--jobs 1 --format csv', '009380a86580f5c3cdff9e32c8d3348c2ce8306127a32e1e33c98006bbb755de'),
+    ('--jobs 1 --format json', '3dfceda884a692fbf6792e91febb42231acc99d93d78292a65c97c138c0b618a'),
     ('--jobs 1 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
     ('--jobs 1 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
     ('--jobs 1 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
@@ -264,6 +270,18 @@ def test_enum_output_is_byte_identical_to_the_pin(args, digest):
     with redirect_stdout(out):
         assert cli.main(["enum", "--size", "6", *args.split()]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ("lines", "csv", "json"))
+def test_enum_lists_every_diagram_without_building_one(monkeypatch, fmt):
+    built = []
+    init = diagram._init
+    monkeypatch.setattr(diagram, "_init", lambda d, pairs: built.append(pairs) or init(d, pairs))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["enum", "--size", "6", "--jobs", "1", "--format", fmt]) == 0
+    assert "(1,12)(2,11)(3,10)(4,9)(5,8)(6,7)" in out.getvalue()
+    assert built == []
 
 
 # (statistic, class, exit code, sha256 of stdout) of `enum --size 6 --jobs 1

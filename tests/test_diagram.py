@@ -145,7 +145,7 @@ def test_text_round_trip_examples():
 
 
 def test_text_of_small_and_large_diagrams_formats_every_chord():
-    # up to 12 chords the text is joined from a table of chord texts
+    # the text of every size comes from one format string
     for n in (1, 12, 13):
         nested = ChordDiagram((i, 2 * n + 1 - i) for i in range(1, n + 1))
         crossing = ChordDiagram((i, i + n) for i in range(1, n + 1))

@@ -15,6 +15,7 @@ from chordlab.enumeration import (
     PROFILE_CLASSES,
     all_diagrams,
     all_pairs,
+    all_texts,
     branches,
     census,
     class_census,
@@ -96,6 +97,9 @@ def test_all_pairs_matches_the_recursive_generator():
     for n in range(8):
         for got, want in zip_longest(all_pairs(n), recursive_maps.all_pairs(n)):
             assert got == tuple(want), n
+        # the text stream is the same walk, written as to_text writes it
+        for got, want in zip_longest(all_texts(n), recursive_maps.all_pairs(n)):
+            assert got == ("".join("(%d,%d)" % p for p in want) or "()"), n
     for n in range(7):
         for b in branches(n):
             for got, want in zip_longest(all_pairs(n, b), recursive_maps.all_pairs(n, b)):

@@ -18,7 +18,7 @@ import pytest
 
 from chordlab import cli, enumeration
 from chordlab.bijections import chi
-from chordlab.diagram import ChordDiagram
+from chordlab.diagram import ChordDiagram, _set_adj, open_masks
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.structure import (
     intersection_order,
@@ -85,6 +85,50 @@ def test_adjacency_matches_interleaving_of_raw_pairs():
         for i in range(d.n):
             for j in range(d.n):
                 assert bool(adj[i] >> j & 1) == interleave(d.pairs[i], d.pairs[j]), d
+
+
+def relation_masks(d: ChordDiagram) -> tuple[int, ...]:
+    """The crossing masks read off `relation()`, one pair at a time."""
+    out = [0] * d.n
+    for i in range(1, d.n + 1):
+        for j in range(i + 1, d.n + 1):
+            if d.relation(i, j) == "cross":
+                out[i - 1] |= 1 << j - 1
+                out[j - 1] |= 1 << i - 1
+    return tuple(out)
+
+
+def check_open_masks(pairs, entries: bool = True) -> None:
+    d = ChordDiagram._trusted(pairs)
+    opened = open_masks(d)
+    assert d._adj == relation_masks(d), pairs
+    if entries:
+        # entry p holds the chords with their source among the first p
+        # points and their sink after them
+        want = [0] * (2 * len(pairs) + 1)
+        for i, (a, b) in enumerate(pairs):
+            for p in range(a, b):
+                want[p] |= 1 << i
+        assert opened == want, pairs
+
+
+def test_open_masks_fill_in_the_crossings_of_every_small_diagram():
+    for n in range(8):
+        for pairs in all_pairs(n):
+            check_open_masks(pairs, n < 7)
+
+
+def test_open_masks_fill_in_the_crossings_of_large_diagrams():
+    rng = random.Random(2296)
+    for n in (40, 57, 73, 100):
+        for _ in range(5):
+            check_open_masks(uniform_matching(n, rng).pairs)
+
+
+def test_open_masks_leave_set_crossing_masks_alone():
+    d = ChordDiagram._trusted(((1, 3), (2, 4)))
+    _set_adj(d, (0, 0))
+    assert open_masks(d) == [0, 1, 3, 2, 0] and d.adjacency() == (0, 0)
 
 
 def test_right_neighbors_and_terminal_labels_match_their_definitions():

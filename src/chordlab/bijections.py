@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .diagram import ChordDiagram, _mask_labels
+from .diagram import ChordDiagram, _mask_labels, component_mask
 from .structure import _order, is_one_terminal, source_sink_groups, t1, terminal_labels
 
 # parts: (component diagram, block of intersection-order positions)
@@ -260,17 +260,16 @@ def root_share_decompose(c: ChordDiagram) -> tuple[ChordDiagram, ChordDiagram, i
     (root included), idx how many C2 endpoints precede C1's second point."""
     if not c.is_connected() or c.n < 2:
         raise ValueError("root share requires a connected diagram of size >= 2")
-    rest = list(range(2, c.n + 1))
-    sub = c.subdiagram(rest)
-    first = sub.components()[0]
-    c2_labels = sorted(x + 1 for x in first)
-    c1_labels = sorted(set(range(1, c.n + 1)) - set(c2_labels))
-    c2_points = sorted(p for lbl in c2_labels for p in c.chord(lbl))
-    c1_points = sorted(p for lbl in c1_labels for p in c.chord(lbl))
-    e = c1_points[1]
-    idx = sum(1 for p in c2_points if p < e)
-    assert 1 <= idx <= 2 * len(c2_labels) - 1
-    return c.subdiagram(c1_labels), c.subdiagram(c2_labels), idx
+    full = (1 << c.n) - 1
+    c2 = component_mask(c.adjacency(), 0b10, full ^ 1)
+    sub1, sub2 = _subdiagrams(c, [full ^ c2, c2])
+    # every point between the root's source and C1's second point is C2's
+    labels = c.point_labels()
+    idx = 0
+    while c2 >> (labels[idx + 1] - 1) & 1:
+        idx += 1
+    assert 1 <= idx <= 2 * sub2.n - 1
+    return sub1, sub2, idx
 
 
 def root_share_compose(c1: ChordDiagram, c2: ChordDiagram, idx: int) -> ChordDiagram:

@@ -36,37 +36,50 @@ def _order(d: ChordDiagram) -> tuple[int, ...]:
 def mask_order(adj: tuple[int, ...], parts: list[int]) -> tuple[int, ...]:
     """The intersection orders of the connected chord sets `parts` (masks,
     by smallest label), one after another: what is left of a diagram once
-    its root is removed is ordered this way, one component at a time."""
-    # the recursion runs on an explicit stack of chord-set masks, smallest
-    # component on top
+    its root is removed is ordered this way, one component at a time.
+
+    In a connected chord set C, the component that chord x roots in the
+    recursion is x's crossing component among the chords of C labelled
+    >= x: a chord outside it that crosses it roots an enclosing component,
+    so its label is smaller than x. One pass from the largest label down
+    therefore builds the recursion tree with a union-find whose sets are
+    those components, each rooted at its smallest label; x's children
+    are the sets its later neighbours lie in. Each crossing mask is read
+    once."""
+    n = len(adj)
+    up = list(range(n + 1))  # union-find parent; a set's root is its minimum
+    members = [0] * (n + 1)  # a root's set, as a mask
+    kids = [0] * (n + 1)  # a chord's children in the tree, as a mask
     out = []
-    stack = parts[::-1]
-    while stack:
-        rest = stack.pop()
-        low = rest & -rest
-        root = low.bit_length()
-        out.append(root)
-        rest ^= low
-        # rest was connected, so each of its pieces holds a neighbour of
-        # the root: a piece that holds all the neighbours left is all of
-        # what is left, and its search can stop there
-        need = adj[root - 1] & rest
-        comps = []
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier and need & ~comp:
-                low = frontier & -frontier
-                frontier ^= low
-                grow = adj[low.bit_length() - 1] & rest & ~comp
-                comp |= grow
-                frontier |= grow
-            if not need & ~comp:
-                comps.append(rest)
-                break
-            comps.append(comp)
-            rest ^= comp
-            need &= ~comp
-        stack.extend(reversed(comps))
+    for part in parts:
+        m = part
+        while m:
+            x = m.bit_length()
+            comp = 1 << (x - 1)
+            m ^= comp
+            later = adj[x - 1] >> x << x & part
+            children = 0
+            while later:
+                r = (later & -later).bit_length()
+                while up[r] != r:  # find, halving the path
+                    up[r] = r = up[up[r]]
+                up[r] = x
+                children |= 1 << (r - 1)
+                joined = members[r]
+                comp |= joined
+                later &= ~joined
+            members[x] = comp
+            kids[x] = children
+        # preorder from the part's smallest label, children ascending
+        stack = [x]
+        while stack:
+            x = stack.pop()
+            out.append(x)
+            s = kids[x]
+            while s:
+                c = s.bit_length()
+                stack.append(c)
+                s ^= 1 << (c - 1)
     return tuple(out)
 
 

@@ -2,7 +2,8 @@
 maps that chordlab computes on crossing masks and explicit stacks, the
 point-by-point relabellings that chordlab replaces with one label layout,
 the recursive pair generator, the full mask search for the intersection
-order, and the path-by-path search for non-nesting induced paths.
+order, the root-share split by a search over raw pairs, and the
+path-by-path search for non-nesting induced paths.
 
 They share with the fast paths only ChordDiagram itself (its validating
 constructor, `partner` and `relation`), the intersection order, t1, the
@@ -157,6 +158,33 @@ def root_share_compose(c1, c2, idx):
     pairs = [(pos[(1, a)], pos[(1, b)]) for a, b in c1]
     pairs += [(pos[(2, a)], pos[(2, b)]) for a, b in c2]
     return ChordDiagram(pairs)
+
+
+def root_share_decompose(c):
+    """Delete the root, grow the component of chord 2 over crossing raw
+    pairs (C2), keep the rest with the root (C1), rebuild both through the
+    validating constructor and count the C2 points before C1's second."""
+    ps = c.pairs
+    c2 = {2}
+    todo = [2]
+    while todo:
+        (a, b) = ps[todo.pop() - 1]
+        for y in range(3, c.n + 1):
+            p, q = ps[y - 1]
+            if y not in c2 and (a < p < b < q or p < a < q < b):
+                c2.add(y)
+                todo.append(y)
+    c1 = [x for x in range(1, c.n + 1) if x not in c2]
+
+    def points(labels):
+        return sorted(p for x in labels for p in ps[x - 1])
+
+    def sub(labels):
+        rank = {p: r for r, p in enumerate(points(labels), 1)}
+        return ChordDiagram((rank[a], rank[b]) for a, b in (ps[x - 1] for x in labels))
+
+    e = points(c1)[1]
+    return sub(c1), sub(sorted(c2)), sum(p < e for p in points(c2))
 
 
 def _remap(t, m):

@@ -233,6 +233,15 @@ def test_root_share_round_trip_exhaustive():
                 assert root_share_compose(c1, c2, idx) == d
 
 
+def test_root_share_decompose_matches_the_raw_pair_search():
+    checked = 0
+    for n in range(2, 8):
+        for d in members(n, "connected"):
+            assert root_share_decompose(d) == recursive_maps.root_share_decompose(d), d
+            checked += 1
+    assert checked == 41342
+
+
 def test_root_share_domain_errors():
     with pytest.raises(ValueError):
         root_share_decompose(Ca)

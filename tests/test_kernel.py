@@ -15,10 +15,11 @@ from types import MappingProxyType
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chordlab import cli, enumeration
+from chordlab import cli, enumeration, structure
 from chordlab.bijections import chi
-from chordlab.diagram import ChordDiagram, _set_adj, open_masks
+from chordlab.diagram import ChordDiagram, _mask_labels, _set_adj, component_masks, open_masks
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.structure import (
     intersection_order,
@@ -213,6 +214,47 @@ def test_intersection_order_matches_the_mask_search_at_large_n():
         assert intersection_order(d) == mask_order(d) == tuple(range(1, n + 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(100, 400), st.booleans(), st.integers(0, 2**32))
+def test_intersection_order_matches_the_mask_search_on_drawn_diagrams(n, lift, seed):
+    rng = random.Random(seed)
+    d = chi(uniform_matching(n - 1, rng)) if lift else connected_matching(n, rng)
+    assert intersection_order(d) == mask_order(d)
+
+
+def test_mask_order_of_every_component_at_once():
+    # the call `_rest_order` makes: one part per component, one after
+    # another, each ordered as its own subdiagram (one part is the
+    # exhaustive test above)
+    orders = {}
+    checked = 0
+    for n in range(8):
+        for d in sweep(n) if n <= MAX_N else all_diagrams(n):
+            comps = component_masks(d.adjacency())
+            if len(comps) < 2:
+                continue
+            want = []
+            for comp in comps:
+                labels = _mask_labels(comp)
+                sub = d.subdiagram(labels)
+                if sub not in orders:
+                    orders[sub] = mask_order(sub)
+                want += [labels[i - 1] for i in orders[sub]]
+            assert structure.mask_order(d.adjacency(), comps) == tuple(want), d
+            checked += 1
+    assert checked == 105256
+
+
+def test_mask_order_reads_only_the_chords_of_its_parts():
+    # the parts leave out the last chord, which may cross several of them
+    for n in range(2, MAX_N + 1):
+        for d in sweep(n):
+            rest = d.remove_chord(n)
+            parts = component_masks(rest.adjacency())
+            want = structure.mask_order(rest.adjacency(), parts)
+            assert structure.mask_order(d.adjacency(), parts) == want, d
+
+
 @pytest.mark.parametrize("k", [3, 4, 7])
 def test_intersection_order_of_a_root_over_disjoint_blocks(k):
     d = root_over_blocks(k)
@@ -232,17 +274,28 @@ class CountingMasks(tuple):
         return tuple.__getitem__(self, i)
 
 
-@pytest.mark.parametrize("shape", ["path", "caterpillar"])
+def linear_shape(shape: str) -> ChordDiagram:
+    rng = random.Random(1000)
+    if shape == "path":
+        return path_diagram(2000)
+    if shape == "caterpillar":
+        return caterpillar(1000)
+    if shape == "uniform":
+        return connected_matching(1000, rng)
+    return chi(uniform_matching(998, rng))
+
+
+@pytest.mark.parametrize("shape", ["path", "caterpillar", "uniform", "chi"])
 def test_intersection_order_reads_linearly_many_masks(monkeypatch, shape):
-    # each root's last piece holds all its remaining neighbours at once,
-    # so no component search may run over the rest of the spine
-    d = path_diagram(2000) if shape == "path" else caterpillar(1000)
-    assert d.is_connected()
+    # each chord's crossing mask is read once, however deep or wide the
+    # recursion below it; no component search runs over what is left
+    d = linear_shape(shape)
+    assert d.is_connected() and d.n in (999, 1000, 2000)
     want = mask_order(d)
     masks = CountingMasks(d.adjacency())
     monkeypatch.setattr(ChordDiagram, "adjacency", lambda self: masks)
     assert intersection_order(d) == want
-    assert masks.reads <= 3 * d.n
+    assert masks.reads <= d.n
 
 
 def test_vertex_connectivity_matches_networkx():

@@ -20,8 +20,8 @@ intersection order filled in:
 the children from it, and a class size (`count_members`, `census`,
 `count_class`, `pattern_free_count`) adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
-(`_site_columns`), without building the children. Only the size of "all"
-counts the stream itself.
+(`_site_columns`), without building the children. The size of "all" counts
+the stream, and `_histories` its crossings, nestings and terminal chords.
 
 `tally` is the one loop that counts built diagrams: `class_census`,
 `tcf_refined` and the counts of the other modules are key functions over
@@ -349,15 +349,16 @@ _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
 }
 
 STAT_NAMES = tuple(_STAT_FUNCS)
+_ARC_STATS = frozenset(("crossings", "nestings", "terminal-count"))
 
 
 _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
 
 
 def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
-    """Count size-n diagrams of a class, refined by the named statistics.
-    Every statistic is read off the root-insertion sites (`_site_columns`),
-    with no child built; only n = 0 tallies a built diagram."""
+    """Count size-n diagrams of a class, refined by the named statistics,
+    with no child built: by `_histories`, or off the root-insertion sites
+    (`_site_columns`); only n = 0 tallies a built diagram."""
     statistics = tuple(statistics)
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
@@ -375,6 +376,8 @@ def _count_class_share(args) -> dict[tuple, int]:
     if not statistics:
         total = _count(n, key, share)
         return {(n,): total} if total else {}
+    if _by_histories(cls, statistics):
+        return _histories(n, statistics)
     if n == 0:
         # the one diagram of size 0 is the empty one, which is disconnected
         empty = list(members(0, cls))
@@ -384,7 +387,7 @@ def _count_class_share(args) -> dict[tuple, int]:
     # tallied once per site (s, k) whose child is a member; only t1,
     # terminality and kappa read the connected bits and the components
     ks = list(range(2 * n - 1))
-    components = not {"crossings", "nestings", "terminal-count"}.issuperset(statistics)
+    components = not _ARC_STATS.issuperset(statistics)
     counts: Counter = Counter()
     for s, roots, member, connected, comps in _sites(n, key, ks, False, share, components):
         if not member:
@@ -396,12 +399,38 @@ def _count_class_share(args) -> dict[tuple, int]:
     return dict(counts)
 
 
+def _by_histories(cls: str, statistics: tuple[str, ...]) -> bool:
+    return cls == "all" and bool(statistics) and _ARC_STATS.issuperset(statistics)
+
+
+def _histories(n: int, statistics: tuple[str, ...]) -> dict[tuple, int]:
+    """The rows of "all" by crossings, nestings and terminal-count, over
+    Flajolet's histories (1980): from left to right with h chords open, a
+    point opens a chord if the points after it can close h + 1, or closes
+    the open chord with i later-opened chords still open, which adds i
+    crossings and h-1-i nestings and is terminal iff i = 0."""
+    if n < 0:
+        raise ValueError("size must be >= 0")
+    layer = Counter({(0,) * (len(statistics) + 1): 1})
+    for left in range(2 * n - 1, -1, -1):  # the points after this one
+        after: Counter = Counter()
+        for (h, *values), count in layer.items():
+            if h < left:
+                after[(h + 1, *values)] += count
+            for i in range(h):
+                gain = {"crossings": i, "nestings": h - 1 - i, "terminal-count": int(i == 0)}
+                after[(h - 1, *[v + gain[s] for s, v in zip(statistics, values)])] += count
+        layer = after
+    return {(n, *values): count for (_, *values), count in layer.items()}
+
+
 def _site_columns(
     s: ChordDiagram, roots: list[int], connected: int, comps: list[int], statistics: tuple[str, ...]
 ) -> list[list[int]]:
     """The statistics of the children of s, one column per statistic with
     an entry per root k; roots[k] is the mask r of s's chords that the root
-    crosses, and bit k of `connected` is set when the child is connected.
+    crosses, and bit k of `connected` is set when the child is connected;
+    "all" reads only t1, terminality and kappa here (see `_histories`).
     The root is chord 1 of the child, so it is no right neighbour of a
     chord of s, and a connected child's intersection order is the root
     followed by `_rest_order`, the same for every k. So, with m = s.n:
@@ -477,24 +506,25 @@ def count_classes_parallel(
 ) -> dict[str, CountTable]:
     """count_class for each of several classes, with one pool of at most
     `jobs` workers mapping (class, share) work items: the plain count of
-    "all" counts the stream and is shared out by its first chord, every
-    other item walks the root-insertion sites and is shared out by the
-    first chord of the parents."""
+    "all" is shared out by the first chord of its stream, the histories of
+    "all" are counted in this process, and every other item walks the
+    root-insertion sites, shared out by the first chord of the parents."""
     jobs = _pool_size(n, jobs)
-    if jobs <= 1 or n <= 1:
+    shared = [c for c in classes if not _by_histories(c, statistics)]
+    if jobs <= 1 or n <= 1 or not shared:
         return {c: count_class(n, c, statistics) for c in classes}
     work = [
         (n, c, statistics, b)
-        for c in classes
+        for c in shared
         for b in branches(n if c == "all" and not statistics else n - 1)
     ]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_count_class_share, work)
-    tables = {c: CountTable(c, tuple(statistics)) for c in classes}
+    tables = {c: CountTable(c, tuple(statistics)) for c in shared}
     for (_, c, _, _), rows in zip(work, parts):
         for k, v in rows.items():
             tables[c].add(k, v)
-    return tables
+    return {c: tables[c] if c in shared else count_class(n, c, statistics) for c in classes}
 
 
 def count_class_parallel(

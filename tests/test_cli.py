@@ -231,8 +231,10 @@ def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsy
 
 # sha256 of `enum --size 6` stdout for the benchmark's five sweep calls and
 # for each root-insertion class listed and counted at one and two jobs, read
-# before those classes were built by root insertion; a change that moves
-# one changes what `enum` prints and must say so
+# before those classes were built by root insertion, and for the tables of
+# "all" by crossings, nestings and terminal-count at one and two jobs, read
+# while they still walked the root-insertion sites; a change that moves one
+# changes what `enum` prints and must say so
 ENUM_SHA256 = [
     ('--jobs 1', '6143a4fb095eccf655ee5688634f8294e62ae4cbddca027d2fbd3019940a1339'),
     ('--jobs 1 --count', '552e5471bbfd498426887d2cbbde1fda9c1f8bb421f4c4ac71c4d48dfc0485b4'),
@@ -241,6 +243,9 @@ ENUM_SHA256 = [
     ('--jobs 1 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
     ('--jobs 1 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
     ('--jobs 1 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
+    ('--jobs 2 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
+    ('--jobs 1 --stats crossings,nestings,terminal-count --format json', '979f00fe172a0d45fc4d69ca04f94f865b8f5deb8cac2572e7bce81f029f9c5f'),
+    ('--jobs 2 --stats crossings,nestings,terminal-count --format json', '979f00fe172a0d45fc4d69ca04f94f865b8f5deb8cac2572e7bce81f029f9c5f'),
     ('--jobs 1 --class connected', '0f762da8948ba811c15f24c7d6ed4b8deb6a96c71dab1fba3fb4773551305ba6'),
     ('--jobs 2 --class connected', '0f762da8948ba811c15f24c7d6ed4b8deb6a96c71dab1fba3fb4773551305ba6'),
     ('--jobs 1 --class connected --count', '06b4c890d0dd3e58620ec38ff5dc7ca35540354e30bda2ec0caadd912fc632ac'),

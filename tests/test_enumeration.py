@@ -2,13 +2,14 @@
 
 from collections import Counter
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from math import comb
 
 import pytest
 
 import recursive_maps
 
-from chordlab import bijections, checks, enumeration, patterns
+from chordlab import bijections, checks, diagram, enumeration, patterns
 from chordlab.conjectures import variant_counts
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
@@ -148,6 +149,8 @@ def test_negative_sizes_are_rejected():
         lambda: list(members(-1, "indecomposable")),
         lambda: count_members(-1, "indecomposable"),
         lambda: count_class(-1, "indecomposable", ("crossings",)),
+        # the histories of "all", which walk no diagram
+        lambda: count_class(-1, "all", ("crossings",)),
         lambda: pattern_free_count(-1, K3),
         lambda: tally(-1, t1, cls="chordal"),
     )
@@ -397,11 +400,16 @@ def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     # the indecomposable rows of the filtered stream, read before counting
     want = Counter((7, d.crossings()) for d in all_diagrams(7) if in_class(d, "indecomposable"))
     assert sum(want.values()) == 110410
+    # the histories of "all" build no diagram of any size, through either
+    # constructor
+    inits = []
+    init = diagram._init
+    monkeypatch.setattr(diagram, "_init", lambda d, pairs: inits.append(pairs) or init(d, pairs))
+    for stats in (("crossings", "nestings"), ("terminal-count",)):
+        assert count_class(7, "all", stats).total(7) == double_factorial(7)
+        assert inits == [], stats
+    monkeypatch.undo()
     built = count_built(monkeypatch)
-    table = count_class(7, "all", ("crossings", "nestings"))
-    assert table.total(7) == double_factorial(7)
-    assert built[7] == 0 and built[6] == double_factorial(6), built
-    built.clear()
     assert count_members(7, "indecomposable") == 110410
     assert count_class(7, "indecomposable", ("crossings",)).rows == want
     assert built[7] == 0 and built[6] == 2 * double_factorial(6), built
@@ -412,6 +420,73 @@ def test_kappa_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     table = count_class(7, "one-terminal", ("terminality", "kappa"))
     assert table.total(7) == one_terminal(7)
     assert built[7] == 0 and built[6] > 0, built
+
+
+def test_histories_of_all_open_no_pool(monkeypatch):
+    # "all" by crossings, nestings and terminal-count is counted in this
+    # process; only the other classes are shared out to the pool
+    def no_pool(jobs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    for stats in (("crossings", "nestings"), ("terminal-count",), ("nestings", "crossings")):
+        tables = count_classes_parallel(6, ("all",), stats, jobs=2)
+        assert tables["all"].rows == count_class(6, "all", stats).rows, stats
+    items = []
+
+    class RecordingPool(SerialPool):
+        def map(self, fn, work):
+            items.extend(work)
+            return super().map(fn, work)
+
+    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
+    tables = count_classes_parallel(6, ("all", "connected"), ("crossings",), jobs=2)
+    assert list(tables) == ["all", "connected"]
+    assert {c for _, c, _, _ in items} == {"connected"}
+    for cls in tables:
+        assert tables[cls].rows == count_class(6, cls, ("crossings",)).rows, cls
+
+
+def touchard_riordan(n):
+    """{k: diagrams of size n with k crossings}, by the Touchard-Riordan
+    formula: the sum over k >= 0 of (-1)^k (C(2n, n-k) - C(2n, n-k-1))
+    q^(k(k+1)/2), divided by (1 - q)^n."""
+    poly = [0] * (n * (n + 1) // 2 + 1)
+    for k in range(n + 1):
+        ballot = comb(2 * n, n - k) - (comb(2 * n, n - k - 1) if k < n else 0)
+        poly[k * (k + 1) // 2] += (-1) ** k * ballot
+    for _ in range(n):
+        # P = (1 - q) Q leaves no remainder, and Q's coefficients are P's
+        # prefix sums
+        assert sum(poly) == 0
+        poly = list(accumulate(poly))[:-1]
+    return {k: c for k, c in enumerate(poly) if c}
+
+
+def test_touchard_riordan_counts_the_stream():
+    for n in range(7):
+        assert touchard_riordan(n) == Counter(d.crossings() for d in all_diagrams(n)), n
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_histories_match_the_formulas_beyond_the_sweep(n):
+    # the tables of "all" past exhaustive reach, against closed forms
+    crossings = count_class(n, "all", ("crossings",)).rows
+    nestings = count_class(n, "all", ("nestings",)).rows
+    joint = count_class(n, "all", ("crossings", "nestings")).rows
+    terminal = count_class(n, "all", ("crossings", "terminal-count")).rows
+    every = count_class(n, "all", ("terminal-count", "nestings", "crossings")).rows
+    want = {(n, k): c for k, c in touchard_riordan(n).items()}
+    assert crossings == want and nestings == want
+    # crossings and nestings are symmetric jointly (Kasraoui and Zeng, 2006)
+    assert joint == {(n, b, a): c for (_, a, b), c in joint.items()}
+    assert sum(c for (_, a, _), c in joint.items() if a == 0) == catalan(n)
+    assert sum(c for (_, _, b), c in joint.items() if b == 0) == catalan(n)
+    # all n chords are terminal exactly when the diagram is noncrossing
+    assert {k: c for k, c in terminal.items() if k[1] == 0 or k[2] == n} == {(n, 0, n): catalan(n)}
+    for table in (crossings, nestings, joint, terminal, every):
+        assert sum(table.values()) == double_factorial(n)
 
 
 def loop_connected(s, ks):

@@ -33,6 +33,7 @@ from .bijections import (
 )
 from .diagram import ChordDiagram
 from .enumeration import (
+    VARIANTS,
     all_diagrams,
     census,
     class_census,
@@ -103,13 +104,24 @@ def _fail(**details) -> dict:
     return details
 
 
-@lru_cache(maxsize=None)
-def _domain(n: int, name: str) -> tuple[ChordDiagram, ...]:
-    """The size-n members of a named class other than "all", in generation
+def _domain(n: int, name: str, variant: str = "all") -> tuple[ChordDiagram, ...]:
+    """The size-n members of a variant of a named class, in generation
     order, as `members` walks them: a class built by root insertion comes
     with its crossing masks, connectivity and intersection order filled
     in. Cached; "all" is streamed by `_sweep`, never cached."""
-    return tuple(members(n, name))
+    if name in VARIANTS:  # "connected" is the connected variant of "all"
+        name, variant = max(name, variant, key=VARIANTS.index), "all"
+    return _class_domain(n, name, variant)
+
+
+@lru_cache(maxsize=None)
+def _class_domain(n: int, name: str, variant: str) -> tuple[ChordDiagram, ...]:
+    """`_domain`, one cache entry per argument triple. A variant is a view
+    of the cached class, the same diagrams in the same order."""
+    if variant == "all":
+        return tuple(members(n, name))
+    keep = ChordDiagram.is_connected if variant == "connected" else is_one_terminal
+    return tuple(filter(keep, _class_domain(n, name, "all")))
 
 
 def _sweep(
@@ -117,18 +129,16 @@ def _sweep(
     domain: str,
     start: int,
     budget: int,
-    where: Callable[[ChordDiagram], bool] | None = None,
+    variant: str = "all",
 ) -> dict:
-    """Visit the members of the class `domain` (any class name; "all" is
-    streamed, any other class is its cached `_domain`) with start <= n <=
-    budget in generation order, skipping those `where` rejects. The
-    visitor returns None, or the details of a failure; the first failing
-    diagram is the reported witness."""
+    """Visit the members of a variant of the class `domain` (any class
+    name; "all" is streamed, anything else is its cached `_domain`) with
+    start <= n <= budget in generation order. The visitor returns None, or
+    the details of a failure; the first failing diagram is the reported
+    witness."""
     checked = 0
     for n in range(start, budget + 1):
-        for d in all_diagrams(n) if domain == "all" else _domain(n, domain):
-            if where is not None and not where(d):
-                continue
+        for d in all_diagrams(n) if domain == variant == "all" else _domain(n, domain, variant):
             failure = visit(d)
             if failure is not None:
                 return _fail(witness=d.to_text(), **failure)
@@ -653,12 +663,11 @@ def _alpha_interval_blocks(budget: int) -> dict:
             return {"blocks": flat}
         return None
 
-    connected = ChordDiagram.is_connected
-    report = _sweep(visit, "top-cycle-free", 2, budget, where=connected)
+    report = _sweep(visit, "top-cycle-free", 2, budget, "connected")
     if not report["ok"]:
         return report
     # the converse layout: parts tiled by increasing intervals in part order
-    tcf_pool = {s: list(filter(connected, _domain(s, "top-cycle-free"))) for s in range(1, 5)}
+    tcf_pool = {s: _domain(s, "top-cycle-free", "connected") for s in range(1, 5)}
     rng = random.Random(20240818)
     for _ in range(300):
         m = rng.randint(1, 3)
@@ -693,9 +702,7 @@ def _omega_code_suite(budget: int) -> dict:
     for n in range(1, budget + 1):
         per_t1: dict[int, int] = {}
         total = 0
-        for d in _domain(n, "top-cycle-free"):
-            if not d.is_connected():
-                continue
+        for d in _domain(n, "top-cycle-free", "connected"):
             t = omega(d)
             t.validate()
             k = t1(d)
@@ -1141,9 +1148,7 @@ def _enum_one_terminal_tcf_catalan(budget: int) -> dict:
     rows = {}
     for n in range(1, budget + 1):
         count = 0
-        for d in _domain(n, "top-cycle-free"):
-            if not is_one_terminal(d):
-                continue
+        for d in _domain(n, "top-cycle-free", "one-terminal"):
             if contains_any_bottom_cycle(d):
                 return _fail(witness=d.to_text(), kind="bottom cycle present")
             count += 1

@@ -11,22 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import PROFILE_CLASSES, VARIANTS, _variant_fold, class_census
+from .enumeration import PROFILE_CLASSES, VARIANTS, class_census, count_members
 from .oracles import oracle_value
-from .patterns import in_class
 
 OFFSETS = (-1, 0, 1)
 
 
 def variant_counts(class_name: str, n_max: int) -> dict[str, list[int]]:
     """Counts of size-1..n_max members of the class, per variant."""
+    sizes = range(1, n_max + 1)
     if class_name in PROFILE_CLASSES:
-        rows = [class_census(n)[class_name] for n in range(1, n_max + 1)]
-    else:
-        only = (class_name,)
-        member = lambda d: only if in_class(d, class_name) else ()
-        rows = [_variant_fold(n, member, only)[class_name] for n in range(1, n_max + 1)]
-    return {v: [row[v] for row in rows] for v in VARIANTS}
+        return {v: [class_census(n)[class_name][v] for n in sizes] for v in VARIANTS}
+    return {v: [count_members(n, class_name, v) for n in sizes] for v in VARIANTS}
 
 
 def conjecture_report(

@@ -7,14 +7,16 @@ it, and builds no diagram object. A diagram of size n is a root chord
 way one size down, with the children's crossing masks, connectivity and
 intersection order filled in:
 
-- connected: S is any diagram, and the root crosses every component of S;
 - indecomposable: S is any diagram, and the root holds the first point of
   S's last indecomposable block, so that no proper prefix closes up;
-- one-terminal: S is one-terminal, and the root crosses a chord of it;
 - the hereditary classes, closed under removing the root (noncrossing,
   nonnesting, the cycle classes and the pattern classes such as
   "K3-free"): S is in the class, and `patterns.root_members` tests only
-  the configurations that use the new root.
+  the configurations that use the new root;
+- the VARIANTS "connected" and "one-terminal" of any class, those of "all"
+  being the classes of these names: the class's walk, keeping the children
+  whose root crosses every component of S, over one-terminal S only for
+  "one-terminal" (`_sites`).
 
 `_sites` is the one walk over the root-insertion parents: `members` builds
 the children from it, and a class size (`count_members`, `census`,
@@ -131,42 +133,54 @@ def all_diagrams(n: int) -> Iterator[ChordDiagram]:
     return map(ChordDiagram._trusted, all_pairs(n))
 
 
-def members(n: int, cls: str = "all", ordered: bool = True) -> Iterator[ChordDiagram]:
-    """The size-n diagrams of a class, in generation order. "all" is the
-    `all_pairs` stream, and every other class is built by root insertion
-    over size n-1 (`_grown`). Unless `ordered`, each parent's children come
-    together, so that no level of parents is held: for callers that only
-    count."""
-    if cls == "all":
+VARIANTS = ("all", "connected", "one-terminal")
+
+
+def members(
+    n: int, cls: str = "all", ordered: bool = True, variant: str = "all"
+) -> Iterator[ChordDiagram]:
+    """The size-n diagrams of a variant of a class, in generation order.
+    "all" is the `all_pairs` stream, and everything else is built by root
+    insertion over size n-1 (`_grown`). Unless `ordered`, each parent's
+    children come together, so that no level of parents is held."""
+    key, variant = _root_key(cls, variant)
+    if key == variant == "all":
         return all_diagrams(n)
-    return _grown(n, _root_key(cls), ordered)
+    return _grown(n, key, variant, ordered)
 
 
-def count_members(n: int, cls: str = "all") -> int:
+def count_members(n: int, cls: str = "all", variant: str = "all") -> int:
     """How many diagrams `members` yields. "all" counts the `all_pairs`
-    stream itself, and any other class adds up the member bits of each
-    root-insertion parent, without building the children."""
-    return _count(n, _root_key(cls))
+    stream itself, and any other class or variant adds up the member bits
+    of each root-insertion parent, without building the children."""
+    return _count(n, *_root_key(cls, variant))
 
 
-def _root_key(cls: str) -> str | ChordDiagram:
-    """How root insertion tells the class apart: "all", "connected",
-    "indecomposable", "one-terminal" or a `hereditary_key`; unknown names
-    raise ValueError."""
+def _root_key(cls: str, variant: str = "all") -> tuple[str | ChordDiagram, str]:
+    """How root insertion tells the class apart: "all", "indecomposable" or
+    a `hereditary_key`, and the stronger of `variant` and the name's own
+    one ("connected" or "one-terminal"); unknown names raise ValueError."""
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant: %s" % variant)
+    if cls in VARIANTS:
+        return "all", max(cls, variant, key=VARIANTS.index)
     key = hereditary_key(cls)
-    return cls if key is None else key
+    return (cls if key is None else key), variant
 
 
-def _grown(n: int, key, ordered: bool, ks: list[int] | None = None) -> Iterator[ChordDiagram]:
-    """`members` of a class built by root insertion over its parents of
-    size n-1, with the roots (1, k + 2) for k in `ks` (every root if None)."""
+def _grown(
+    n: int, key, variant: str, ordered: bool, ks: list[int] | None = None
+) -> Iterator[ChordDiagram]:
+    """`members` built by root insertion over the parents of size n-1, with
+    the roots (1, k + 2) for k in `ks` (every root if None)."""
     if n < 0:
         raise ValueError("size must be >= 0")
     if n == 0:
         # the empty diagram is in every hereditary class but the one that
         # forbids the empty pattern, and is neither connected, indecomposable
         # nor one-terminal
-        if key.n > 0 if isinstance(key, ChordDiagram) else key in HEREDITARY_CLASSES:
+        member = key.n > 0 if isinstance(key, ChordDiagram) else key in HEREDITARY_CLASSES
+        if member and variant == "all":
             yield ChordDiagram._trusted(())
         return
     # k = p - 2 points of S lie inside the root. The child's pairs start
@@ -184,7 +198,7 @@ def _grown(n: int, key, ordered: bool, ks: list[int] | None = None) -> Iterator[
     sites = (
         (s.pairs, s.adjacency(), roots, member, connected,
          connected and (1, *[x + 1 for x in _rest_order(s, comps)]))
-        for s, roots, member, connected, comps in _sites(n, key, ks, ordered)
+        for s, roots, member, connected, comps in _sites(n, key, variant, ks, ordered)
     )
     if ordered and len(ks) > 1:
         sites = list(sites)  # held for this call
@@ -203,54 +217,59 @@ def _grown(n: int, key, ordered: bool, ks: list[int] | None = None) -> Iterator[
             yield d
 
 
-def _count(n: int, key, share: int | None = None) -> int:
-    """count_members of the class of `key`: for "all", of the diagrams whose
-    first chord is (1, share), if given; for any other class, of the
-    children of the parents whose first chord is (1, share)."""
-    if key == "all":
+def _count(n: int, key, variant: str = "all", share: int | None = None) -> int:
+    """count_members of a variant of `key`: for "all", of the diagrams
+    whose first chord is (1, share), if given; else of the children of the
+    parents whose first chord is (1, share)."""
+    if key == variant == "all":
         return sum(1 for _ in all_pairs(n, share))
     if n <= 0:
-        return sum(1 for _ in _grown(n, key, False))
-    return sum(m.bit_count() for _, _, m, _, _ in _sites(n, key, share=share, components=False))
+        return sum(1 for _ in _grown(n, key, variant, False))
+    sites = _sites(n, key, variant, share=share, components=False)
+    return sum(m.bit_count() for _, _, m, _, _ in sites)
 
 
 def _sites(
-    n: int, key, ks: list[int] | None = None, ordered: bool = False, share: int | None = None,
-    components: bool = True,
+    n: int, key, variant: str = "all", ks: list[int] | None = None, ordered: bool = False,
+    share: int | None = None, components: bool = True,
 ) -> Iterator[tuple[ChordDiagram, list[int], int, int | None, list[int] | None]]:
     """The root-insertion sites of size n >= 1: (s, *`_insertions`) for the
     roots (1, k + 2), k in `ks` (every root if None), over each parent s of
     size n-1 whose first chord is (1, share) (every parent if None), in
     generation order if `ordered`; with the connected bits and the
-    components of s if `components`. The parents of "all", "connected" and
-    "indecomposable" are every diagram of size n-1; those of the other
-    classes are the class's members."""
+    components of s if `components`. The parents of "all" and
+    "indecomposable" are every diagram of size n-1, those of the other
+    classes and of their connected variant are the class's members. The
+    one-terminal variant grows over its own members: a one-terminal
+    diagram less its root is one-terminal, and a child of a one-terminal s
+    is one-terminal iff connected, since the root then crosses a chord."""
     if ks is None:
         ks = list(range(2 * n - 1))
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
-    if key in ("all", "connected", "indecomposable") or (key == "one-terminal" and n == 1):
+    below = variant if variant == "one-terminal" and n > 1 else "all"
+    if key in ("all", "indecomposable") and below == "all":
         parents = map(ChordDiagram._trusted, all_pairs(n - 1, share))
     else:
         # the parents whose first chord is (1, share) are the roots k = share - 2
-        parents = _grown(n - 1, key, ordered, None if share is None else [share - 2])
+        parents = _grown(n - 1, key, below, ordered, None if share is None else [share - 2])
     for s in parents:
-        yield (s, *_insertions(s, key, ks, components))
+        yield (s, *_insertions(s, key, variant, ks, components))
 
 
-def _insertions(s: ChordDiagram, key, ks: list[int], components: bool = True) -> tuple:
+def _insertions(s: ChordDiagram, key, variant: str, ks: list[int], components: bool = True) -> tuple:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
-    k of `ks` whose child is in the class of `key` (every one for "all"),
-    those whose child is connected, and the masks of s's components. The
-    last two are None unless `components` or the class of `key` reads them."""
+    k of `ks` whose child is a member (every one for "all"), those whose
+    child is connected, and the masks of s's components. The last two are
+    None unless `components` or the variant reads them."""
     # the root crosses the chords with one end among s's first k points,
     # the chords open after them (none when they close up on their own)
     roots = open_masks(s)
     # ks holds distinct roots 0..2m
     every = (1 << len(roots)) - 1 if len(ks) == len(roots) else sum(1 << k for k in ks)
     comps = connected = None
-    if components or key in ("connected", "one-terminal"):
+    if components or variant != "all":
         comps = component_masks(s.adjacency())
         # the root crosses a component iff it holds the component's first
         # point but not its last, so the child is connected iff lo <= k < hi
@@ -274,10 +293,6 @@ def _insertions(s: ChordDiagram, key, ks: list[int], components: bool = True) ->
                 connected &= (1 << hi) - (1 << lo)
     if key == "all":
         member = every
-    elif key in ("connected", "one-terminal"):
-        # a one-terminal s is connected: its child is one-terminal iff the
-        # root crosses a chord, so that the root is not terminal too
-        member = connected
     elif key == "indecomposable":
         # the child splits right after the root's sink iff s's first j
         # points close up for some k <= j < 2m: it is indecomposable iff k
@@ -288,6 +303,8 @@ def _insertions(s: ChordDiagram, key, ks: list[int], components: bool = True) ->
         member = every >> q + 1 << q + 1
     else:
         member = root_members(key, s, roots, comps, ks)
+    if variant != "all":
+        member &= connected
     return roots, member, connected, comps
 
 
@@ -297,16 +314,14 @@ def _rest_order(s: ChordDiagram, comps: list[int]) -> tuple[int, ...]:
     return _order(s) if len(comps) == 1 else mask_order(s.adjacency(), comps)
 
 
-def tally(n: int, key: Callable[[ChordDiagram], Hashable | None], cls: str = "all") -> dict:
+def tally(
+    n: int, key: Callable[[ChordDiagram], Hashable | None], cls: str = "all", variant: str = "all"
+) -> dict:
     """Counts of the values of `key` over the size-n members of a class, in
     first-occurrence order over the walk of `members(..., ordered=False)`;
     a key of None skips the diagram."""
-    return _tally(members(n, cls, ordered=False), key)
-
-
-def _tally(diagrams: Iterator[ChordDiagram], key: Callable[[ChordDiagram], Hashable | None]) -> dict:
     counts: dict = {}
-    for d in diagrams:
+    for d in members(n, cls, False, variant):
         k = key(d)
         if k is not None:
             counts[k] = counts.get(k, 0) + 1
@@ -372,24 +387,23 @@ def _count_class_share(args) -> dict[tuple, int]:
     for stat in statistics:
         if stat not in _STAT_FUNCS:
             raise ValueError("unknown statistic: %s" % stat)
-    key = _root_key(cls)
+    key, variant = _root_key(cls)
     if not statistics:
-        total = _count(n, key, share)
+        total = _count(n, key, variant, share)
         return {(n,): total} if total else {}
     if _by_histories(cls, statistics):
         return _histories(n, statistics)
     if n == 0:
         # the one diagram of size 0 is the empty one, which is disconnected
-        empty = list(members(0, cls))
-        if empty and "t1" in statistics:
+        if "t1" in statistics and count_members(0, cls):
             raise ValueError(_T1_DISCONNECTED % cls)
-        return _tally(empty, lambda d: (0, *[_STAT_FUNCS[s](d) for s in statistics]))
+        return tally(0, lambda d: (0, *[_STAT_FUNCS[s](d) for s in statistics]), cls)
     # tallied once per site (s, k) whose child is a member; only t1,
     # terminality and kappa read the connected bits and the components
     ks = list(range(2 * n - 1))
     components = not _ARC_STATS.issuperset(statistics)
     counts: Counter = Counter()
-    for s, roots, member, connected, comps in _sites(n, key, ks, False, share, components):
+    for s, roots, member, connected, comps in _sites(n, key, variant, ks, False, share, components):
         if not member:
             continue
         if "t1" in statistics and member & ~connected:
@@ -536,40 +550,12 @@ def count_class_parallel(
     return count_classes_parallel(n, (cls,), statistics, jobs)[cls]
 
 
-VARIANTS = ("all", "connected", "one-terminal")
-
-
-def _variant_fold(
-    n: int,
-    member: Callable[[ChordDiagram], tuple[str, ...]],
-    classes: tuple[str, ...],
-) -> dict[str, dict[str, int]]:
-    """class -> {all, connected, one-terminal} counts of size n, where
-    `member` names the classes a diagram belongs to."""
-
-    def key(d: ChordDiagram) -> tuple | None:
-        inside = member(d)
-        if not inside:
-            return None
-        # how many of VARIANTS the diagram counts towards
-        if not d.is_connected():
-            return inside, 1
-        return inside, 3 if is_one_terminal(d) else 2
-
-    out = {c: dict.fromkeys(VARIANTS, 0) for c in classes}
-    for (inside, depth), count in tally(n, key).items():
-        for c in inside:
-            for v in VARIANTS[:depth]:
-                out[c][v] += count
-    return out
-
-
 @lru_cache(maxsize=None)
 def census(n: int) -> Mapping[str, int]:
     """Counts of all / connected / one-terminal diagrams of size n: "all"
     counts the `all_pairs` stream, the others are built by root insertion.
     Cached, and read-only."""
-    return MappingProxyType({v: count_class(n, v).total(n) for v in VARIANTS})
+    return MappingProxyType({v: count_members(n, "all", v) for v in VARIANTS})
 
 
 # classes whose membership falls out of one crossing-graph cycle profile
@@ -591,7 +577,16 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     """One sweep over size-n diagrams scoring every profile class at once;
     returns class -> {all, connected, one-terminal} counts. Cached, and
     read-only."""
-    out = _variant_fold(n, _profile_member, PROFILE_CLASSES)
+
+    def key(d: ChordDiagram) -> tuple:
+        # the diagram's classes, and how many of VARIANTS it counts towards
+        return _profile_member(d), 1 + d.is_connected() + is_one_terminal(d)
+
+    out = {c: dict.fromkeys(VARIANTS, 0) for c in PROFILE_CLASSES}
+    for (inside, depth), count in tally(n, key).items():
+        for c in inside:
+            for v in VARIANTS[:depth]:
+                out[c][v] += count
     return MappingProxyType({c: MappingProxyType(v) for c, v in out.items()})
 
 
@@ -599,11 +594,7 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
 def tcf_refined(n: int) -> Mapping[int, int]:
     """Connected top-cycle-free counts of size n, refined by t1. Cached, and
     read-only."""
-
-    def key(d: ChordDiagram) -> int | None:
-        return t1(d) if d.is_connected() else None
-
-    return MappingProxyType(tally(n, key, cls="top-cycle-free"))
+    return MappingProxyType(tally(n, t1, "top-cycle-free", "connected"))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
 with 1. Everything is exact; floats never appear.
 
 The diagram sums (diagram_series, root_share_sum) walk the connected
-diagrams of each size once (the divided-power sum walks the top-cycle-free
-members and keeps the connected ones) and tally integer counts keyed by
+diagrams of each size once (the divided-power sum walks the connected
+top-cycle-free ones) and tally integer counts keyed by
 (t1, weight monomial), building only monomial tuples per diagram. The
 operator is then applied once per distinct t1, to one WeightPoly made from
 that t1's tally.
@@ -461,15 +461,13 @@ def f_monomial(c: ChordDiagram) -> WeightPoly:
 Tally = dict[int, dict[Mono, int]]
 
 
-def _weight_tally(n: int, with_phi: bool, cls: str = "connected") -> Tally:
-    """One walk over the size-n members of `cls` ("connected" or
-    "top-cycle-free"), counting the connected ones by t1 and by f_C, times
-    phi_C if `with_phi`."""
+def _weight_tally(n: int, with_phi: bool, cls: str = "all") -> Tally:
+    """One walk over the size-n connected members of `cls` ("all" or
+    "top-cycle-free"), counting them by t1 and by f_C, times phi_C if
+    `with_phi`."""
     from .enumeration import tally
 
-    def key(d: ChordDiagram) -> tuple[int, Mono] | None:
-        if not d.is_connected():
-            return None
+    def key(d: ChordDiagram) -> tuple[int, Mono]:
         profile = terminal_profile(d)
         mono = _f_mono(d, profile)
         if with_phi:
@@ -477,7 +475,7 @@ def _weight_tally(n: int, with_phi: bool, cls: str = "connected") -> Tally:
         return profile[0], mono
 
     out: Tally = {}
-    for (k, mono), count in tally(n, key, cls).items():
+    for (k, mono), count in tally(n, key, cls, "connected").items():
         out.setdefault(k, {})[mono] = count
     return out
 
@@ -494,7 +492,7 @@ def diagram_series(operator: str, n_max: int) -> list[YPoly]:
     out = [YPoly.zero() for _ in range(n_max + 1)]
     for n in range(1, n_max + 1):
         acc = YPoly.zero()
-        tally = _weight_tally(n, True, "top-cycle-free" if op == "divided-power" else "connected")
+        tally = _weight_tally(n, True, "top-cycle-free" if op == "divided-power" else "all")
         for k in sorted(tally):
             ypart = apply_operator(op, YPoly.basis(k - 1))
             if op == "binomial":

@@ -105,7 +105,7 @@ def test_class_walks_do_not_test_their_members_again(monkeypatch):
         monkeypatch.setattr(module, "contains_any_top_cycle", top_cycle)
     monkeypatch.setattr(ChordDiagram, "is_nonnesting", counted(ChordDiagram.is_nonnesting))
     # an empty cache, so that each domain is walked here
-    monkeypatch.setattr(checks, "_domain", lru_cache(maxsize=None)(checks._domain.__wrapped__))
+    monkeypatch.setattr(checks, "_class_domain", lru_cache(maxsize=None)(checks._class_domain.__wrapped__))
     for check_id in (
         "patterns-topcycle-tree-characterization",
         "structure-nonnesting-connectivity",
@@ -167,11 +167,11 @@ def test_alpha_checks_report_their_sweep_and_random_tuples(check_id, budget, det
 
 def test_sweep_reports_the_first_failing_diagram():
     from chordlab.checks import _sweep
-    from chordlab.diagram import ChordDiagram
 
     # every connected 3-chord diagram fails; the first generated is the witness
     rep = _sweep(lambda d: {"size": 3} if d.n == 3 else None, "connected", 1, 4)
     assert rep == {"ok": False, "witness": "(1,3)(2,5)(4,6)", "size": 3}
-    # diagrams `where` rejects are neither visited nor counted: 1 + 2 + 5 + 14
-    rep = _sweep(lambda d: None, "all", 1, 4, where=ChordDiagram.is_nonnesting)
-    assert rep == {"ok": True, "checked": 22}
+    # a variant visits and counts only its own members: the connected
+    # top-cycle-free diagrams, 1 + 1 + 3 + 13
+    rep = _sweep(lambda d: None, "top-cycle-free", 1, 4, "connected")
+    assert rep == {"ok": True, "checked": 18}

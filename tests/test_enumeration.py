@@ -14,6 +14,7 @@ from chordlab.conjectures import variant_counts
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
     PROFILE_CLASSES,
+    VARIANTS,
     all_diagrams,
     all_pairs,
     all_texts,
@@ -185,6 +186,10 @@ def test_count_class_rejects_unknown_inputs():
         count_class(3, "no-such-class")
     with pytest.raises(ValueError):
         count_class(3, "all", statistics=("no-such-stat",))
+    with pytest.raises(ValueError):
+        count_members(3, "all", "no-such-variant")
+    with pytest.raises(ValueError):
+        members(3, "K3-free", variant="no-such-variant")
 
 
 def leaf_filter(n, cls):
@@ -203,6 +208,25 @@ PATTERN_CLASSES = (
     "perm-132-free", "perm-213-free", "perm-231-free", "perm-312-free", "perm-2143-free",
 )
 HEREDITARY = (*HEREDITARY_CLASSES, *PATTERN_CLASSES)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_variants_of_every_class_match_the_leaf_filter(n, monkeypatch):
+    # an empty domain cache, dropped after each size
+    monkeypatch.setattr(checks, "_class_domain", lru_cache(maxsize=None)(checks._class_domain.__wrapped__))
+    tests = {"connected": ChordDiagram.is_connected, "one-terminal": is_one_terminal}
+    leaves = list(all_diagrams(n))
+    for cls in ("all", "indecomposable", *HEREDITARY):
+        inside = [d for d in leaves if in_class(d, cls)]
+        walk = checks._domain(n, cls)
+        for variant, test in tests.items():
+            want = [d.pairs for d in inside if test(d)]
+            got = [d.pairs for d in members(n, cls, variant=variant)]
+            assert Counter(got) == Counter(want), (cls, variant)
+            assert count_members(n, cls, variant) == len(want), (cls, variant)
+            # both variants keep the order of the class's own walk
+            assert got == [d.pairs for d in walk if test(d)], (cls, variant)
+            assert [d.pairs for d in checks._domain(n, cls, variant)] == got, (cls, variant)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -227,6 +251,9 @@ def test_root_insertion_at_sizes_zero_and_one():
     for cls in HEREDITARY_CLASSES:
         assert list(members(0, cls)) == [empty], cls
     assert list(members(0, "connected")) == list(members(0, "one-terminal")) == []
+    for cls in ("all", "indecomposable", *HEREDITARY_CLASSES):
+        for variant in VARIANTS[1:]:
+            assert list(members(0, cls, variant=variant)) == [], (cls, variant)
     for cls in (*ROOT_RULES, *HEREDITARY_CLASSES):
         assert list(members(1, cls)) == [chord], cls
         assert list(members(1, cls))[0].is_connected()
@@ -507,10 +534,10 @@ def test_connected_roots_follow_the_interval_rule():
         ks = list(range(2 * m + 1))
         for s in sweep(m):
             want = loop_connected(s, ks)
-            assert enumeration._insertions(s, "all", ks)[2] == want, s
+            assert enumeration._insertions(s, "all", "all", ks)[2] == want, s
             # one root, as a walk split by the parents' first chord asks
             k = (m * 7 + parents) % len(ks)
-            assert enumeration._insertions(s, "all", [k])[2] == want & 1 << k, (s, k)
+            assert enumeration._insertions(s, "all", "all", [k])[2] == want & 1 << k, (s, k)
             parents += 1
     assert parents == 11465
 
@@ -538,7 +565,7 @@ def test_the_one_terminal_domain_is_not_built_by_chi(monkeypatch):
         monkeypatch.setattr(bijections, name, refuse)
         monkeypatch.setattr(checks, name, refuse)
     for n in range(1, 6):
-        assert checks._domain.__wrapped__(n, "one-terminal") == leaf_filter(n, "one-terminal")
+        assert checks._class_domain.__wrapped__(n, "one-terminal", "all") == leaf_filter(n, "one-terminal")
 
 
 def test_class_census_cross_class_identities():
@@ -582,7 +609,7 @@ def test_census_and_class_census_match_a_direct_loop(n):
             assert rows[cls][variant] == count, (cls, variant)
 
 
-@pytest.mark.parametrize("cls", ["K3-free", "indecomposable"])
+@pytest.mark.parametrize("cls", ["K3-free", "indecomposable", "connected"])
 def test_variant_counts_outside_the_profile_classes_match_a_direct_loop(cls):
     rows = [direct_variants(n, cls) for n in range(1, 6)]
     assert variant_counts(cls, 5) == {v: [row[v] for row in rows] for v in rows[0]}

@@ -5,19 +5,21 @@ functional identity checks.
 Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
 with 1. Everything is exact; floats never appear.
 
-The diagram sums (diagram_series, root_share_sum) walk the connected
-diagrams of each size once (the divided-power sum walks the connected
-top-cycle-free ones) and tally integer counts keyed by
-(t1, weight monomial), building only monomial tuples per diagram. The
-operator is then applied once per distinct t1, to one WeightPoly made from
-that t1's tally.
+The diagram sums (diagram_series, root_share_sum) read one cached tally per
+(n, class): a walk over the connected diagrams of size n (connected
+top-cycle-free for the divided-power sum) counting them by
+(t1, f_C phi_C), building only monomial tuples per diagram. The operator
+is then applied once per distinct t1, to one WeightPoly made from that
+t1's tally; the root share reads the f letters of the same tally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .diagram import ChordDiagram
 from .structure import terminal_profile, valency
@@ -457,27 +459,26 @@ def f_monomial(c: ChordDiagram) -> WeightPoly:
     return WeightPoly({_f_mono(c, terminal_profile(c)): Fraction(1)})
 
 
-# t1 -> weight monomial -> number of diagrams
-Tally = dict[int, dict[Mono, int]]
+# t1 -> weight monomial f_C phi_C -> number of diagrams
+Tally = Mapping[int, Mapping[Mono, int]]
 
 
-def _weight_tally(n: int, with_phi: bool, cls: str = "all") -> Tally:
+@lru_cache(maxsize=None)
+def _weight_tally(n: int, cls: str) -> Tally:
     """One walk over the size-n connected members of `cls` ("all" or
-    "top-cycle-free"), counting them by t1 and by f_C, times phi_C if
-    `with_phi`."""
+    "top-cycle-free"), counting them by t1 and by f_C phi_C. Cached, and
+    read-only."""
     from .enumeration import tally
 
     def key(d: ChordDiagram) -> tuple[int, Mono]:
         profile = terminal_profile(d)
-        mono = _f_mono(d, profile)
-        if with_phi:
-            mono += _phi_mono(d)  # "f" letters sort before "p" letters
-        return profile[0], mono
+        # "f" letters sort before "p" letters, so the joined tuple stays sorted
+        return profile[0], _f_mono(d, profile) + _phi_mono(d)
 
-    out: Tally = {}
+    out: dict[int, dict[Mono, int]] = {}
     for (k, mono), count in tally(n, key, cls, "connected").items():
         out.setdefault(k, {})[mono] = count
-    return out
+    return MappingProxyType({k: MappingProxyType(row) for k, row in out.items()})
 
 
 def diagram_series(operator: str, n_max: int) -> list[YPoly]:
@@ -492,7 +493,7 @@ def diagram_series(operator: str, n_max: int) -> list[YPoly]:
     out = [YPoly.zero() for _ in range(n_max + 1)]
     for n in range(1, n_max + 1):
         acc = YPoly.zero()
-        tally = _weight_tally(n, True, "top-cycle-free" if op == "divided-power" else "all")
+        tally = _weight_tally(n, "top-cycle-free" if op == "divided-power" else "all")
         for k in sorted(tally):
             ypart = apply_operator(op, YPoly.basis(k - 1))
             if op == "binomial":
@@ -547,44 +548,25 @@ def check_rge(
     return True
 
 
-def _root_share_from(tally: Tally, i: int) -> WeightPoly:
-    # sum of f_{t1-i} f_C over the tallied diagrams with t1 >= i
+def root_share_sum(n: int, i: int) -> WeightPoly:
+    """Sum of f_{t1(C)-i} f_C over connected C of size n with t1 >= i, read
+    from the f letters of the size-n tally."""
+    if n < 1:
+        return WeightPoly.zero()
     terms: dict[Mono, int] = {}
-    for k, row in tally.items():
+    for k, row in _weight_tally(n, "all").items():
         if k >= i:
             shift: Mono = (("f", k - i, 1),)
             for m, c in row.items():
-                key = _mono_mul(shift, m)
+                key = _mono_mul(shift, tuple(x for x in m if x[0] == "f"))
                 terms[key] = terms.get(key, 0) + c
     return WeightPoly(terms)
 
 
-def root_share_sum(n: int, i: int) -> WeightPoly:
-    """Sum of f_{t1(C)-i} f_C over connected C of size n with t1 >= i."""
-    if n < 1:
-        return WeightPoly.zero()
-    return _root_share_from(_weight_tally(n, with_phi=False), i)
-
-
 def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
     """Root-share convolution: A(n,i) = sum_m (2(n-m)-1) A(m,1) A(n-m,i-1)
-    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f.
-
-    The diagrams of each size are walked once, into a (t1, f_C) tally that
-    every A(n, i) is read from."""
-    tallies: dict[int, Tally] = {}
-    cache: dict[tuple[int, int], WeightPoly] = {}
-
-    def a(n: int, i: int) -> WeightPoly:
-        if n < 1:
-            return WeightPoly.zero()
-        key = (n, i)
-        if key not in cache:
-            if n not in tallies:
-                tallies[n] = _weight_tally(n, with_phi=False)
-            cache[key] = _root_share_from(tallies[n], i)
-        return cache[key]
-
+    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f."""
+    a = lru_cache(maxsize=None)(root_share_sum)
     for n in range(2, n_max + 1):
         for i in range(1, n + 1):
             rhs = WeightPoly.zero()

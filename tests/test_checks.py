@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from chordlab import checks, patterns
+from chordlab import checks, patterns, series
 from chordlab.checks import CHECKS, check_ids, run_check, run_many
 from chordlab.diagram import ChordDiagram
 from chordlab.series import diagram_series
@@ -106,6 +106,7 @@ def test_class_walks_do_not_test_their_members_again(monkeypatch):
     monkeypatch.setattr(ChordDiagram, "is_nonnesting", counted(ChordDiagram.is_nonnesting))
     # an empty cache, so that each domain is walked here
     monkeypatch.setattr(checks, "_class_domain", lru_cache(maxsize=None)(checks._class_domain.__wrapped__))
+    monkeypatch.setattr(series, "_weight_tally", lru_cache(maxsize=None)(series._weight_tally.__wrapped__))
     for check_id in (
         "patterns-topcycle-tree-characterization",
         "structure-nonnesting-connectivity",
@@ -115,6 +116,15 @@ def test_class_walks_do_not_test_their_members_again(monkeypatch):
         assert calls == [], check_id
     diagram_series("divided-power", 5)
     assert calls == []
+
+
+def test_zeta_suite_reports_an_invalid_word(monkeypatch):
+    # a faulty zeta is a failed check, not an exception out of run_check
+    zeta = checks.zeta
+    monkeypatch.setattr(checks, "zeta", lambda d: (2, 1, 2, 1) if d.n == 2 else zeta(d))
+    rep = run_check("zeta-stirling-suite", 2)
+    assert not rep["ok"]
+    assert rep["details"]["kind"] == "invalid word"
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))

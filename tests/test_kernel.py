@@ -21,6 +21,7 @@ from chordlab import cli, enumeration, structure
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram, _mask_labels, _set_adj, component_masks, open_masks
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
+from chordlab.series import _weight_tally
 from chordlab.structure import (
     intersection_order,
     minimum_separators,
@@ -363,7 +364,8 @@ def test_mutating_returned_components_leaves_the_cache_alone():
 
 def test_cached_sweep_results_are_read_only():
     calls = [lambda: census(4), lambda: class_census(4),
-             lambda: class_census(4)["all"], lambda: tcf_refined(4)]
+             lambda: class_census(4)["all"], lambda: tcf_refined(4),
+             lambda: _weight_tally(4, "all"), lambda: _weight_tally(4, "all")[2]]
     before = [dict(call()) for call in calls]
     for call in calls:
         value = call()

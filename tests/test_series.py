@@ -12,9 +12,11 @@ from chordlab.series import (
     WeightPoly,
     YPoly,
     _phi_mono,
+    _weight_tally,
     apply_operator,
     check_cocycle,
     check_rge,
+    check_root_share_identity,
     diagram_series,
     f_monomial,
     g_table,
@@ -141,6 +143,17 @@ def test_root_share_sum_matches_the_per_diagram_sum():
             assert root_share_sum(n, i) == per_diagram_series.root_share_sum(n, i), (n, i)
 
 
+def test_diagram_sums_and_root_share_walk_each_size_and_class_once():
+    # one cached tally per (n, class): both operators' sums and the root
+    # share of sizes 1..5 read five "all" and five "top-cycle-free" walks
+    _weight_tally.cache_clear()
+    diagram_series("binomial", 5)
+    diagram_series("divided-power", 5)
+    assert check_root_share_identity(5)
+    root_share_sum(5, 2)
+    assert _weight_tally.cache_info().misses == 10
+
+
 def test_series_rows_wire_format():
     rows = series_rows("binomial", 2)
     assert rows == [
@@ -170,8 +183,6 @@ def test_g_table_all_ones_regression():
 
 
 def test_root_share_convolution():
-    from chordlab.series import check_root_share_identity
-
     # base case: Cb is the only connected size-2 diagram, f_{t1-2} f_Cb = f0^2
     assert root_share_sum(2, 2).canonical() == "f0^2"
     assert root_share_sum(1, 1).canonical() == "f0"

@@ -1201,9 +1201,11 @@ def _report_determinism(budget: int) -> dict:
         return _fail(kind="conjecture report differs between runs")
     if _parallel_census(budget, jobs=2) != census(budget):
         return _fail(kind="census differs by job count")
-    t1_rows = count_class(budget, "connected", ("t1",)).rows
-    t2_rows = count_class_parallel(budget, "connected", ("t1",), jobs=2).rows
-    if t1_rows != t2_rows:
+    # a table that the pool walks: t1 alone is counted in-process by
+    # `_root_shares`, at any job count
+    stats = ("t1", "terminality")
+    one_job = count_class(budget, "connected", stats).rows
+    if count_class_parallel(budget, "connected", stats, jobs=2).rows != one_job:
         return _fail(kind="count_class differs by job count")
     return {"ok": True, "n": budget}
 

@@ -23,7 +23,10 @@ the children from it, and a class size (`count_members`, `census`,
 `count_class`, `pattern_free_count`) adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
 (`_site_columns`), without building the children. The size of "all" counts
-the stream, and `_histories` its crossings, nestings and terminal chords.
+the stream. Two tables come from a recurrence over smaller sizes and walk
+no diagram (`_recurrence`): "all" by crossings, nestings and terminal
+chords (`_histories`), and "connected" by t1 and terminal chords, over the
+paper's root share (`_root_shares`).
 
 `tally` is the one loop that counts built diagrams: `class_census`,
 `tcf_refined` and the counts of the other modules are key functions over
@@ -365,6 +368,7 @@ _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
 
 STAT_NAMES = tuple(_STAT_FUNCS)
 _ARC_STATS = frozenset(("crossings", "nestings", "terminal-count"))
+_SHARE_STATS = ("t1", "terminal-count")
 
 
 _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
@@ -372,8 +376,10 @@ _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconne
 
 def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
     """Count size-n diagrams of a class, refined by the named statistics,
-    with no child built: by `_histories`, or off the root-insertion sites
-    (`_site_columns`); only n = 0 tallies a built diagram."""
+    with no child built: by a recurrence over smaller sizes (`_recurrence`:
+    `_histories` or `_root_shares`), or off the root-insertion sites
+    (`_site_columns`); only n = 0 tallies a built diagram. A plain count,
+    and so `census`, walks the class."""
     statistics = tuple(statistics)
     return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
 
@@ -391,8 +397,9 @@ def _count_class_share(args) -> dict[tuple, int]:
     if not statistics:
         total = _count(n, key, variant, share)
         return {(n,): total} if total else {}
-    if _by_histories(cls, statistics):
-        return _histories(n, statistics)
+    recurrence = _recurrence(cls, statistics)
+    if recurrence:
+        return recurrence(n, statistics)
     if n == 0:
         # the one diagram of size 0 is the empty one, which is disconnected
         if "t1" in statistics and count_members(0, cls):
@@ -413,8 +420,18 @@ def _count_class_share(args) -> dict[tuple, int]:
     return dict(counts)
 
 
-def _by_histories(cls: str, statistics: tuple[str, ...]) -> bool:
-    return cls == "all" and bool(statistics) and _ARC_STATS.issuperset(statistics)
+def _recurrence(cls: str, statistics: tuple[str, ...]) -> Callable | None:
+    """The recurrence that counts the table of a class by `statistics`
+    from smaller sizes, walking no diagram: `_histories` for "all" by
+    crossings, nestings and terminal-count, `_root_shares` for "connected"
+    by t1 and terminal-count; None for a plain count or any other table."""
+    if not statistics:
+        return None
+    if _ARC_STATS.issuperset(statistics) and _root_key(cls) == ("all", "all"):
+        return _histories
+    if set(statistics).issubset(_SHARE_STATS) and _root_key(cls) == ("all", "connected"):
+        return _root_shares
+    return None
 
 
 def _histories(n: int, statistics: tuple[str, ...]) -> dict[tuple, int]:
@@ -436,6 +453,48 @@ def _histories(n: int, statistics: tuple[str, ...]) -> dict[tuple, int]:
                 after[(h - 1, *[v + gain[s] for s, v in zip(statistics, values)])] += count
         layer = after
     return {(n, *values): count for (_, *values), count in layer.items()}
+
+
+def _root_shares(n: int, statistics: tuple[str, ...]) -> dict[tuple, int]:
+    """The rows of "connected" by t1 and terminal-count, over the root
+    share of the paper: C <-> (C1, C2, idx), where C2 is the component of
+    C less its root that holds chord 2, C1 is the rest of C with the root,
+    and idx in 1..2|C2|-1 counts the points of C2 before C1's second point
+    (`bijections.root_share_decompose`). So, with N(1) = {(1, 1): 1}, every
+    split m1 + m2 = m >= 2 adds (2 m2 - 1) N(m1)[(., c1)] N(m2)[(t2, c2)]
+    to N(m)[(t2 + 1, c1 + c2 - [m1 = 1])]:
+
+    - the root share is a bijection onto the triples of connected C1, C2
+      and idx in 1..2|C2|-1;
+    - in C = C1 (+)_idx C2, a chord of C2 crosses only chords of C2 and
+      possibly C1's root, and a chord of C1 other than the root crosses
+      only chords of C1;
+    - so the intersection order of C is the root, then C2's order, then
+      the rest of C1's order, and t1(C) = 1 + t1(C2), since the root of a
+      connected C of size >= 2 crosses a later chord;
+    - a chord is terminal in C iff it is terminal in its own part, except
+      the root of a one-chord C1, which then crosses a chord of C2.
+    """
+    if n < 0:
+        raise ValueError("size must be >= 0")
+    rows = [Counter(), Counter({(1, 1): 1})]
+    for m in range(2, n + 1):
+        row: Counter = Counter()
+        for m1 in range(1, m):
+            # C1 enters by its terminal chords alone
+            c1s: Counter = Counter()
+            for (_, c1), count in rows[m1].items():
+                c1s[c1 - (m1 == 1)] += count
+            ways = 2 * (m - m1) - 1  # the values of idx
+            for (t2, c2), count in rows[m - m1].items():
+                for c1, count1 in c1s.items():
+                    row[t2 + 1, c1 + c2] += ways * count * count1
+        rows.append(row)
+    at = [_SHARE_STATS.index(s) for s in statistics]
+    counts: Counter = Counter()
+    for values, count in rows[n].items():
+        counts[(n, *[values[i] for i in at])] += count
+    return dict(counts)
 
 
 def _site_columns(
@@ -520,11 +579,12 @@ def count_classes_parallel(
 ) -> dict[str, CountTable]:
     """count_class for each of several classes, with one pool of at most
     `jobs` workers mapping (class, share) work items: the plain count of
-    "all" is shared out by the first chord of its stream, the histories of
-    "all" are counted in this process, and every other item walks the
-    root-insertion sites, shared out by the first chord of the parents."""
+    "all" is shared out by the first chord of its stream, a table with a
+    `_recurrence` is counted in this process, and every other item walks
+    the root-insertion sites, shared out by the first chord of the
+    parents."""
     jobs = _pool_size(n, jobs)
-    shared = [c for c in classes if not _by_histories(c, statistics)]
+    shared = [c for c in classes if not _recurrence(c, statistics)]
     if jobs <= 1 or n <= 1 or not shared:
         return {c: count_class(n, c, statistics) for c in classes}
     work = [

@@ -241,6 +241,8 @@ ENUM_SHA256 = [
     ('--jobs 1 --format csv', '009380a86580f5c3cdff9e32c8d3348c2ce8306127a32e1e33c98006bbb755de'),
     ('--jobs 1 --format json', '3dfceda884a692fbf6792e91febb42231acc99d93d78292a65c97c138c0b618a'),
     ('--jobs 1 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
+    ('--jobs 2 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
+    ('--jobs 1 --class connected --stats terminal-count,t1 --format json', '628ca113eb1311d5588c0b8e84d1e8ed073e69fc2aac8f04a413e6a4214b1be4'),
     ('--jobs 1 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
     ('--jobs 1 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
     ('--jobs 2 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),

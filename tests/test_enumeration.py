@@ -3,7 +3,7 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -48,7 +48,13 @@ from chordlab.oracles import (
     tutte,
 )
 from chordlab.patterns import HEREDITARY_CLASSES, complete_diagram, in_class, permutation_diagram
-from chordlab.structure import intersection_order, is_one_terminal, t1, vertex_connectivity
+from chordlab.structure import (
+    intersection_order,
+    is_one_terminal,
+    t1,
+    terminal_labels,
+    vertex_connectivity,
+)
 from conftest import K3, sweep
 
 
@@ -152,6 +158,8 @@ def test_negative_sizes_are_rejected():
         lambda: count_class(-1, "indecomposable", ("crossings",)),
         # the histories of "all", which walk no diagram
         lambda: count_class(-1, "all", ("crossings",)),
+        # the root shares of "connected", which walk no diagram either
+        lambda: count_class(-1, "connected", ("t1",)),
         lambda: pattern_free_count(-1, K3),
         lambda: tally(-1, t1, cls="chordal"),
     )
@@ -427,14 +435,16 @@ def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     # the indecomposable rows of the filtered stream, read before counting
     want = Counter((7, d.crossings()) for d in all_diagrams(7) if in_class(d, "indecomposable"))
     assert sum(want.values()) == 110410
-    # the histories of "all" build no diagram of any size, through either
-    # constructor
+    # the histories of "all" and the root shares of "connected" build no
+    # diagram of any size, through either constructor
     inits = []
     init = diagram._init
     monkeypatch.setattr(diagram, "_init", lambda d, pairs: inits.append(pairs) or init(d, pairs))
     for stats in (("crossings", "nestings"), ("terminal-count",)):
         assert count_class(7, "all", stats).total(7) == double_factorial(7)
         assert inits == [], stats
+    assert count_class(8, "connected", ("t1", "terminal-count")).total(8) == A000699[8]
+    assert inits == []
     monkeypatch.undo()
     built = count_built(monkeypatch)
     assert count_members(7, "indecomposable") == 110410
@@ -460,6 +470,12 @@ def test_histories_of_all_open_no_pool(monkeypatch):
     for stats in (("crossings", "nestings"), ("terminal-count",), ("nestings", "crossings")):
         tables = count_classes_parallel(6, ("all",), stats, jobs=2)
         assert tables["all"].rows == count_class(6, "all", stats).rows, stats
+    # and so are the root shares of "connected" by t1 and terminal-count
+    for stats in SHARE_STAT_SETS:
+        tables = count_classes_parallel(6, ("connected",), stats, jobs=2)
+        assert tables["connected"].rows == count_class(6, "connected", stats).rows, stats
+    tables = count_classes_parallel(6, ("all", "connected"), ("terminal-count",), jobs=2)
+    assert list(tables) == ["all", "connected"]
     items = []
 
     class RecordingPool(SerialPool):
@@ -514,6 +530,55 @@ def test_histories_match_the_formulas_beyond_the_sweep(n):
     assert {k: c for k, c in terminal.items() if k[1] == 0 or k[2] == n} == {(n, 0, n): catalan(n)}
     for table in (crossings, nestings, joint, terminal, every):
         assert sum(table.values()) == double_factorial(n)
+
+
+# connected diagrams of sizes 8 to 12 (OEIS A000699)
+A000699 = {8: 593859, 9: 10401712, 10: 202601898, 11: 4342263000, 12: 101551822350}
+SHARE_STAT_SETS = (
+    ("t1",), ("terminal-count",), ("t1", "terminal-count"), ("terminal-count", "t1"), ("t1", "t1")
+)
+
+
+def connected_t1_terminals(n):
+    """{(t1, terminal chords): count} over the connected diagrams of size
+    n, each a fresh diagram measured on its own."""
+    out = Counter()
+    for pairs in all_pairs(n):
+        d = ChordDiagram(pairs)
+        if d.is_connected():
+            out[t1(d), len(terminal_labels(d))] += 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_root_shares_match_a_per_diagram_tally(n):
+    measured = connected_t1_terminals(n)
+    for stats in SHARE_STAT_SETS:
+        assert enumeration._recurrence("connected", stats) is enumeration._root_shares
+        want = Counter()
+        for values, count in measured.items():
+            named = dict(zip(("t1", "terminal-count"), values))
+            want[(n, *[named[s] for s in stats])] += count
+        assert count_class(n, "connected", stats).rows == want, stats
+    if n == 0:
+        assert count_class(0, "connected", ("t1", "terminal-count")).rows == {}
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_root_shares_match_the_counts_beyond_the_sweep(n):
+    rows = count_class(n, "connected", ("t1", "terminal-count")).rows
+    assert sum(rows.values()) == A000699[n]
+    # the one-terminal diagrams, (2n-3)!! of them, have their one terminal
+    # chord last in the intersection order
+    one = {k: c for k, c in rows.items() if k[2] == 1}
+    assert one == {(n, n, 1): prod(range(2 * n - 3, 0, -2))}
+
+
+def test_root_share_t1_rows_match_the_site_walk(monkeypatch):
+    shares = count_class(8, "connected", ("t1",)).rows
+    monkeypatch.setattr(enumeration, "_recurrence", lambda cls, stats: None)
+    assert count_class(8, "connected", ("t1",)).rows == shares
+    assert sum(shares.values()) == A000699[8]
 
 
 def loop_connected(s, ks):

@@ -404,7 +404,8 @@ def test_enum_clamps_the_pool_size(monkeypatch, capsys, size, jobs, cpus, want):
 
     monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-    for extra in (["--count"], ["--stats", "t1", "--class", "connected"]):
+    # t1 with terminality, since t1 alone of "connected" is counted in-process
+    for extra in (["--count"], ["--stats", "t1,terminality", "--class", "connected"]):
         assert cli.main(["enum", "--size", str(size), "--jobs", str(jobs), *extra]) == 0
     capsys.readouterr()
     assert enumeration.count_class_parallel(size, "connected", jobs=jobs).total(size) == (

@@ -46,13 +46,13 @@ DEFAULT_BUDGET = 8
 
 
 def _env_size(fallback: int) -> int:
+    """CHORDLAB_MAX_SIZE, or `fallback` if unset; ValueError if no size."""
     raw = os.environ.get("CHORDLAB_MAX_SIZE")
     if raw is None:
         return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit("CHORDLAB_MAX_SIZE must be an integer, got %r" % raw)
+    if not raw.strip().isdecimal():
+        raise ValueError("CHORDLAB_MAX_SIZE must be a non-negative integer, got %r" % raw)
+    return int(raw)
 
 
 def _outside_budget(flag: str, n: int) -> bool:
@@ -178,13 +178,22 @@ def _format_word(w: tuple[int, ...]) -> str:
     return "".join(str(x) for x in w)
 
 
-def _parse_tree(obj):
-    label, kids = obj
-    return (int(label), tuple(_parse_tree(k) for k in kids))
+def _parse_tree(text: str):
+    def node(obj):
+        label, kids = obj
+        return (int(label), tuple(node(k) for k in kids))
+
+    return node(json.loads(text))
 
 
-def _format_tree(t) -> list:
-    return [t[0], [_format_tree(k) for k in t[1]]]
+def _format_tree(t) -> str:
+    """json.dumps of the tree as nested [label, [children]] lists, with no
+    depth limit: `eta` writes each child's label going down and coming up."""
+    out, seen = ["[%d, [" % t[0]], set()
+    for x in eta(t):
+        out.append("]]" if x in seen else ("[%d, [" if out[-1][-1] == "[" else ", [%d, [") % x)
+        seen.add(x)
+    return "".join(out) + "]]"
 
 
 def _parse_parts(text: str):
@@ -198,49 +207,49 @@ def _format_parts(parts) -> str:
     return json.dumps([[p.to_text(), list(b)] for p, b in parts])
 
 
-# input kind, apply, serialize, roundtrip (None when no inverse exists)
+# input parser, apply, serialize, roundtrip (None when no inverse exists)
 _MAPS = {
-    "psi": ("diagram", psi, lambda r: r.to_text(), lambda d, r: chi(r) == d),
-    "chi": ("diagram", chi, lambda r: r.to_text(), lambda d, r: psi(r) == d),
-    "alpha": ("diagram", alpha, _format_parts, lambda d, r: beta(r) == d),
-    "beta": ("parts", beta, lambda r: r.to_text(), lambda p, r: alpha(r) == p),
+    "psi": (ChordDiagram.from_text, psi, lambda r: r.to_text(), lambda d, r: chi(r) == d),
+    "chi": (ChordDiagram.from_text, chi, lambda r: r.to_text(), lambda d, r: psi(r) == d),
+    "alpha": (ChordDiagram.from_text, alpha, _format_parts, lambda d, r: beta(r) == d),
+    "beta": (_parse_parts, beta, lambda r: r.to_text(), lambda p, r: alpha(r) == p),
     "omega": (
-        "diagram",
+        ChordDiagram.from_text,
         omega,
         triangulation_canonical_code,
         None,
     ),
     "gamma": (
-        "diagram",
+        ChordDiagram.from_text,
         lambda d: gamma(omega(d)),
         lambda r: json.dumps(
             [[triangulation_canonical_code(t), i] for t, i in r]
         ),
         None,
     ),
-    "zeta": ("diagram", zeta, _format_word, lambda d, r: zeta_inverse(r) == d),
-    "zeta-inv": ("word", zeta_inverse, lambda r: r.to_text(), lambda w, r: zeta(r) == w),
-    "eta": ("tree", eta, _format_word, lambda t, r: eta_inverse(r) == t),
+    "zeta": (ChordDiagram.from_text, zeta, _format_word, lambda d, r: zeta_inverse(r) == d),
+    "zeta-inv": (_parse_word, zeta_inverse, lambda r: r.to_text(), lambda w, r: zeta(r) == w),
+    "eta": (_parse_tree, eta, _format_word, lambda t, r: eta_inverse(r) == t),
     "eta-inv": (
-        "word",
+        _parse_word,
         eta_inverse,
-        lambda r: json.dumps(_format_tree(r)),
+        _format_tree,
         lambda w, r: eta(r) == w,
     ),
     "theta": (
-        "diagram",
+        ChordDiagram.from_text,
         theta,
-        lambda r: json.dumps(_format_tree(r)),
+        _format_tree,
         lambda d, r: theta_inverse(r) == d,
     ),
     "theta-inv": (
-        "tree",
+        _parse_tree,
         theta_inverse,
         lambda r: r.to_text(),
         lambda t, r: theta(r) == t,
     ),
     "root-share": (
-        "diagram",
+        ChordDiagram.from_text,
         root_share_decompose,
         lambda r: json.dumps([r[0].to_text(), r[1].to_text(), r[2]]),
         lambda d, r: root_share_compose(*r) == d,
@@ -249,17 +258,10 @@ _MAPS = {
 
 
 def _cmd_map(args) -> int:
-    kind, apply_fn, render, roundtrip = _MAPS[args.bijection]
+    parse, apply_fn, render, roundtrip = _MAPS[args.bijection]
     try:
-        if kind == "diagram":
-            value = ChordDiagram.from_text(args.input)
-        elif kind == "word":
-            value = _parse_word(args.input)
-        elif kind == "tree":
-            value = _parse_tree(json.loads(args.input))
-        else:
-            value = _parse_parts(args.input)
-    except (ValueError, TypeError, json.JSONDecodeError) as e:
+        value = parse(args.input)
+    except (ValueError, TypeError, OverflowError, RecursionError) as e:
         print("error: cannot parse input: %s" % e, file=sys.stderr)
         return 2
     if args.roundtrip and roundtrip is None:
@@ -316,9 +318,6 @@ def _cmd_verify(args) -> int:
     if args.max_size is None:
         # each check at its registry budget, capped by CHORDLAB_MAX_SIZE
         cap = _env_size(DEFAULT_BUDGET)
-        if cap < 0:
-            print("error: CHORDLAB_MAX_SIZE %d is negative" % cap, file=sys.stderr)
-            return 2
         results = [run_check(i, min(CHECKS[i].budget, cap)) for i in ids]
     elif _outside_budget("--max-size", args.max_size):
         return 2
@@ -453,7 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)  # its defaults read _env_size
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

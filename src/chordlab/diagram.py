@@ -3,13 +3,16 @@
 A diagram of size n is a perfect matching of the points 1..2n. Each chord
 is stored as a (source, sink) pair with source < sink, and chords are
 numbered 1..n in order of their sources (the standard order). The size-0
-diagram is a legitimate value.
+diagram is a legitimate value. After the class comes the kernel on pairs
+and crossing masks: `open_masks`, `insert_root` (a child under a new root
+chord) and `component_masks`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import xor
 from typing import Iterable, Iterator, Sequence
@@ -76,6 +79,8 @@ class ChordDiagram:
     @classmethod
     def from_text(cls, text: str) -> "ChordDiagram":
         """Parse the plain format "(1,3)(2,4)". "()" and "" denote the empty diagram."""
+        if not isinstance(text, str):
+            raise TypeError("diagram text must be a string, not %s" % type(text).__name__)
         t = text.strip()
         if t in ("", "()"):
             return cls(())
@@ -320,6 +325,35 @@ def open_masks(d: ChordDiagram) -> list[int]:
     return opened
 
 
+def insert_root(pairs: tuple, adj: tuple[int, ...], k: int, r: int) -> ChordDiagram:
+    """The child of the diagram with these pairs and crossing masks under
+    the root (1, k + 2), which crosses the chords of the mask r, with its
+    crossing masks (`root_masks`) filled in."""
+    root, move = _root_moves(len(pairs))[k]
+    d = ChordDiagram._trusted((root, *map(move, pairs)))
+    _set_adj(d, root_masks(adj, r))
+    return d
+
+
+def root_masks(adj: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The crossing masks of `insert_root`'s child, with no child built:
+    the root is chord 1, and every chord moves up one label."""
+    return (r << 1, *[m << 1 | r >> j & 1 for j, m in enumerate(adj)])
+
+
+@lru_cache(maxsize=None)
+def _root_moves(m: int) -> list[tuple]:
+    """For each root (1, k + 2) over a parent of size m, the root and the
+    map from each pair (a, b) of the parent to its place in the child: the
+    children of one (m, k) share these pair tuples, as `all_pairs` does."""
+    moves = []
+    for k in range(2 * m + 1):
+        at = (0, *range(2, k + 2), *range(k + 3, 2 * m + 3))
+        table = {(a, b): (at[a], at[b]) for b in range(2, 2 * m + 1) for a in range(1, b)}
+        moves.append(((1, k + 2), table.__getitem__))
+    return moves
+
+
 def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
     """Bitmask of the component containing the seed bits in the crossing
     graph induced on the chord set `within`."""
@@ -335,9 +369,10 @@ def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
     return comp
 
 
-def component_masks(adj: tuple[int, ...]) -> list[int]:
-    """Bitmasks of the crossing graph's components, by smallest label."""
-    rest = (1 << len(adj)) - 1
+def component_masks(adj: tuple[int, ...], within: int | None = None) -> list[int]:
+    """Bitmasks of the components of the crossing graph induced on the
+    chord set `within` (every chord if None), by smallest label."""
+    rest = (1 << len(adj)) - 1 if within is None else within
     out = []
     while rest:
         comp = component_mask(adj, rest & -rest, rest)

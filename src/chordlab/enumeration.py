@@ -49,10 +49,10 @@ from typing import Callable, Hashable, Iterator, Mapping
 from .diagram import (
     ChordDiagram,
     _mask_labels,
-    _set_adj,
     _set_connected,
     _set_order,
     component_masks,
+    insert_root,
     open_masks,
 )
 from .patterns import (
@@ -65,7 +65,6 @@ from .patterns import (
 )
 from .structure import (
     _order,
-    _right_counts,
     _terminal_depth,
     is_one_terminal,
     mask_order,
@@ -186,38 +185,26 @@ def _grown(
         if member and variant == "all":
             yield ChordDiagram._trusted(())
         return
-    # k = p - 2 points of S lie inside the root. The child's pairs start
-    # with moved[k][0], and S's chord (a, b) becomes moved[k][1][(a, b)]:
-    # every child shares these pair tuples, as the `all_pairs` stream does
     if ks is None:
         ks = list(range(2 * n - 1))
-    moved = {}
-    for k in ks:
-        at = (0, *range(2, k + 2), *range(k + 3, 2 * n + 1))
-        table = {(a, b): (at[a], at[b]) for b in range(2, 2 * n - 1) for a in range(1, b)}
-        moved[k] = (((1, k + 2),), table)
-    # what building a child needs: the parent's pairs and crossing masks,
-    # and the connected children's intersection order, the same for every k
+    # per parent: the member roots, the pairs and crossing masks, and the
+    # connected children's intersection order, which is the same for every k
     sites = (
-        (s.pairs, s.adjacency(), roots, member, connected,
+        (member, s.pairs, s.adjacency(), roots, connected,
          connected and (1, *[x + 1 for x in _rest_order(s, comps)]))
         for s, roots, member, connected, comps in _sites(n, key, variant, ks, ordered)
     )
     if ordered and len(ks) > 1:
         sites = list(sites)  # held for this call
-        walk = ((k, site) for k in ks for site in sites)
+        walk = ((k, site) for k in ks for site in sites if site[0] >> k & 1)
     else:
-        walk = ((k, site) for site in sites for k in ks)
-    for k, (pairs, adj, roots, member, connected, order) in walk:
-        if member >> k & 1:
-            head, table = moved[k]
-            r = roots[k]
-            d = ChordDiagram._trusted(head + tuple([table[p] for p in pairs]))
-            _set_adj(d, (r << 1,) + tuple([m << 1 | r >> j & 1 for j, m in enumerate(adj)]))
-            conn = connected >> k & 1 == 1
-            _set_connected(d, conn)
-            _set_order(d, order if conn else None)
-            yield d
+        walk = ((k, site) for site in sites for k in ks if site[0] >> k & 1)
+    for k, (_, pairs, adj, roots, connected, order) in walk:
+        d = insert_root(pairs, adj, k, roots[k])
+        _set_connected(d, connected >> k & 1 == 1)
+        if connected >> k & 1:
+            _set_order(d, order)
+        yield d
 
 
 def _count(n: int, key, variant: str = "all", share: int | None = None) -> int:
@@ -562,7 +549,7 @@ def _site_columns(
                 first = next((p for p, x in enumerate(rest, 2) if not adj[x - 1] >> x), 1)
                 col = [first] * len(roots)
             else:
-                tau = _terminal_depth(rest, _right_counts(s))
+                tau = _terminal_depth(rest, adj)
                 col = [
                     (min(tau, c) if tau < m or c < m else m + 1) if connected >> k & 1 else 0
                     for k, c in enumerate(size)

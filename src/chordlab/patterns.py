@@ -29,7 +29,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .diagram import ChordDiagram, _mask_labels, component_masks
+from .diagram import ChordDiagram, _mask_labels, component_masks, insert_root, root_masks
 from .structure import is_one_terminal
 
 
@@ -434,16 +434,12 @@ def _colour_class(adj: tuple[int, ...], comp: int) -> int:
 def _cycle_free_roots(key: str, s: ChordDiagram, roots: list[int], ks: list[int]) -> int:
     """root_members for chordal, top- and bottom-cycle-free: a search for
     the induced cycles whose lowest chord is the root."""
-    adj = s.adjacency()
-    labels = s.point_labels()
+    pairs, adj = s.pairs, s.adjacency()
     banned = "top" if key == "top-cycle-free" else "bottom"
     bits = 0
     for k in ks:
-        r = roots[k]
-        # the child's crossing masks: the root is chord 0, s's chords move up one
-        child_adj = (r << 1, *[m << 1 | r >> j & 1 for j, m in enumerate(adj)])
         child = None
-        for cycle in _induced_cycles(child_adj, (0,)):
+        for cycle in _induced_cycles(root_masks(adj, roots[k]), (0,)):
             if cycle.bit_count() == 3:
                 if key != "chordal":
                     break
@@ -451,8 +447,7 @@ def _cycle_free_roots(key: str, s: ChordDiagram, roots: list[int], ks: list[int]
             if key == "chordal":
                 break
             if child is None:
-                top = s.n + 1
-                child = ChordDiagram._from_point_labels((top, *labels[:k], top, *labels[k:]))
+                child = insert_root(pairs, adj, k, roots[k])
             if _kind(child, cycle) == banned:
                 break
         else:

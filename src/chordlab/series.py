@@ -1,6 +1,7 @@
-"""Exact symbolic series: the two integral-like operators, the tree-like
-equation solver, diagram-sum generating functions, and the differential and
-functional identity checks.
+"""Exact symbolic series: the two integral-like operators (one body,
+`apply_operator`), the tree-like equation solver, diagram-sum generating
+functions, and the differential and functional identity checks; the flow
+equation and the root-share identity are one convolution test.
 
 Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
 with 1. Everything is exact; floats never appear.
@@ -285,9 +286,6 @@ class YPoly:
         return "YPoly(%s)" % " + ".join(bits)
 
 
-OPERATOR_NAMES = ("binomial", "divided-power")
-
-
 def operator_kind(name: str) -> str:
     if name in ("bin", "binomial"):
         return "binomial"
@@ -296,35 +294,20 @@ def operator_kind(name: str) -> str:
     raise ValueError("unknown operator: %s" % name)
 
 
-def l_bin(p: YPoly) -> YPoly:
-    """y^n -> n! sum_{i=1}^{n+1} f_{n+1-i} y^i / i!, extended linearly."""
+def apply_operator(name: str, p: YPoly) -> YPoly:
+    """y^n -> sum_{i=1}^{n+1} w f_{n+1-i} y^i, extended linearly, with
+    w = n!/i! for the binomial operator and w = 1 for divided-power."""
+    binomial = operator_kind(name) == "binomial"
     out = YPoly.zero()
     for n, c in enumerate(p.coeffs):
         if not c:
             continue
         img = [WeightPoly.zero()] * (n + 2)
         for i in range(1, n + 2):
-            scale = Fraction(factorial(n), factorial(i))
+            scale = Fraction(factorial(n), factorial(i)) if binomial else 1
             img[i] = c * WeightPoly.f(n + 1 - i) * scale
         out = out + YPoly(img)
     return out
-
-
-def l_div(p: YPoly) -> YPoly:
-    """y^n -> sum_{i=1}^{n+1} f_{n+1-i} y^i, extended linearly."""
-    out = YPoly.zero()
-    for n, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        img = [WeightPoly.zero()] * (n + 2)
-        for i in range(1, n + 2):
-            img[i] = c * WeightPoly.f(n + 1 - i)
-        out = out + YPoly(img)
-    return out
-
-
-def apply_operator(name: str, p: YPoly) -> YPoly:
-    return (l_bin if operator_kind(name) == "binomial" else l_div)(p)
 
 
 # tensor square of the y-polynomial space: (y-power, y-power) -> WeightPoly
@@ -525,27 +508,7 @@ def check_rge(
     series = solve_tree_like(operator, n_max)
     g = g_table(series, phi=lambda k: Fraction(1))
     zero = WeightPoly.zero()
-    for n in range(2, n_max + 1):
-        for i in range(2, n + 1):
-            rhs = WeightPoly.zero()
-            for m in range(1, n):
-                a = g.get((1, m))
-                b = g.get((i - 1, n - m))
-                if a and b:
-                    rhs = rhs + (2 * (n - m) - 1) * a * b
-            lhs = g.get((i, n), zero)
-            if lhs != rhs:
-                if report is not None:
-                    report.append(
-                        {
-                            "i": i,
-                            "n": n,
-                            "lhs": lhs.canonical(),
-                            "rhs": rhs.canonical(),
-                        }
-                    )
-                return False
-    return True
+    return _root_share_convolution(lambda n, i: g.get((i, n), zero), n_max, 2, report)
 
 
 def root_share_sum(n: int, i: int) -> WeightPoly:
@@ -566,21 +529,28 @@ def root_share_sum(n: int, i: int) -> WeightPoly:
 def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
     """Root-share convolution: A(n,i) = sum_m (2(n-m)-1) A(m,1) A(n-m,i-1)
     for 2 <= n <= n_max, 1 <= i <= n, symbolically in f."""
-    a = lru_cache(maxsize=None)(root_share_sum)
+    return _root_share_convolution(lru_cache(maxsize=None)(root_share_sum), n_max, 1, report)
+
+
+def _root_share_convolution(a: Callable, n_max: int, low: int, report: list | None) -> bool:
+    """Test a(n, i) = sum_{m=1}^{n-1} (2(n-m)-1) a(m, 1) a(n-m, i-1) for
+    2 <= n <= n_max and low <= i <= n, in that order. The first failure
+    is appended to `report`, with both sides, and stops the test."""
     for n in range(2, n_max + 1):
-        for i in range(1, n + 1):
+        for i in range(low, n + 1):
             rhs = WeightPoly.zero()
-            for m in range(1, n - i + 2):
+            for m in range(1, n):
                 term = a(m, 1) * a(n - m, i - 1)
                 if term:
                     rhs = rhs + (2 * (n - m) - 1) * term
-            if a(n, i) != rhs:
+            lhs = a(n, i)
+            if lhs != rhs:
                 if report is not None:
                     report.append(
                         {
                             "n": n,
                             "i": i,
-                            "lhs": a(n, i).canonical(),
+                            "lhs": lhs.canonical(),
                             "rhs": rhs.canonical(),
                         }
                     )
@@ -633,17 +603,10 @@ def ogf_checks(n_max: int) -> dict:
     counts: the connected-count recurrence, the forbidden-class functional
     equation for every profile class, and the antiderivative EGF."""
     from .enumeration import census, class_census
-    from .oracles import double_factorial
+    from .oracles import double_factorial, stein
 
     conn = [0] + [census(n)["connected"] for n in range(1, n_max + 1)]
-    stein_vals = [0] * (n_max + 1)
-    if n_max >= 1:
-        stein_vals[1] = 1
-    for n in range(1, n_max):
-        stein_vals[n + 1] = sum(
-            (2 * k - 1) * stein_vals[k] * stein_vals[n + 1 - k]
-            for k in range(1, n + 1)
-        )
+    stein_vals = [0] + [stein(n) for n in range(1, n_max + 1)]
     stein_ok = conn == stein_vals
 
     per_class = {}

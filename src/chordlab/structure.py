@@ -1,6 +1,7 @@
 """Structural statistics of chord diagrams.
 
-Intersection order, terminal chords, k-terminality, source-sink groups,
+Intersection order, terminal chords, k-terminality (all of it read off
+`terminality`, one pass over the intersection order), source-sink groups,
 traced subdiagrams, chord valencies, and crossing-graph connectivity.
 """
 
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .diagram import ChordDiagram, _mask_labels, _set_order, component_mask
+from .diagram import ChordDiagram, _mask_labels, _set_order, component_mask, component_masks
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -83,11 +84,6 @@ def mask_order(adj: tuple[int, ...], parts: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _right_counts(d: ChordDiagram) -> list[int]:
-    # right neighbors of each chord, by 0-based label
-    return [(m >> (i + 1)).bit_count() for i, m in enumerate(d.adjacency())]
-
-
 def terminal_labels(d: ChordDiagram) -> tuple[int, ...]:
     """Chords with no right neighbor, in standard order. Any diagram."""
     return tuple(i for i, m in enumerate(d.adjacency(), 1) if not m >> i)
@@ -113,11 +109,6 @@ def is_one_terminal(d: ChordDiagram) -> bool:
     return d.is_connected() and len(terminal_labels(d)) == 1
 
 
-def _terminal_at(order: tuple[int, ...], rn_count: list[int], j: int) -> bool:
-    # no chord with at most j-1 right neighbors strictly before position n-j+1
-    return all(rn_count[lab - 1] >= j for lab in order[:len(order) - j])
-
-
 def is_k_terminal(d: ChordDiagram, k: int) -> bool:
     """No chord with at most j-1 right neighbors sits strictly before
     intersection position n-j+1, for every j <= k.
@@ -125,28 +116,24 @@ def is_k_terminal(d: ChordDiagram, k: int) -> bool:
     True for the empty diagram, false for disconnected ones (k >= 1).
     k beyond n means the same as k = n.
     """
-    if k <= 0 or d.n == 0:
-        return True
-    if not d.is_connected():
-        return False
-    order = _order(d)
-    rn_count = _right_counts(d)
-    return all(_terminal_at(order, rn_count, j) for j in range(1, min(k, d.n) + 1))
+    return terminality(d) >= min(k, d.n)
 
 
 def terminality(d: ChordDiagram) -> int:
     """Largest k <= n for which the diagram is k-terminal; 0 if none or empty."""
     if d.n == 0 or not d.is_connected():
         return 0
-    return _terminal_depth(_order(d), _right_counts(d))
+    return _terminal_depth(_order(d), d.adjacency())
 
 
-def _terminal_depth(order: tuple[int, ...], rn_count: list[int]) -> int:
-    # the largest k <= len(order) with _terminal_at for every j <= k
-    k = 0
-    while k < len(order) and _terminal_at(order, rn_count, k + 1):
-        k += 1
-    return k
+def _terminal_depth(order: tuple[int, ...], adj: tuple[int, ...]) -> int:
+    """The terminality of the n chords `order` (labels in intersection
+    order) with crossing masks `adj`: a chord at position p with c right
+    neighbours first breaks k-terminality at k = c + 1 if c < n - p, so the
+    terminality is the least such c, or n."""
+    n = len(order)
+    counts = [(adj[x - 1] >> x).bit_count() for x in order]
+    return min((c for p, c in enumerate(counts, 1) if c < n - p), default=n)
 
 
 def is_k_terminal_minimal(d: ChordDiagram, k: int) -> bool:
@@ -154,8 +141,8 @@ def is_k_terminal_minimal(d: ChordDiagram, k: int) -> bool:
     have exactly k right neighbors."""
     if not is_k_terminal(d, k):
         return False
-    rn_count = _right_counts(d)
-    return all(rn_count[lab - 1] == k for lab in intersection_order(d)[:d.n - k])
+    adj = d.adjacency()
+    return all((adj[x - 1] >> x).bit_count() == k for x in intersection_order(d)[:d.n - k])
 
 
 def source_sink_groups(d: ChordDiagram, m: int | None = None) -> dict[int, list[int]]:
@@ -340,15 +327,8 @@ def minimum_separators(adj: tuple[int, ...], k: int) -> list[tuple[int, list[int
         x = sum(chords)
         rest = full ^ x
         comp = component_mask(adj, rest & -rest, rest)
-        if comp == rest:
-            continue  # what is left is connected, or nothing is
-        rest ^= comp
-        parts = [comp]
-        while rest:
-            comp = component_mask(adj, rest & -rest, rest)
-            rest ^= comp
-            parts.append(comp)
-        out.append((x, parts))
+        if comp != rest:  # else what is left is connected, or nothing is
+            out.append((x, [comp, *component_masks(adj, rest ^ comp)]))
     return out
 
 

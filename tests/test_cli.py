@@ -98,6 +98,70 @@ def test_map_unparseable_input_is_usage_error():
     assert r.returncode == 2
 
 
+# per map input kind, one bijection that reads it, and inputs that must be
+# refused as usage errors: not JSON, the wrong shape, a value that is not
+# a string or int where one belongs, and nesting deeper than JSON decodes
+DEEP = "[" * 100000 + "]" * 100000
+MAP_INPUT_ERRORS = {
+    "psi": ("{not json", "[1, 2, 3]", "null", DEEP),
+    "zeta-inv": ("{not json", "[1, 2, 3]", "null", DEEP),
+    "theta-inv": (
+        "{not json", "[1, 2, 3]", '{"a": 1}', "[null, []]", "[Infinity, []]", "[0, 5]", DEEP,
+    ),
+    "beta": (
+        "{not json", "[1, 2, 3]", '[["(1,2)"]]', "[[1, [1]]]", "[[null, [1]]]",
+        '[["(1,2)", [null]]]', DEEP,
+    ),
+}
+
+
+@pytest.mark.parametrize("bijection", MAP_INPUT_ERRORS)
+def test_map_input_errors_exit_two_without_a_traceback(bijection, capsys):
+    for text in MAP_INPUT_ERRORS[bijection]:
+        assert cli.main(["map", "--bijection", bijection, "--input", text]) == 2, text[:40]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot parse input"), text[:40]
+        assert "Traceback" not in err
+
+
+def tree_lists(t):
+    return [t[0], [tree_lists(k) for k in t[1]]]
+
+
+def test_map_trees_print_as_json_dumps():
+    from chordlab.bijections import theta
+    from chordlab.enumeration import members
+    from chordlab.oracles import one_terminal
+
+    checked = 0
+    for n in range(1, 7):
+        for d in members(n, "one-terminal"):
+            t = theta(d)
+            assert cli._format_tree(t) == json.dumps(tree_lists(t)), d
+            checked += 1
+    assert checked == sum(one_terminal(n) for n in range(1, 7))
+
+
+def test_map_prints_a_tree_of_any_depth_but_refuses_one_json_cannot_decode():
+    from chordlab.bijections import eta_inverse, theta, theta_inverse
+
+    # a path of 1200 edges: deeper than the recursion limit
+    d = theta_inverse(eta_inverse((*range(1, 1201), *range(1200, 0, -1))))
+    assert d.n == 1201
+    r = run("map", "--bijection", "theta", "--input", d.to_text())
+    assert r.returncode == 0 and r.stderr == ""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        want = json.dumps(tree_lists(theta(d)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.stdout == want + "\n"
+    r = run("map", "--bijection", "theta-inv", "--input", want)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot parse input") and "Traceback" not in r.stderr
+
+
 def test_map_roundtrip_flag():
     r = run("map", "--bijection", "theta", "--input", "(1,4)(2,5)(3,6)", "--roundtrip")
     assert r.returncode == 0
@@ -227,6 +291,23 @@ def test_verify_default_budgets_are_capped_by_the_size_budget(monkeypatch, capsy
     monkeypatch.setenv("CHORDLAB_MAX_SIZE", "-1")
     assert cli.main(["verify", "core-intersection-graph"]) == 2
     assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "--count", "--size", "2"],
+    ["map", "--bijection", "psi", "--input", "(1,2)"],
+    ["series", "--operator", "binomial", "--max-size", "2"],
+    ["verify", "core-pair-statistics", "--max-size", "2"],
+    ["verify", "core-pair-statistics"],
+    ["conjectures", "--format", "json", "--max-size", "2"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_a_size_budget_that_is_no_size_is_a_usage_error(monkeypatch, capsys, argv):
+    for raw in ("abc", "-1", "", "2.5"):
+        monkeypatch.setenv("CHORDLAB_MAX_SIZE", raw)
+        assert cli.main(argv) == 2, raw
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: CHORDLAB_MAX_SIZE must be a non-negative integer, got %r\n" % raw
 
 
 # sha256 of `enum --size 6` stdout for the benchmark's five sweep calls and

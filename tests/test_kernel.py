@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from chordlab import cli, enumeration, structure
 from chordlab.bijections import chi
-from chordlab.diagram import ChordDiagram, _mask_labels, _set_adj, component_masks, open_masks
+from chordlab.diagram import (
+    ChordDiagram, _mask_labels, _set_adj, component_masks, insert_root, open_masks, root_masks,
+)
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.series import _weight_tally
 from chordlab.structure import (
@@ -346,6 +348,41 @@ def test_intersection_order_of_a_large_diagram_needs_no_recursion():
     d = chi(ChordDiagram(zip(pts[::2], pts[1::2])))
     assert d.n == 2000 and d.is_connected()
     assert sorted(intersection_order(d)) == list(range(1, 2001))
+
+
+def test_root_insertion_matches_a_fresh_diagram():
+    # the child under the root (1, k + 2) from the parent's point labels,
+    # and the root's mask from the chords with one end among the first k
+    # points, against `insert_root` and `root_masks`
+    checked = 0
+    for n in range(6):
+        for s in sweep(n):
+            labels = s.point_labels()
+            for k in range(2 * n + 1):
+                word = (0, *labels[:k], 0, *labels[k:])
+                ends: dict[int, list[int]] = {}
+                for p, x in enumerate(word, 1):
+                    ends.setdefault(x, []).append(p)
+                fresh = ChordDiagram(tuple(e) for e in ends.values())
+                r = sum(1 << (x - 1) for x in set(labels[:k]) if labels[:k].count(x) == 1)
+                child = insert_root(s.pairs, s.adjacency(), k, r)
+                assert child.pairs == fresh.pairs, (s, k)
+                assert child.adjacency() == root_masks(s.adjacency(), r) == fresh.adjacency(), (s, k)
+                checked += 1
+    assert checked == sum((2 * n + 1) * len(sweep(n)) for n in range(6))
+
+
+def test_components_within_a_chord_set_match_networkx():
+    rng = random.Random(24)
+    for d in every_diagram():
+        g = crossing_graph(d)
+        full = (1 << d.n) - 1
+        for within in range(full + 1) if d.n <= 4 else rng.sample(range(full + 1), 4):
+            sub = g.subgraph(v for v in g if within >> (v - 1) & 1)
+            want = [sum(1 << (v - 1) for v in c) for c in nx.connected_components(sub)]
+            # by smallest label: the components' lowest bits are distinct
+            assert component_masks(d.adjacency(), within) == sorted(want, key=lambda m: m & -m)
+        assert component_masks(d.adjacency()) == component_masks(d.adjacency(), full)
 
 
 def test_trusted_constructor_agrees_with_the_validating_one():

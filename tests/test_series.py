@@ -20,8 +20,6 @@ from chordlab.series import (
     diagram_series,
     f_monomial,
     g_table,
-    l_bin,
-    l_div,
     ogf_checks,
     operator_kind,
     root_share_sum,
@@ -53,15 +51,17 @@ def test_operator_kind_normalizes_names():
 
 
 def test_binomial_operator_on_y_powers():
-    assert str(l_bin(YPoly.basis(0))) == "YPoly((f0)*y^1)"
-    assert str(l_bin(YPoly.basis(1))) == "YPoly((f1)*y^1 + (1/2*f0)*y^2)"
-    assert l_bin(YPoly.zero()) == YPoly.zero()
+    assert str(apply_operator("binomial", YPoly.basis(0))) == "YPoly((f0)*y^1)"
+    assert str(apply_operator("binomial", YPoly.basis(1))) == "YPoly((f1)*y^1 + (1/2*f0)*y^2)"
+    assert apply_operator("binomial", YPoly.zero()) == YPoly.zero()
 
 
 def test_divided_power_operator_on_y_powers():
-    assert str(l_div(YPoly.basis(0))) == "YPoly((f0)*y^1)"
-    assert str(l_div(YPoly.basis(1))) == "YPoly((f1)*y^1 + (f0)*y^2)"
-    assert str(l_div(YPoly.basis(2))) == "YPoly((f2)*y^1 + (f1)*y^2 + (f0)*y^3)"
+    assert str(apply_operator("divided-power", YPoly.basis(0))) == "YPoly((f0)*y^1)"
+    assert str(apply_operator("divided-power", YPoly.basis(1))) == "YPoly((f1)*y^1 + (f0)*y^2)"
+    assert str(apply_operator("divided-power", YPoly.basis(2))) == (
+        "YPoly((f2)*y^1 + (f1)*y^2 + (f0)*y^3)"
+    )
 
 
 def test_operators_are_linear():

@@ -9,7 +9,8 @@ import per_diagram_series
 import recursive_maps
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
-from chordlab.enumeration import members
+from chordlab.enumeration import all_pairs, members
+from chordlab.oracles import stein
 from chordlab.structure import (
     exists_nonnesting_induced_path,
     intersection_order,
@@ -20,6 +21,7 @@ from chordlab.structure import (
     source_sink_groups,
     t1,
     terminal_profile,
+    terminality,
     traced_subdiagram,
     valency,
     valency_parts,
@@ -84,6 +86,34 @@ def test_k_terminal_examples():
     assert is_k_terminal(K3, 2)
     # a complete crossing graph is k-terminal for every k
     assert all(is_k_terminal(K3, k) for k in range(1, 6))
+
+
+def k_terminal_by_definition(d, k):
+    """For every j <= min(k, n), no chord with at most j - 1 right
+    neighbours sits strictly before intersection position n - j + 1."""
+    if k <= 0 or d.n == 0:
+        return True
+    if not d.is_connected():
+        return False
+    order = intersection_order(d)
+    return all(
+        len(d.right_neighbors(x)) >= j
+        for j in range(1, min(k, d.n) + 1)
+        for x in order[:d.n - j]
+    )
+
+
+def test_k_terminality_matches_the_definition_at_every_k():
+    checked = 0
+    for n in range(8):
+        for d in sweep(n) if n <= 6 else map(ChordDiagram._trusted, all_pairs(n)):
+            if n and not d.is_connected():
+                continue
+            want = [k_terminal_by_definition(d, k) for k in range(n + 2)]
+            assert [is_k_terminal(d, k) for k in range(n + 2)] == want, d
+            assert terminality(d) == (max(k for k in range(n + 1) if want[k]) if n else 0), d
+            checked += 1
+    assert checked == 1 + sum(stein(n) for n in range(1, 8))
 
 
 def test_k_terminal_minimal_examples():

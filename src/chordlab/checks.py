@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bijections import (
     Parts,
@@ -37,7 +37,6 @@ from .enumeration import (
     census,
     class_census,
     count_class,
-    count_class_parallel,
     count_classes_parallel,
     count_members,
     members,
@@ -103,13 +102,17 @@ def _fail(**details) -> dict:
     return details
 
 
-def _domain(n: int, name: str, variant: str = "all") -> tuple[ChordDiagram, ...]:
+def _domain(n: int, name: str, variant: str = "all") -> Iterable[ChordDiagram]:
     """The size-n members of a variant of a named class, in generation
     order, as `members` walks them: a class built by root insertion comes
     with its crossing masks, connectivity and intersection order filled
-    in. Cached; "all" is streamed by `_sweep`, never cached."""
+    in. Cached up to size 7; a larger size, which only the psi checks read
+    at their budget 8, is walked anew on each call. "all" is streamed by
+    `_sweep`, never cached."""
     if name in VARIANTS:  # "connected" is the connected variant of "all"
         name, variant = max(name, variant, key=VARIANTS.index), "all"
+    if n > 7:
+        return members(n, name, variant=variant)
     return _class_domain(n, name, variant)
 
 
@@ -487,7 +490,7 @@ def _psi_bijection(budget: int) -> dict:
             img = psi(d)
             if chi(img) != d:
                 return _fail(witness=d.to_text(), kind="chi(psi) != id")
-            images.add(img.pairs)
+            images.add(img.to_text())
             count += 1
         if len(images) != count or count != one_terminal(n):
             return _fail(n=n, distinct=len(images), count=count)
@@ -694,7 +697,7 @@ def _alpha_interval_blocks(budget: int) -> dict:
 )
 def _omega_code_suite(budget: int) -> dict:
     from .oracles import corollary_count
-    from .triangulation import gamma, omega, triangulation_canonical_code
+    from .triangulation import gamma, omega
 
     codes: set[str] = set()
     totals = []
@@ -709,7 +712,7 @@ def _omega_code_suite(budget: int) -> dict:
                 return _fail(witness=d.to_text(), kind="boundary size")
             if len(t.vertices()) - len(t.boundary) != n - k:
                 return _fail(witness=d.to_text(), kind="interior size")
-            code = triangulation_canonical_code(t)
+            code = t.canonical_code()
             if code in codes:
                 return _fail(witness=d.to_text(), kind="code collision")
             codes.add(code)
@@ -723,7 +726,7 @@ def _omega_code_suite(budget: int) -> dict:
                 for (pd, block), (pt, i) in zip(parts, back):
                     if i != len(block):
                         return _fail(witness=d.to_text(), kind="gamma index")
-                    if triangulation_canonical_code(pt) != triangulation_canonical_code(omega(pd)):
+                    if pt.canonical_code() != omega(pd).canonical_code():
                         return _fail(witness=d.to_text(), kind="gamma child")
         expect = {i: corollary_count(n, i) for i in range(min(2, n), n + 1)}
         if per_t1 != expect:
@@ -909,7 +912,7 @@ def _series_all_ones_regression(budget: int) -> dict:
     for n in range(1, budget + 1):
         got_bin = gb[n].evaluate(one, one, Fraction(1))
         got_div = gd[n].evaluate(one, one, Fraction(1))
-        conn = count_class(n, "connected", ("t1",)).rows
+        conn = count_class(n, "connected", ("t1",))
         want_bin = Fraction(0)
         for (_, t), cnt in conn.items():
             want_bin += cnt * sum(
@@ -1004,7 +1007,7 @@ def _series_ogf_egf(budget: int) -> dict:
 def _parallel_census(n: int, jobs: int) -> dict[str, int]:
     """census(n) counted again by one parallel sweep over its classes."""
     tables = count_classes_parallel(n, tuple(census(n)), jobs=jobs)
-    return {c: t.total(n) for c, t in tables.items()}
+    return {c: sum(rows.values()) for c, rows in tables.items()}
 
 
 @_register(
@@ -1204,8 +1207,8 @@ def _report_determinism(budget: int) -> dict:
     # a table that the pool walks: t1 alone is counted in-process by
     # `_root_shares`, at any job count
     stats = ("t1", "terminality")
-    one_job = count_class(budget, "connected", stats).rows
-    if count_class_parallel(budget, "connected", stats, jobs=2).rows != one_job:
+    one_job = count_class(budget, "connected", stats)
+    if count_classes_parallel(budget, ("connected",), stats, jobs=2)["connected"] != one_job:
         return _fail(kind="count_class differs by job count")
     return {"ok": True, "n": budget}
 

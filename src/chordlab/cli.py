@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from itertools import islice
+from typing import Iterator
 
 from .bijections import (
     alpha,
@@ -38,9 +39,9 @@ from .bijections import (
 from .checks import CHECKS, run_check
 from .conjectures import sequence_lines, standard_reports
 from .diagram import ChordDiagram
-from .enumeration import STAT_NAMES, all_texts, count_class_parallel, members
+from .enumeration import STAT_NAMES, all_texts, count_classes_parallel, members
 from .series import series_rows
-from .triangulation import gamma, omega, triangulation_canonical_code
+from .triangulation import Triangulation, gamma, omega
 
 DEFAULT_BUDGET = 8
 
@@ -81,14 +82,19 @@ def _refuse_large_pattern(cls: str) -> None:
         )
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+def _emit(fmt: str, obj, header: list[str] | None, rows, lines) -> None:
+    """Print one result in a --format: `obj` as JSON with sorted keys,
+    `header` and then `rows` as CSV, or each of the iterable `lines`, which
+    is read only for "lines"."""
+    if fmt == "json":
+        print(json.dumps(obj, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 # ------------------------------------------------------------------------ enum
@@ -105,40 +111,22 @@ def _cmd_enum(args) -> int:
     try:
         _refuse_large_pattern(args.cls)
         if stats:
-            table = count_class_parallel(n, args.cls, stats, jobs=args.jobs)
-            keys = sorted(table.rows)
-            if args.format == "csv":
-                _emit_csv(
-                    ["n", *stats, "count"],
-                    [[*k, table.rows[k]] for k in keys],
-                )
-            elif args.format == "json":
-                _emit_json(
-                    {
-                        "class": args.cls,
-                        "n": n,
-                        "statistics": list(stats),
-                        "rows": [
-                            dict(zip(("n", *stats), k)) | {"count": table.rows[k]}
-                            for k in keys
-                        ],
-                    }
-                )
-            else:
-                for k in keys:
-                    parts = " ".join(
-                        "%s=%d" % (name, v)
-                        for name, v in zip(("n", *stats), k)
-                    )
-                    print("%s count=%d" % (parts, table.rows[k]))
+            rows = count_classes_parallel(n, (args.cls,), stats, jobs=args.jobs)[args.cls]
+            header = ["n", *stats, "count"]
+            table = [[*k, rows[k]] for k in sorted(rows)]
+            obj = {
+                "class": args.cls,
+                "n": n,
+                "statistics": list(stats),
+                "rows": [dict(zip(header, row)) for row in table],
+            }
+            lines = (" ".join("%s=%d" % kv for kv in zip(header, row)) for row in table)
+            _emit(args.format, obj, header, table, lines)
         elif args.count:
-            total = sum(count_class_parallel(n, args.cls, (), jobs=args.jobs).rows.values())
-            if args.format == "csv":
-                _emit_csv(["n", "class", "count"], [[n, args.cls, total]])
-            elif args.format == "json":
-                _emit_json({"class": args.cls, "n": n, "count": total})
-            else:
-                print(total)
+            rows = count_classes_parallel(n, (args.cls,), (), jobs=args.jobs)[args.cls]
+            total = sum(rows.values())
+            obj = {"class": args.cls, "n": n, "count": total}
+            _emit(args.format, obj, ["n", "class", "count"], [[n, args.cls, total]], [total])
         else:
             # the listing of "all" is the generator's own text stream
             if args.cls == "all":
@@ -150,10 +138,10 @@ def _cmd_enum(args) -> int:
                 # one write of the whole listing would hold every line at once
                 for block in iter(lambda: list(islice(texts, 1024)), []):
                     sys.stdout.write("\n".join(block) + "\n")
-            elif args.format == "csv":
-                _emit_csv(["diagram"], [[t] for t in texts])
             else:
-                _emit_json({"class": args.cls, "n": n, "diagrams": list(texts)})
+                texts = list(texts)
+                obj = {"class": args.cls, "n": n, "diagrams": texts}
+                _emit(args.format, obj, ["diagram"], ([t] for t in texts), ())
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
@@ -179,11 +167,39 @@ def _format_word(w: tuple[int, ...]) -> str:
 
 
 def _parse_tree(text: str):
-    def node(obj):
-        label, kids = obj
-        return (int(label), tuple(node(k) for k in kids))
+    """Read the [label, [children]] text that `_format_tree` writes (JSON
+    with integer labels) on an explicit stack, so that no depth is too deep."""
+    tokens = iter(re.findall(r"-?[0-9]+|\S", text))
 
-    return node(json.loads(text))
+    def take(*want: str) -> str:
+        tok = next(tokens, "end of input")
+        if tok not in want:
+            raise ValueError("expected %s, got %r" % (" or ".join(map(repr, want)), tok))
+        return tok
+
+    open_nodes: list[tuple[int, list]] = []  # (label, the children read so far)
+    tok = take("[")
+    while True:
+        # tok opened a node: its label, then its children
+        label = next(tokens, "end of input")
+        if not re.fullmatch(r"-?[0-9]+", label):
+            raise ValueError("expected a label, got %r" % label)
+        take(",")
+        take("[")
+        open_nodes.append((int(label), []))
+        tok = take("[", "]")
+        while tok == "]":  # the last open node's children end, and so does it
+            take("]")
+            label, kids = open_nodes.pop()
+            if not open_nodes:
+                rest = next(tokens, None)
+                if rest is not None:
+                    raise ValueError("unexpected %r after the tree" % rest)
+                return label, tuple(kids)
+            open_nodes[-1][1].append((label, tuple(kids)))
+            tok = take(",", "]")
+            if tok == ",":  # a sibling follows
+                tok = take("[")
 
 
 def _format_tree(t) -> str:
@@ -213,40 +229,21 @@ _MAPS = {
     "chi": (ChordDiagram.from_text, chi, lambda r: r.to_text(), lambda d, r: psi(r) == d),
     "alpha": (ChordDiagram.from_text, alpha, _format_parts, lambda d, r: beta(r) == d),
     "beta": (_parse_parts, beta, lambda r: r.to_text(), lambda p, r: alpha(r) == p),
-    "omega": (
-        ChordDiagram.from_text,
-        omega,
-        triangulation_canonical_code,
-        None,
-    ),
+    "omega": (ChordDiagram.from_text, omega, Triangulation.canonical_code, None),
     "gamma": (
         ChordDiagram.from_text,
         lambda d: gamma(omega(d)),
-        lambda r: json.dumps(
-            [[triangulation_canonical_code(t), i] for t, i in r]
-        ),
+        lambda r: json.dumps([[t.canonical_code(), i] for t, i in r]),
         None,
     ),
     "zeta": (ChordDiagram.from_text, zeta, _format_word, lambda d, r: zeta_inverse(r) == d),
     "zeta-inv": (_parse_word, zeta_inverse, lambda r: r.to_text(), lambda w, r: zeta(r) == w),
-    "eta": (_parse_tree, eta, _format_word, lambda t, r: eta_inverse(r) == t),
-    "eta-inv": (
-        _parse_word,
-        eta_inverse,
-        _format_tree,
-        lambda w, r: eta(r) == w,
-    ),
-    "theta": (
-        ChordDiagram.from_text,
-        theta,
-        _format_tree,
-        lambda d, r: theta_inverse(r) == d,
-    ),
+    # a tree is compared by its eta word, since == on nested tuples recurses
+    "eta": (_parse_tree, eta, _format_word, lambda t, r: eta(eta_inverse(r)) == r),
+    "eta-inv": (_parse_word, eta_inverse, _format_tree, lambda w, r: eta(r) == w),
+    "theta": (ChordDiagram.from_text, theta, _format_tree, lambda d, r: theta_inverse(r) == d),
     "theta-inv": (
-        _parse_tree,
-        theta_inverse,
-        lambda r: r.to_text(),
-        lambda t, r: theta(r) == t,
+        _parse_tree, theta_inverse, lambda r: r.to_text(), lambda t, r: eta(theta(r)) == eta(t)
     ),
     "root-share": (
         ChordDiagram.from_text,
@@ -289,16 +286,13 @@ def _cmd_series(args) -> int:
     if _outside_budget("--max-size", args.max_size):
         return 2
     rows = series_rows(args.operator, args.max_size, args.source)
-    if args.format == "csv":
-        _emit_csv(
-            ["n", "y_power", "poly"],
-            [[r["n"], r["y_power"], r["poly"]] for r in rows],
-        )
-    elif args.format == "json":
-        _emit_json({"operator": args.operator, "rows": rows})
-    else:
-        for r in rows:
-            print("[x^%d] y^%d: %s" % (r["n"], r["y_power"], r["poly"]))
+    _emit(
+        args.format,
+        {"operator": args.operator, "rows": rows},
+        ["n", "y_power", "poly"],
+        ([r["n"], r["y_power"], r["poly"]] for r in rows),
+        ("[x^%d] y^%d: %s" % (r["n"], r["y_power"], r["poly"]) for r in rows),
+    )
     return 0
 
 
@@ -324,20 +318,18 @@ def _cmd_verify(args) -> int:
     else:
         results = [run_check(i, args.max_size) for i in ids]
     ok = all(r["ok"] for r in results)
-    if args.format == "json":
-        _emit_json({"checks": results, "ok": ok})
-    else:
-        for r in results:
-            line = "%s %s (budget %d)" % (
-                "PASS" if r["ok"] else "FAIL",
-                r["id"],
-                r["budget"],
-            )
-            print(line)
-            if not r["ok"]:
-                print("  %s" % json.dumps(r["details"], sort_keys=True))
-        print("%d/%d checks passed" % (sum(r["ok"] for r in results), len(results)))
+    _emit(args.format, {"checks": results, "ok": ok}, None, None, _verify_lines(results))
     return 0 if ok else 1
+
+
+def _verify_lines(results: list[dict]) -> Iterator[str]:
+    """A PASS or FAIL line per check, a failure's details under it, and the
+    tally."""
+    for r in results:
+        yield "%s %s (budget %d)" % ("PASS" if r["ok"] else "FAIL", r["id"], r["budget"])
+        if not r["ok"]:
+            yield "  %s" % json.dumps(r["details"], sort_keys=True)
+    yield "%d/%d checks passed" % (sum(r["ok"] for r in results), len(results))
 
 
 # ----------------------------------------------------------------- conjectures
@@ -347,9 +339,6 @@ def _cmd_conjectures(args) -> int:
     if _outside_budget("--max-size", args.max_size):
         return 2
     rep = standard_reports(args.max_size)
-    if args.format == "json":
-        _emit_json(rep)
-        return 0
     flat = []
     for row in rep["rows"]:
         sec = row["report"]["variants"][row["variant"]]
@@ -363,26 +352,25 @@ def _cmd_conjectures(args) -> int:
                 "" if offset is None else offset,
             ]
         )
-    if args.format == "csv":
-        _emit_csv(["name", "oeis", "status", "variant", "best_offset"], flat)
-        return 0
+    header = ["name", "oeis", "status", "variant", "best_offset"]
+    _emit(args.format, rep, header, flat, _conjecture_lines(rep, flat))
+    return 0
+
+
+def _conjecture_lines(rep: dict, flat: list[list]) -> Iterator[str]:
+    """The table of `flat` in aligned columns, the dominance verdict, then
+    each row's enumerated sequence."""
     width = max(len(r[0]) for r in flat)
     for name, oeis, status, variant, offset in flat:
-        print(
-            "%-*s  %-8s %-11s %-13s offset=%s"
-            % (width, name, oeis, status, variant, offset if offset != "" else "none")
+        yield "%-*s  %-8s %-11s %-13s offset=%s" % (
+            width, name, oeis, status, variant, offset if offset != "" else "none"
         )
-    dom = rep["dominance"]
-    print(
-        "dominance bottom<=top (connected): %s"
-        % ("holds" if dom["all_hold"] else "violated")
-    )
+    verdict = "holds" if rep["dominance"]["all_hold"] else "violated"
+    yield "dominance bottom<=top (connected): %s" % verdict
     for row in rep["rows"]:
-        print()
-        print("# %s (%s), OEIS %s" % (row["name"], row["variant"], row["oeis"] or "n/a"))
-        for line in sequence_lines(row["report"], row["variant"]):
-            print(line)
-    return 0
+        yield ""
+        yield "# %s (%s), OEIS %s" % (row["name"], row["variant"], row["oeis"] or "n/a")
+        yield from sequence_lines(row["report"], row["variant"])
 
 
 # ---------------------------------------------------------------------- parser

@@ -25,13 +25,7 @@ def variant_counts(class_name: str, n_max: int) -> dict[str, list[int]]:
     return {v: [count_members(n, class_name, v) for n in sizes] for v in VARIANTS}
 
 
-def conjecture_report(
-    class_name: str,
-    oracle_name: str | None,
-    n_max: int,
-    offsets: tuple[int, ...] = OFFSETS,
-    variants: tuple[str, ...] = VARIANTS,
-) -> dict:
+def conjecture_report(class_name: str, oracle_name: str | None, n_max: int) -> dict:
     """Compare enumerated counts with oracle values at each index offset.
 
     Purely descriptive: per (variant, offset) the report records the oracle
@@ -44,15 +38,15 @@ def conjecture_report(
         "class": class_name,
         "oracle": oracle_name,
         "n_max": n_max,
-        "offsets": list(offsets),
+        "offsets": list(OFFSETS),
         "variants": {},
     }
-    for v in variants:
+    for v in VARIANTS:
         enum = counts[v]
         section: dict = {"enumerated": enum}
         if oracle_name is not None:
             by_offset = {}
-            for off in offsets:
+            for off in OFFSETS:
                 vals = [oracle_value(oracle_name, n + off) for n in range(1, n_max + 1)]
                 matches = [
                     None if ov is None else ov == enum[n - 1]
@@ -66,7 +60,7 @@ def conjecture_report(
                 }
             section["by_offset"] = by_offset
             section["best_offset"] = next(
-                (o for o in sorted(offsets, key=lambda x: (abs(x), x)) if by_offset[o]["all_match"]),
+                (o for o in sorted(OFFSETS, key=lambda x: (abs(x), x)) if by_offset[o]["all_match"]),
                 None,
             )
         out["variants"][v] = section
@@ -192,11 +186,11 @@ def dominance_report(n_max: int) -> dict:
     }
 
 
-def standard_reports(n_max: int, offsets: tuple[int, ...] = OFFSETS) -> dict:
+def standard_reports(n_max: int) -> dict:
     """Run every standard comparison plus the dominance inequality."""
     rows = []
     for c in STANDARD_CONJECTURES:
-        rep = conjecture_report(c.class_name, c.oracle, n_max, offsets)
+        rep = conjecture_report(c.class_name, c.oracle, n_max)
         rows.append(
             {
                 "name": c.name,

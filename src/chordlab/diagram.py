@@ -37,10 +37,13 @@ class ChordDiagram:
             (a, b) if a < b else (b, a)
             for a, b in ((int(x), int(y)) for x, y in pairs)
         )
-        seen = [p for pair in ps for p in pair]
-        n = len(ps)
-        if sorted(seen) != list(range(1, 2 * n + 1)):
-            raise ValueError("endpoints must cover 1..2n exactly once")
+        # 2n endpoints, each in 1..2n and none twice, cover 1..2n
+        m = 2 * len(ps)
+        seen = bytearray(m + 1)
+        for a, b in ps:
+            if not 0 < a < b <= m or seen[a] or seen[b]:
+                raise ValueError("endpoints must cover 1..2n exactly once")
+            seen[a] = seen[b] = 1
         _init(self, tuple(ps))
 
     @classmethod

@@ -40,7 +40,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
@@ -329,21 +328,6 @@ def _pool_size(n: int, jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, len(branches(n))))
 
 
-@dataclass
-class CountTable:
-    """Refined counts: rows key (n, *statistic values) -> count."""
-
-    class_name: str
-    statistics: tuple[str, ...]
-    rows: dict[tuple, int] = field(default_factory=dict)
-
-    def add(self, key: tuple, weight: int = 1) -> None:
-        self.rows[key] = self.rows.get(key, 0) + weight
-
-    def total(self, n: int) -> int:
-        return sum(v for k, v in self.rows.items() if k[0] == n)
-
-
 _STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
     "t1": t1,
     "terminal-count": lambda d: len(terminal_labels(d)),
@@ -361,14 +345,14 @@ _SHARE_STATS = ("t1", "terminal-count")
 _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
 
 
-def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> CountTable:
-    """Count size-n diagrams of a class, refined by the named statistics,
-    with no child built: by a recurrence over smaller sizes (`_recurrence`:
-    `_histories` or `_root_shares`), or off the root-insertion sites
-    (`_site_columns`); only n = 0 tallies a built diagram. A plain count,
-    and so `census`, walks the class."""
-    statistics = tuple(statistics)
-    return CountTable(cls, statistics, _count_class_share((n, cls, statistics, None)))
+def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> dict[tuple, int]:
+    """The rows (n, *statistic values) -> count of the size-n diagrams of a
+    class, refined by the named statistics, with no child built: by a
+    recurrence over smaller sizes (`_recurrence`: `_histories` or
+    `_root_shares`), or off the root-insertion sites (`_site_columns`);
+    only n = 0 tallies a built diagram. A plain count, and so `census`,
+    walks the class."""
+    return _count_class_share((n, cls, tuple(statistics), None))
 
 
 def _count_class_share(args) -> dict[tuple, int]:
@@ -563,13 +547,13 @@ def count_classes_parallel(
     classes: tuple[str, ...],
     statistics: tuple[str, ...] = (),
     jobs: int = 1,
-) -> dict[str, CountTable]:
+) -> dict[str, dict[tuple, int]]:
     """count_class for each of several classes, with one pool of at most
     `jobs` workers mapping (class, share) work items: the plain count of
     "all" is shared out by the first chord of its stream, a table with a
     `_recurrence` is counted in this process, and every other item walks
     the root-insertion sites, shared out by the first chord of the
-    parents."""
+    parents. A class's rows are added up in the order of its items."""
     jobs = _pool_size(n, jobs)
     shared = [c for c in classes if not _recurrence(c, statistics)]
     if jobs <= 1 or n <= 1 or not shared:
@@ -581,20 +565,12 @@ def count_classes_parallel(
     ]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_count_class_share, work)
-    tables = {c: CountTable(c, tuple(statistics)) for c in shared}
+    tables: dict[str, dict[tuple, int]] = {c: {} for c in shared}
     for (_, c, _, _), rows in zip(work, parts):
+        table = tables[c]
         for k, v in rows.items():
-            tables[c].add(k, v)
+            table[k] = table.get(k, 0) + v
     return {c: tables[c] if c in shared else count_class(n, c, statistics) for c in classes}
-
-
-def count_class_parallel(
-    n: int,
-    cls: str = "all",
-    statistics: tuple[str, ...] = (),
-    jobs: int = 1,
-) -> CountTable:
-    return count_classes_parallel(n, (cls,), statistics, jobs)[cls]
 
 
 @lru_cache(maxsize=None)

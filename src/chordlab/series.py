@@ -209,9 +209,8 @@ class YPoly:
         return cls()
 
     @classmethod
-    def basis(cls, n: int, coeff: WeightPoly | None = None) -> "YPoly":
-        c = WeightPoly.one() if coeff is None else coeff
-        return cls([WeightPoly.zero()] * n + [c])
+    def basis(cls, n: int) -> "YPoly":
+        return cls([WeightPoly.zero()] * n + [WeightPoly.one()])
 
     @property
     def degree(self) -> int:

@@ -178,10 +178,6 @@ def _init(t: Triangulation, faces: frozenset, boundary) -> None:
     object.__setattr__(t, "boundary", tuple(boundary))
 
 
-def triangulation_canonical_code(t: Triangulation) -> str:
-    return t.canonical_code()
-
-
 def _build(c: ChordDiagram) -> Triangulation:
     # the tree of alpha parts, parents first: each node's children with
     # their block sizes.  A node is a (chord mask, order) pair, or a chord

@@ -33,6 +33,21 @@ def test_construction_rejects_gap_in_points():
         ChordDiagram.from_json({"pairs": [[1, 2], [3, 5]]})
 
 
+@pytest.mark.parametrize("pairs", [
+    [(1, 2), (2, 3)],  # a point twice across two chords
+    [(1, 1), (2, 3)],  # a point twice in one chord
+    [(3, 4), (3, 4)],  # a chord twice, so 1 and 2 are missing
+    [(1, 4), (2, 3), (1, 5)],  # 6 missing
+    [(0, 1)],  # zero
+    [(-1, 2)],
+    [(1, 2), (3, 5)],  # 2n + 1 in place of 2n
+    [(1, 5), (2, 3)],
+], ids=str)
+def test_construction_names_endpoints_that_do_not_cover_1_to_2n(pairs):
+    with pytest.raises(ValueError, match=r"^endpoints must cover 1\.\.2n exactly once$"):
+        ChordDiagram(pairs)
+
+
 def test_empty_diagram():
     e = ChordDiagram.empty()
     assert e.n == 0

@@ -23,7 +23,6 @@ from chordlab.enumeration import (
     class_census,
     count_class,
     count_members,
-    count_class_parallel,
     count_classes_parallel,
     members,
     pattern_free_count,
@@ -72,7 +71,7 @@ def test_stream_counts_match_double_factorial():
 def test_census_is_job_count_independent():
     for jobs in (1, 3):
         for cls, want in census(5).items():
-            assert count_class_parallel(5, cls, jobs=jobs).total(5) == want
+            assert sum(count_classes_parallel(5, (cls,), jobs=jobs)[cls].values()) == want
 
 
 def test_one_pool_counts_several_classes(monkeypatch):
@@ -90,7 +89,7 @@ def test_one_pool_counts_several_classes(monkeypatch):
         tables = count_classes_parallel(5, classes, stats, jobs=2)
         assert list(tables) == list(classes)
         for cls in classes:
-            assert tables[cls].rows == count_class(5, cls, stats).rows, (cls, stats)
+            assert tables[cls] == count_class(5, cls, stats), (cls, stats)
     assert pools == [2, 2]
 
 
@@ -169,9 +168,9 @@ def test_negative_sizes_are_rejected():
 
 
 def test_count_class_examples():
-    assert count_class(3, "connected").total(3) == 4
-    assert count_class(3, "one-terminal").total(3) == 3
-    assert count_class(4, "connected").total(4) == 27
+    assert count_class(3, "connected") == {(3,): 4}
+    assert count_class(3, "one-terminal") == {(3,): 3}
+    assert count_class(4, "connected") == {(4,): 27}
 
 
 def test_connected_top_cycle_free_count():
@@ -185,8 +184,8 @@ def test_connected_top_cycle_free_count():
 
 def test_count_class_with_statistics():
     table = count_class(3, "connected", statistics=("t1",))
-    assert table.rows == {(3, 2): 1, (3, 3): 3}
-    assert count_class_parallel(3, "connected", ("t1",), jobs=2).rows == table.rows
+    assert table == {(3, 2): 1, (3, 3): 3}
+    assert count_classes_parallel(3, ("connected",), ("t1",), jobs=2)["connected"] == table
 
 
 def test_count_class_rejects_unknown_inputs():
@@ -297,11 +296,11 @@ def test_parallel_shares_match_the_leaf_filter(monkeypatch):
         want = {cls: leaf_filter(n, cls) for cls in classes}
         tables = count_classes_parallel(n, classes, jobs=2)
         for cls in classes:
-            assert tables[cls].rows == {(n,): len(want[cls])}, (n, cls)
+            assert tables[cls] == {(n,): len(want[cls])}, (n, cls)
         tables = count_classes_parallel(n, classes, ("crossings",), jobs=2)
         for cls in classes:
             rows = Counter((n, d.crossings()) for d in want[cls])
-            assert tables[cls].rows == rows, (n, cls)
+            assert tables[cls] == rows, (n, cls)
 
 
 def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
@@ -411,7 +410,7 @@ def test_site_rules_match_the_leaf_statistics(n):
                 with pytest.raises(ValueError, match="class %s has disconnected" % cls):
                     count_class(n, cls, stats)
             else:
-                assert count_class(n, cls, stats).rows == want, (cls, stats)
+                assert count_class(n, cls, stats) == want, (cls, stats)
 
 
 def test_site_rows_do_not_depend_on_the_job_count():
@@ -422,10 +421,10 @@ def test_site_rows_do_not_depend_on_the_job_count():
             classes = ("connected", "one-terminal")
         tables = count_classes_parallel(6, classes, stats, jobs=2)
         for cls in classes:
-            assert tables[cls].rows == count_class(6, cls, stats).rows, (cls, stats)
+            assert tables[cls] == count_class(6, cls, stats), (cls, stats)
     for jobs in (1, 2):
         with pytest.raises(ValueError) as raised:
-            count_class_parallel(5, "all", ("crossings", "t1"), jobs=jobs)
+            count_classes_parallel(5, ("all",), ("crossings", "t1"), jobs=jobs)
         assert str(raised.value) == (
             "statistic t1 needs connected diagrams; class all has disconnected members"
         )
@@ -441,21 +440,21 @@ def test_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     init = diagram._init
     monkeypatch.setattr(diagram, "_init", lambda d, pairs: inits.append(pairs) or init(d, pairs))
     for stats in (("crossings", "nestings"), ("terminal-count",)):
-        assert count_class(7, "all", stats).total(7) == double_factorial(7)
+        assert sum(count_class(7, "all", stats).values()) == double_factorial(7)
         assert inits == [], stats
-    assert count_class(8, "connected", ("t1", "terminal-count")).total(8) == A000699[8]
+    assert sum(count_class(8, "connected", ("t1", "terminal-count")).values()) == A000699[8]
     assert inits == []
     monkeypatch.undo()
     built = count_built(monkeypatch)
     assert count_members(7, "indecomposable") == 110410
-    assert count_class(7, "indecomposable", ("crossings",)).rows == want
+    assert count_class(7, "indecomposable", ("crossings",)) == want
     assert built[7] == 0 and built[6] == 2 * double_factorial(6), built
 
 
 def test_kappa_site_rows_build_no_diagram_of_the_counted_size(monkeypatch):
     built = count_built(monkeypatch)
     table = count_class(7, "one-terminal", ("terminality", "kappa"))
-    assert table.total(7) == one_terminal(7)
+    assert sum(table.values()) == one_terminal(7)
     assert built[7] == 0 and built[6] > 0, built
 
 
@@ -469,11 +468,11 @@ def test_histories_of_all_open_no_pool(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     for stats in (("crossings", "nestings"), ("terminal-count",), ("nestings", "crossings")):
         tables = count_classes_parallel(6, ("all",), stats, jobs=2)
-        assert tables["all"].rows == count_class(6, "all", stats).rows, stats
+        assert tables["all"] == count_class(6, "all", stats), stats
     # and so are the root shares of "connected" by t1 and terminal-count
     for stats in SHARE_STAT_SETS:
         tables = count_classes_parallel(6, ("connected",), stats, jobs=2)
-        assert tables["connected"].rows == count_class(6, "connected", stats).rows, stats
+        assert tables["connected"] == count_class(6, "connected", stats), stats
     tables = count_classes_parallel(6, ("all", "connected"), ("terminal-count",), jobs=2)
     assert list(tables) == ["all", "connected"]
     items = []
@@ -488,7 +487,7 @@ def test_histories_of_all_open_no_pool(monkeypatch):
     assert list(tables) == ["all", "connected"]
     assert {c for _, c, _, _ in items} == {"connected"}
     for cls in tables:
-        assert tables[cls].rows == count_class(6, cls, ("crossings",)).rows, cls
+        assert tables[cls] == count_class(6, cls, ("crossings",)), cls
 
 
 def touchard_riordan(n):
@@ -515,11 +514,11 @@ def test_touchard_riordan_counts_the_stream():
 @pytest.mark.parametrize("n", range(8, 13))
 def test_histories_match_the_formulas_beyond_the_sweep(n):
     # the tables of "all" past exhaustive reach, against closed forms
-    crossings = count_class(n, "all", ("crossings",)).rows
-    nestings = count_class(n, "all", ("nestings",)).rows
-    joint = count_class(n, "all", ("crossings", "nestings")).rows
-    terminal = count_class(n, "all", ("crossings", "terminal-count")).rows
-    every = count_class(n, "all", ("terminal-count", "nestings", "crossings")).rows
+    crossings = count_class(n, "all", ("crossings",))
+    nestings = count_class(n, "all", ("nestings",))
+    joint = count_class(n, "all", ("crossings", "nestings"))
+    terminal = count_class(n, "all", ("crossings", "terminal-count"))
+    every = count_class(n, "all", ("terminal-count", "nestings", "crossings"))
     want = {(n, k): c for k, c in touchard_riordan(n).items()}
     assert crossings == want and nestings == want
     # crossings and nestings are symmetric jointly (Kasraoui and Zeng, 2006)
@@ -559,14 +558,14 @@ def test_root_shares_match_a_per_diagram_tally(n):
         for values, count in measured.items():
             named = dict(zip(("t1", "terminal-count"), values))
             want[(n, *[named[s] for s in stats])] += count
-        assert count_class(n, "connected", stats).rows == want, stats
+        assert count_class(n, "connected", stats) == want, stats
     if n == 0:
-        assert count_class(0, "connected", ("t1", "terminal-count")).rows == {}
+        assert count_class(0, "connected", ("t1", "terminal-count")) == {}
 
 
 @pytest.mark.parametrize("n", range(8, 13))
 def test_root_shares_match_the_counts_beyond_the_sweep(n):
-    rows = count_class(n, "connected", ("t1", "terminal-count")).rows
+    rows = count_class(n, "connected", ("t1", "terminal-count"))
     assert sum(rows.values()) == A000699[n]
     # the one-terminal diagrams, (2n-3)!! of them, have their one terminal
     # chord last in the intersection order
@@ -575,9 +574,9 @@ def test_root_shares_match_the_counts_beyond_the_sweep(n):
 
 
 def test_root_share_t1_rows_match_the_site_walk(monkeypatch):
-    shares = count_class(8, "connected", ("t1",)).rows
+    shares = count_class(8, "connected", ("t1",))
     monkeypatch.setattr(enumeration, "_recurrence", lambda cls, stats: None)
-    assert count_class(8, "connected", ("t1",)).rows == shares
+    assert count_class(8, "connected", ("t1",)) == shares
     assert sum(shares.values()) == A000699[8]
 
 

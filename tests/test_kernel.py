@@ -445,8 +445,7 @@ def test_enum_clamps_the_pool_size(monkeypatch, capsys, size, jobs, cpus, want):
     for extra in (["--count"], ["--stats", "t1,terminality", "--class", "connected"]):
         assert cli.main(["enum", "--size", str(size), "--jobs", str(jobs), *extra]) == 0
     capsys.readouterr()
-    assert enumeration.count_class_parallel(size, "connected", jobs=jobs).total(size) == (
-        census(size)["connected"]
-    )
+    rows = enumeration.count_classes_parallel(size, ("connected",), jobs=jobs)["connected"]
+    assert sum(rows.values()) == census(size)["connected"]
     # one clamped pool per parallel sweep; a single worker runs serially
     assert requested == ([] if want is None else [want] * 3)

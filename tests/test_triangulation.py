@@ -7,12 +7,7 @@ import recursive_maps
 from chordlab.oracles import corollary_count
 from chordlab.patterns import contains_any_top_cycle
 from chordlab.structure import t1
-from chordlab.triangulation import (
-    Triangulation,
-    gamma,
-    omega,
-    triangulation_canonical_code,
-)
+from chordlab.triangulation import Triangulation, gamma, omega
 from conftest import Ca, Cb, Ce, Cg, path_diagram, sweep
 
 
@@ -48,7 +43,7 @@ def test_omega_matches_the_recursive_construction():
     for n in range(1, 7):
         for d in _tcf_connected(n):
             ref = recursive_maps.omega(d)
-            assert triangulation_canonical_code(omega(d)) == triangulation_canonical_code(ref)
+            assert omega(d).canonical_code() == ref.canonical_code()
 
 
 def test_omega_of_a_long_path_diagram():
@@ -63,8 +58,8 @@ def test_omega_of_a_long_path_diagram():
 
 
 def test_canonical_code_identifies_rooted_maps():
-    assert triangulation_canonical_code(omega(Ca)) == "1;0"
-    code = triangulation_canonical_code
+    assert omega(Ca).canonical_code() == "1;0"
+    code = Triangulation.canonical_code
     # relabeling leaves the code alone
     tri = omega(Cb)
     relabeled = Triangulation([(5, 7, 6)], [5, 6, 7])
@@ -76,7 +71,7 @@ def test_omega_injective_with_counts_matching_the_refined_formula():
     totals = []
     for n in range(1, 7):
         pool = _tcf_connected(n)
-        codes = {triangulation_canonical_code(omega(d)) for d in pool}
+        codes = {omega(d).canonical_code() for d in pool}
         assert len(codes) == len(pool)
         per_t1: dict[int, int] = {}
         for d in pool:
@@ -88,7 +83,7 @@ def test_omega_injective_with_counts_matching_the_refined_formula():
 
 
 def test_gamma_examples():
-    code = triangulation_canonical_code
+    code = Triangulation.canonical_code
     assert [(code(t), i) for t, i in gamma(omega(Cb))] == [("1;0", 1)]
     assert [(code(t), i) for t, i in gamma(omega(Ce))] == [("1;0", 1), ("1;0", 1)]
     assert [(code(t), i) for t, i in gamma(omega(Cg))] == [
@@ -106,9 +101,7 @@ def test_gamma_coheres_with_alpha():
             parts = alpha(d)
             assert len(kids) == len(parts)
             for (child, idx), (part, block) in zip(kids, parts):
-                assert triangulation_canonical_code(child) == triangulation_canonical_code(
-                    omega(part)
-                )
+                assert child.canonical_code() == omega(part).canonical_code()
                 assert idx == len(block)
 
 

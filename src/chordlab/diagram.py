@@ -5,7 +5,7 @@ is stored as a (source, sink) pair with source < sink, and chords are
 numbered 1..n in order of their sources (the standard order). The size-0
 diagram is a legitimate value. After the class comes the kernel on pairs
 and crossing masks: `open_masks`, `insert_root` (a child under a new root
-chord) and `component_masks`.
+chord), `crossing_mask` and `component_masks`.
 """
 
 from __future__ import annotations
@@ -357,17 +357,22 @@ def _root_moves(m: int) -> list[tuple]:
     return moves
 
 
+def crossing_mask(adj: tuple[int, ...], mask: int) -> int:
+    """Bitmask of the chords that cross some chord of the mask."""
+    reach = 0
+    while mask:
+        low = mask & -mask
+        reach |= adj[low.bit_length() - 1]
+        mask ^= low
+    return reach
+
+
 def component_mask(adj: tuple[int, ...], seed: int, within: int) -> int:
     """Bitmask of the component containing the seed bits in the crossing
     graph induced on the chord set `within`."""
     comp = frontier = seed
     while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & within & ~comp
+        frontier = crossing_mask(adj, frontier) & within & ~comp
         comp |= frontier
     return comp
 

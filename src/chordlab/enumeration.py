@@ -31,8 +31,8 @@ paper's root share (`_root_shares`).
 `tally` is the one loop that counts built diagrams: `class_census`,
 `tcf_refined` and the counts of the other modules are key functions over
 it. `class_census` tests every diagram of the stream, one cycle profile
-each, so that the root-insertion counts have an independent sweep to be
-checked against.
+each: the independent sweep for the site rows of `conjectures` and
+`series`, which of the checks only `enum-jelinek-equalities` reads.
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ def members(
     return _grown(n, key, variant, ordered)
 
 
+@lru_cache(maxsize=None)
 def count_members(n: int, cls: str = "all", variant: str = "all") -> int:
     """How many diagrams `members` yields. "all" counts the `all_pairs`
     stream itself, and any other class or variant adds up the member bits
-    of each root-insertion parent, without building the children."""
+    of each root-insertion parent, without building the children. Cached."""
     return _count(n, *_root_key(cls, variant))
 
 
@@ -585,16 +586,6 @@ def census(n: int) -> Mapping[str, int]:
 PROFILE_CLASSES = ("all", *CYCLE_CLASSES, "noncrossing", "nonnesting")
 
 
-def _profile_member(d: ChordDiagram) -> tuple[str, ...]:
-    flags = {
-        "all": True,
-        **cycle_classes(cycle_profile(d)),
-        "noncrossing": d.is_noncrossing(),
-        "nonnesting": d.is_nonnesting(),
-    }
-    return tuple(c for c, ok in flags.items() if ok)
-
-
 @lru_cache(maxsize=None)
 def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     """One sweep over size-n diagrams scoring every profile class at once;
@@ -603,7 +594,13 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
 
     def key(d: ChordDiagram) -> tuple:
         # the diagram's classes, and how many of VARIANTS it counts towards
-        return _profile_member(d), 1 + d.is_connected() + is_one_terminal(d)
+        flags = {
+            "all": True,
+            **cycle_classes(cycle_profile(d)),
+            "noncrossing": d.is_noncrossing(),
+            "nonnesting": d.is_nonnesting(),
+        }
+        return tuple(c for c, ok in flags.items() if ok), 1 + d.is_connected() + is_one_terminal(d)
 
     out = {c: dict.fromkeys(VARIANTS, 0) for c in PROFILE_CLASSES}
     for (inside, depth), count in tally(n, key).items():

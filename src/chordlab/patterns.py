@@ -18,8 +18,8 @@ Two algorithms do the work, both over the crossing masks of the diagram:
 The hereditary classes (closed under removing the root chord) are built
 by root insertion in `enumeration`. `root_members` decides which roots over
 a member of size n-1 keep the class, testing only what uses the new root:
-by a mask rule for triangle-free, tree and bipartite, by the two searches
-above anchored at the root for the other classes. `in_class` stays the
+by a mask rule for the named classes, with no child built, and by the
+embedding anchored at the root for a pattern class. `in_class` stays the
 per-diagram predicate, independent of this.
 """
 
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .diagram import ChordDiagram, _mask_labels, component_masks, insert_root, root_masks
+from .diagram import ChordDiagram, _mask_labels, component_mask, component_masks, crossing_mask
 from .structure import is_one_terminal
 
 
@@ -376,8 +376,7 @@ def root_members(
     the root (1, k + 2) gives a member, for each k of `ks`. That root
     crosses the chords of s in the mask roots[k], and comps are the masks
     of s's components (None if not yet found). Only configurations that use
-    the root are tested: the others lie in s. No child is built, except to
-    tell a top from a bottom cycle through the root."""
+    the root are tested: the others lie in s. No child is built."""
     adj = s.adjacency()
     if comps is None and key in ("tree", "bipartite"):
         comps = component_masks(adj)
@@ -391,10 +390,7 @@ def root_members(
         return sum(1 << k for k in ks if k < low)
     if key == "triangle-free":
         # the root's neighbours must be pairwise non-crossing
-        return sum(
-            1 << k for k in ks
-            if not any(adj[j - 1] & roots[k] for j in _mask_labels(roots[k]))
-        )
+        return sum(1 << k for k in ks if not crossing_mask(adj, roots[k]) & roots[k])
     if key == "tree":
         # a second neighbour in one component of s closes a cycle
         return sum(1 << k for k in ks if all(_at_most_one(roots[k] & c) for c in comps))
@@ -405,7 +401,7 @@ def root_members(
             1 << k for k in ks
             if all(not roots[k] & a or not roots[k] & (c ^ a) for c, a in sides)
         )
-    return _cycle_free_roots(key, s, roots, ks)
+    return _cycle_free_roots(key, adj, roots, ks)
 
 
 def _at_most_one(mask: int) -> bool:
@@ -418,12 +414,7 @@ def _colour_class(adj: tuple[int, ...], comp: int) -> int:
     side = seen = frontier = comp & -comp
     even = True
     while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
+        frontier = crossing_mask(adj, frontier) & ~seen
         seen |= frontier
         even = not even
         if even:
@@ -431,28 +422,45 @@ def _colour_class(adj: tuple[int, ...], comp: int) -> int:
     return side
 
 
-def _cycle_free_roots(key: str, s: ChordDiagram, roots: list[int], ks: list[int]) -> int:
-    """root_members for chordal, top- and bottom-cycle-free: a search for
-    the induced cycles whose lowest chord is the root."""
-    pairs, adj = s.pairs, s.adjacency()
-    banned = "top" if key == "top-cycle-free" else "bottom"
+def _cycle_free_roots(key: str, adj: tuple[int, ...], roots: list[int], ks: list[int]) -> int:
+    """root_members for chordal, top- and bottom-cycle-free, by mask rules.
+    A cycle of four or more chords through the root joins two non-crossing
+    chords of r = roots[k] through a component of s - r: of O_k, the chords
+    after s's first k points, for a top cycle, else of the rest. The chords
+    of r that cross one component of the side searched must pairwise cross."""
+    full = (1 << len(adj)) - 1
     bits = 0
     for k in ks:
-        child = None
-        for cycle in _induced_cycles(root_masks(adj, roots[k]), (0,)):
-            if cycle.bit_count() == 3:
-                if key != "chordal":
-                    break
-                continue
-            if key == "chordal":
-                break
-            if child is None:
-                child = insert_root(pairs, adj, k, roots[k])
-            if _kind(child, cycle) == banned:
+        r = roots[k]
+        if key == "chordal":
+            side = full ^ r
+        elif crossing_mask(adj, r) & r:
+            continue  # a triangle, both a top and a bottom cycle
+        else:
+            side = full ^ _first_chords(k, r) if key == "top-cycle-free" else _first_chords(k, r) ^ r
+        # each component of the side that r crosses, when r holds two chords or more
+        seeds = crossing_mask(adj, r) & side if r & (r - 1) else 0
+        while seeds:
+            c = component_mask(adj, seeds & -seeds, side)
+            seeds &= ~c
+            x = crossing_mask(adj, c) & r
+            if x & (x - 1) and not _pairwise_crossing(adj, x):
                 break
         else:
             bits |= 1 << k
     return bits
+
+
+def _pairwise_crossing(adj: tuple[int, ...], mask: int) -> bool:
+    rest = mask
+    while rest and mask & ~adj[(rest & -rest).bit_length() - 1] == rest & -rest:
+        rest &= rest - 1
+    return not rest
+
+
+def _first_chords(k: int, r: int) -> int:
+    """s's chords with a source among its first k points, r open after them."""
+    return (1 << (k + r.bit_count()) // 2) - 1
 
 
 def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int], ks: list[int]) -> int:
@@ -469,13 +477,9 @@ def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int]
         return 0
     cross, nest, right = ([m << 1 for m in ms] for ms in _relation_masks(s))
     full = (1 << s.n) - 1
-    # opened[k]: the chords of s with an end among its first k points
-    opened = [0]
-    for x in s.point_labels():
-        opened.append(opened[-1] | 1 << (x - 1))
     bits = 0
     for k in ks:
-        r, o = roots[k], opened[k]
+        r, o = roots[k], _first_chords(k, roots[k])
         masks = ([r << 1, *cross], [(o ^ r) << 1, *nest], [(full ^ o) << 1, *right])
         if not _embeds(masks, n, table, 1):
             bits |= 1 << k

@@ -598,10 +598,10 @@ def egf_antiderivative_counts(n_max: int) -> list[int]:
 
 
 def ogf_checks(n_max: int) -> dict:
-    """Three ordinary/exponential generating-function checks against brute
-    counts: the connected-count recurrence, the forbidden-class functional
-    equation for every profile class, and the antiderivative EGF."""
-    from .enumeration import census, class_census
+    """Three ordinary/exponential generating-function checks against root
+    insertion counts: the connected-count recurrence, the forbidden-class
+    functional equation for every profile class, and the antiderivative EGF."""
+    from .enumeration import PROFILE_CLASSES, census, count_members
     from .oracles import double_factorial, stein
 
     conn = [0] + [census(n)["connected"] for n in range(1, n_max + 1)]
@@ -609,12 +609,9 @@ def ogf_checks(n_max: int) -> dict:
     stein_ok = conn == stein_vals
 
     per_class = {}
-    tables = [class_census(n) for n in range(1, n_max + 1)]
-    from .enumeration import PROFILE_CLASSES
-
     for cls in PROFILE_CLASSES:
-        a = [1] + [tables[n - 1][cls]["all"] for n in range(1, n_max + 1)]
-        b = [0] + [tables[n - 1][cls]["connected"] for n in range(1, n_max + 1)]
+        a = [1] + [count_members(n, cls) for n in range(1, n_max + 1)]
+        b = [0] + [count_members(n, cls, "connected") for n in range(1, n_max + 1)]
         recurred = forbidden_class_recurrence(a, b)
         # The root-component decomposition only respects forbidden patterns
         # whose intersection graphs are connected; nonnesting forbids a pure

@@ -454,6 +454,9 @@ EMIT_SHA256 = [
     ('conjectures --max-size 4 --format csv', 'c02166aba5769b8d538eaafd136481d5a5ceadfbf3d2f2b506d50dc899202245'),
     ('conjectures --max-size 4 --format json', 'e0b043936c41d9075c0c9ade881166b0d7d18d2d006a193436d520c5baf0ddd1'),
     ('conjectures --max-size 4 --format lines', '74052a9e149de4432c9d18964beb8afc294bbb0bc172e96b568bcc765888e504'),
+    ('conjectures --max-size 6 --format csv', 'c02166aba5769b8d538eaafd136481d5a5ceadfbf3d2f2b506d50dc899202245'),
+    ('conjectures --max-size 6 --format json', '8db9ef5ba66e8854eb82d133d7b9769ed53ac8d57eaf844eb3beb7bcb1b4d0fa'),
+    ('conjectures --max-size 6 --format lines', 'afe844f21c4dcc9d6a16fd9925ba6ca2d79b53d3c804a02a7c47800babbff382'),
     ('verify core-pair-statistics --max-size 3 --format json', '585d63c290e67a8a84240075043e73ac4b78a13997febfd4ae7a6dbf2be6ebcb'),
     ('verify core-pair-statistics --max-size 3 --format lines', 'da969cdf677f60b9cdd3a00dc2030cdc024f4f069f8ad5ef63215150a1ccdfdd'),
 ]

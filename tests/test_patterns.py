@@ -7,11 +7,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from chordlab.diagram import ChordDiagram, _mask_labels
+from chordlab.diagram import ChordDiagram, _mask_labels, insert_root, open_masks, root_masks
+from chordlab.enumeration import members
 from chordlab.patterns import (
     CLASS_NAMES,
     CYCLE_CLASSES,
     _induced_cycles,
+    _kind,
     bottom_cycle,
     complete_diagram,
     contains_any_bottom_cycle,
@@ -22,6 +24,7 @@ from chordlab.patterns import (
     in_class,
     nesting_diagram,
     permutation_diagram,
+    root_members,
     top_cycle,
 )
 from conftest import Ca, Cb, Cc, Ce, Cg, K3, left_neighbors, sweep
@@ -230,3 +233,42 @@ def test_small_class_counts():
         assert sum(in_class(d, "connected") for d in ds) == conn
         assert sum(in_class(d, "noncrossing") for d in ds) == noncross
         assert sum(in_class(d, "nonnesting") for d in ds) == nonnest
+
+
+def cycle_search_roots(key, s, ks):
+    """The member roots of chordal, top- and bottom-cycle-free over s, by a
+    search for the induced cycles whose lowest chord is the root, each one
+    longer than a triangle told top from bottom on the built child."""
+    pairs, adj, roots = s.pairs, s.adjacency(), open_masks(s)
+    banned = "top" if key == "top-cycle-free" else "bottom"
+    bits = 0
+    for k in ks:
+        child = None
+        for cycle in _induced_cycles(root_masks(adj, roots[k]), (0,)):
+            if cycle.bit_count() == 3:
+                if key != "chordal":
+                    break
+                continue
+            if key == "chordal":
+                break
+            if child is None:
+                child = insert_root(pairs, adj, k, roots[k])
+            if _kind(child, cycle) == banned:
+                break
+        else:
+            bits |= 1 << k
+    return bits
+
+
+@pytest.mark.parametrize(
+    "key, parents", [("top-cycle-free", 4990), ("bottom-cycle-free", 4959), ("chordal", 9545)]
+)
+def test_cycle_class_mask_rules_match_the_cycle_search(key, parents):
+    seen = 0
+    for n in range(7):
+        ks = list(range(2 * n + 1))
+        for s in members(n, key, ordered=False):
+            want = cycle_search_roots(key, s, ks)
+            assert root_members(key, s, open_masks(s), None, ks) == want, s
+            seen += 1
+    assert seen == parents

@@ -15,22 +15,27 @@ labels.  alpha runs on the crossing masks (_alpha_parts): it takes a chord
 set with its intersection order and returns each part as a chord mask, a
 block and the part's order, which is the parent's order restricted to the
 part, so a walk over the part tree (omega's) computes one order in all.
-One downward scan of the masks traces every neighbor of the terminal
-chord, and a leftover component meets a chord set when the OR of its
-masks does.  In a one-terminal diagram the part tree is the tree of
-latest crossing chords (_top_tree): theta reads its labels off that tree,
-and theta_inverse rebuilds the chord order from the labels and lays out
-one word, each chord's source followed by its children's sinks.  zeta
-and zeta_inverse are loops over the root-removal sequence: chord k goes
-in after the live points inside it, counted from the source order and
-the right-neighbor masks.  The tree maps run on explicit stacks.
+The part diagrams that alpha returns keep that order, and the parts of
+alpha and root share are marked connected, so beta and
+root_share_compose check them with no component scan and no new order;
+psi and theta need no scan either, since one terminal chord makes a
+diagram connected.  One downward scan of the masks traces every
+neighbor of the terminal chord, and a leftover component meets a chord
+set when the OR of its masks does.  In a one-terminal diagram the part
+tree is the tree of latest crossing chords (_top_tree): theta reads its
+labels off that tree, and theta_inverse rebuilds the chord order from
+the labels and lays out one word, each chord's source followed by its
+children's sinks.  zeta and zeta_inverse are loops over the
+root-removal sequence: chord k goes in after the live points inside it,
+counted from the source order and the right-neighbor masks.  The tree
+maps run on explicit stacks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .diagram import ChordDiagram, _mask_labels, component_mask
+from .diagram import ChordDiagram, _mask_labels, _set_connected, _set_order, component_mask
 from .structure import _order, is_one_terminal, source_sink_groups, t1, terminal_labels
 
 # parts: (component diagram, block of intersection-order positions)
@@ -94,7 +99,7 @@ def alpha(c: ChordDiagram) -> Parts:
     if not c.is_connected() or c.n < 2:
         raise ValueError("alpha requires a connected diagram of size >= 2")
     parts = _alpha_parts(c.adjacency(), c.pairs, _order(c), (1 << c.n) - 1)
-    subs = _subdiagrams(c, [mask for mask, _, _ in parts])
+    subs = _subdiagrams(c, [mask for mask, _, _ in parts], [order for _, _, order in parts])
     return [(sub, block) for sub, (_, block, _) in zip(subs, parts)]
 
 
@@ -180,19 +185,27 @@ def _alpha_parts(adj: tuple[int, ...], pairs, order, mask: int) -> list[tuple[in
     return [(m, tuple(b), o) for m, b, o in zip(masks, blocks, orders)]
 
 
-def _subdiagrams(c: ChordDiagram, masks: list[int]) -> list[ChordDiagram]:
+def _subdiagrams(c: ChordDiagram, masks: list[int], orders=None) -> list[ChordDiagram]:
     # the subdiagram on each chord set, from one pass over c's points; a
-    # chord's label in its part is its rank there, which is standard form
-    where: list = [None] * (c.n + 1)
+    # chord's label in its part is its rank there, which is standard form.
+    # Every chord set is connected, and `orders`, if given, holds their
+    # intersection orders in c's labels: each part keeps both, relabelled.
+    part = [-1] * (c.n + 1)
+    rank = [0] * (c.n + 1)
     for r, m in enumerate(masks):
         for i, x in enumerate(_mask_labels(m), 1):
-            where[x] = (r, i)
+            part[x] = r
+            rank[x] = i
     words: list[list[int]] = [[] for _ in masks]
     for x in c.point_labels():
-        if where[x]:
-            r, i = where[x]
-            words[r].append(i)
-    return [ChordDiagram._from_point_labels(w) for w in words]
+        if part[x] >= 0:
+            words[part[x]].append(rank[x])
+    subs = [ChordDiagram._from_point_labels(w) for w in words]
+    for r, sub in enumerate(subs):
+        _set_connected(sub, True)
+        if orders is not None:
+            _set_order(sub, tuple([rank[x] for x in orders[r]]))
+    return subs
 
 
 def _top_tree(adj: tuple[int, ...], pairs, mask: int) -> dict[int, list[int]]:

@@ -17,12 +17,15 @@ from .oracles import oracle_value
 OFFSETS = (-1, 0, 1)
 
 
-def variant_counts(class_name: str, n_max: int) -> dict[str, list[int]]:
-    """Counts of size-1..n_max members of the class, per variant."""
-    return {v: [count_members(n, class_name, v) for n in range(1, n_max + 1)] for v in VARIANTS}
+def variant_counts(class_name: str, n_max: int, count=count_members) -> dict[str, list[int]]:
+    """Counts of size-1..n_max members of the class, per variant, from
+    `count(n, class_name, variant)`."""
+    return {v: [count(n, class_name, v) for n in range(1, n_max + 1)] for v in VARIANTS}
 
 
-def conjecture_report(class_name: str, oracle_name: str | None, n_max: int) -> dict:
+def conjecture_report(
+    class_name: str, oracle_name: str | None, n_max: int, count=count_members
+) -> dict:
     """Compare enumerated counts with oracle values at each index offset.
 
     Purely descriptive: per (variant, offset) the report records the oracle
@@ -30,7 +33,7 @@ def conjecture_report(class_name: str, oracle_name: str | None, n_max: int) -> d
     whether every defined comparison matched. `best_offset` is the smallest
     offset in absolute value whose comparisons all matched, if any.
     """
-    counts = variant_counts(class_name, n_max)
+    counts = variant_counts(class_name, n_max, count)
     out: dict = {
         "class": class_name,
         "oracle": oracle_name,
@@ -167,11 +170,11 @@ STANDARD_CONJECTURES: tuple[Conjecture, ...] = (
 )
 
 
-def dominance_report(n_max: int) -> dict:
+def dominance_report(n_max: int, count=count_members) -> dict:
     """Connected bottom-cycle-free vs top-cycle-free counts; conjectured
     never to exceed them."""
-    bcf = variant_counts("bottom-cycle-free", n_max)["connected"]
-    tcf = variant_counts("top-cycle-free", n_max)["connected"]
+    bcf = variant_counts("bottom-cycle-free", n_max, count)["connected"]
+    tcf = variant_counts("top-cycle-free", n_max, count)["connected"]
     holds = [b <= t for b, t in zip(bcf, tcf)]
     return {
         "name": "bottom-cycle-free-dominated",
@@ -183,11 +186,12 @@ def dominance_report(n_max: int) -> dict:
     }
 
 
-def standard_reports(n_max: int) -> dict:
-    """Run every standard comparison plus the dominance inequality."""
+def standard_reports(n_max: int, count=count_members) -> dict:
+    """Run every standard comparison plus the dominance inequality, with
+    the class sizes from `count` (the cached `count_members` by default)."""
     rows = []
     for c in STANDARD_CONJECTURES:
-        rep = conjecture_report(c.class_name, c.oracle, n_max)
+        rep = conjecture_report(c.class_name, c.oracle, n_max, count)
         rows.append(
             {
                 "name": c.name,
@@ -198,7 +202,7 @@ def standard_reports(n_max: int) -> dict:
                 "report": rep,
             }
         )
-    return {"n_max": n_max, "rows": rows, "dominance": dominance_report(n_max)}
+    return {"n_max": n_max, "rows": rows, "dominance": dominance_report(n_max, count)}
 
 
 def sequence_lines(report: dict, variant: str) -> list[str]:

@@ -105,8 +105,14 @@ def t1(d: ChordDiagram) -> int:
 
 
 def is_one_terminal(d: ChordDiagram) -> bool:
-    """Connected with exactly one terminal chord."""
-    return d.is_connected() and len(terminal_labels(d)) == 1
+    """Connected with exactly one terminal chord.
+
+    Each component's last chord is terminal, so one terminal chord makes
+    the diagram connected: every other chord crosses a later one, and so
+    reaches the last chord through later and later ones. No component scan
+    is needed.
+    """
+    return len(terminal_labels(d)) == 1
 
 
 def is_k_terminal(d: ChordDiagram, k: int) -> bool:
@@ -157,31 +163,33 @@ def source_sink_groups(d: ChordDiagram, m: int | None = None) -> dict[int, list[
     order = intersection_order(d)
     if m is None:
         m = terminal_profile(d)[0]
-    dset = set(order[:m])
+    in_d = [False] * (d.n + 1)
+    for x in order[:m]:
+        in_d[x] = True
+    # one pass over the points: kind[p] is 1 for a D source, 2 for a D
+    # sink and 3 outside D; reach[p] is the far end of the indecomposable
+    # block of the non-D chords that holds p.  A point is a source iff its
+    # label is the next new one (standard form).
     n2 = 2 * d.n
-    kind = [0] * (n2 + 1)  # 1 = D source, 2 = D sink, 3 = outside D
-    for i in range(1, d.n + 1):
-        a, b = d.pairs[i - 1]
-        if i in dset:
-            kind[a], kind[b] = 1, 2
-        else:
-            kind[a] = kind[b] = 3
-
-    # indecomposable blocks of the non-D chords: reach[p] = far end of p's block
+    kind = [0] * (n2 + 1)
     reach = [0] * (n2 + 1)
-    rest = [i for i in range(1, d.n + 1) if i not in dset]
-    if rest:
-        pts = sorted(p for i in rest for p in d.pairs[i - 1])
-        sinks = {d.pairs[i - 1][1] for i in rest}
-        open_count = 0
-        block: list[int] = []
-        for p in pts:
-            block.append(p)
-            open_count += -1 if p in sinks else 1
-            if open_count == 0:
-                for q in block:
-                    reach[q] = block[-1]
-                block = []
+    block: list[int] = []
+    depth = 0
+    nxt = 1
+    for p, x in enumerate(d.point_labels(), 1):
+        source = x == nxt
+        if source:
+            nxt += 1
+        if in_d[x]:
+            kind[p] = 1 if source else 2
+            continue
+        kind[p] = 3
+        block.append(p)
+        depth += 1 if source else -1
+        if not depth:
+            for q in block:
+                reach[q] = p
+            block = []
 
     groups: dict[int, list[int]] = {}
     for c in order[:m]:

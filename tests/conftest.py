@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from chordlab.bijections import beta
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import all_diagrams
+from chordlab.structure import t1
 
 # named fixtures used throughout the suite
 Ca = ChordDiagram.from_text("(1,2)")
@@ -43,6 +45,17 @@ def path_diagram(n: int) -> ChordDiagram:
     """Chord i crosses only chords i - 1 and i + 1 (n >= 2)."""
     middle = ((2 * i - 2, 2 * i + 1) for i in range(2, n))
     return ChordDiagram([(1, 3), *middle, (2 * n - 2, 2 * n)])
+
+
+def beta_grown(n: int, seed: int = 5) -> ChordDiagram:
+    """A connected top-cycle-free diagram of size n >= 1 whose alpha parts
+    nest n - 1 deep: from the one-chord diagram, each step is
+    d = beta([(d, (1, ..., k))]) with k uniform in 1..t1(d)."""
+    rng = random.Random(seed)
+    d = ChordDiagram([(1, 2)])
+    for _ in range(n - 1):
+        d = beta([(d, tuple(range(1, rng.randint(1, t1(d)) + 1)))])
+    return d
 
 
 def uniform_matching(n: int, rng: random.Random) -> ChordDiagram:

@@ -2,13 +2,14 @@
 maps that chordlab computes on crossing masks and explicit stacks, the
 point-by-point relabellings that chordlab replaces with one label layout,
 the recursive pair generator, the full mask search for the intersection
-order, the root-share split by a search over raw pairs, and the
-path-by-path search for non-nesting induced paths.
+order, the root-share split by a search over raw pairs, the source-sink
+groups by sorted points and set lookups, and the path-by-path search for
+non-nesting induced paths.
 
 They share with the fast paths only ChordDiagram itself (its validating
 constructor, `partner` and `relation`), the intersection order, t1, the
-terminal chords, the source-sink groups and the Triangulation type,
-which are tested on their own. `mask_order` uses the crossing masks and
+terminal chords and the Triangulation type, which are tested on their
+own. `mask_order` uses the crossing masks and
 `component_mask`, not the order's own search.
 """
 
@@ -16,7 +17,6 @@ from chordlab.diagram import ChordDiagram, component_mask
 from chordlab.structure import (
     intersection_order,
     is_one_terminal,
-    source_sink_groups,
     t1,
     terminal_labels,
 )
@@ -64,6 +64,70 @@ def mask_order(d):
             comps.append(comp)
         stack.extend(reversed(comps))
     return tuple(out)
+
+
+def source_sink_groups(d, m=None):
+    """The source-sink groups over the first m chords D of the
+    intersection order (m defaults to t1), with the indecomposable blocks
+    of C - D read off their sorted points and set lookups."""
+    order = intersection_order(d)
+    if m is None:
+        m = t1(d)
+    dset = set(order[:m])
+    n2 = 2 * d.n
+    kind = [0] * (n2 + 1)  # 1 = D source, 2 = D sink, 3 = outside D
+    for i in range(1, d.n + 1):
+        a, b = d.pairs[i - 1]
+        if i in dset:
+            kind[a], kind[b] = 1, 2
+        else:
+            kind[a] = kind[b] = 3
+
+    # indecomposable blocks of the non-D chords: reach[p] = far end of p's block
+    reach = [0] * (n2 + 1)
+    rest = [i for i in range(1, d.n + 1) if i not in dset]
+    if rest:
+        pts = sorted(p for i in rest for p in d.pairs[i - 1])
+        sinks = {d.pairs[i - 1][1] for i in rest}
+        open_count = 0
+        block = []
+        for p in pts:
+            block.append(p)
+            open_count += -1 if p in sinks else 1
+            if open_count == 0:
+                for q in block:
+                    reach[q] = block[-1]
+                block = []
+
+    groups = {}
+    for c in order[:m]:
+        s, own_sink = d.pairs[c - 1]
+        pts_out = [s]
+        p = s + 1
+        while p <= n2:
+            if kind[p] != 3:
+                if p == own_sink or kind[p] == 1:
+                    break
+                pts_out.append(p)
+                p += 1
+                continue
+            h = reach[p]
+            q = p
+            ok = True
+            while q <= h:
+                if kind[q] != 3:
+                    if q == own_sink or kind[q] == 1:
+                        ok = False
+                        break
+                else:
+                    h = max(h, reach[q])
+                q += 1
+            if not ok:
+                break
+            pts_out.extend(range(p, h + 1))
+            p = h + 1
+        groups[c] = pts_out
+    return groups
 
 
 def psi(t):

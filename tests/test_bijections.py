@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import recursive_maps
 import chordlab.bijections
+import chordlab.diagram
 import chordlab.structure
 from chordlab.bijections import (
     _alpha_parts,
@@ -30,10 +31,13 @@ from chordlab.bijections import (
 )
 from chordlab.diagram import ChordDiagram, _mask_labels
 from chordlab.enumeration import members
-from chordlab.structure import is_one_terminal, t1, vertex_connectivity
+from chordlab.patterns import contains_any_top_cycle
+from chordlab.structure import (
+    intersection_order, is_one_terminal, source_sink_groups, t1, vertex_connectivity,
+)
 from conftest import (
-    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, connected_matching, path_diagram, sweep,
-    uniform_matching,
+    Ca, Cb, Cc, Cd, Ce, Cf, Cg, K3, N2, beta_grown, connected_matching, path_diagram,
+    sweep, uniform_matching,
 )
 
 
@@ -157,13 +161,48 @@ def _inherited_parts(d, order):
     return out
 
 
+def _assert_carried(parts):
+    # each alpha part carries the intersection order and connectivity that
+    # a fresh copy of it computes for itself
+    for p, _ in parts:
+        fresh = ChordDiagram(p.pairs)
+        assert p._connected is fresh.is_connected() is True, p
+        assert p._order == intersection_order(fresh), p
+
+
+def _assert_parts_carry_their_state(c):
+    # alpha's parts carry their order and connectivity, root share's parts
+    # their connectivity; returns alpha's parts
+    parts = alpha(c)
+    _assert_carried(parts)
+    for p in root_share_decompose(c)[:2]:
+        assert p._connected is ChordDiagram(p.pairs).is_connected() is True, (c, p)
+    return parts
+
+
+def _assert_groups_match_the_set_version(p, want):
+    # for every ground set that beta can ask for, against the set version
+    # on a fresh copy of the part (run once per distinct part, kept in want)
+    if p.pairs not in want:
+        fresh = ChordDiagram(p.pairs)
+        want[p.pairs] = [recursive_maps.source_sink_groups(fresh, m)
+                         for m in range(1, t1(fresh) + 1)]
+    groups = want[p.pairs]
+    assert source_sink_groups(p) == groups[-1], p
+    assert [source_sink_groups(p, m) for m in range(1, t1(p) + 1)] == groups, p
+
+
 def test_alpha_parts_inherit_the_order_exhaustive():
     # every part is itself a connected diagram of a smaller size, so the
-    # parts of parts are covered by the smaller sizes
+    # parts of parts are covered by the smaller sizes; the same walk checks
+    # the state the parts carry and their source/sink groups
+    want = {}
     checked = 0
     for n in range(2, 8):
         for d in members(n, "connected", ordered=False):
             checked += len(_inherited_parts(d, recursive_maps.mask_order(d)))
+            for p, _ in _assert_parts_carry_their_state(d):
+                _assert_groups_match_the_set_version(p, want)
     assert checked == 97_036
 
 
@@ -175,6 +214,7 @@ def test_alpha_parts_inherit_the_order_at_large_n():
             todo = [(d, recursive_maps.mask_order(d))]
             while todo:
                 c, order = todo.pop()
+                _assert_parts_carry_their_state(c)
                 for labels, sub_order in _inherited_parts(c, order):
                     if len(labels) > 1:
                         sub = c.subdiagram(labels)
@@ -182,35 +222,55 @@ def test_alpha_parts_inherit_the_order_at_large_n():
                         todo.append((sub, [rank[x] for x in sub_order]))
 
 
+def _count_calls(monkeypatch, calls, name, *owners):
+    # count in calls[name] the calls of `name` looked up on any of owners
+    fn = getattr(owners[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_theta_round_trip_computes_at_most_one_order(monkeypatch):
     lift = chi(uniform_matching(99, random.Random(20261022)))
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(chordlab.structure, "mask_order",
-                        counted("mask_order", chordlab.structure.mask_order))
-    monkeypatch.setattr(ChordDiagram, "subdiagram",
-                        counted("subdiagram", ChordDiagram.subdiagram))
-    for module in (chordlab.structure, chordlab.bijections):
-        monkeypatch.setattr(module, "source_sink_groups",
-                            counted("source_sink_groups", chordlab.structure.source_sink_groups))
+    _count_calls(monkeypatch, calls, "mask_order", chordlab.structure)
+    _count_calls(monkeypatch, calls, "subdiagram", ChordDiagram)
+    _count_calls(monkeypatch, calls, "source_sink_groups", chordlab.structure, chordlab.bijections)
     assert theta_inverse(theta(lift)) == lift
     assert calls["mask_order"] <= 1
     assert calls["subdiagram"] == calls["source_sink_groups"] == 0
 
 
+def test_alpha_beta_round_trip_computes_one_order(monkeypatch):
+    # beta reads the orders that alpha's parts carry
+    d = connected_matching(100, random.Random(20261024))
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "mask_order", chordlab.structure)
+    assert beta(alpha(d)) == d
+    assert calls["mask_order"] == 1
+
+
+def test_psi_of_chi_scans_no_component(monkeypatch):
+    # one terminal chord makes a diagram connected, so psi checks no more
+    d = uniform_matching(100, random.Random(20261025))
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "component_mask",
+                 chordlab.diagram, chordlab.structure, chordlab.bijections)
+    assert psi(chi(d)) == d
+    assert calls["component_mask"] == 0
+
+
 def test_built_diagrams_carry_no_inherited_order():
-    # inherited orders stay inside the part walks: what alpha, beta and
-    # theta_inverse return computes its own order when asked
+    # alpha's parts carry the orders they inherit; what beta and
+    # theta_inverse build computes its own order when asked
     rng = random.Random(20261023)
     for d in (Cg, connected_matching(60, rng), chi(uniform_matching(59, rng))):
         parts = alpha(d)
-        assert all(p._order is None for p, _ in parts)
+        _assert_carried(parts)
         assert beta(parts)._order is None
         if is_one_terminal(d):
             assert theta_inverse(theta(d))._order is None
@@ -438,6 +498,15 @@ def test_round_trips_far_beyond_exhaustive_reach():
     d = connected_matching(1000, rng)
     assert beta(alpha(d)) == d
     assert root_share_compose(*root_share_decompose(d)) == d
+
+
+def test_beta_grown_input_round_trips_with_carried_orders():
+    # alpha parts nest 999 deep, one chord fewer at each level
+    d = beta_grown(1000)
+    assert d.n == 1000 and d.is_connected()
+    assert not contains_any_top_cycle(d)
+    assert beta(alpha(d)) == d
+    _assert_parts_carry_their_state(d)
 
 
 def test_theta_round_trip_on_a_long_path_diagram():

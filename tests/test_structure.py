@@ -9,7 +9,7 @@ import per_diagram_series
 import recursive_maps
 from chordlab.bijections import chi
 from chordlab.diagram import ChordDiagram
-from chordlab.enumeration import all_pairs, members
+from chordlab.enumeration import all_diagrams, all_pairs, members
 from chordlab.oracles import stein
 from chordlab.structure import (
     exists_nonnesting_induced_path,
@@ -20,6 +20,7 @@ from chordlab.structure import (
     is_one_terminal,
     source_sink_groups,
     t1,
+    terminal_labels,
     terminal_profile,
     terminality,
     traced_subdiagram,
@@ -129,6 +130,12 @@ def test_source_sink_groups():
     assert source_sink_groups(Cf) == {1: [1], 2: [2, 3], 3: [4, 5]}
     assert source_sink_groups(Ce) == {1: [1], 2: [2], 3: [3, 4, 5]}
     assert source_sink_groups(Ca) == {1: [1]}
+
+
+def test_one_terminal_is_one_terminal_chord_and_connected():
+    for n in range(8):
+        for d in all_diagrams(n):
+            assert is_one_terminal(d) == (d.is_connected() and len(terminal_labels(d)) == 1), d
 
 
 def test_groups_partition_points_below_root_sink():

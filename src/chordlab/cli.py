@@ -269,12 +269,12 @@ def _cmd_map(args) -> int:
         return 2
     try:
         image = apply_fn(value)
+        print(render(image))
+        if args.roundtrip and not roundtrip(value, image):
+            print("error: roundtrip failed", file=sys.stderr)
+            return 1
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
-        return 1
-    print(render(image))
-    if args.roundtrip and not roundtrip(value, image):
-        print("error: roundtrip failed", file=sys.stderr)
         return 1
     return 0
 

@@ -130,27 +130,6 @@ def kreweras(n: int) -> int:
     return _exact_div(comb(3 * n, n), 2 * n + 1)
 
 
-def pallo(n: int) -> int:
-    """Interval count of the comb poset: [x^n] C(xC(x)) by composition."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # inner = xC(x) has no constant term, so powers telescope cleanly
-    inner = [0] + [catalan(k) for k in range(n)]
-    power = [1] + [0] * n  # inner^0
-    out = [0] * (n + 1)
-    out[0] = catalan(0)
-    for k in range(1, n + 1):
-        nxt = [0] * (n + 1)
-        for a in range(k - 1, n + 1):
-            if power[a]:
-                for b in range(1, n + 1 - a):
-                    nxt[a + b] += power[a] * inner[b]
-        power = nxt
-        for j in range(n + 1):
-            out[j] += catalan(k) * power[j]
-    return out[n]
-
-
 def schroeder(m: int) -> int:
     """Large Schroeder number S_m."""
     if m < 0:
@@ -205,7 +184,6 @@ ORACLES = {
     "brown-sum": brown_sum,
     "stanley": stanley,
     "kreweras": kreweras,
-    "pallo": pallo,
     "catalan": catalan,
     "catalan-squared": lambda n: catalan(n) ** 2,
     "schroeder": schroeder,

@@ -5,7 +5,8 @@ omega walks the diagram's tree of alpha parts on its crossing masks, each
 part with the order it inherits (bijections._alpha_parts, and _top_tree
 once a part is one-terminal).  It then joins the parts' boundaries
 children first, puts every face in one list and rotates each face once,
-at the end.
+at the end.  gamma reads the corner map alone: it walks the apex's fan,
+then floods each piece's faces from the fan edges below it.
 """
 
 from __future__ import annotations
@@ -67,16 +68,6 @@ class Triangulation:
             vs.update(f)
         return sorted(vs)
 
-    def edges(self) -> set[frozenset[int]]:
-        es: set[frozenset[int]] = set()
-        b = self.boundary
-        for i in range(len(b)):
-            es.add(frozenset((b[i], b[(i + 1) % len(b)])))
-        for f in self.faces:
-            for i in range(3):
-                es.add(frozenset((f[i], f[(i + 1) % 3])))
-        return es
-
     def corner_map(self) -> dict[tuple[int, int], int]:
         """For each directed edge (u, v): the exit vertex w such that the
         walk u -> v -> w turns inside the face owning (u, v)."""
@@ -99,15 +90,11 @@ class Triangulation:
             if len(f) != 3 or len(set(f)) != 3:
                 raise ValueError("faces must be triangles")
         corner = self.corner_map()
-        es = self.edges()
-        for e in es:
-            u, v = tuple(e)
+        for u, v in corner:
             if u == v:
                 raise ValueError("loop edge")
-            if (u, v) not in corner or (v, u) not in corner:
-                raise ValueError("edge missing a side: %r" % (e,))
-        if len(corner) != 2 * len(es):
-            raise ValueError("directed edges do not pair up")
+            if (v, u) not in corner:
+                raise ValueError("edge missing a side: %r" % ((u, v),))
         # single rotation cycle at every vertex
         nbr: dict[int, set[int]] = {}
         for u, v in corner:
@@ -137,7 +124,7 @@ class Triangulation:
         if len(seen) != len(verts):
             raise ValueError("not connected")
         # Euler: V - E + (bounded faces + outer) = 2
-        if len(verts) - len(es) + len(self.faces) + 1 != 2:
+        if len(verts) - len(corner) // 2 + len(self.faces) + 1 != 2:
             raise ValueError("Euler count failed")
 
     def canonical_code(self) -> str:
@@ -258,74 +245,47 @@ def omega(c: ChordDiagram) -> Triangulation:
     return _build(c)
 
 
-def _third(f: tuple[int, int, int], u: int, v: int) -> int:
-    # the vertex after v when f is read cyclically from u
-    i = f.index(u)
-    assert f[(i + 1) % 3] == v
-    return f[(i + 2) % 3]
-
-
 def gamma(t: Triangulation) -> list[tuple[Triangulation, int]]:
     """Peel the apex off a triangulation: returns the glued pieces and
     their block sizes, inverting the omega join step."""
-    if len(t.boundary) < 3:
+    b = t.boundary
+    if len(b) < 3:
         raise ValueError("gamma needs at least one bounded face")
-    apex = t.boundary[-1]
-    face_dir: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for f in t.faces:
-        for i in range(3):
-            face_dir[(f[i], f[(i + 1) % 3])] = f
-    # fan walk: follow the bounded faces around the apex
-    walk = [t.boundary[0]]
-    x = t.boundary[0]
-    while (x, apex) in face_dir:
-        x = _third(face_dir[(x, apex)], x, apex)
-        walk.append(x)
-    bpos = {v: q for q, v in enumerate(t.boundary)}
+    corner = t.corner_map()
+    apex = b[-1]
+    # fan walk: the apex's neighbours, from the root edge round to the
+    # boundary edge (b[-2], apex)
+    walk = [b[0]]
+    while walk[-1] != b[-2]:
+        walk.append(corner[(walk[-1], apex)])
+    bpos = {v: q for q, v in enumerate(b)}
     cuts = [r for r in range(1, len(walk)) if walk[r] in bpos]
     spans = [bpos[walk[r]] for r in cuts]
-    assert spans == sorted(spans) and spans[-1] == len(t.boundary) - 2
+    assert spans == sorted(spans) and spans[-1] == len(b) - 2
 
-    inner = [f for f in t.faces if apex not in f]
-    # cluster the non-apex faces by shared edges
-    parent = {f: f for f in inner}
-
-    def find(f):
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    owner: dict[frozenset[int], tuple] = {}
-    for f in inner:
-        for i in range(3):
-            e = frozenset((f[i], f[(i + 1) % 3]))
-            if e in owner:
-                parent[find(owner[e])] = find(f)
-            else:
-                owner[e] = f
-    clusters: dict[tuple, list] = {}
-    for f in inner:
-        clusters.setdefault(find(f), []).append(f)
-
+    # each piece is bounded by a stretch of b and the fan edges below it;
+    # its faces are those reached from the inner side (walk[i], walk[i+1])
+    # of those fan edges without crossing the piece's boundary, whose outer
+    # sides start out seen
     out: list[tuple[Triangulation, int]] = []
+    fan = {_rot_min((walk[i], apex, walk[i + 1])) for i in range(len(walk) - 1)}
     prev_cut = 0
     prev_span = 0
     for r, s in zip(cuts, spans):
-        seg = walk[prev_cut + 1:r + 1]
-        b = list(t.boundary[prev_span:s + 1]) + list(reversed(seg))[1:]
-        bset = {frozenset((b[i], b[(i + 1) % len(b)])) for i in range(len(b))}
+        pb = list(b[prev_span:s + 1]) + walk[r - 1:prev_cut:-1]
+        seen = {(pb[i - 1], pb[i]) for i in range(len(pb))}
         faces: list[tuple[int, int, int]] = []
-        for rep, fs in clusters.items():
-            if any(
-                frozenset((f[i], f[(i + 1) % 3])) in bset
-                for f in fs
-                for i in range(3)
-            ):
-                faces.extend(fs)
-                clusters[rep] = []
-        clusters = {k: v for k, v in clusters.items() if v}
-        out.append((Triangulation._trusted(faces, b), s - prev_span))
+        todo = [(walk[i], walk[i + 1]) for i in range(prev_cut, r)]
+        while todo:
+            u, v = e = todo.pop()
+            if e in seen:
+                continue
+            w = corner[e]
+            seen.update((e, (v, w), (w, u)))
+            faces.append(_rot_min((u, v, w)))
+            todo += ((w, v), (u, w))
+        out.append((Triangulation._trusted(faces, pb), s - prev_span))
         prev_cut, prev_span = r, s
-    assert not clusters, "every face cluster belongs to a piece"
+    assert t.faces == fan.union(*(p.faces for p, _ in out)), (
+        "every face lies in the fan or in one piece")
     return out

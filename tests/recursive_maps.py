@@ -1,7 +1,8 @@
 """Test-only oracles: the recursive, definition-following versions of the
 maps that chordlab computes on crossing masks and explicit stacks, the
 point-by-point relabellings that chordlab replaces with one label layout,
-the recursive pair generator, the full mask search for the intersection
+the recursive pair generator, gamma by face clustering and validate
+over an undirected edge set, the full mask search for the intersection
 order, the root-share split by a search over raw pairs, the source-sink
 groups by sorted points and set lookups, and the path-by-path search for
 non-nesting induced paths.
@@ -292,6 +293,133 @@ def _build(c, base):
         boundary.extend(t.boundary[1:i + 1])
     boundary.append(apex)
     return Triangulation(faces, boundary), nxt
+
+
+def _third(f, u, v):
+    # the vertex after v when f is read cyclically from u
+    i = f.index(u)
+    assert f[(i + 1) % 3] == v
+    return f[(i + 2) % 3]
+
+
+def gamma(t):
+    """Peel the apex by a directed edge -> face map of its own, cluster the
+    other faces by a union-find over shared undirected edges, and give each
+    piece every cluster that touches one of its boundary edges."""
+    if len(t.boundary) < 3:
+        raise ValueError("gamma needs at least one bounded face")
+    apex = t.boundary[-1]
+    face_dir = {}
+    for f in t.faces:
+        for i in range(3):
+            face_dir[(f[i], f[(i + 1) % 3])] = f
+    walk = [t.boundary[0]]
+    x = t.boundary[0]
+    while (x, apex) in face_dir:
+        x = _third(face_dir[(x, apex)], x, apex)
+        walk.append(x)
+    bpos = {v: q for q, v in enumerate(t.boundary)}
+    cuts = [r for r in range(1, len(walk)) if walk[r] in bpos]
+    spans = [bpos[walk[r]] for r in cuts]
+    assert spans == sorted(spans) and spans[-1] == len(t.boundary) - 2
+
+    inner = [f for f in t.faces if apex not in f]
+    parent = {f: f for f in inner}
+
+    def find(f):
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    owner = {}
+    for f in inner:
+        for i in range(3):
+            e = frozenset((f[i], f[(i + 1) % 3]))
+            if e in owner:
+                parent[find(owner[e])] = find(f)
+            else:
+                owner[e] = f
+    clusters = {}
+    for f in inner:
+        clusters.setdefault(find(f), []).append(f)
+
+    out = []
+    prev_cut = 0
+    prev_span = 0
+    for r, s in zip(cuts, spans):
+        seg = walk[prev_cut + 1:r + 1]
+        b = list(t.boundary[prev_span:s + 1]) + list(reversed(seg))[1:]
+        bset = {frozenset((b[i], b[(i + 1) % len(b)])) for i in range(len(b))}
+        faces = []
+        for rep, fs in clusters.items():
+            if any(
+                frozenset((f[i], f[(i + 1) % 3])) in bset
+                for f in fs
+                for i in range(3)
+            ):
+                faces.extend(fs)
+                clusters[rep] = []
+        clusters = {k: v for k, v in clusters.items() if v}
+        out.append((Triangulation(faces, b), s - prev_span))
+        prev_cut, prev_span = r, s
+    assert not clusters, "every face cluster belongs to a piece"
+    return out
+
+
+def validate(t):
+    """Check a triangulation over its set of undirected edges: both sides
+    of each in the corner map, the directed edges paired, one rotation
+    cycle per vertex, connected, and Euler's count."""
+    b = t.boundary
+    if len(b) < 2 or len(set(b)) != len(b):
+        raise ValueError("boundary must be a simple walk of >= 2 vertices")
+    for f in t.faces:
+        if len(f) != 3 or len(set(f)) != 3:
+            raise ValueError("faces must be triangles")
+    corner = t.corner_map()
+    es = set()
+    for i in range(len(b)):
+        es.add(frozenset((b[i], b[(i + 1) % len(b)])))
+    for f in t.faces:
+        for i in range(3):
+            es.add(frozenset((f[i], f[(i + 1) % 3])))
+    for e in es:
+        u, v = tuple(e)
+        if u == v:
+            raise ValueError("loop edge")
+        if (u, v) not in corner or (v, u) not in corner:
+            raise ValueError("edge missing a side: %r" % (e,))
+    if len(corner) != 2 * len(es):
+        raise ValueError("directed edges do not pair up")
+    nbr = {}
+    for u, v in corner:
+        nbr.setdefault(v, set()).add(u)
+    for v, ns in nbr.items():
+        start = next(iter(ns))
+        x, cnt = start, 0
+        while True:
+            x = corner[(x, v)]
+            cnt += 1
+            if x == start:
+                break
+            if cnt > len(ns):
+                raise ValueError("split rotation at vertex %d" % v)
+        if cnt != len(ns):
+            raise ValueError("split rotation at vertex %d" % v)
+    verts = t.vertices()
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        v = stack.pop()
+        for u in nbr.get(v, ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(verts):
+        raise ValueError("not connected")
+    if len(verts) - len(es) + len(t.faces) + 1 != 2:
+        raise ValueError("Euler count failed")
 
 
 def stirling_check(w):

@@ -125,6 +125,28 @@ def test_map_input_errors_exit_two_without_a_traceback(bijection, capsys):
         assert "Traceback" not in err
 
 
+# edge inputs every map is given: empty, one chord, disconnected, malformed
+# text, no parts, a word with a symbol twice too often, an unclosed tree
+MAP_EDGE_INPUTS = ("", "(1,2)", "(1,2)(3,4)", "(1,2", "[]", "1 1 1 2", "[0, [[1, []]")
+
+
+@pytest.mark.parametrize("roundtrip", [[], ["--roundtrip"]])
+@pytest.mark.parametrize("bijection", sorted(cli._MAPS))
+def test_map_edge_inputs_end_in_one_error_line(bijection, roundtrip, capsys):
+    for text in MAP_EDGE_INPUTS:
+        argv = ["map", "--bijection", bijection, "--input=" + text, *roundtrip]
+        assert cli.main(argv) in (0, 1, 2), text
+        err = capsys.readouterr().err
+        assert err == "" or (err.startswith("error:") and err.count("\n") == 1), (text, err)
+
+
+def test_map_beta_roundtrip_of_no_parts_reports_alpha_domain(capsys):
+    # beta([]) is the one-chord diagram, which alpha refuses
+    assert cli.main(["map", "--bijection", "beta", "--input", "[]", "--roundtrip"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("(1,2)\n", "error: alpha requires a connected diagram of size >= 2\n")
+
+
 def tree_lists(t):
     return [t[0], [tree_lists(k) for k in t[1]]]
 

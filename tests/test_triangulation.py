@@ -1,14 +1,17 @@
 """Diagrams as rooted triangulations: the omega map, canonical codes, and
 the child decomposition gamma."""
 
+import random
+
 import pytest
 
 import recursive_maps
+from chordlab.bijections import alpha, beta
 from chordlab.oracles import corollary_count
 from chordlab.patterns import contains_any_top_cycle
 from chordlab.structure import t1
 from chordlab.triangulation import Triangulation, gamma, omega
-from conftest import Ca, Cb, Ce, Cg, path_diagram, sweep
+from conftest import Ca, Cb, Ce, Cg, beta_grown, path_diagram, sweep
 
 
 def _tcf_connected(n):
@@ -93,8 +96,6 @@ def test_gamma_examples():
 
 
 def test_gamma_coheres_with_alpha():
-    from chordlab.bijections import alpha
-
     for n in range(2, 6):
         for d in _tcf_connected(n):
             kids = gamma(omega(d))
@@ -108,3 +109,95 @@ def test_gamma_coheres_with_alpha():
 def test_validate_rejects_broken_triangulations():
     with pytest.raises(ValueError):
         Triangulation([(0, 1, 2)], [0, 1]).validate()
+
+
+def test_gamma_matches_the_clustering_oracle():
+    with pytest.raises(ValueError):
+        gamma(omega(Ca))
+    with pytest.raises(ValueError):
+        recursive_maps.gamma(omega(Ca))
+    checked = 0
+    for n in range(2, 8):
+        for d in _tcf_connected(n):
+            t = omega(d)
+            assert gamma(t) == recursive_maps.gamma(t), d
+            checked += 1
+    assert checked == 3014
+
+
+def test_gamma_of_a_wide_fan():
+    # 400 parts of 4 chords, each with a block of one: the apex fans over
+    # 400 pieces
+    rng = random.Random(3)
+    pool = _tcf_connected(4)
+    fan = beta([(rng.choice(pool), (i,)) for i in range(1, 401)])
+    assert fan.n == 1601
+    t = omega(fan)
+    kids = gamma(t)
+    assert kids == recursive_maps.gamma(t)
+    assert [(child.canonical_code(), i) for child, i in kids] == [
+        (omega(p).canonical_code(), len(block)) for p, block in alpha(fan)
+    ]
+
+
+def test_gamma_of_the_beta_grown_input():
+    t = omega(beta_grown(1000))
+    assert gamma(t) == recursive_maps.gamma(t)
+
+
+def _mutants(t, rng, count):
+    # faces and boundaries broken, or (rotating the boundary) kept valid
+    vs = t.vertices()
+    for _ in range(count):
+        faces = [list(f) for f in t.faces]
+        b = list(t.boundary)
+        fresh = max(vs) + 1
+        kind = rng.randrange(9)
+        if kind == 0:
+            b = b[1:] + b[:1]
+        elif kind == 1:
+            b.reverse()
+        elif kind == 2:
+            del b[rng.randrange(len(b))]
+        elif kind == 3:
+            b.insert(rng.randrange(len(b) + 1), rng.choice([fresh, rng.choice(vs)]))
+        elif kind == 4:
+            # a sphere of two faces, on its own or pinched onto a vertex
+            x = rng.choice([fresh, rng.choice(vs)])
+            faces += [[x, fresh + 1, fresh + 2], [x, fresh + 2, fresh + 1]]
+        elif not faces:
+            faces.append([*vs, fresh])
+        elif kind == 5:
+            del faces[rng.randrange(len(faces))]
+        elif kind == 6:
+            faces[rng.randrange(len(faces))].reverse()
+        elif kind == 7:
+            rng.choice(faces)[rng.randrange(3)] = rng.choice([fresh, rng.choice(vs)])
+        else:
+            faces.append(rng.sample(vs, 3))
+        yield Triangulation(faces, b)
+
+
+def _verdict(check, t):
+    # None for valid, else the error message up to any edge it names
+    try:
+        check(t)
+    except ValueError as e:
+        return str(e).split(":")[0]
+    return None
+
+
+def test_validate_agrees_with_the_edge_set_oracle():
+    rng = random.Random(1)
+    verdicts = {}
+    for n in range(1, 7):
+        for d in _tcf_connected(n):
+            t = omega(d)
+            assert _verdict(Triangulation.validate, t) is None
+            for m in _mutants(t, rng, 3):
+                v = _verdict(Triangulation.validate, m)
+                assert v == _verdict(recursive_maps.validate, m), m
+                verdicts[v] = verdicts.get(v, 0) + 1
+    # valid, and each rejection but the Euler count (which needs a genus)
+    kinds = {v and v.split(" at vertex")[0] for v in verdicts}
+    assert sum(verdicts.values()) == 1455 and len(kinds) == 7, verdicts

@@ -9,13 +9,15 @@ with 1. Everything is exact; floats never appear.
 The diagram sums (diagram_series, root_share_sum) read one cached tally per
 (n, class): a walk over the connected diagrams of size n (connected
 top-cycle-free for the divided-power sum) counting them by
-(t1, f_C phi_C), building only monomial tuples per diagram. The operator
-is then applied once per distinct t1, to one WeightPoly made from that
-t1's tally; the root share reads the f letters of the same tally.
+(t1, f_C phi_C), building only monomial tuples per diagram (phi_C from
+one `valencies` list). The operator is then applied once per distinct t1,
+to one WeightPoly made from that t1's tally; the root share reads the f
+letters of the same tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -23,7 +25,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .diagram import ChordDiagram
-from .structure import terminal_profile, valency
+from .structure import terminal_profile, valencies
 
 # monomial: sorted tuple of (kind, index, exponent), kind "f" or "p"
 Mono = tuple[tuple[str, int, int], ...]
@@ -426,12 +428,8 @@ def _f_mono(c: ChordDiagram, profile: tuple[int, ...]) -> Mono:
 
 
 def _phi_mono(c: ChordDiagram) -> Mono:
-    mono: dict[int, int] = {}
-    for i in range(1, c.n + 1):
-        v = valency(c, i)
-        if v:
-            mono[v] = mono.get(v, 0) + 1
-    return tuple(("p", k, e) for k, e in sorted(mono.items()))
+    # phi_v per chord of valency v, with phi0 = 1 left out
+    return tuple(("p", k, e) for k, e in sorted(Counter(filter(None, valencies(c))).items()))
 
 
 def f_monomial(c: ChordDiagram) -> WeightPoly:

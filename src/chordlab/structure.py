@@ -3,13 +3,18 @@
 Intersection order, terminal chords, k-terminality (all of it read off
 `terminality`, one pass over the intersection order), source-sink groups,
 traced subdiagrams, chord valencies, and crossing-graph connectivity.
+Groups, valencies and the apart masks of the path search are closed forms
+over the pairs, the crossing masks and `open_masks`: no walk over points.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
-from .diagram import ChordDiagram, _mask_labels, _set_order, component_mask, component_masks
+from .diagram import (
+    ChordDiagram, _mask_labels, _set_order, component_mask, component_masks, open_masks,
+)
 
 
 def intersection_order(d: ChordDiagram) -> tuple[int, ...]:
@@ -155,70 +160,40 @@ def source_sink_groups(d: ChordDiagram, m: int | None = None) -> dict[int, list[
     """Per-chord endpoint groups over the ground set D of the first m chords
     in the intersection order (m defaults to t1).
 
-    The group of c in D is the maximal contiguous stretch from c's source
-    onward that consumes sinks of other D chords and whole indecomposable
-    blocks of C - D; it stops at the first D source, at c's own sink, or
-    at a block that cannot be swallowed before reaching either.
+    The group of c in D is the run of points from c's source up to the
+    first stopper, the next D source or c's own sink: it takes in sinks of
+    other D chords and whole indecomposable blocks of C - D, and ends just
+    before a block whose span holds the stopper.
     """
-    order = intersection_order(d)
     if m is None:
         m = terminal_profile(d)[0]
-    in_d = [False] * (d.n + 1)
-    for x in order[:m]:
-        in_d[x] = True
-    # one pass over the points: kind[p] is 1 for a D source, 2 for a D
-    # sink and 3 outside D; reach[p] is the far end of the indecomposable
-    # block of the non-D chords that holds p.  A point is a source iff its
-    # label is the next new one (standard form).
-    n2 = 2 * d.n
-    kind = [0] * (n2 + 1)
-    reach = [0] * (n2 + 1)
-    block: list[int] = []
-    depth = 0
-    nxt = 1
-    for p, x in enumerate(d.point_labels(), 1):
-        source = x == nxt
-        if source:
-            nxt += 1
-        if in_d[x]:
-            kind[p] = 1 if source else 2
-            continue
-        kind[p] = 3
-        block.append(p)
-        depth += 1 if source else -1
-        if not depth:
-            for q in block:
-                reach[q] = p
-            block = []
-
+    head = intersection_order(d)[:m]
+    in_d = set(head)
+    pairs = d.pairs
+    # one pass in source order: each D chord's next D source, and the block
+    # spans of the other chords (a block starts at a source past every sink
+    # so far), after a sentinel block that no stopper lies in
+    nxt, last, starts, ends = {}, 0, [0], [0]
+    for i, (a, b) in enumerate(pairs, 1):
+        if i in in_d:
+            nxt[last] = a
+            last = i
+        elif a > ends[-1]:
+            starts.append(a)
+            ends.append(b)
+        elif b > ends[-1]:
+            ends[-1] = b
+    nxt[last] = 2 * d.n + 1
     groups: dict[int, list[int]] = {}
-    for c in order[:m]:
-        s, own_sink = d.pairs[c - 1]
-        pts_out = [s]
-        p = s + 1
-        while p <= n2:
-            if kind[p] != 3:
-                if p == own_sink or kind[p] == 1:
-                    break
-                pts_out.append(p)
-                p += 1
-                continue
-            h = reach[p]
-            q = p
-            ok = True
-            while q <= h:
-                if kind[q] != 3:
-                    if q == own_sink or kind[q] == 1:
-                        ok = False
-                        break
-                else:
-                    h = max(h, reach[q])
-                q += 1
-            if not ok:
-                break
-            pts_out.extend(range(p, h + 1))
-            p = h + 1
-        groups[c] = pts_out
+    for c in head:
+        s, stop = pairs[c - 1]
+        x = nxt[c]
+        if x < stop:
+            stop = x
+        k = bisect_left(starts, stop) - 1
+        if ends[k] > stop:
+            stop = starts[k]
+        groups[c] = list(range(s, stop))
     return groups
 
 
@@ -248,44 +223,27 @@ def traced_mask(adj: tuple[int, ...], label: int, within: int) -> int:
     return out
 
 
-def valency_parts(d: ChordDiagram, i: int) -> tuple[int, int]:
-    """(k, l) for chord i: k counts left neighbors crossing nothing later
-    than i; l counts the closed chord blocks packed consecutively after i's
-    source once all left neighbors are deleted, stopping at i's own sink or
-    at a block that cannot close before reaching it."""
-    adj = d.adjacency()
-    x, y = d.pairs[i - 1]
-    # a left neighbor b crosses no chord after i iff its mask has no bit >= i
-    left = _mask_labels(adj[i - 1] & ((1 << (i - 1)) - 1))
-    k = sum(1 for b in left if not adj[b - 1] >> i)
-
-    # Inside (x, y), a point whose partner lies left of x is the sink of a
-    # left neighbor, so it is skipped as deleted; every other point there
-    # belongs to a chord nested in i or to a right neighbor.
-    partner = d.partner()
-    l = 0
-    p = x + 1
-    while p < y:
-        h = partner[p - 1]
-        if h < x:
-            p += 1
-            continue
-        if h < p or h > y:
-            break
-        q = p + 1
-        while q < h <= y:
-            h = max(h, partner[q - 1])
-            q += 1
-        if h > y:
-            break
-        l += 1
-        p = h + 1
-    return k, l
-
-
-def valency(d: ChordDiagram, i: int) -> int:
-    k, l = valency_parts(d, i)
-    return k + l
+def valencies(d: ChordDiagram) -> list[int]:
+    """The valency k + l of each chord i, at entry i - 1. k counts the
+    chords h < i whose highest crossing chord is i. l counts the blocks of
+    the chords after i that close inside i. Their spans come off a stack
+    built from chord n down, leftmost on top: chord i pops the spans that
+    start inside it, counts those that end inside it, and pushes the span
+    they make together with i."""
+    val = [0] * d.n
+    for h, m in enumerate(d.adjacency(), 1):
+        if m >> h:
+            val[m.bit_length() - 1] += 1
+    stack: list[tuple[int, int]] = []
+    for i in range(d.n, 0, -1):
+        x, y = d.pairs[i - 1]
+        end = y
+        while stack and stack[-1][0] < y:
+            e = stack.pop()[1]
+            val[i - 1] += e < y
+            end = max(end, e)
+        stack.append((x, end))
+    return val
 
 
 def vertex_connectivity(d: ChordDiagram) -> int:
@@ -420,16 +378,11 @@ def exists_nonnesting_induced_path(d: ChordDiagram, a: int, b: int) -> bool:
 
 def _apart_masks(d: ChordDiagram) -> list[int]:
     """Per chord (0-based), the mask of the chords wholly to its left or
-    right: those closed before its source and those opened after its sink."""
-    full = (1 << d.n) - 1
-    apart = [0] * d.n
-    opened = closed = 0
-    for x in d.point_labels():
-        bit = 1 << (x - 1)
-        if opened & bit:
-            closed |= bit
-            apart[x - 1] |= full ^ opened
-        else:
-            opened |= bit
-            apart[x - 1] = closed
+    right: for chord x = (a, b), the labels below x not open after point
+    a - 1, and those past the k = (b + |open after b|) / 2 sources up to b."""
+    opened = open_masks(d)
+    apart = []
+    for x, (a, b) in enumerate(d.pairs):
+        k = (b + opened[b].bit_count()) >> 1
+        apart.append((1 << x) - 1 & ~opened[a - 1] | (1 << d.n) - (1 << k))
     return apart

@@ -91,8 +91,6 @@ class Triangulation:
                 raise ValueError("faces must be triangles")
         corner = self.corner_map()
         for u, v in corner:
-            if u == v:
-                raise ValueError("loop edge")
             if (v, u) not in corner:
                 raise ValueError("edge missing a side: %r" % ((u, v),))
         # single rotation cycle at every vertex

@@ -4,14 +4,16 @@ point-by-point relabellings that chordlab replaces with one label layout,
 the recursive pair generator, gamma by face clustering and validate
 over an undirected edge set, the full mask search for the intersection
 order, the root-share split by a search over raw pairs, the source-sink
-groups by sorted points and set lookups, and the path-by-path search for
-non-nesting induced paths.
+groups by sorted points and set lookups, the path-by-path search for
+non-nesting induced paths, and the point walks that chordlab replaces with
+closed forms: each chord's valency parts and its apart mask.
 
 They share with the fast paths only ChordDiagram itself (its validating
-constructor, `partner` and `relation`), the intersection order, t1, the
-terminal chords and the Triangulation type, which are tested on their
-own. `mask_order` uses the crossing masks and
-`component_mask`, not the order's own search.
+constructor, `partner`, `relation` and `point_labels`), the intersection
+order, t1, the terminal chords and the Triangulation type, which are
+tested on their own. `mask_order` uses the crossing masks and
+`component_mask`, not the order's own search, and the valency walk reads
+the crossing masks for its left neighbors.
 """
 
 from chordlab.diagram import ChordDiagram, component_mask
@@ -602,3 +604,57 @@ def nonnesting_induced_path(d, a, b):
         return False
 
     return extend((a,))
+
+
+def valency_parts(d):
+    """(k, l) for every chord i, by a walk over the points inside i: k counts
+    left neighbors crossing nothing later than i; l counts the closed chord
+    blocks packed consecutively after i's source once all left neighbors
+    are deleted, stopping at i's own sink or at a block that cannot close
+    before reaching it."""
+    adj = d.adjacency()
+    partner = d.partner()
+    out = []
+    for i, (x, y) in enumerate(d.pairs, 1):
+        # a left neighbor b crosses no chord after i iff its mask has no bit >= i
+        left = [b for b in range(1, i) if adj[i - 1] >> (b - 1) & 1]
+        k = sum(1 for b in left if not adj[b - 1] >> i)
+        # inside (x, y), a point whose partner lies left of x is the sink of
+        # a left neighbor, so it is skipped as deleted; every other point
+        # there belongs to a chord nested in i or to a right neighbor
+        l = 0
+        p = x + 1
+        while p < y:
+            h = partner[p - 1]
+            if h < x:
+                p += 1
+                continue
+            if h < p or h > y:
+                break
+            q = p + 1
+            while q < h <= y:
+                h = max(h, partner[q - 1])
+                q += 1
+            if h > y:
+                break
+            l += 1
+            p = h + 1
+        out.append((k, l))
+    return out
+
+
+def apart_masks(d):
+    """Per chord (0-based), the mask of the chords closed before its source
+    or opened after its sink, from one walk over the points."""
+    full = (1 << d.n) - 1
+    apart = [0] * d.n
+    opened = closed = 0
+    for x in d.point_labels():
+        bit = 1 << (x - 1)
+        if opened & bit:
+            closed |= bit
+            apart[x - 1] |= full ^ opened
+        else:
+            opened |= bit
+            apart[x - 1] = closed
+    return apart

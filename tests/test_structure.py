@@ -1,7 +1,9 @@
 """Structural statistics: intersection order, terminal chords, source-sink
-groups, traced subdiagrams, valency, and crossing-graph connectivity."""
+groups, traced subdiagrams, valencies, the apart masks of the non-nesting
+path search, and crossing-graph connectivity."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -12,6 +14,7 @@ from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import all_diagrams, all_pairs, members
 from chordlab.oracles import stein
 from chordlab.structure import (
+    _apart_masks,
     exists_nonnesting_induced_path,
     intersection_order,
     is_k_connected,
@@ -24,8 +27,7 @@ from chordlab.structure import (
     terminal_profile,
     terminality,
     traced_subdiagram,
-    valency,
-    valency_parts,
+    valencies,
     vertex_connectivity,
 )
 from conftest import (
@@ -132,6 +134,16 @@ def test_source_sink_groups():
     assert source_sink_groups(Ca) == {1: [1]}
 
 
+def test_source_sink_groups_match_the_set_version_exhaustive():
+    checked = 0
+    for n in range(1, 8):
+        for d in members(n, "connected", ordered=False):
+            for m in range(1, t1(d) + 1):
+                assert source_sink_groups(d, m) == recursive_maps.source_sink_groups(d, m), (d, m)
+                checked += 1
+    assert checked == 213_729
+
+
 def test_one_terminal_is_one_terminal_chord_and_connected():
     for n in range(8):
         for d in all_diagrams(n):
@@ -181,17 +193,19 @@ def test_traced_subdiagram_matches_fixed_point_oracle_at_large_n():
 
 
 def test_valency_examples():
-    assert [valency(Ce, i) for i in (1, 2, 3)] == [0, 0, 2]
-    assert [valency(Cf, i) for i in (1, 2, 3)] == [0, 1, 1]
-    assert valency(Ca, 1) == 0
+    assert valencies(Ce) == [0, 0, 2]
+    assert valencies(Cf) == [0, 1, 1]
+    assert valencies(Ca) == [0]
+    assert valencies(ChordDiagram.empty()) == []
 
 
-def test_valency_parts_match_the_pairwise_oracle():
+def test_valencies_match_the_pairwise_oracle():
     rng = random.Random(7)
     seeded = [uniform_matching(n, rng) for n in (12, 20, 30) for _ in range(5)]
-    for d in [d for n in range(7) for d in sweep(n)] + seeded:
-        for i in range(1, d.n + 1):
-            assert valency_parts(d, i) == per_diagram_series.valency_parts(d, i), (d, i)
+    small = [d for n in range(7) for d in sweep(n)]
+    for d in chain(small, seeded, all_diagrams(7)):
+        want = [sum(per_diagram_series.valency_parts(d, i)) for i in range(1, d.n + 1)]
+        assert valencies(d) == want, d
 
 
 def test_connectivity_fixtures():
@@ -237,3 +251,9 @@ def test_nonnesting_induced_path_matches_the_recursive_search():
                 for b in range(1, n + 1):
                     want = recursive_maps.nonnesting_induced_path(d, a, b)
                     assert exists_nonnesting_induced_path(d, a, b) == want, (d, a, b)
+
+
+def test_apart_masks_match_the_point_walk():
+    for n in range(8):
+        for d in all_diagrams(n):
+            assert _apart_masks(d) == recursive_maps.apart_masks(d), d

@@ -111,6 +111,21 @@ def test_validate_rejects_broken_triangulations():
         Triangulation([(0, 1, 2)], [0, 1]).validate()
 
 
+@pytest.mark.parametrize("faces, boundary, message", [
+    ([(1, 1, 2)], [1, 2], "faces must be triangles"),
+    ([(1, 2, 2), (1, 2, 3)], [1, 3], "faces must be triangles"),
+    ([(1, 2, 3)], [1, 2, 1], "boundary must be a simple walk of >= 2 vertices"),
+    ([], [1], "boundary must be a simple walk of >= 2 vertices"),
+])
+def test_validate_refuses_loops_by_the_face_and_boundary_checks(faces, boundary, message):
+    # a loop (u, u) in the corner map needs a repeated vertex in a face or
+    # in the boundary, which the first two checks refuse
+    for check in (Triangulation.validate, recursive_maps.validate):
+        with pytest.raises(ValueError) as e:
+            check(Triangulation(faces, boundary))
+        assert str(e.value) == message
+
+
 def test_gamma_matches_the_clustering_oracle():
     with pytest.raises(ValueError):
         gamma(omega(Ca))

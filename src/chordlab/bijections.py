@@ -154,7 +154,7 @@ def _alpha_parts(adj: tuple[int, ...], pairs, order, mask: int) -> list[tuple[in
     # each part: its group, the traced subdiagrams in D of the group's
     # chords, and the leftover components crossing those.  A chord of D
     # joins the traced subdiagram holding its latest crossing chord in D,
-    # if that chord is later than itself (structure.traced_mask), so one
+    # if that chord is later than itself (structure.traced_subdiagram), so one
     # downward scan of D traces every neighbor at once.
     part: dict[int, int] = {}
     for r, g in enumerate(groups):

@@ -69,7 +69,6 @@ from .structure import (
     mask_order,
     minimum_separators,
     terminal_labels,
-    terminality,
     t1,
     vertex_connectivity,
 )
@@ -329,16 +328,7 @@ def _pool_size(n: int, jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, len(branches(n))))
 
 
-_STAT_FUNCS: dict[str, Callable[[ChordDiagram], int]] = {
-    "t1": t1,
-    "terminal-count": lambda d: len(terminal_labels(d)),
-    "crossings": lambda d: d.crossings(),
-    "nestings": lambda d: d.nestings(),
-    "kappa": vertex_connectivity,
-    "terminality": terminality,
-}
-
-STAT_NAMES = tuple(_STAT_FUNCS)
+STAT_NAMES = ("t1", "terminal-count", "crossings", "nestings", "kappa", "terminality")
 _ARC_STATS = frozenset(("crossings", "nestings", "terminal-count"))
 _SHARE_STATS = ("t1", "terminal-count")
 
@@ -362,9 +352,11 @@ def _count_class_share(args) -> dict[tuple, int]:
     shared out by the first chord (1, share), and the others by the first
     chord of the root-insertion parents."""
     n, cls, statistics, share = args
-    for stat in statistics:
-        if stat not in _STAT_FUNCS:
+    for i, stat in enumerate(statistics):
+        if stat not in STAT_NAMES:
             raise ValueError("unknown statistic: %s" % stat)
+        if stat in statistics[:i]:
+            raise ValueError("statistic given twice: %s" % stat)
     key, variant = _root_key(cls)
     if not statistics:
         total = _count(n, key, variant, share)
@@ -373,10 +365,12 @@ def _count_class_share(args) -> dict[tuple, int]:
     if recurrence:
         return recurrence(n, statistics)
     if n == 0:
-        # the one diagram of size 0 is the empty one, which is disconnected
-        if "t1" in statistics and count_members(0, cls):
+        # the one diagram of size 0 is the empty one: disconnected, and 0
+        # by every statistic
+        empty = count_members(0, cls)
+        if "t1" in statistics and empty:
             raise ValueError(_T1_DISCONNECTED % cls)
-        return tally(0, lambda d: (0, *[_STAT_FUNCS[s](d) for s in statistics]), cls)
+        return {(0,) * (len(statistics) + 1): empty} if empty else {}
     # tallied once per site (s, k) whose child is a member; only t1,
     # terminality and kappa read the connected bits and the components
     ks = list(range(2 * n - 1))

@@ -4,7 +4,10 @@ functions, and the differential and functional identity checks; the flow
 equation and the root-share identity are one convolution test.
 
 Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
-with 1. Everything is exact; floats never appear.
+with 1. Everything is exact; floats never appear. Every product of
+truncated series is the one convolution `_series_mul`: `YPoly * YPoly`,
+the solver's powers of G and the forbidden-class equation. The cocycle
+check keeps its tensor square as a plain dict keyed by pairs of y-powers.
 
 The diagram sums (diagram_series, root_share_sum) read one cached tally per
 (n, class): a walk over the connected diagrams of size n (connected
@@ -247,16 +250,8 @@ class YPoly:
             return YPoly([c * other for c in self.coeffs])
         if not isinstance(other, YPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return YPoly.zero()
-        out = [WeightPoly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return YPoly(out)
+        n_max = len(self.coeffs) + len(other.coeffs) - 2
+        return YPoly(_series_mul(self.coeffs, other.coeffs, n_max, WeightPoly.zero()))
 
     __rmul__ = __mul__
 
@@ -311,27 +306,6 @@ def apply_operator(name: str, p: YPoly) -> YPoly:
     return out
 
 
-# tensor square of the y-polynomial space: (y-power, y-power) -> WeightPoly
-Tensor = dict[tuple[int, int], WeightPoly]
-
-
-def _tensor_add(t: Tensor, key: tuple[int, int], val: WeightPoly) -> None:
-    cur = t.get(key)
-    t[key] = val if cur is None else cur + val
-
-
-def _tensor_clean(t: Tensor) -> Tensor:
-    return {k: v for k, v in t.items() if v}
-
-
-def _coproduct_coeff(coalgebra: str, n: int, k: int) -> Fraction:
-    if coalgebra == "binomial":
-        return Fraction(comb(n, k))
-    if coalgebra == "divided-power":
-        return Fraction(1)
-    raise ValueError("unknown coalgebra: %s" % coalgebra)
-
-
 def check_cocycle(
     coalgebra: str,
     n_max: int,
@@ -346,26 +320,20 @@ def check_cocycle(
     """
     coalgebra = operator_kind(coalgebra)
     op = coalgebra if operator is None else operator_kind(operator)
+    weight = comb if coalgebra == "binomial" else lambda n, k: 1
     for n in range(n_max + 1):
         img = apply_operator(op, YPoly.basis(n))
-        lhs: Tensor = {}
+        # the tensor square of the y-polynomials: (y-power, y-power) -> WeightPoly
+        lhs: dict[tuple[int, int], WeightPoly] = {}
+        rhs: dict[tuple[int, int], WeightPoly] = {}
         for i, c in enumerate(img.coeffs):
-            if not c:
-                continue
             for k in range(i + 1):
-                w = _coproduct_coeff(coalgebra, i, k)
-                _tensor_add(lhs, (k, i - k), c * w)
-        rhs: Tensor = {}
+                lhs[k, i - k] = lhs.get((k, i - k), 0) + c * weight(i, k)
+            rhs[i, 0] = rhs.get((i, 0), 0) + c
         for k in range(n + 1):
-            w = _coproduct_coeff(coalgebra, n, k)
-            part = apply_operator(op, YPoly.basis(n - k))
-            for j, cj in enumerate(part.coeffs):
-                if cj:
-                    _tensor_add(rhs, (k, j), cj * w)
-        for i, c in enumerate(img.coeffs):
-            if c:
-                _tensor_add(rhs, (i, 0), c)
-        lhs, rhs = _tensor_clean(lhs), _tensor_clean(rhs)
+            for j, cj in enumerate(apply_operator(op, YPoly.basis(n - k)).coeffs):
+                rhs[k, j] = rhs.get((k, j), 0) + cj * weight(n, k)
+        lhs, rhs = ({k: v for k, v in t.items() if v} for t in (lhs, rhs))
         if lhs != rhs:
             if report is not None:
                 keys = sorted(set(lhs) | set(rhs))
@@ -577,16 +545,14 @@ def forbidden_class_recurrence(a: list[int], b: list[int]) -> list[int]:
 
 def egf_antiderivative_counts(n_max: int) -> list[int]:
     """n! [x^n] of the C with C' = 1/(1 - C), C(0) = 0; these are the
-    all-diagram counts shifted by one: (2(n-1) - 1)!!."""
+    all-diagram counts shifted by one: (2(n-1) - 1)!!.
+
+    C' = 1 + C C' gives (n+1) c_{n+1} = [n = 0] + sum_i c_i (n-i+1) c_{n-i+1},
+    where c_0 = 0 keeps c_{n+1} off the right side."""
     c = [Fraction(0)] * (n_max + 1)
     for n in range(n_max):
-        # [x^n] 1/(1 - C) via powers of the truncation built so far
-        total = Fraction(1) if n == 0 else Fraction(0)
-        cur = [Fraction(1)]
-        for _ in range(1, n + 1):
-            cur = _series_mul(cur, c, n, Fraction(0))
-            total += cur[n]
-        c[n + 1] = total / (n + 1)
+        total = sum(c[i] * (n - i + 1) * c[n - i + 1] for i in range(1, n + 1))
+        c[n + 1] = (total + Fraction(n == 0)) / (n + 1)
     out = []
     for n in range(n_max + 1):
         v = c[n] * factorial(n)

@@ -203,24 +203,15 @@ def traced_subdiagram(d: ChordDiagram, label: int) -> set[int]:
 
     Labels follow source order, so that neighbor is the top bit of the
     chord's crossing mask and lies above the chord: one downward scan of
-    the masks from `label` (traced_mask) finds the closure in O(n) steps.
+    the masks from `label` finds the closure in O(n) steps.
     """
     adj = d.adjacency()
-    return set(_mask_labels(traced_mask(adj, label, (1 << len(adj)) - 1)))
-
-
-def traced_mask(adj: tuple[int, ...], label: int, within: int) -> int:
-    """traced_subdiagram of `label` in the subdiagram on the chord set
-    `within` (a mask holding label), as a mask over the whole diagram."""
     out = 1 << (label - 1)
-    below = within & (out - 1)
-    while below:
-        i = below.bit_length()  # the highest chord left to decide
-        below ^= 1 << (i - 1)
-        top = (adj[i - 1] & within).bit_length()
+    for i in range(label - 1, 0, -1):  # the highest chord left to decide
+        top = adj[i - 1].bit_length()
         if top > i and out >> (top - 1) & 1:
             out |= 1 << (i - 1)
-    return out
+    return set(_mask_labels(out))
 
 
 def valencies(d: ChordDiagram) -> list[int]:

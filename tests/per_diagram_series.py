@@ -15,44 +15,48 @@ from chordlab.series import WeightPoly, YPoly, apply_operator, operator_kind
 from chordlab.structure import terminal_profile
 
 
-def valency_parts(d, i):
-    """(k, l) for chord i, straight from the definition: k counts left
-    neighbors crossing no chord after i; l counts the closed blocks packed
-    after i's source once the left neighbors are deleted."""
-    x, y = d.pairs[i - 1]
-    left = {b for b in range(1, i) if d.crosses(b, i)}
-    k = 0
-    for b in left:
-        if not any(d.crosses(b, e) for e in range(i + 1, d.n + 1)):
-            k += 1
+def valency_parts(d):
+    """(k, l) for every chord i, straight from the definition: k counts
+    left neighbors crossing no chord after i; l counts the closed blocks
+    packed after i's source once the left neighbors are deleted. The
+    crossing table and the point list are built once per diagram."""
+    n = d.n
+    cross = [[False] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            cross[a][b] = cross[b][a] = d.crosses(a, b)
+    chord, partner = [0] * (2 * n + 1), [0] * (2 * n + 1)  # by point
+    for c, (a, b) in enumerate(d.pairs, 1):
+        chord[a] = chord[b] = c
+        partner[a], partner[b] = b, a
 
-    partner = {}
-    for c in range(1, d.n + 1):
-        if c == i or c in left:
-            continue
-        a, b = d.pairs[c - 1]
-        partner[a] = b
-        partner[b] = a
-    pts = sorted(partner)
-
-    l = 0
-    idx = next((j for j, p in enumerate(pts) if p > x), len(pts))
-    while idx < len(pts):
-        p = pts[idx]
-        if p > y:
-            break
-        h = partner[p]
-        if h < p or h > y:
-            break
-        j = idx + 1
-        while j < len(pts) and pts[j] < h:
-            h = max(h, partner[pts[j]])
-            j += 1
-        if h > y:
-            break
-        l += 1
-        idx = next((j for j, q in enumerate(pts) if q > h), len(pts))
-    return k, l
+    out = []
+    for i, (x, y) in enumerate(d.pairs, 1):
+        left = {b for b in range(1, i) if cross[b][i]}
+        k = sum(1 for b in left if not any(cross[b][i + 1:]))
+        # the points after x, i's own and those of deleted chords skipped;
+        # a block starts at a source and closes at the first point past
+        # which none of its chords reaches
+        l = 0
+        p = x + 1
+        while p < y:
+            if chord[p] in left:
+                p += 1
+                continue
+            h = partner[p]
+            if h < p or h > y:
+                break
+            q = p + 1
+            while q < h:
+                if chord[q] not in left:
+                    h = max(h, partner[q])
+                q += 1
+            if h > y:
+                break
+            l += 1
+            p = h + 1
+        out.append((k, l))
+    return out
 
 
 def f_monomial(c):
@@ -67,8 +71,8 @@ def f_monomial(c):
 
 def phi_monomial(c):
     out = WeightPoly.one()
-    for i in range(1, c.n + 1):
-        out = out * WeightPoly.phi(sum(valency_parts(c, i)))
+    for k, l in valency_parts(c):
+        out = out * WeightPoly.phi(k + l)
     return out
 
 

@@ -60,6 +60,19 @@ def test_enum_t1_on_a_class_with_disconnected_members_names_both():
     assert r.stdout == "n=1 t1=1 count=1\n"
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize(
+    "cls, stats, fmt",
+    (("connected", "t1,t1", "json"), ("one-terminal", "kappa,terminality,kappa", "csv")),
+)
+def test_enum_refuses_a_statistic_given_twice(jobs, cls, stats, fmt):
+    # a json row has one key per statistic, so a repeated one was lost
+    r = run("enum", "--size", "4", "--class", cls, "--stats", stats, "--format", fmt, "--jobs", jobs)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: statistic given twice: %s\n" % stats.split(",")[-1]
+
+
 def test_enum_unknown_class_is_usage_error():
     r = run("enum", "--size", "3", "--class", "mystery")
     assert r.returncode == 2
@@ -484,7 +497,23 @@ EMIT_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("args, digest", EMIT_SHA256, ids=[a for a, _ in EMIT_SHA256])
+# sha256 of the stdout of the series tables at --max-size 7, from the
+# solver and from the diagram sums, and of the reports of the series
+# checks that read YPoly products, the cocycle tensors and the EGF
+# recurrence, at the registry's default budgets; read while YPoly had its
+# own product loop and the cocycle check its tensor helpers
+SERIES_SHA256 = [
+    ('series --max-size 7 --operator binomial --source solve --format json', 'c1b031dc029f5e50da55a0f65683c0cd9cd3bc110605d6c5d06e8b92d5c9665b'),
+    ('series --max-size 7 --operator binomial --source diagrams --format json', 'c1b031dc029f5e50da55a0f65683c0cd9cd3bc110605d6c5d06e8b92d5c9665b'),
+    ('series --max-size 7 --operator divided-power --source solve --format json', '3bbcdf82c4784696ec6b4d01cc46b27744ec4a219dba9149e4765eecb5a96115'),
+    ('series --max-size 7 --operator divided-power --source diagrams --format json', '3bbcdf82c4784696ec6b4d01cc46b27744ec4a219dba9149e4765eecb5a96115'),
+    ('verify series-cocycle series-rge series-ogf-egf --format json', '8e17978ba833cd87835e7c6bab41b7fe25266a80efb95bebb1fd3a65a4bd90a0'),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", EMIT_SHA256 + SERIES_SHA256, ids=[a for a, _ in EMIT_SHA256 + SERIES_SHA256]
+)
 def test_reports_are_byte_identical_to_the_pin(args, digest, capsys):
     assert cli.main(args.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

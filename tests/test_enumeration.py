@@ -52,6 +52,7 @@ from chordlab.structure import (
     is_one_terminal,
     t1,
     terminal_labels,
+    terminality,
     vertex_connectivity,
 )
 from conftest import K3, sweep
@@ -197,6 +198,21 @@ def test_count_class_rejects_unknown_inputs():
         count_members(3, "all", "no-such-variant")
     with pytest.raises(ValueError):
         members(3, "K3-free", variant="no-such-variant")
+
+
+@pytest.mark.parametrize("n", (0, 4))
+def test_count_class_refuses_a_statistic_given_twice(n):
+    # by a recurrence, by the root-insertion sites, and at n = 0
+    for cls, stats in (
+        ("connected", ("t1", "t1")),
+        ("all", ("crossings", "nestings", "crossings")),
+        ("one-terminal", ("kappa", "terminality", "kappa")),
+        ("K3-free", ("terminal-count", "terminal-count")),
+    ):
+        with pytest.raises(ValueError, match="^statistic given twice: %s$" % stats[-1]):
+            count_class(n, cls, stats)
+        with pytest.raises(ValueError, match="^statistic given twice: %s$" % stats[-1]):
+            count_classes_parallel(n, (cls,), stats, jobs=2)
 
 
 def leaf_filter(n, cls):
@@ -363,6 +379,21 @@ def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
     assert built[6] == 0 and built[5] > 0, built
 
 
+# every statistic of count_class, read off one built diagram
+STAT_FUNCS = {
+    "t1": t1,
+    "terminal-count": lambda d: len(terminal_labels(d)),
+    "crossings": ChordDiagram.crossings,
+    "nestings": ChordDiagram.nestings,
+    "kappa": vertex_connectivity,
+    "terminality": terminality,
+}
+
+
+def test_the_statistic_table_names_every_statistic():
+    assert tuple(STAT_FUNCS) == enumeration.STAT_NAMES
+
+
 # count_class reads every statistic off the root-insertion sites: each
 # alone, and the pairs of the benchmark's sweep
 SITE_STAT_SETS = (
@@ -389,13 +420,8 @@ def leaf_statistics(n):
         d = ChordDiagram(pairs)
         inside = tuple(c for c in classes if in_class(d, c))
         if inside:
-            values = {
-                name: f(d)
-                for name, f in enumeration._STAT_FUNCS.items()
-                if name not in ("t1", "kappa")
-            }
+            values = {name: f(d) for name, f in STAT_FUNCS.items() if name != "t1"}
             values["t1"] = t1(d) if d.is_connected() else None
-            values["kappa"] = vertex_connectivity(d)
             out[inside, tuple(sorted(values.items()))] += 1
     return out
 
@@ -536,9 +562,7 @@ def test_histories_match_the_formulas_beyond_the_sweep(n):
 
 # connected diagrams of sizes 8 to 12 (OEIS A000699)
 A000699 = {8: 593859, 9: 10401712, 10: 202601898, 11: 4342263000, 12: 101551822350}
-SHARE_STAT_SETS = (
-    ("t1",), ("terminal-count",), ("t1", "terminal-count"), ("terminal-count", "t1"), ("t1", "t1")
-)
+SHARE_STAT_SETS = (("t1",), ("terminal-count",), ("t1", "terminal-count"), ("terminal-count", "t1"))
 
 
 def connected_t1_terminals(n):
@@ -562,6 +586,9 @@ def test_root_shares_match_a_per_diagram_tally(n):
             named = dict(zip(("t1", "terminal-count"), values))
             want[(n, *[named[s] for s in stats])] += count
         assert count_class(n, "connected", stats) == want, stats
+    # a statistic named twice is refused before the recurrence runs
+    with pytest.raises(ValueError, match="statistic given twice: t1"):
+        count_class(n, "connected", ("t1", "t1"))
     if n == 0:
         assert count_class(0, "connected", ("t1", "terminal-count")) == {}
 

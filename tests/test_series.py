@@ -2,6 +2,7 @@
 operators, the tree-like equation and its diagram-sum solution, the RGE
 identity, root-share convolution, and the counting generating functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from chordlab.series import (
     check_rge,
     check_root_share_identity,
     diagram_series,
+    egf_antiderivative_counts,
     f_monomial,
     g_table,
     ogf_checks,
@@ -26,6 +28,7 @@ from chordlab.series import (
     series_rows,
     solve_tree_like,
 )
+from chordlab.oracles import double_factorial
 from conftest import Cb, Cf, K3, sweep
 
 
@@ -41,6 +44,55 @@ def test_weight_poly_arithmetic_is_exact():
     half = WeightPoly.one() * Fraction(1, 2)
     assert (half + half).canonical() == "1"
     assert (a - a).canonical() == "0"
+
+
+def ypoly_mul_by_double_loop(p, q):
+    """YPoly * YPoly as its own double loop over the coefficients."""
+    if not p.coeffs or not q.coeffs:
+        return YPoly.zero()
+    out = [WeightPoly.zero()] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(q.coeffs):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return YPoly(out)
+
+
+def random_ypoly(rng):
+    """Up to five y-coefficients, each zero or a sum of up to three
+    monomials in f0..f2 and phi1..phi2 with small rational coefficients."""
+    letters = [WeightPoly.f(i) for i in range(3)] + [WeightPoly.phi(k) for k in (1, 2)]
+    coeffs = []
+    for _ in range(rng.randint(0, 5)):
+        c = WeightPoly.zero()
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            term = WeightPoly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * rng.choice(letters)
+            c = c + term
+        coeffs.append(c)
+    return YPoly(coeffs)
+
+
+def test_ypoly_product_matches_the_double_loop():
+    rng = random.Random(30)
+    polys = [random_ypoly(rng) for _ in range(60)]
+    const = YPoly([WeightPoly.const(Fraction(-3, 2))])
+    gap = YPoly([WeightPoly.zero(), WeightPoly.zero(), WeightPoly.f(1)])
+    polys += [YPoly.zero(), YPoly.basis(0), const, gap, YPoly.basis(4)]
+    assert any(not p for p in polys[:60]) and any(p.degree == 0 for p in polys[:60])
+    for p in polys:
+        for q in polys[::3]:
+            assert p * q == ypoly_mul_by_double_loop(p, q), (p, q)
+    assert const * YPoly.zero() == YPoly.zero() == YPoly.zero() * YPoly.zero()
+    assert repr(gap * const) == "YPoly((-3/2*f1)*y^2)"
+
+
+def test_egf_antiderivative_counts_are_shifted_double_factorials():
+    assert egf_antiderivative_counts(0) == [0]
+    assert egf_antiderivative_counts(20) == [0] + [double_factorial(n - 1) for n in range(1, 21)]
 
 
 def test_operator_kind_normalizes_names():
@@ -77,7 +129,10 @@ def test_cocycle_identity_and_crossed_failure():
     assert check_cocycle("divided-power", 5)
     report: list = []
     assert not check_cocycle("binomial", 2, operator="divided-power", report=report)
-    assert report  # a concrete mismatch is recorded
+    assert report == [{"n": 1, "key": (1, 1), "lhs": "2*f0", "rhs": "f0"}]
+    report.clear()
+    assert not check_cocycle("divided-power", 5, operator="binomial", report=report)
+    assert report == [{"n": 1, "key": (1, 1), "lhs": "1/2*f0", "rhs": "f0"}]
 
 
 def test_tree_like_solution_low_orders():

@@ -706,7 +706,10 @@ def _omega_code_suite(budget: int) -> dict:
         total = 0
         for d in _domain(n, "top-cycle-free", "connected"):
             t = omega(d)
-            t.validate()
+            try:
+                t.validate()
+            except ValueError as e:
+                return _fail(witness=d.to_text(), kind="invalid triangulation", error=str(e))
             k = t1(d)
             if len(t.boundary) != k + 1:
                 return _fail(witness=d.to_text(), kind="boundary size")
@@ -938,14 +941,14 @@ def _series_all_ones_regression(budget: int) -> dict:
 def _series_cocycle(budget: int) -> dict:
     from .series import check_cocycle
 
-    if not check_cocycle("binomial", budget):
+    if check_cocycle("binomial", budget):
         return _fail(pairing="binomial")
-    if not check_cocycle("divided-power", budget):
+    if check_cocycle("divided-power", budget):
         return _fail(pairing="divided-power")
-    rep: list[dict] = []
-    if check_cocycle("binomial", 2, operator="divided-power", report=rep):
+    crossed = check_cocycle("binomial", 2, operator="divided-power")
+    if crossed is None:
         return _fail(pairing="crossed", kind="unexpected pass")
-    return {"ok": True, "degree": budget, "crossed_counterexample": rep[0]}
+    return {"ok": True, "degree": budget, "crossed_counterexample": crossed}
 
 
 @_register(
@@ -958,12 +961,12 @@ def _series_cocycle(budget: int) -> dict:
 def _series_rge(budget: int) -> dict:
     from .series import check_rge
 
-    if not check_rge(budget, "binomial"):
+    if check_rge(budget, "binomial"):
         return _fail(operator="binomial")
-    rep: list[dict] = []
-    if check_rge(3, "divided-power", report=rep):
+    violation = check_rge(3, "divided-power")
+    if violation is None:
         return _fail(operator="divided-power", kind="unexpected pass")
-    return {"ok": True, "order": budget, "violation": rep[0]}
+    return {"ok": True, "order": budget, "violation": violation}
 
 
 @_register(
@@ -975,9 +978,9 @@ def _series_rge(budget: int) -> dict:
 def _series_root_share(budget: int) -> dict:
     from .series import check_root_share_identity
 
-    rep: list[dict] = []
-    if not check_root_share_identity(budget, report=rep):
-        return _fail(first_failure=rep[0] if rep else None)
+    failure = check_root_share_identity(budget)
+    if failure:
+        return _fail(first_failure=failure)
     return {"ok": True, "n_max": budget}
 
 
@@ -993,7 +996,7 @@ def _series_ogf_egf(budget: int) -> dict:
 
     rep = ogf_checks(budget)
     if not rep["ok"]:
-        return _fail(stein=rep["stein"]["ok"], egf=rep["egf"]["ok"],
+        return _fail(stein=rep["stein"], egf=rep["egf"],
                      classes={c: v["ok"] for c, v in rep["classes"].items()})
     applies = {c: v["applies"] for c, v in rep["classes"].items()}
     if applies.get("nonnesting") is not False:

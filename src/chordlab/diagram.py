@@ -121,14 +121,6 @@ class ChordDiagram:
     def sink(self, i: int) -> int:
         return self.pairs[i - 1][1]
 
-    def partner(self) -> tuple[int, ...]:
-        """Partner array over points 1..2n (entry p-1 holds the match of p)."""
-        arr = [0] * (2 * len(self.pairs))
-        for a, b in self.pairs:
-            arr[a - 1] = b
-            arr[b - 1] = a
-        return tuple(arr)
-
     def point_labels(self) -> tuple[int, ...]:
         """Chord labels read along points 1..2n; each label appears twice."""
         out = [0] * (2 * len(self.pairs))

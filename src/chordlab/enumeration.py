@@ -70,7 +70,6 @@ from .structure import (
     minimum_separators,
     terminal_labels,
     t1,
-    vertex_connectivity,
 )
 
 
@@ -483,7 +482,8 @@ def _site_columns(
       when both are m; tau is s's `_terminal_depth` along `_rest_order`,
       and |r| >= j is the root's share of the condition at j
     - kappa, by Whitney's inequality and the expansion lemma (West,
-      Introduction to Graph Theory, Lemma 4.2.3), with K = kappa(s):
+      Introduction to Graph Theory, Lemma 4.2.3), with K = kappa(s) and
+      its minimum separators from one `minimum_separators` scan:
       0 for a disconnected child; m (= n - 1) when s is complete (m <= 1
       counts) and |r| = m, since the child is complete; |r| when s is
       complete and |r| < m; K + 1 when |r| >= K + 1 and, for every
@@ -513,8 +513,8 @@ def _site_columns(
         elif not connected:
             col = [0] * len(roots)
         elif stat == "kappa":
-            kappa = vertex_connectivity(s)
-            parts = [c for _, comps_x in minimum_separators(adj, kappa) for c in comps_x]
+            kappa, separators = minimum_separators(adj)
+            parts = [c for _, comps_x in separators for c in comps_x]
             col = [
                 (kappa + 1 if c > kappa and all(r & p for p in parts) else min(kappa, c))
                 if connected >> k & 1

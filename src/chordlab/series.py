@@ -1,7 +1,9 @@
 """Exact symbolic series: the two integral-like operators (one body,
 `apply_operator`), the tree-like equation solver, diagram-sum generating
 functions, and the differential and functional identity checks; the flow
-equation and the root-share identity are one convolution test.
+equation and the root-share identity are one convolution test. Each
+identity check returns None when the identity holds, else its first
+failure with both sides; `ogf_checks` returns verdicts only.
 
 Coefficients live in Q[f0, f1, ..., phi1, phi2, ...] with phi0 identified
 with 1. Everything is exact; floats never appear. Every product of
@@ -307,13 +309,11 @@ def apply_operator(name: str, p: YPoly) -> YPoly:
 
 
 def check_cocycle(
-    coalgebra: str,
-    n_max: int,
-    operator: str | None = None,
-    report: list | None = None,
-) -> bool:
+    coalgebra: str, n_max: int, operator: str | None = None
+) -> dict | None:
     """Verify Delta(L(y^n)) = (id (x) L)(Delta(y^n)) + L(y^n) (x) 1 on the
-    basis y^n for n <= n_max.
+    basis y^n for n <= n_max: None when it holds, else the first failing
+    tensor term with both sides.
 
     The coproduct is split-by-exponent with binomial or all-ones section
     coefficients; the operator defaults to the coalgebra's own.
@@ -335,19 +335,15 @@ def check_cocycle(
                 rhs[k, j] = rhs.get((k, j), 0) + cj * weight(n, k)
         lhs, rhs = ({k: v for k, v in t.items() if v} for t in (lhs, rhs))
         if lhs != rhs:
-            if report is not None:
-                keys = sorted(set(lhs) | set(rhs))
-                bad = next(k for k in keys if lhs.get(k) != rhs.get(k))
-                report.append(
-                    {
-                        "n": n,
-                        "key": bad,
-                        "lhs": lhs.get(bad, WeightPoly.zero()).canonical(),
-                        "rhs": rhs.get(bad, WeightPoly.zero()).canonical(),
-                    }
-                )
-            return False
-    return True
+            bad = next(k for k in sorted(set(lhs) | set(rhs)) if lhs.get(k) != rhs.get(k))
+            zero = WeightPoly.zero()
+            return {
+                "n": n,
+                "key": bad,
+                "lhs": lhs.get(bad, zero).canonical(),
+                "rhs": rhs.get(bad, zero).canonical(),
+            }
+    return None
 
 
 def _series_mul(a: list, b: list, n_max: int, zero) -> list:
@@ -464,16 +460,15 @@ def g_table(series: list[YPoly], phi: Callable[[int], Fraction] | None = None):
     return g
 
 
-def check_rge(
-    n_max: int, operator: str = "binomial", report: list | None = None
-) -> bool:
+def check_rge(n_max: int, operator: str = "binomial") -> dict | None:
     """With phi = all ones and f symbolic, test the coefficient form of the
     flow equation: g_{i,n} = sum_m (2(n-m)-1) g_{1,m} g_{i-1,n-m}, 2 <= i <= n.
+    None when it holds, else the first failure (see _root_share_convolution).
     """
     series = solve_tree_like(operator, n_max)
     g = g_table(series, phi=lambda k: Fraction(1))
     zero = WeightPoly.zero()
-    return _root_share_convolution(lambda n, i: g.get((i, n), zero), n_max, 2, report)
+    return _root_share_convolution(lambda n, i: g.get((i, n), zero), n_max, 2)
 
 
 def root_share_sum(n: int, i: int) -> WeightPoly:
@@ -491,16 +486,17 @@ def root_share_sum(n: int, i: int) -> WeightPoly:
     return WeightPoly(terms)
 
 
-def check_root_share_identity(n_max: int, report: list | None = None) -> bool:
+def check_root_share_identity(n_max: int) -> dict | None:
     """Root-share convolution: A(n,i) = sum_m (2(n-m)-1) A(m,1) A(n-m,i-1)
-    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f."""
-    return _root_share_convolution(lru_cache(maxsize=None)(root_share_sum), n_max, 1, report)
+    for 2 <= n <= n_max, 1 <= i <= n, symbolically in f. None when it
+    holds, else the first failure (see _root_share_convolution)."""
+    return _root_share_convolution(lru_cache(maxsize=None)(root_share_sum), n_max, 1)
 
 
-def _root_share_convolution(a: Callable, n_max: int, low: int, report: list | None) -> bool:
+def _root_share_convolution(a: Callable, n_max: int, low: int) -> dict | None:
     """Test a(n, i) = sum_{m=1}^{n-1} (2(n-m)-1) a(m, 1) a(n-m, i-1) for
-    2 <= n <= n_max and low <= i <= n, in that order. The first failure
-    is appended to `report`, with both sides, and stops the test."""
+    2 <= n <= n_max and low <= i <= n, in that order. None when every
+    case holds, else the first failure with both sides."""
     for n in range(2, n_max + 1):
         for i in range(low, n + 1):
             rhs = WeightPoly.zero()
@@ -510,17 +506,8 @@ def _root_share_convolution(a: Callable, n_max: int, low: int, report: list | No
                     rhs = rhs + (2 * (n - m) - 1) * term
             lhs = a(n, i)
             if lhs != rhs:
-                if report is not None:
-                    report.append(
-                        {
-                            "n": n,
-                            "i": i,
-                            "lhs": lhs.canonical(),
-                            "rhs": rhs.canonical(),
-                        }
-                    )
-                return False
-    return True
+                return {"n": n, "i": i, "lhs": lhs.canonical(), "rhs": rhs.canonical()}
+    return None
 
 
 def forbidden_class_recurrence(a: list[int], b: list[int]) -> list[int]:
@@ -562,44 +549,37 @@ def egf_antiderivative_counts(n_max: int) -> list[int]:
 
 
 def ogf_checks(n_max: int) -> dict:
-    """Three ordinary/exponential generating-function checks against root
-    insertion counts: the connected-count recurrence, the forbidden-class
-    functional equation for every profile class, and the antiderivative EGF."""
+    """Verdicts of three ordinary/exponential generating-function checks
+    against root insertion counts: the connected-count recurrence ("stein"),
+    the forbidden-class functional equation for every profile class
+    ("classes": whether it applies, and if so whether it holds), the
+    antiderivative EGF ("egf"), and all of them together ("ok")."""
     from .enumeration import PROFILE_CLASSES, census, count_members
     from .oracles import double_factorial, stein
 
-    conn = [0] + [census(n)["connected"] for n in range(1, n_max + 1)]
-    stein_vals = [0] + [stein(n) for n in range(1, n_max + 1)]
-    stein_ok = conn == stein_vals
+    sizes = range(1, n_max + 1)
+    stein_ok = all(census(n)["connected"] == stein(n) for n in sizes)
 
-    per_class = {}
+    classes = {}
     for cls in PROFILE_CLASSES:
-        a = [1] + [count_members(n, cls) for n in range(1, n_max + 1)]
-        b = [0] + [count_members(n, cls, "connected") for n in range(1, n_max + 1)]
-        recurred = forbidden_class_recurrence(a, b)
         # The root-component decomposition only respects forbidden patterns
         # whose intersection graphs are connected; nonnesting forbids a pure
         # nesting (two chords, no crossing), so the equation does not apply.
         applies = cls != "nonnesting"
-        per_class[cls] = {
-            "all": a,
-            "connected": b,
-            "recurrence": recurred,
-            "applies": applies,
-            "ok": recurred == a if applies else None,
-        }
+        ok = None
+        if applies:
+            a = [1] + [count_members(n, cls) for n in sizes]
+            b = [0] + [count_members(n, cls, "connected") for n in sizes]
+            ok = forbidden_class_recurrence(a, b) == a
+        classes[cls] = {"applies": applies, "ok": ok}
 
-    egf = egf_antiderivative_counts(n_max)
-    expected = [0] + [double_factorial(n - 1) for n in range(1, n_max + 1)]
-    egf_ok = egf[1:] == expected[1:]
+    egf_ok = egf_antiderivative_counts(n_max)[1:] == [double_factorial(n - 1) for n in sizes]
 
     return {
-        "stein": {"ok": stein_ok, "enumerated": conn, "recurrence": stein_vals},
-        "classes": per_class,
-        "egf": {"ok": egf_ok, "values": egf, "expected": expected},
-        "ok": stein_ok
-        and egf_ok
-        and all(v["ok"] for v in per_class.values() if v["applies"]),
+        "stein": stein_ok,
+        "classes": classes,
+        "egf": egf_ok,
+        "ok": stein_ok and egf_ok and all(v["ok"] for v in classes.values() if v["applies"]),
     }
 
 

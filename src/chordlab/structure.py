@@ -205,6 +205,8 @@ def traced_subdiagram(d: ChordDiagram, label: int) -> set[int]:
     chord's crossing mask and lies above the chord: one downward scan of
     the masks from `label` finds the closure in O(n) steps.
     """
+    if not 1 <= label <= d.n:
+        raise ValueError("no chord %r in a diagram of %d chords" % (label, d.n))
     adj = d.adjacency()
     out = 1 << (label - 1)
     for i in range(label - 1, 0, -1):  # the highest chord left to decide
@@ -272,21 +274,26 @@ def vertex_connectivity(d: ChordDiagram) -> int:
     return best
 
 
-def minimum_separators(adj: tuple[int, ...], k: int) -> list[tuple[int, list[int]]]:
-    """The k-sets X of chords (as masks) whose removal disconnects the
-    crossing graph with masks `adj`, each with the component masks of the
-    rest. With k the graph's vertex connectivity these are its minimum
-    separators: none for a complete graph, and X = 0 with its components
-    for a disconnected one."""
-    full = (1 << len(adj)) - 1
-    out = []
-    for chords in combinations([1 << j for j in range(len(adj))], k):
-        x = sum(chords)
-        rest = full ^ x
-        comp = component_mask(adj, rest & -rest, rest)
-        if comp != rest:  # else what is left is connected, or nothing is
-            out.append((x, [comp, *component_masks(adj, rest ^ comp)]))
-    return out
+def minimum_separators(adj: tuple[int, ...]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """(κ, separators) of the crossing graph with masks `adj`: the sets X
+    of k = 0, 1, ... chords (as masks) are tried in turn, and κ is the
+    first k at which some X disconnects the graph; each such X comes with
+    the component masks of the rest. X = 0 with its components for a
+    disconnected graph; a complete graph on m chords has no separator
+    and gives (max(m - 1, 0), [])."""
+    m = len(adj)
+    full = (1 << m) - 1
+    for k in range(m - 1):  # removing m - 1 chords leaves one, connected
+        out = []
+        for chords in combinations([1 << j for j in range(m)], k):
+            x = sum(chords)
+            rest = full ^ x
+            comp = component_mask(adj, rest & -rest, rest)
+            if comp != rest:
+                out.append((x, [comp, *component_masks(adj, rest ^ comp)]))
+        if out:
+            return k, out
+    return max(m - 1, 0), []
 
 
 def is_k_connected(d: ChordDiagram, k: int) -> bool:

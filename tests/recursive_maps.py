@@ -6,10 +6,11 @@ over an undirected edge set, the full mask search for the intersection
 order, the root-share split by a search over raw pairs, the source-sink
 groups by sorted points and set lookups, the path-by-path search for
 non-nesting induced paths, and the point walks that chordlab replaces with
-closed forms: each chord's valency parts and its apart mask.
+closed forms: each chord's valency parts and its apart mask, which read
+the partner array of the points.
 
 They share with the fast paths only ChordDiagram itself (its validating
-constructor, `partner`, `relation` and `point_labels`), the intersection
+constructor, `relation` and `point_labels`), the intersection
 order, t1, the terminal chords and the Triangulation type, which are
 tested on their own. `mask_order` uses the crossing masks and
 `component_mask`, not the order's own search, and the valency walk reads
@@ -24,6 +25,15 @@ from chordlab.structure import (
     terminal_labels,
 )
 from chordlab.triangulation import Triangulation
+
+
+def partners(d):
+    """Partner array over points 1..2n (entry p-1 holds the match of p)."""
+    arr = [0] * (2 * d.n)
+    for a, b in d.pairs:
+        arr[a - 1] = b
+        arr[b - 1] = a
+    return tuple(arr)
 
 
 def gen_pairs(points):
@@ -139,7 +149,7 @@ def psi(t):
     if not is_one_terminal(t):
         raise ValueError("psi requires a one-terminal diagram")
     n = t.n
-    partner = t.partner()
+    partner = partners(t)
     order = []
     p = 1
     while p <= 2 * n:
@@ -173,7 +183,7 @@ def chi(c):
     the sink run before it, renumbering points by the new order."""
     n = c.n
     big = ChordDiagram(list(c) + [(2 * n + 1, 2 * n + 2)])
-    partner = big.partner()
+    partner = partners(big)
     order = []
     run = []
     for p in range(1, 2 * n + 3):
@@ -613,7 +623,7 @@ def valency_parts(d):
     are deleted, stopping at i's own sink or at a block that cannot close
     before reaching it."""
     adj = d.adjacency()
-    partner = d.partner()
+    partner = partners(d)
     out = []
     for i, (x, y) in enumerate(d.pairs, 1):
         # a left neighbor b crosses no chord after i iff its mask has no bit >= i

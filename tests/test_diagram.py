@@ -4,6 +4,7 @@ components, and the text/JSON wire formats."""
 import pytest
 from hypothesis import given, strategies as st
 
+import recursive_maps
 from chordlab.diagram import ChordDiagram, concat_all
 from conftest import Ca, Cb, Cc, Ce, Cg, K3, N2, sweep
 
@@ -57,7 +58,7 @@ def test_empty_diagram():
 
 @given(diagrams())
 def test_partner_is_fixed_point_free_involution(d):
-    p = d.partner()
+    p = recursive_maps.partners(d)
     assert len(p) == 2 * d.n
     for point in range(1, 2 * d.n + 1):
         assert p[p[point - 1] - 1] == point

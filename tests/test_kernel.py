@@ -314,8 +314,8 @@ def test_minimum_separators_match_networkx():
     checked = 0
     for d in every_diagram():
         g = crossing_graph(d)
-        k = vertex_connectivity(d)
-        got = minimum_separators(d.adjacency(), k)
+        k, got = minimum_separators(d.adjacency())
+        assert k == vertex_connectivity(d), d
         if d.n * (d.n - 1) == 2 * g.number_of_edges():
             cuts = set()  # a complete graph has no separator
         elif not nx.is_connected(g):
@@ -329,6 +329,9 @@ def test_minimum_separators_match_networkx():
             assert sorted(parts) == want, d
         checked += len(got)
     assert checked > 0
+    # at size 7 only κ is compared, with the max-flow connectivity
+    for d in all_diagrams(7):
+        assert minimum_separators(d.adjacency())[0] == vertex_connectivity(d), d
 
 
 def test_vertex_connectivity_matches_networkx_beyond_exhaustive_sizes():

@@ -257,3 +257,11 @@ def test_apart_masks_match_the_point_walk():
     for n in range(8):
         for d in all_diagrams(n):
             assert _apart_masks(d) == recursive_maps.apart_masks(d), d
+
+
+def test_traced_subdiagram_refuses_a_label_outside_the_chords():
+    # 0 and n + 1 sit just outside 1..n; 9 is past every crossing mask
+    d = ChordDiagram.from_text("(1,3)(2,5)(4,6)")
+    for label in (0, 4, 9):
+        with pytest.raises(ValueError, match="no chord %d in a diagram of 3 chords" % label):
+            traced_subdiagram(d, label)

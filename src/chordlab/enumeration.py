@@ -23,16 +23,19 @@ the children from it, and a class size (`count_members`, `census`,
 `count_class`, `pattern_free_count`) adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
 (`_site_columns`), without building the children. The size of "all" counts
-the stream. Two tables come from a recurrence over smaller sizes and walk
-no diagram (`_recurrence`): "all" by crossings, nestings and terminal
-chords (`_histories`), and "connected" by t1 and terminal chords, over the
+the stream. `members`, `count_members` and `count_class` read a class and
+a variant by one rule (`_root_key`), so `tcf_refined`, the paper's
+connected top-cycle-free count by t1, is the t1 column of `count_class`.
+Two tables come from a recurrence over smaller sizes and walk no diagram
+(`_recurrence`): "all" by crossings, nestings and terminal chords
+(`_histories`), and "connected" by t1 and terminal chords, over the
 paper's root share (`_root_shares`).
 
-`tally` is the one loop that counts built diagrams: `class_census`,
-`tcf_refined` and the counts of the other modules are key functions over
-it. `class_census` tests every diagram of the stream, one cycle profile
-each: the independent sweep for the site rows of `conjectures` and
-`series`, which of the checks only `enum-jelinek-equalities` reads.
+`tally` counts built diagrams by a key function, for the two sweeps that
+measure each diagram: `class_census`, which tests every diagram of the
+stream, one cycle profile each, and is the independent sweep for the site
+rows of `conjectures` and `series` (of the checks only
+`enum-jelinek-equalities` reads it), and the series weight tally.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .structure import (
     mask_order,
     minimum_separators,
     terminal_labels,
-    t1,
 )
 
 
@@ -335,17 +337,19 @@ _SHARE_STATS = ("t1", "terminal-count")
 _T1_DISCONNECTED = "statistic t1 needs connected diagrams; class %s has disconnected members"
 
 
-def count_class(n: int, cls: str = "all", statistics: tuple[str, ...] = ()) -> dict[tuple, int]:
+def count_class(
+    n: int, cls: str = "all", statistics: tuple[str, ...] = (), variant: str = "all"
+) -> dict[tuple, int]:
     """The rows (n, *statistic values) -> count of the size-n diagrams of a
-    class, refined by the named statistics, with no child built: by a
-    recurrence over smaller sizes (`_recurrence`: `_histories` or
-    `_root_shares`), or off the root-insertion sites (`_site_columns`);
+    variant of a class, refined by the named statistics, with no child
+    built: by a recurrence over smaller sizes (`_recurrence`: `_histories`
+    or `_root_shares`), or off the root-insertion sites (`_site_columns`);
     only n = 0 tallies a built diagram. A plain count, and so `census`,
     walks the class."""
-    return _count_class_share((n, cls, tuple(statistics), None))
+    return _count_class_share((n, cls, tuple(statistics), None), variant)
 
 
-def _count_class_share(args) -> dict[tuple, int]:
+def _count_class_share(args, variant: str = "all") -> dict[tuple, int]:
     """The count_class rows of one work item of count_classes_parallel, or
     of the whole class if `share` is None. The plain count of "all" is
     shared out by the first chord (1, share), and the others by the first
@@ -356,17 +360,17 @@ def _count_class_share(args) -> dict[tuple, int]:
             raise ValueError("unknown statistic: %s" % stat)
         if stat in statistics[:i]:
             raise ValueError("statistic given twice: %s" % stat)
-    key, variant = _root_key(cls)
+    key, variant = _root_key(cls, variant)
     if not statistics:
         total = _count(n, key, variant, share)
         return {(n,): total} if total else {}
-    recurrence = _recurrence(cls, statistics)
+    recurrence = _recurrence(key, variant, statistics)
     if recurrence:
         return recurrence(n, statistics)
     if n == 0:
         # the one diagram of size 0 is the empty one: disconnected, and 0
         # by every statistic
-        empty = count_members(0, cls)
+        empty = _count(0, key, variant)
         if "t1" in statistics and empty:
             raise ValueError(_T1_DISCONNECTED % cls)
         return {(0,) * (len(statistics) + 1): empty} if empty else {}
@@ -385,16 +389,17 @@ def _count_class_share(args) -> dict[tuple, int]:
     return dict(counts)
 
 
-def _recurrence(cls: str, statistics: tuple[str, ...]) -> Callable | None:
-    """The recurrence that counts the table of a class by `statistics`
-    from smaller sizes, walking no diagram: `_histories` for "all" by
-    crossings, nestings and terminal-count, `_root_shares` for "connected"
-    by t1 and terminal-count; None for a plain count or any other table."""
-    if not statistics:
+def _recurrence(key, variant: str, statistics: tuple[str, ...]) -> Callable | None:
+    """The recurrence that counts the table of `_root_key` (key, variant)
+    by `statistics` from smaller sizes, walking no diagram: `_histories`
+    for "all" by crossings, nestings and terminal-count, `_root_shares`
+    for "connected" by t1 and terminal-count; None for a plain count or
+    any other table."""
+    if not statistics or key != "all":
         return None
-    if _ARC_STATS.issuperset(statistics) and _root_key(cls) == ("all", "all"):
+    if _ARC_STATS.issuperset(statistics) and variant == "all":
         return _histories
-    if set(statistics).issubset(_SHARE_STATS) and _root_key(cls) == ("all", "connected"):
+    if set(statistics).issubset(_SHARE_STATS) and variant == "connected":
         return _root_shares
     return None
 
@@ -550,7 +555,7 @@ def count_classes_parallel(
     the root-insertion sites, shared out by the first chord of the
     parents. A class's rows are added up in the order of its items."""
     jobs = _pool_size(n, jobs)
-    shared = [c for c in classes if not _recurrence(c, statistics)]
+    shared = [c for c in classes if not _recurrence(*_root_key(c), statistics)]
     if jobs <= 1 or n <= 1 or not shared:
         return {c: count_class(n, c, statistics) for c in classes}
     work = [
@@ -606,9 +611,11 @@ def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
 
 @lru_cache(maxsize=None)
 def tcf_refined(n: int) -> Mapping[int, int]:
-    """Connected top-cycle-free counts of size n, refined by t1. Cached, and
-    read-only."""
-    return MappingProxyType(tally(n, t1, "top-cycle-free", "connected"))
+    """Connected top-cycle-free counts of size n by t1, in ascending t1: the
+    t1 column of `count_class`, read off the root-insertion sites. Cached,
+    and read-only."""
+    rows = count_class(n, "top-cycle-free", ("t1",), "connected")
+    return MappingProxyType({t: rows[n, t] for _, t in sorted(rows)})
 
 
 @lru_cache(maxsize=None)

@@ -204,6 +204,20 @@ def test_series_root_share_reports_a_moved_weight_sum_coefficient(monkeypatch):
     assert {k: rep["details"]["first_failure"][k] for k in ("n", "i")} == {"n": 3, "i": 1}
 
 
+@pytest.mark.parametrize("check_id", ["enum-tcf-refined", "omega-code-suite"])
+def test_tcf_totals_are_compared_over_the_sizes_listed(monkeypatch, check_id):
+    totals = (1, 1, 3, 13, 68, 399)
+    assert checks.TCF_TOTALS[:6] == totals
+    # past the sizes listed, the closed forms alone check the counts
+    monkeypatch.setattr(checks, "TCF_TOTALS", totals[:3])
+    rep = run_check(check_id, 6)
+    assert rep["ok"] and rep["details"]["totals"] == list(totals)
+    monkeypatch.setattr(checks, "TCF_TOTALS", (1, 1, 3, 13, 67, 399, 2530, 16965))
+    rep = run_check(check_id, 6)
+    assert not rep["ok"]
+    assert rep["details"] == {"totals": list(totals), "expect": [1, 1, 3, 13, 67, 399]}
+
+
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
 def test_every_check_passes_at_smoke_budget(check_id):
     budget = min(CHECKS[check_id].budget, 4)

@@ -3,6 +3,8 @@ calibration rows that are theorems, and determinism."""
 
 import json
 
+import pytest
+
 from chordlab.conjectures import (
     STANDARD_CONJECTURES,
     conjecture_report,
@@ -11,6 +13,7 @@ from chordlab.conjectures import (
     standard_reports,
     variant_counts,
 )
+from chordlab.enumeration import count_class, count_members
 
 
 def test_variant_counts_small_values():
@@ -68,3 +71,14 @@ def test_sequence_lines_are_plain_integers():
     rep = conjecture_report("top-cycle-free", "catalan", 4)
     lines = sequence_lines(rep, "one-terminal")
     assert lines == ["1", "1", "2", "5"]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_conjecture_classes_by_terminal_count_add_up(n):
+    # README records these rows for n <= 8, to look up by hand
+    for c in STANDARD_CONJECTURES:
+        rows = count_class(n, c.class_name, ("terminal-count",), c.variant)
+        assert sum(rows.values()) == count_members(n, c.class_name, c.variant), c.name
+        # one terminal chord makes a diagram connected
+        connected = count_class(n, c.class_name, ("terminal-count",), "connected")
+        assert connected.get((n, 1), 0) == count_members(n, c.class_name, "one-terminal"), c.name

@@ -426,20 +426,30 @@ def leaf_statistics(n):
     return out
 
 
+# the leaves of a variant of a class, by their statistics
+IN_VARIANT = {
+    "all": lambda values: True,
+    "connected": lambda values: values["t1"] is not None,
+    "one-terminal": lambda values: values["terminal-count"] == 1,
+}
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_site_rules_match_the_leaf_statistics(n):
-    for cls in SITE_CLASSES if n == 7 else SITE_CLASSES_TO_SIX:
-        for stats in SITE_STAT_SETS:
-            want = Counter()
-            for (inside, values), count in leaf_statistics(n).items():
-                if cls in inside:
+    # every variant of each class up to n = 6, and "all" at n = 7
+    for variant in ("all",) if n == 7 else VARIANTS:
+        for cls in SITE_CLASSES if n == 7 else SITE_CLASSES_TO_SIX:
+            for stats in SITE_STAT_SETS:
+                want = Counter()
+                for (inside, values), count in leaf_statistics(n).items():
                     values = dict(values)
-                    want[(n, *(values[s] for s in stats))] += count
-            if "t1" in stats and any(k[1 + stats.index("t1")] is None for k in want):
-                with pytest.raises(ValueError, match="class %s has disconnected" % cls):
-                    count_class(n, cls, stats)
-            else:
-                assert count_class(n, cls, stats) == want, (cls, stats)
+                    if cls in inside and IN_VARIANT[variant](values):
+                        want[(n, *(values[s] for s in stats))] += count
+                if "t1" in stats and any(k[1 + stats.index("t1")] is None for k in want):
+                    with pytest.raises(ValueError, match="class %s has disconnected" % cls):
+                        count_class(n, cls, stats, variant)
+                else:
+                    assert count_class(n, cls, stats, variant) == want, (cls, stats, variant)
 
 
 def test_site_rows_do_not_depend_on_the_job_count():
@@ -580,7 +590,8 @@ def connected_t1_terminals(n):
 def test_root_shares_match_a_per_diagram_tally(n):
     measured = connected_t1_terminals(n)
     for stats in SHARE_STAT_SETS:
-        assert enumeration._recurrence("connected", stats) is enumeration._root_shares
+        root = enumeration._root_key("connected")
+        assert enumeration._recurrence(*root, stats) is enumeration._root_shares
         want = Counter()
         for values, count in measured.items():
             named = dict(zip(("t1", "terminal-count"), values))
@@ -605,7 +616,7 @@ def test_root_shares_match_the_counts_beyond_the_sweep(n):
 
 def test_root_share_t1_rows_match_the_site_walk(monkeypatch):
     shares = count_class(8, "connected", ("t1",))
-    monkeypatch.setattr(enumeration, "_recurrence", lambda cls, stats: None)
+    monkeypatch.setattr(enumeration, "_recurrence", lambda *_: None)
     assert count_class(8, "connected", ("t1",)) == shares
     assert sum(shares.values()) == A000699[8]
 
@@ -674,12 +685,53 @@ def test_class_census_cross_class_identities():
 
 
 def test_tcf_refined_matches_corollary_counts():
-    for n in range(1, 6):
+    for n in range(1, 9):
         refined = tcf_refined(n)
-        assert refined == {
-            i: corollary_count(n, i) for i in range(min(2, n), n + 1)
-        }
+        assert list(refined.items()) == [
+            (i, corollary_count(n, i)) for i in range(min(2, n), n + 1)
+        ]
         assert sum(refined.values()) == corollary_sum(n)
+
+
+def tcf_refined_by_tally(n):
+    """The per-diagram oracle of `tcf_refined`: t1 measured on each built
+    member of the connected variant of top-cycle-free."""
+    return tally(n, t1, "top-cycle-free", "connected")
+
+
+def test_tcf_refined_matches_the_per_diagram_tally():
+    for n in range(8):
+        assert tcf_refined.__wrapped__(n) == tcf_refined_by_tally(n), n
+
+
+def test_tcf_refined_builds_no_diagram_of_the_counted_size(monkeypatch):
+    sizes = Counter()
+    real = enumeration.insert_root
+
+    def counted(pairs, adj, k, r):
+        sizes[len(pairs) + 1] += 1
+        return real(pairs, adj, k, r)
+
+    monkeypatch.setattr(enumeration, "insert_root", counted)
+    assert sum(tcf_refined.__wrapped__(7).values()) == 2530
+    assert sizes[7] == 0 and sizes[6] > 0, sizes
+
+
+def test_count_class_takes_the_variant_of_count_members():
+    for n in (0, 3):
+        for cls, stats in (("all", ()), ("K3-free", ("crossings",)), ("connected", ("t1",))):
+            with pytest.raises(ValueError, match="^unknown variant: bogus$"):
+                count_class(n, cls, stats, "bogus")
+    assert count_class(0, "top-cycle-free", ("t1",), "connected") == {}
+    # the class's own variant still refuses t1, and names the class
+    with pytest.raises(ValueError, match="class top-cycle-free has disconnected"):
+        count_class(5, "top-cycle-free", ("t1",))
+    # the connected variant of "all" is "connected", down to its recurrence
+    stats = ("t1", "terminal-count")
+    root = enumeration._root_key("all", "connected")
+    assert enumeration._recurrence(*root, stats) is enumeration._root_shares
+    for n in range(9):
+        assert count_class(n, "all", stats, "connected") == count_class(n, "connected", stats), n
 
 
 def direct_variants(n, cls):

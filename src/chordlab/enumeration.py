@@ -11,8 +11,10 @@ intersection order filled in:
   S's last indecomposable block, so that no proper prefix closes up;
 - the hereditary classes, closed under removing the root (noncrossing,
   nonnesting, the cycle classes and the pattern classes such as
-  "K3-free"): S is in the class, and `patterns.root_members` tests only
-  the configurations that use the new root;
+  "K3-free", "N3-free" and "perm-213-free"): S is in the class, and
+  `patterns.root_members` tests only the configurations that use the new
+  root, by a mask rule, or by an embedding at the root for a pattern
+  other than K_k and N_k;
 - the VARIANTS "connected" and "one-terminal" of any class, those of "all"
   being the classes of these names: the class's walk, keeping the children
   whose root crosses every component of S, over one-terminal S only for

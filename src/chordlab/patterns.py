@@ -17,16 +17,22 @@ Two algorithms do the work, both over the crossing masks of the diagram:
 
 The hereditary classes (closed under removing the root chord) are built
 by root insertion in `enumeration`. `root_members` decides which roots over
-a member of size n-1 keep the class, testing only what uses the new root:
-by a mask rule for the named classes, with no child built, and by the
-embedding anchored at the root for a pattern class. `in_class` stays the
-per-diagram predicate, independent of this.
+a member of size n-1 keep the class, testing only what uses the new root,
+with no child built. A mask rule decides the named classes and the
+complete and nesting patterns K_k and N_k, told apart by their own pairs:
+K_k-free asks for no k - 1 pairwise crossing chords among those the root
+crosses (noncrossing and triangle-free are K2 and K3), and N_k-free for no
+k - 1 mutually nesting chords closed inside the root (nonnesting is N2).
+Any other pattern, such as a permutation diagram, runs the embedding
+anchored at the root, which stays the oracle of both rules. `in_class`
+stays the per-diagram predicate, independent of this.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .diagram import ChordDiagram, _mask_labels, component_mask, component_masks, crossing_mask
@@ -376,21 +382,30 @@ def root_members(
     the root (1, k + 2) gives a member, for each k of `ks`. That root
     crosses the chords of s in the mask roots[k], and comps are the masks
     of s's components (None if not yet found). Only configurations that use
-    the root are tested: the others lie in s. No child is built."""
+    the root are tested: the others lie in s. No child is built.
+
+    The root is the child's first chord. A complete pattern K_m through it
+    is the root and m - 1 pairwise crossing chords of roots[k]; a nesting
+    pattern N_m through it is the root over m - 1 mutually nesting chords
+    that close among s's first k points. Noncrossing (K2), nonnesting (N2)
+    and triangle-free (K3) are read by the same two rules."""
+    rule = _rule(key)
+    if rule is not None:
+        complete, size = rule
+        if not complete:
+            low = _nesting_close(s.pairs, size)
+            return sum(1 << k for k in ks if k < low)
+        if size > 1:
+            adj = s.adjacency()
+            return sum(1 << k for k in ks if not _holds_clique(adj, roots[k], size))
+        # a single chord is a clique, and the empty set is one of every
+        # size below it
+        return sum(1 << k for k in ks if not roots[k]) if size == 1 else 0
+    if isinstance(key, ChordDiagram):
+        return _pattern_free_roots(s, key, roots, ks)
     adj = s.adjacency()
     if comps is None and key in ("tree", "bipartite"):
         comps = component_masks(adj)
-    if isinstance(key, ChordDiagram):
-        return _pattern_free_roots(s, key, roots, ks)
-    if key == "noncrossing":
-        return sum(1 << k for k in ks if not roots[k])
-    if key == "nonnesting":
-        # no chord of s may close inside the root
-        low = min((b for _, b in s.pairs), default=1)
-        return sum(1 << k for k in ks if k < low)
-    if key == "triangle-free":
-        # the root's neighbours must be pairwise non-crossing
-        return sum(1 << k for k in ks if not crossing_mask(adj, roots[k]) & roots[k])
     if key == "tree":
         # a second neighbour in one component of s closes a cycle
         return sum(1 << k for k in ks if all(_at_most_one(roots[k] & c) for c in comps))
@@ -402,6 +417,61 @@ def root_members(
             if all(not roots[k] & a or not roots[k] & (c ^ a) for c, a in sides)
         )
     return _cycle_free_roots(key, adj, roots, ks)
+
+
+@lru_cache
+def _rule(key: str | ChordDiagram) -> tuple[bool, int] | None:
+    """How root_members reads the classes that forbid a complete or a
+    nesting pattern: (True, m - 1) for K_m, whose pairs are (i, m + i),
+    and (False, m - 1) for N_m, whose pairs are (i, 2m + 1 - i), the
+    number of chords the pattern needs besides the root; noncrossing is
+    K2-free, nonnesting N2-free and triangle-free K3-free. None for any
+    other key. K1 = N1 reads as K1."""
+    if isinstance(key, str):
+        return {"noncrossing": (True, 1), "nonnesting": (False, 1), "triangle-free": (True, 2)}.get(key)
+    m = key.n
+    if all(p == (i, m + i) for i, p in enumerate(key.pairs, 1)):
+        return True, m - 1
+    if all(p == (i, 2 * m + 1 - i) for i, p in enumerate(key.pairs, 1)):
+        return False, m - 1
+    return None
+
+
+def _holds_clique(adj: tuple[int, ...], mask: int, size: int) -> bool:
+    """Do `size` >= 2 pairwise crossing chords lie in the mask? Each branch
+    takes the lowest chord left and keeps its later neighbours, and ends
+    when fewer than `size` chords are left; the recursion is size - 1
+    deep."""
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        mask ^= low
+        later = adj[low.bit_length() - 1] & mask
+        if later if size == 2 else _holds_clique(adj, later, size - 1):
+            return True
+    return False
+
+
+def _nesting_close(pairs: tuple[tuple[int, int], ...], size: int) -> int:
+    """The point of the diagram with these pairs at which `size` mutually
+    nesting chords have first all closed (2n + 1 if never, 0 for size <= 0).
+
+    In sink order the sources of a nesting chain fall, so the longest
+    chain with each chord outermost is one more than the longest falling
+    run of sources before it. Patience sorting keeps, for each length, the
+    largest source that ends a run of that length (negated, to keep the
+    list ascending)."""
+    if size <= 0:
+        return 0
+    ends: list[int] = []
+    for a, b in sorted(pairs, key=itemgetter(1)):
+        j = bisect_left(ends, -a)
+        if j == len(ends):
+            if j + 1 == size:
+                return b
+            ends.append(-a)
+        else:
+            ends[j] = -a
+    return 2 * len(pairs) + 1
 
 
 def _at_most_one(mask: int) -> bool:
@@ -464,7 +534,8 @@ def _first_chords(k: int, r: int) -> int:
 
 
 def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int], ks: list[int]) -> int:
-    """root_members for a pattern class: the embedding with the pattern's
+    """root_members for a pattern other than K_k and N_k, and the oracle of
+    their rules: the embedding with the pattern's
     first chord pinned to the root, on s's relation masks moved up one chord
     behind the root's own. The root is the child's first chord, so every
     later-chord mask of s carries over."""

@@ -10,7 +10,7 @@ over the pairs, the crossing masks and `open_masks`: no walk over points.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, count
 
 from .diagram import (
     ChordDiagram, _mask_labels, _set_order, component_mask, component_masks, open_masks,
@@ -280,10 +280,13 @@ def minimum_separators(adj: tuple[int, ...]) -> tuple[int, list[tuple[int, list[
     first k at which some X disconnects the graph; each such X comes with
     the component masks of the rest. X = 0 with its components for a
     disconnected graph; a complete graph on m chords has no separator
-    and gives (max(m - 1, 0), [])."""
+    and gives (max(m - 1, 0), []) at once, with no chord set tried; a
+    nearly complete one still tries every set below κ."""
     m = len(adj)
+    if all(x.bit_count() == m - 1 for x in adj):
+        return max(m - 1, 0), []
     full = (1 << m) - 1
-    for k in range(m - 1):  # removing m - 1 chords leaves one, connected
+    for k in count():  # two chords that do not cross are cut apart by the m - 2 others
         out = []
         for chords in combinations([1 << j for j in range(m)], k):
             x = sum(chords)
@@ -293,7 +296,6 @@ def minimum_separators(adj: tuple[int, ...]) -> tuple[int, list[tuple[int, list[
                 out.append((x, [comp, *component_masks(adj, rest ^ comp)]))
         if out:
             return k, out
-    return max(m - 1, 0), []
 
 
 def is_k_connected(d: ChordDiagram, k: int) -> bool:

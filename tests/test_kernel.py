@@ -10,6 +10,7 @@ definition.
 """
 
 import random
+import time
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -23,6 +24,7 @@ from chordlab.diagram import (
     ChordDiagram, _mask_labels, _set_adj, component_masks, insert_root, open_masks, root_masks,
 )
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
+from chordlab.patterns import complete_diagram
 from chordlab.series import _weight_tally
 from chordlab.structure import (
     intersection_order,
@@ -332,6 +334,20 @@ def test_minimum_separators_match_networkx():
     # at size 7 only κ is compared, with the max-flow connectivity
     for d in all_diagrams(7):
         assert minimum_separators(d.adjacency())[0] == vertex_connectivity(d), d
+
+
+def test_minimum_separators_of_a_complete_crossing_graph_try_no_chord_set(monkeypatch):
+    # every chord set below m - 1 leaves the complete graph connected, so
+    # trying them all would take about 2^m component scans: 0.4 s at m = 18
+    scans = []
+    real = structure.component_mask
+    monkeypatch.setattr(structure, "component_mask", lambda *args: scans.append(1) or real(*args))
+    start = time.perf_counter()
+    for m in range(19):
+        d = complete_diagram(m)
+        assert minimum_separators(d.adjacency()) == (vertex_connectivity(d), []), m
+    assert scans == []
+    assert time.perf_counter() - start < 0.05
 
 
 def test_vertex_connectivity_matches_networkx_beyond_exhaustive_sizes():

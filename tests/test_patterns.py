@@ -7,13 +7,15 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from chordlab.diagram import ChordDiagram, _mask_labels, insert_root, open_masks, root_masks
-from chordlab.enumeration import members
+from chordlab import patterns
+from chordlab.diagram import ChordDiagram, _mask_labels, crossing_mask, insert_root, open_masks, root_masks
+from chordlab.enumeration import count_members, members
 from chordlab.patterns import (
     CLASS_NAMES,
     CYCLE_CLASSES,
     _induced_cycles,
     _kind,
+    _pattern_free_roots,
     bottom_cycle,
     complete_diagram,
     contains_any_bottom_cycle,
@@ -272,3 +274,73 @@ def test_cycle_class_mask_rules_match_the_cycle_search(key, parents):
             assert root_members(key, s, open_masks(s), None, ks) == want, s
             seen += 1
     assert seen == parents
+
+
+# Each complete or nesting class with the largest parent size at which its
+# rule is compared with the embedding, and the number of member parents up
+# to it. K5 and N5 stop one size short of the rest: the embedding on their
+# size-6 parents would add about 1 s to the 3 s that the rest take.
+RULE_CLASSES = [
+    ("K1-free", 6, 1), ("N1-free", 6, 1), ("K2-free", 6, 197), ("N2-free", 6, 197),
+    ("K3-free", 6, 5416), ("N3-free", 6, 5416), ("K4-free", 6, 10482), ("N4-free", 6, 10482),
+    ("K5-free", 5, 1069), ("N5-free", 5, 1069),
+]
+
+
+@pytest.mark.parametrize("name, top, parents", RULE_CLASSES)
+def test_complete_and_nesting_rules_match_the_anchored_embedding(name, top, parents):
+    pattern = patterns.hereditary_key(name)
+    seen = 0
+    for n in range(top + 1):
+        ks = list(range(2 * n + 1))
+        for s in members(n, name, ordered=False):
+            roots = open_masks(s)
+            assert root_members(pattern, s, roots, None, ks) == _pattern_free_roots(s, pattern, roots, ks), s
+            seen += 1
+    assert seen == parents
+
+
+def test_the_empty_pattern_keeps_no_root():
+    for name in ("K0-free", "N0-free"):
+        pattern = patterns.hereditary_key(name)
+        for s in sweep(3):
+            roots = open_masks(s)
+            assert root_members(pattern, s, roots, None, list(range(7))) == 0, (name, s)
+            assert _pattern_free_roots(s, pattern, roots, list(range(7))) == 0, (name, s)
+
+
+def one_line_rule(key, s, roots, ks):
+    """The member roots of noncrossing, nonnesting and triangle-free over s,
+    each by the one-line rule of its own."""
+    if key == "noncrossing":
+        return sum(1 << k for k in ks if not roots[k])
+    if key == "nonnesting":
+        # no chord of s may close inside the root
+        low = min((b for _, b in s.pairs), default=1)
+        return sum(1 << k for k in ks if k < low)
+    # the root's neighbours must be pairwise non-crossing
+    adj = s.adjacency()
+    return sum(1 << k for k in ks if not crossing_mask(adj, roots[k]) & roots[k])
+
+
+@pytest.mark.parametrize("key, parents", [("noncrossing", 197), ("nonnesting", 197), ("triangle-free", 5416)])
+def test_named_complete_and_nesting_classes_match_their_one_line_rules(key, parents):
+    seen = 0
+    for n in range(7):
+        ks = list(range(2 * n + 1))
+        for s in members(n, key, ordered=False):
+            roots = open_masks(s)
+            assert root_members(key, s, roots, None, ks) == one_line_rule(key, s, roots, ks), s
+            seen += 1
+    assert seen == parents
+
+
+def test_complete_and_nesting_walks_never_embed(monkeypatch):
+    calls = []
+    real = patterns._embeds
+    monkeypatch.setattr(patterns, "_embeds", lambda *args: calls.append(1) or real(*args))
+    for name in ("K3-free", "N3-free", "K4-free", "N4-free", "K5-free", "N5-free"):
+        count_members.__wrapped__(6, name)
+    assert calls == []
+    count_members.__wrapped__(5, "perm-213-free")
+    assert calls

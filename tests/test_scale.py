@@ -3,6 +3,10 @@
 round-trip, and each closed form of `structure` agrees with the point walk
 it replaced (tests/recursive_maps).
 
+The complete and nesting rules of `patterns.root_members` are compared
+with the anchored embedding on uniform matchings of 40-120 chords as
+parents, with every root.
+
 The pairwise valency oracle is cubic, so it stays at n <= 7 and on 12-30
 chords (test_structure). Beta-grown inputs stop at 600 chords: building
 one takes n - 1 beta steps that each rebuild the intersection order, about
@@ -15,7 +19,9 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 import recursive_maps
+from chordlab import patterns
 from chordlab.bijections import alpha, beta
+from chordlab.diagram import open_masks
 from chordlab.structure import _apart_masks, source_sink_groups, t1, valencies
 from conftest import beta_grown, connected_matching, uniform_matching
 
@@ -55,3 +61,34 @@ def test_source_sink_groups_match_the_set_version_at_scale(d, data):
 def test_valencies_and_apart_masks_match_the_point_walks_at_scale(d):
     assert valencies(d) == [k + l for k, l in recursive_maps.valency_parts(d)]
     assert _apart_masks(d) == recursive_maps.apart_masks(d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.integers(0, 2**32), st.integers(40, 120))
+def test_complete_and_nesting_rules_match_the_anchored_embedding_at_scale(seed, n):
+    s = uniform_matching(n, random.Random(seed))
+    roots, ks = open_masks(s), list(range(2 * n + 1))
+    real = patterns._holds_clique
+    depth = deepest = 0
+
+    def tracked(adj, mask, size):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return real(adj, mask, size)
+        finally:
+            depth -= 1
+
+    patterns._holds_clique = tracked
+    try:
+        for pattern in (patterns.complete_diagram(3), patterns.complete_diagram(4),
+                        patterns.nesting_diagram(3), patterns.nesting_diagram(4)):
+            deepest = 0
+            got = patterns.root_members(pattern, s, roots, None, ks)
+            assert got == patterns._pattern_free_roots(s, pattern, roots, ks), pattern
+            # below the root, each level of the search places one chord
+            # and the last places two
+            assert deepest <= pattern.n - 2, (pattern, deepest)
+    finally:
+        patterns._holds_clique = real

@@ -2,10 +2,14 @@
 
 `all_pairs` walks every diagram of a size, and `members` of "all" is that
 stream. `all_texts` is the same walk as text: the listing of "all" prints
-it, and builds no diagram object. A diagram of size n is a root chord
-(1, p) over a diagram S of size n-1, and every other class is built that
-way one size down, with the children's crossing masks, connectivity and
-intersection order filled in:
+it, and builds no diagram object. The walk places chords one at a time
+down to six free points, and then joins each completion of those points,
+taken from a table of endings that the walk fills as it goes and drops
+when it ends.
+
+A diagram of size n is a root chord (1, p) over a diagram S of size n-1,
+and every other class is built that way one size down, with the
+children's crossing masks, connectivity and intersection order filled in:
 
 - indecomposable: S is any diagram, and the root holds the first point of
   S's last indecomposable block, so that no proper prefix closes up;
@@ -90,6 +94,13 @@ def all_texts(n: int) -> Iterator[str]:
     return _matchings(n, None, True) if n else iter(("()",))
 
 
+# `_matchings` completes a node with at most this many free points from its
+# table of endings. At n = 7, four is barely faster than one stack frame per
+# prefix, six takes half the time with a 0.3 MB table, and eight saves 10%
+# more with a 1.6 MB table
+_TAIL = 6
+
+
 def _matchings(n: int, branch: int | None, text: bool) -> Iterator:
     """The walk of `all_pairs`: each diagram is its chords' pieces joined in
     source order, the text "(a,b)" if `text`, else the pair tuple ((a, b),)."""
@@ -108,27 +119,35 @@ def _matchings(n: int, branch: int | None, text: bool) -> Iterator:
         raise ValueError("branch %r is not in branches(%d)" % (branch, n))
     # depth first on an explicit stack of (chords placed, free points): the
     # smallest free point is matched with every later one, and the children
-    # are pushed in reverse so that they pop in that order; the last four
-    # points give their three completions at once
+    # are pushed in reverse so that they pop in that order. A node with at
+    # most _TAIL free points yields its prefix joined to each of their
+    # completions, in walk order; those endings do not depend on the prefix,
+    # so each free-point tuple's are found once per walk, by the same rule
+    ends = {(): ("" if text else (),)}
+
+    def endings(free: tuple[int, ...]) -> tuple:
+        tail = ends.get(free)
+        if tail is None:
+            a = free[0] * m
+            tail = ends[free] = tuple(
+                piece[a + free[i]] + e
+                for i in range(1, len(free))
+                for e in endings(free[1:i] + free[i + 1:])
+            )
+        return tail
+
     pop = stack.pop
     push = stack.append
     while stack:
         prefix, free = pop()
         k = len(free)
-        if k > 4:
+        if k > _TAIL:
             a = free[0] * m
             for i in range(k - 1, 0, -1):
                 push((prefix + piece[a + free[i]], free[1:i] + free[i + 1:]))
-        elif k == 4:
-            a, p, q, r = free
-            a *= m
-            yield prefix + (piece[a + p] + piece[q * m + r])
-            yield prefix + (piece[a + q] + piece[p * m + r])
-            yield prefix + (piece[a + r] + piece[p * m + q])
-        elif free:
-            yield prefix + piece[free[0] * m + free[1]]
         else:
-            yield prefix
+            for e in endings(free):
+                yield prefix + e
 
 
 def all_diagrams(n: int) -> Iterator[ChordDiagram]:

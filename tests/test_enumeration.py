@@ -1,5 +1,6 @@
 """Exhaustive enumeration and the counting oracles it is checked against."""
 
+import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, zip_longest
@@ -108,10 +109,40 @@ def test_all_pairs_matches_the_recursive_generator():
         # the text stream is the same walk, written as to_text writes it
         for got, want in zip_longest(all_texts(n), recursive_maps.all_pairs(n)):
             assert got == ("".join("(%d,%d)" % p for p in want) or "()"), n
-    for n in range(7):
+    for n in range(8):
         for b in branches(n):
             for got, want in zip_longest(all_pairs(n, b), recursive_maps.all_pairs(n, b)):
                 assert got == tuple(want), (n, b)
+
+
+def test_each_walk_completes_from_its_own_endings():
+    # the last chords come from a table of endings that belongs to one walk:
+    # walks that interleave, or that follow another walk, whole or abandoned,
+    # of another size or kind, yield the recursive generator's stream
+    fresh = {n: [tuple(p) for p in recursive_maps.all_pairs(n)] for n in (5, 6)}
+    texts = ["".join("(%d,%d)" % p for p in pairs) for pairs in fresh[6]]
+    assert list(zip_longest(all_pairs(6), all_pairs(6))) == list(zip(fresh[6], fresh[6]))
+    assert list(zip_longest(all_pairs(6), all_texts(6))) == list(zip(fresh[6], texts))
+    half = all_pairs(7)
+    for _ in range(double_factorial(7) // 2):
+        next(half)
+    assert list(all_pairs(6)) == fresh[6]
+    assert sum(1 for _ in all_pairs(8)) == double_factorial(8)
+    assert list(all_pairs(5)) == fresh[5]
+
+
+# sha256 of the all_texts(8) stream, a line each, which is the stdout of
+# `enum --size 8 --jobs 1`: n = 8 is past the recursive generator's reach
+ALL_TEXTS_8_SHA256 = "3a7e4f928108c4e35f00b0c1a56cc3672402f12274535a9a894244d7258d5844"
+
+
+def test_the_size_8_stream_is_pinned():
+    digest = hashlib.sha256()
+    for text in all_texts(8):
+        digest.update(text.encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == ALL_TEXTS_8_SHA256
+    assert count_members(8) == double_factorial(8) == 2027025
 
 
 def test_all_pairs_walks_standard_pair_tuples_in_partner_order():

@@ -110,10 +110,10 @@ def _fail(**details) -> dict:
 def _domain(n: int, name: str, variant: str = "all") -> Iterable[ChordDiagram]:
     """The size-n members of a variant of a named class, in generation
     order, as `members` walks them: a class built by root insertion comes
-    with its crossing masks, connectivity and intersection order filled
-    in. Cached up to size 7; a larger size, which only the psi checks read
-    at their budget 8, is walked anew on each call. "all" is streamed by
-    `_sweep`, never cached."""
+    with its connectivity and intersection order filled in, and computes
+    its crossing masks on first read. Cached up to size 7; a larger size,
+    which only the psi checks read at their budget 8, is walked anew on
+    each call. "all" is streamed by `_sweep`, never cached."""
     if name in VARIANTS:  # "connected" is the connected variant of "all"
         name, variant = max(name, variant, key=VARIANTS.index), "all"
     if n > 7:
@@ -1115,7 +1115,7 @@ def _enum_catalan_classes(budget: int) -> dict:
         if nc != catalan(n) or nn != catalan(n):
             return _fail(n=n, noncrossing=nc, nonnesting=nn)
     for n in range(1, min(budget, 7) + 1):
-        nonnesting = list(members(n, "nonnesting"))
+        nonnesting = _domain(n, "nonnesting")
         for k in range(0, n + 1):
             got = sum(1 for d in nonnesting if is_k_connected(d, k))
             if got != catalan(n - k):

@@ -4,8 +4,8 @@ A diagram of size n is a perfect matching of the points 1..2n. Each chord
 is stored as a (source, sink) pair with source < sink, and chords are
 numbered 1..n in order of their sources (the standard order). The size-0
 diagram is a legitimate value. After the class comes the kernel on pairs
-and crossing masks: `open_masks`, `insert_root` (a child under a new root
-chord), `crossing_mask` and `component_masks`.
+and crossing masks: `open_masks` (their one writer), `insert_root` (a
+child under a new root chord), `crossing_mask` and `component_masks`.
 """
 
 from __future__ import annotations
@@ -320,33 +320,30 @@ def open_masks(d: ChordDiagram) -> list[int]:
     return opened
 
 
-def insert_root(pairs: tuple, adj: tuple[int, ...], k: int, r: int) -> ChordDiagram:
-    """The child of the diagram with these pairs and crossing masks under
-    the root (1, k + 2), which crosses the chords of the mask r, with its
-    crossing masks (`root_masks`) filled in."""
-    root, move = _root_moves(len(pairs))[k]
-    d = ChordDiagram._trusted((root, *map(move, pairs)))
-    _set_adj(d, root_masks(adj, r))
-    return d
+def insert_root(pairs: tuple, k: int) -> ChordDiagram:
+    """The child of the diagram with these pairs under the root (1, k + 2),
+    which computes its crossing masks on first read, by `open_masks`."""
+    moves = _moves(k)
+    return ChordDiagram._trusted((moves.root, *map(moves.__getitem__, pairs)))
 
 
-def root_masks(adj: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The crossing masks of `insert_root`'s child, with no child built:
-    the root is chord 1, and every chord moves up one label."""
-    return (r << 1, *[m << 1 | r >> j & 1 for j, m in enumerate(adj)])
+class _Moves(dict):
+    """A parent's pair (a, b) -> its place under the root (1, k + 2), made
+    on first use: the children of one root share these pair tuples, as
+    `all_pairs` does. A point p moves to p + 1 if p <= k, else to p + 2."""
+
+    __slots__ = ("k", "root")
+
+    def __init__(self, k: int):
+        self.k, self.root = k, (1, k + 2)
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int]:
+        a, b = pair
+        moved = self[pair] = (a + 1 + (a > self.k), b + 1 + (b > self.k))
+        return moved
 
 
-@lru_cache(maxsize=None)
-def _root_moves(m: int) -> list[tuple]:
-    """For each root (1, k + 2) over a parent of size m, the root and the
-    map from each pair (a, b) of the parent to its place in the child: the
-    children of one (m, k) share these pair tuples, as `all_pairs` does."""
-    moves = []
-    for k in range(2 * m + 1):
-        at = (0, *range(2, k + 2), *range(k + 3, 2 * m + 3))
-        table = {(a, b): (at[a], at[b]) for b in range(2, 2 * m + 1) for a in range(1, b)}
-        moves.append(((1, k + 2), table.__getitem__))
-    return moves
+_moves = lru_cache(maxsize=None)(_Moves)  # one table per root
 
 
 def crossing_mask(adj: tuple[int, ...], mask: int) -> int:

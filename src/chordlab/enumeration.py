@@ -9,7 +9,7 @@ when it ends.
 
 A diagram of size n is a root chord (1, p) over a diagram S of size n-1,
 and every other class is built that way one size down, with the
-children's crossing masks, connectivity and intersection order filled in:
+children's connectivity and intersection order filled in:
 
 - indecomposable: S is any diagram, and the root holds the first point of
   S's last indecomposable block, so that no proper prefix closes up;
@@ -208,20 +208,20 @@ def _grown(
         return
     if ks is None:
         ks = list(range(2 * n - 1))
-    # per parent: the member roots, the pairs and crossing masks, and the
-    # connected children's intersection order, which is the same for every k
+    # per parent, what all its roots share: the member roots, the pairs, the
+    # connected roots and the connected children's intersection order
     sites = (
-        (member, s.pairs, s.adjacency(), roots, connected,
+        (member, s.pairs, connected,
          connected and (1, *[x + 1 for x in _rest_order(s, comps)]))
-        for s, roots, member, connected, comps in _sites(n, key, variant, ks, ordered)
+        for s, _, member, connected, comps in _sites(n, key, variant, ks, ordered)
     )
     if ordered and len(ks) > 1:
         sites = list(sites)  # held for this call
         walk = ((k, site) for k in ks for site in sites if site[0] >> k & 1)
     else:
         walk = ((k, site) for site in sites for k in ks if site[0] >> k & 1)
-    for k, (_, pairs, adj, roots, connected, order) in walk:
-        d = insert_root(pairs, adj, k, roots[k])
+    for k, (_, pairs, connected, order) in walk:
+        d = insert_root(pairs, k)
         _set_connected(d, connected >> k & 1 == 1)
         if connected >> k & 1:
             _set_order(d, order)

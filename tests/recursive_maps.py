@@ -5,9 +5,10 @@ the recursive pair generator, gamma by face clustering and validate
 over an undirected edge set, the full mask search for the intersection
 order, the root-share split by a search over raw pairs, the source-sink
 groups by sorted points and set lookups, the path-by-path search for
-non-nesting induced paths, and the point walks that chordlab replaces with
-closed forms: each chord's valency parts and its apart mask, which read
-the partner array of the points.
+non-nesting induced paths, the crossing masks of a root-insertion child
+shifted from its parent's, and the point walks that chordlab replaces
+with closed forms: each chord's valency parts and its apart mask, which
+read the partner array of the points.
 
 They share with the fast paths only ChordDiagram itself (its validating
 constructor, `relation` and `point_labels`), the intersection
@@ -34,6 +35,13 @@ def partners(d):
         arr[a - 1] = b
         arr[b - 1] = a
     return tuple(arr)
+
+
+def root_masks(adj, r):
+    """The crossing masks of the child under a new root that crosses the
+    chords of the mask r, from the parent's masks adj, with no child
+    built: the root is chord 1, and every chord moves up one label."""
+    return (r << 1, *[m << 1 | r >> j & 1 for j, m in enumerate(adj)])
 
 
 def gen_pairs(points):

@@ -1,6 +1,7 @@
 """Exhaustive enumeration and the counting oracles it is checked against."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, zip_longest
@@ -350,12 +351,40 @@ def test_parallel_shares_match_the_leaf_filter(monkeypatch):
             assert tables[cls] == rows, (n, cls)
 
 
+# (sha256 of the members(7, cls) stream as text, a line each, bytes of
+# traced peak): the ordered walk holds per parent only what all its roots
+# share, and a child computes its crossing masks when read
+ORDERED_WALKS_7 = {
+    "connected": ("8e287aee0d3f278b5f04693b81f5f48274e865923db605c981820352a679e4fa", 4_000_000),
+    "indecomposable": ("f04661706522cf2f13296b52a2a5c39920a26ded43b37ab14b6e918cda4d1109", 4_000_000),
+    "top-cycle-free": ("756019516fb12a3d7c21c7340df6decf44f9d5de7ea8180a427855c2321807e8", 1_500_000),
+}
+
+
+@pytest.mark.parametrize("cls", ORDERED_WALKS_7)
+def test_ordered_walks_at_size_7_keep_their_stream_in_bounded_memory(cls):
+    want, bound = ORDERED_WALKS_7[cls]
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for d in members(7, cls):
+            digest.update(d.to_text().encode())
+            digest.update(b"\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == want
+    assert peak < bound, peak
+
+
 def test_root_insertion_fills_in_what_a_fresh_diagram_computes():
     for n in range(1, 7):
         for cls in (*ROOT_RULES, "indecomposable", "chordal", "K3-free", "perm-213-free"):
             for d in members(n, cls):
                 fresh = ChordDiagram._trusted(d.pairs)
-                assert d._adj == fresh.adjacency(), d
+                # the crossing masks are left to the child's first read
+                assert d._adj is None, d
+                assert d.adjacency() == fresh.adjacency(), d
                 assert d._connected == fresh.is_connected(), d
                 if d._connected:
                     assert d._order == intersection_order(fresh), d
@@ -739,9 +768,9 @@ def test_tcf_refined_builds_no_diagram_of_the_counted_size(monkeypatch):
     sizes = Counter()
     real = enumeration.insert_root
 
-    def counted(pairs, adj, k, r):
+    def counted(pairs, k):
         sizes[len(pairs) + 1] += 1
-        return real(pairs, adj, k, r)
+        return real(pairs, k)
 
     monkeypatch.setattr(enumeration, "insert_root", counted)
     assert sum(tcf_refined.__wrapped__(7).values()) == 2530

@@ -11,6 +11,7 @@ definition.
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from chordlab import cli, enumeration, structure
 from chordlab.bijections import chi
 from chordlab.diagram import (
-    ChordDiagram, _mask_labels, _set_adj, component_masks, insert_root, open_masks, root_masks,
+    ChordDiagram, _mask_labels, _set_adj, component_masks, insert_root, open_masks,
 )
 from chordlab.enumeration import all_diagrams, all_pairs, census, class_census, tcf_refined
 from chordlab.patterns import complete_diagram
@@ -33,7 +34,7 @@ from chordlab.structure import (
     vertex_connectivity,
 )
 from conftest import connected_matching, path_diagram, sweep, uniform_matching
-from recursive_maps import mask_order
+from recursive_maps import mask_order, root_masks
 
 MAX_N = 6
 
@@ -369,26 +370,50 @@ def test_intersection_order_of_a_large_diagram_needs_no_recursion():
     assert sorted(intersection_order(d)) == list(range(1, 2001))
 
 
+def fresh_child(s, k):
+    """The child of s under the root (1, k + 2), built by the validating
+    constructor from s's point labels with the root's two ends put in."""
+    labels = s.point_labels()
+    ends: dict[int, list[int]] = {}
+    for p, x in enumerate((0, *labels[:k], 0, *labels[k:]), 1):
+        ends.setdefault(x, []).append(p)
+    return ChordDiagram(tuple(e) for e in ends.values())
+
+
 def test_root_insertion_matches_a_fresh_diagram():
     # the child under the root (1, k + 2) from the parent's point labels,
     # and the root's mask from the chords with one end among the first k
-    # points, against `insert_root` and `root_masks`
+    # points, against `insert_root` and the shifted parent masks of
+    # `root_masks`
     checked = 0
     for n in range(6):
         for s in sweep(n):
             labels = s.point_labels()
             for k in range(2 * n + 1):
-                word = (0, *labels[:k], 0, *labels[k:])
-                ends: dict[int, list[int]] = {}
-                for p, x in enumerate(word, 1):
-                    ends.setdefault(x, []).append(p)
-                fresh = ChordDiagram(tuple(e) for e in ends.values())
+                fresh = fresh_child(s, k)
                 r = sum(1 << (x - 1) for x in set(labels[:k]) if labels[:k].count(x) == 1)
-                child = insert_root(s.pairs, s.adjacency(), k, r)
+                child = insert_root(s.pairs, k)
                 assert child.pairs == fresh.pairs, (s, k)
                 assert child.adjacency() == root_masks(s.adjacency(), r) == fresh.adjacency(), (s, k)
                 checked += 1
     assert checked == sum((2 * n + 1) * len(sweep(n)) for n in range(6))
+
+
+def test_root_insertion_over_2000_chords_is_linear():
+    # each root takes memory linear in the parent: its moved pairs, and the
+    # child computes its crossing masks only when read
+    s = uniform_matching(2000, random.Random(35))
+    for k in (0, 1, 1999, 3999, 4000):
+        tracemalloc.start()
+        try:
+            child = insert_root(s.pairs, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, (k, peak)
+        fresh = fresh_child(s, k)
+        assert child.pairs == fresh.pairs, k
+        assert child.adjacency() == fresh.adjacency(), k
 
 
 def test_components_within_a_chord_set_match_networkx():

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from chordlab import patterns
-from chordlab.diagram import ChordDiagram, _mask_labels, crossing_mask, insert_root, open_masks, root_masks
+from chordlab.diagram import ChordDiagram, _mask_labels, crossing_mask, insert_root, open_masks
 from chordlab.enumeration import count_members, members
 from chordlab.patterns import (
     CLASS_NAMES,
@@ -30,6 +30,7 @@ from chordlab.patterns import (
     top_cycle,
 )
 from conftest import Ca, Cb, Cc, Ce, Cg, K3, left_neighbors, sweep
+from recursive_maps import root_masks
 
 # -- brute-force oracles: chord subsets, pairwise relations and point ranks,
 # with none of the crossing masks, path search or embedding of the library
@@ -254,7 +255,7 @@ def cycle_search_roots(key, s, ks):
             if key == "chordal":
                 break
             if child is None:
-                child = insert_root(pairs, adj, k, roots[k])
+                child = insert_root(pairs, k)
             if _kind(child, cycle) == banned:
                 break
         else:

@@ -29,9 +29,12 @@ the children from it, and a class size (`count_members`, `census`,
 `count_class`, `pattern_free_count`) adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
 (`_site_columns`), without building the children. The size of "all" counts
-the stream. `members`, `count_members` and `count_class` read a class and
-a variant by one rule (`_root_key`), so `tcf_refined`, the paper's
-connected top-cycle-free count by t1, is the t1 column of `count_class`.
+the stream. `count_classes_parallel` gives worker j of a pool of jobs one
+part of the same walk: every jobs-th parent of `_sites` from parent j on,
+or for the plain count of "all", every jobs-th first chord of the stream.
+`members`, `count_members` and `count_class` read a class and a variant by
+one rule (`_root_key`), so `tcf_refined`, the paper's connected
+top-cycle-free count by t1, is the t1 column of `count_class`.
 Two tables come from a recurrence over smaller sizes and walk no diagram
 (`_recurrence`): "all" by crossings, nestings and terminal chords
 (`_histories`), and "connected" by t1 and terminal chords, over the
@@ -50,7 +53,7 @@ import multiprocessing
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping
 
@@ -191,11 +194,8 @@ def _root_key(cls: str, variant: str = "all") -> tuple[str | ChordDiagram, str]:
     return (cls if key is None else key), variant
 
 
-def _grown(
-    n: int, key, variant: str, ordered: bool, ks: list[int] | None = None
-) -> Iterator[ChordDiagram]:
-    """`members` built by root insertion over the parents of size n-1, with
-    the roots (1, k + 2) for k in `ks` (every root if None)."""
+def _grown(n: int, key, variant: str, ordered: bool) -> Iterator[ChordDiagram]:
+    """`members` built by root insertion over the parents of size n-1."""
     if n < 0:
         raise ValueError("size must be >= 0")
     if n == 0:
@@ -206,16 +206,15 @@ def _grown(
         if member and variant == "all":
             yield ChordDiagram._trusted(())
         return
-    if ks is None:
-        ks = list(range(2 * n - 1))
+    ks = range(2 * n - 1)
     # per parent, what all its roots share: the member roots, the pairs, the
     # connected roots and the connected children's intersection order
     sites = (
         (member, s.pairs, connected,
          connected and (1, *[x + 1 for x in _rest_order(s, comps)]))
-        for s, _, member, connected, comps in _sites(n, key, variant, ks, ordered)
+        for s, _, member, connected, comps in _sites(n, key, variant, ordered)
     )
-    if ordered and len(ks) > 1:
+    if ordered:
         sites = list(sites)  # held for this call
         walk = ((k, site) for k in ks for site in sites if site[0] >> k & 1)
     else:
@@ -228,57 +227,59 @@ def _grown(
         yield d
 
 
-def _count(n: int, key, variant: str = "all", share: int | None = None) -> int:
-    """count_members of a variant of `key`: for "all", of the diagrams
-    whose first chord is (1, share), if given; else of the children of the
-    parents whose first chord is (1, share)."""
+def _count(n: int, key, variant: str = "all", part: tuple[int, int] = (0, 1)) -> int:
+    """count_members of a variant of `key`, or the share of part j of
+    jobs, `part` = (j, jobs): for "all", of the diagrams whose first chord
+    is (1, b) for b in branches(n)[j::jobs]; else of the children of the
+    parents that `_sites` gives the part."""
     if key == variant == "all":
-        return sum(1 for _ in all_pairs(n, share))
+        j, jobs = part
+        if jobs == 1:
+            return sum(1 for _ in all_pairs(n))
+        # every branch holds (2n - 3)!! diagrams, so the parts are equal
+        return sum(1 for b in branches(n)[j::jobs] for _ in all_pairs(n, b))
     if n <= 0:
         return sum(1 for _ in _grown(n, key, variant, False))
-    sites = _sites(n, key, variant, share=share, components=False)
+    sites = _sites(n, key, variant, components=False, part=part)
     return sum(m.bit_count() for _, _, m, _, _ in sites)
 
 
 def _sites(
-    n: int, key, variant: str = "all", ks: list[int] | None = None, ordered: bool = False,
-    share: int | None = None, components: bool = True,
+    n: int, key, variant: str = "all", ordered: bool = False, components: bool = True,
+    part: tuple[int, int] = (0, 1),
 ) -> Iterator[tuple[ChordDiagram, list[int], int, int | None, list[int] | None]]:
-    """The root-insertion sites of size n >= 1: (s, *`_insertions`) for the
-    roots (1, k + 2), k in `ks` (every root if None), over each parent s of
-    size n-1 whose first chord is (1, share) (every parent if None), in
-    generation order if `ordered`; with the connected bits and the
-    components of s if `components`. The parents of "all" and
-    "indecomposable" are every diagram of size n-1, those of the other
-    classes and of their connected variant are the class's members. The
-    one-terminal variant grows over its own members: a one-terminal
+    """The root-insertion sites of size n >= 1: (s, *`_insertions`) over
+    the parents s of size n-1, in generation order if `ordered`; with the
+    connected bits and the components of s if `components`. Part j of
+    jobs, `part` = (j, jobs), takes every jobs-th parent of the walk from
+    parent j on, so that the parts interleave to the whole. The parents of
+    "all" and "indecomposable" are every diagram of size n-1, those of the
+    other classes and of their connected variant are the class's members.
+    The one-terminal variant grows over its own members: a one-terminal
     diagram less its root is one-terminal, and a child of a one-terminal s
     is one-terminal iff connected, since the root then crosses a chord."""
-    if ks is None:
-        ks = list(range(2 * n - 1))
+    j, jobs = part
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
     below = variant if variant == "one-terminal" and n > 1 else "all"
     if key in ("all", "indecomposable") and below == "all":
-        parents = map(ChordDiagram._trusted, all_pairs(n - 1, share))
+        parents = map(ChordDiagram._trusted, islice(all_pairs(n - 1), j, None, jobs))
     else:
-        # the parents whose first chord is (1, share) are the roots k = share - 2
-        parents = _grown(n - 1, key, below, ordered, None if share is None else [share - 2])
+        parents = islice(_grown(n - 1, key, below, ordered), j, None, jobs)
     for s in parents:
-        yield (s, *_insertions(s, key, variant, ks, components))
+        yield (s, *_insertions(s, key, variant, components))
 
 
-def _insertions(s: ChordDiagram, key, variant: str, ks: list[int], components: bool = True) -> tuple:
+def _insertions(s: ChordDiagram, key, variant: str, components: bool = True) -> tuple:
     """The root insertions over s. Returns the root's crossing mask over
     s's labels for each k (the root's sink follows k points of s), the bits
-    k of `ks` whose child is a member (every one for "all"), those whose
-    child is connected, and the masks of s's components. The last two are
-    None unless `components` or the variant reads them."""
+    k whose child is a member (every one for "all"), those whose child is
+    connected, and the masks of s's components. The last two are None
+    unless `components` or the variant reads them."""
     # the root crosses the chords with one end among s's first k points,
     # the chords open after them (none when they close up on their own)
     roots = open_masks(s)
-    # ks holds distinct roots 0..2m
-    every = (1 << len(roots)) - 1 if len(ks) == len(roots) else sum(1 << k for k in ks)
+    every = (1 << len(roots)) - 1
     comps = connected = None
     if components or variant != "all":
         comps = component_masks(s.adjacency())
@@ -313,7 +314,7 @@ def _insertions(s: ChordDiagram, key, variant: str, ks: list[int], components: b
             q -= 1
         member = every >> q + 1 << q + 1
     else:
-        member = root_members(key, s, roots, comps, ks)
+        member = root_members(key, s, roots, comps)
     if variant != "all":
         member &= connected
     return roots, member, connected, comps
@@ -367,15 +368,16 @@ def count_class(
     or `_root_shares`), or off the root-insertion sites (`_site_columns`);
     only n = 0 tallies a built diagram. A plain count, and so `census`,
     walks the class."""
-    return _count_class_share((n, cls, tuple(statistics), None), variant)
+    return _count_class_share((n, cls, tuple(statistics), (0, 1)), variant)
 
 
 def _count_class_share(args, variant: str = "all") -> dict[tuple, int]:
-    """The count_class rows of one work item of count_classes_parallel, or
-    of the whole class if `share` is None. The plain count of "all" is
-    shared out by the first chord (1, share), and the others by the first
-    chord of the root-insertion parents."""
-    n, cls, statistics, share = args
+    """The count_class rows of part j of jobs of a class, for the work item
+    (n, cls, statistics, (j, jobs)) of count_classes_parallel; (0, 1) is
+    the whole class. The plain count of "all" takes every jobs-th branch of
+    its stream from branch j on, and the others every jobs-th parent of
+    `_sites` from parent j on."""
+    n, cls, statistics, part = args
     for i, stat in enumerate(statistics):
         if stat not in STAT_NAMES:
             raise ValueError("unknown statistic: %s" % stat)
@@ -383,7 +385,7 @@ def _count_class_share(args, variant: str = "all") -> dict[tuple, int]:
             raise ValueError("statistic given twice: %s" % stat)
     key, variant = _root_key(cls, variant)
     if not statistics:
-        total = _count(n, key, variant, share)
+        total = _count(n, key, variant, part)
         return {(n,): total} if total else {}
     recurrence = _recurrence(key, variant, statistics)
     if recurrence:
@@ -397,16 +399,15 @@ def _count_class_share(args, variant: str = "all") -> dict[tuple, int]:
         return {(0,) * (len(statistics) + 1): empty} if empty else {}
     # tallied once per site (s, k) whose child is a member; only t1,
     # terminality and kappa read the connected bits and the components
-    ks = list(range(2 * n - 1))
     components = not _ARC_STATS.issuperset(statistics)
     counts: Counter = Counter()
-    for s, roots, member, connected, comps in _sites(n, key, variant, ks, False, share, components):
+    for s, roots, member, connected, comps in _sites(n, key, variant, False, components, part):
         if not member:
             continue
         if "t1" in statistics and member & ~connected:
             raise ValueError(_T1_DISCONNECTED % cls)
         rows = zip(repeat(n), *_site_columns(s, roots, connected, comps, statistics))
-        counts.update(compress(rows, [member >> k & 1 for k in ks]))
+        counts.update(compress(rows, [member >> k & 1 for k in range(len(roots))]))
     return dict(counts)
 
 
@@ -570,20 +571,16 @@ def count_classes_parallel(
     jobs: int = 1,
 ) -> dict[str, dict[tuple, int]]:
     """count_class for each of several classes, with one pool of at most
-    `jobs` workers mapping (class, share) work items: the plain count of
-    "all" is shared out by the first chord of its stream, a table with a
-    `_recurrence` is counted in this process, and every other item walks
-    the root-insertion sites, shared out by the first chord of the
-    parents. A class's rows are added up in the order of its items."""
+    `jobs` workers (`_pool_size`) mapping one work item (n, class,
+    statistics, (j, jobs)) per class and worker j: part j of the class's
+    count (`_count_class_share`), so that each worker walks the level
+    below the parents once. A table with a `_recurrence` is counted in
+    this process. A class's rows are added up in the order of its items."""
     jobs = _pool_size(n, jobs)
     shared = [c for c in classes if not _recurrence(*_root_key(c), statistics)]
     if jobs <= 1 or n <= 1 or not shared:
         return {c: count_class(n, c, statistics) for c in classes}
-    work = [
-        (n, c, statistics, b)
-        for c in shared
-        for b in branches(n if c == "all" and not statistics else n - 1)
-    ]
+    work = [(n, c, statistics, (j, jobs)) for c in shared for j in range(jobs)]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_count_class_share, work)
     tables: dict[str, dict[tuple, int]] = {c: {} for c in shared}

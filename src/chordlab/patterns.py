@@ -374,12 +374,10 @@ def hereditary_key(name: str) -> str | ChordDiagram | None:
     return _forbidden_pattern(name)
 
 
-def root_members(
-    key: str | ChordDiagram, s: ChordDiagram, roots: list[int], comps: list | None, ks: list[int]
-) -> int:
+def root_members(key: str | ChordDiagram, s: ChordDiagram, roots: list[int], comps: list | None) -> int:
     """Which root insertions over a member s of the hereditary class `key`
     (see hereditary_key) stay in the class: bit k of the result is set when
-    the root (1, k + 2) gives a member, for each k of `ks`. That root
+    the root (1, k + 2) gives a member, for each k < len(roots). That root
     crosses the chords of s in the mask roots[k], and comps are the masks
     of s's components (None if not yet found). Only configurations that use
     the root are tested: the others lie in s. No child is built.
@@ -393,30 +391,30 @@ def root_members(
     if rule is not None:
         complete, size = rule
         if not complete:
-            low = _nesting_close(s.pairs, size)
-            return sum(1 << k for k in ks if k < low)
+            # the roots k before that point, which is at most 2m + 1 = len(roots)
+            return (1 << _nesting_close(s.pairs, size)) - 1
         if size > 1:
             adj = s.adjacency()
-            return sum(1 << k for k in ks if not _holds_clique(adj, roots[k], size))
+            return sum(1 << k for k, r in enumerate(roots) if not _holds_clique(adj, r, size))
         # a single chord is a clique, and the empty set is one of every
         # size below it
-        return sum(1 << k for k in ks if not roots[k]) if size == 1 else 0
+        return sum(1 << k for k, r in enumerate(roots) if not r) if size == 1 else 0
     if isinstance(key, ChordDiagram):
-        return _pattern_free_roots(s, key, roots, ks)
+        return _pattern_free_roots(s, key, roots)
     adj = s.adjacency()
     if comps is None and key in ("tree", "bipartite"):
         comps = component_masks(adj)
     if key == "tree":
         # a second neighbour in one component of s closes a cycle
-        return sum(1 << k for k in ks if all(_at_most_one(roots[k] & c) for c in comps))
+        return sum(1 << k for k, r in enumerate(roots) if all(_at_most_one(r & c) for c in comps))
     if key == "bipartite":
         # within a component of s, the root's neighbours must share a colour
         sides = [(c, _colour_class(adj, c)) for c in comps]
         return sum(
-            1 << k for k in ks
-            if all(not roots[k] & a or not roots[k] & (c ^ a) for c, a in sides)
+            1 << k for k, r in enumerate(roots)
+            if all(not r & a or not r & (c ^ a) for c, a in sides)
         )
-    return _cycle_free_roots(key, adj, roots, ks)
+    return _cycle_free_roots(key, adj, roots)
 
 
 @lru_cache
@@ -492,7 +490,7 @@ def _colour_class(adj: tuple[int, ...], comp: int) -> int:
     return side
 
 
-def _cycle_free_roots(key: str, adj: tuple[int, ...], roots: list[int], ks: list[int]) -> int:
+def _cycle_free_roots(key: str, adj: tuple[int, ...], roots: list[int]) -> int:
     """root_members for chordal, top- and bottom-cycle-free, by mask rules.
     A cycle of four or more chords through the root joins two non-crossing
     chords of r = roots[k] through a component of s - r: of O_k, the chords
@@ -500,8 +498,7 @@ def _cycle_free_roots(key: str, adj: tuple[int, ...], roots: list[int], ks: list
     of r that cross one component of the side searched must pairwise cross."""
     full = (1 << len(adj)) - 1
     bits = 0
-    for k in ks:
-        r = roots[k]
+    for k, r in enumerate(roots):
         if key == "chordal":
             side = full ^ r
         elif crossing_mask(adj, r) & r:
@@ -533,7 +530,7 @@ def _first_chords(k: int, r: int) -> int:
     return (1 << (k + r.bit_count()) // 2) - 1
 
 
-def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int], ks: list[int]) -> int:
+def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int]) -> int:
     """root_members for a pattern other than K_k and N_k, and the oracle of
     their rules: the embedding with the pattern's
     first chord pinned to the root, on s's relation masks moved up one chord
@@ -542,15 +539,15 @@ def _pattern_free_roots(s: ChordDiagram, pattern: ChordDiagram, roots: list[int]
     n = s.n + 1
     # sized before its relation table, which is quadratic in the pattern
     if pattern.n > n:
-        return sum(1 << k for k in ks)
+        return (1 << len(roots)) - 1
     table = _relation_table(pattern.pairs)
     if not table:
         return 0
     cross, nest, right = ([m << 1 for m in ms] for ms in _relation_masks(s))
     full = (1 << s.n) - 1
     bits = 0
-    for k in ks:
-        r, o = roots[k], _first_chords(k, roots[k])
+    for k, r in enumerate(roots):
+        o = _first_chords(k, r)
         masks = ([r << 1, *cross], [(o ^ r) << 1, *nest], [(full ^ o) << 1, *right])
         if not _embeds(masks, n, table, 1):
             bits |= 1 << k

@@ -356,17 +356,23 @@ def test_a_size_budget_that_is_no_size_is_a_usage_error(monkeypatch, capsys, arg
 # for each root-insertion class listed and counted at one and two jobs, read
 # before those classes were built by root insertion, and for the tables of
 # "all" by crossings, nestings and terminal-count at one and two jobs, read
-# while they still walked the root-insertion sites; a change that moves one
-# changes what `enum` prints and must say so
+# while they still walked the root-insertion sites, and for the plain
+# counts of all and K3-free and two class tables at one and two jobs, read
+# while the pool still split the site walks by the parents' first chord; a
+# change that moves one changes what `enum` prints and must say so
 ENUM_SHA256 = [
     ('--jobs 1', '6143a4fb095eccf655ee5688634f8294e62ae4cbddca027d2fbd3019940a1339'),
     ('--jobs 1 --count', '552e5471bbfd498426887d2cbbde1fda9c1f8bb421f4c4ac71c4d48dfc0485b4'),
+    ('--jobs 2 --count', '552e5471bbfd498426887d2cbbde1fda9c1f8bb421f4c4ac71c4d48dfc0485b4'),
     ('--jobs 1 --format csv', '009380a86580f5c3cdff9e32c8d3348c2ce8306127a32e1e33c98006bbb755de'),
     ('--jobs 1 --format json', '3dfceda884a692fbf6792e91febb42231acc99d93d78292a65c97c138c0b618a'),
     ('--jobs 1 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
     ('--jobs 2 --class connected --stats t1,terminal-count', '6baeca1b0c402db0a11c3d75f3061be3592145ec2e9d521d1b1be0a1879d0c53'),
     ('--jobs 1 --class connected --stats terminal-count,t1 --format json', '628ca113eb1311d5588c0b8e84d1e8ed073e69fc2aac8f04a413e6a4214b1be4'),
     ('--jobs 1 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
+    ('--jobs 2 --class one-terminal --stats terminality,kappa', 'daf3bcfd5cff927bc9281f8672d399776cc5f8ab7e7aa0fa4b51993279451fab'),
+    ('--jobs 1 --class top-cycle-free --stats crossings', '4e790d47f6be542a45bad50471882d2890ea4199797c8c72d5bfa24b2382b980'),
+    ('--jobs 2 --class top-cycle-free --stats crossings', '4e790d47f6be542a45bad50471882d2890ea4199797c8c72d5bfa24b2382b980'),
     ('--jobs 1 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
     ('--jobs 2 --stats crossings,nestings', '8d66a11bc1bd3c2a767b5dc3dbd1407b286d1381c8db15be3d7666346c7183f4'),
     ('--jobs 1 --stats crossings,nestings,terminal-count --format json', '979f00fe172a0d45fc4d69ca04f94f865b8f5deb8cac2572e7bce81f029f9c5f'),
@@ -391,6 +397,8 @@ ENUM_SHA256 = [
     ('--jobs 2 --class indecomposable', '1e33ad8001f8dfca07b6cea84e18f5f596fc768b6d466981c27504230e2ac374'),
     ('--jobs 1 --class indecomposable --count', 'c38ac2f3379b08d5d62852d89684e47ee6014e8e9cf91265d2ea42339e9f3445'),
     ('--jobs 2 --class indecomposable --count', 'c38ac2f3379b08d5d62852d89684e47ee6014e8e9cf91265d2ea42339e9f3445'),
+    ('--jobs 1 --class K3-free --count', '0baf6e5b484537874c025ee485a08fde09d2607048a79697b17ed4eb75622eed'),
+    ('--jobs 2 --class K3-free --count', '0baf6e5b484537874c025ee485a08fde09d2607048a79697b17ed4eb75622eed'),
 ]
 
 

@@ -85,8 +85,8 @@ def test_one_pool_counts_several_classes(monkeypatch):
     monkeypatch.setattr(
         enumeration.multiprocessing, "Pool", lambda jobs: pools.append(jobs) or real_pool(jobs)
     )
-    # each class walks the root-insertion sites, shared out by the first
-    # chord of the parents
+    # each class walks the root-insertion sites, one work item per worker,
+    # each taking every second parent
     classes = ("connected", "one-terminal", "top-cycle-free", "K3-free", "indecomposable")
     for stats in (("crossings",), ()):
         tables = count_classes_parallel(5, classes, stats, jobs=2)
@@ -94,6 +94,41 @@ def test_one_pool_counts_several_classes(monkeypatch):
         for cls in classes:
             assert tables[cls] == count_class(5, cls, stats), (cls, stats)
     assert pools == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "cls, variant",
+    [
+        ("all", "all"),  # the parents are the pair stream
+        ("indecomposable", "all"),
+        ("K3-free", "all"),  # the parents are grown
+        ("top-cycle-free", "all"),
+        ("perm-213-free", "all"),
+        ("all", "one-terminal"),  # the parents are the variant's own members
+        ("K3-free", "one-terminal"),
+    ],
+)
+def test_the_parts_of_a_site_walk_interleave_to_the_whole(cls, variant):
+    key, variant = enumeration._root_key(cls, variant)
+    for n in range(1, 7):
+        whole = [(s.pairs, *rest) for s, *rest in enumeration._sites(n, key, variant)]
+        for jobs in (2, 3):
+            parts = [
+                [(s.pairs, *rest) for s, *rest in enumeration._sites(n, key, variant, part=(j, jobs))]
+                for j in range(jobs)
+            ]
+            # part j holds the parents j, j + jobs, ...
+            interleaved = [site for row in zip_longest(*parts) for site in row if site is not None]
+            assert interleaved == whole, (n, jobs)
+
+
+def test_the_parts_of_the_plain_count_of_all_add_up():
+    for n in range(1, 8):
+        for jobs in (2, 3):
+            parts = [enumeration._count(n, "all", "all", (j, jobs)) for j in range(jobs)]
+            assert sum(parts) == census(n)["all"], (n, jobs)
+            # a part holds whole branches of (2n - 3)!! diagrams each
+            assert parts == [len(branches(n)[j::jobs]) * double_factorial(n - 1) for j in range(jobs)]
 
 
 def test_branches_split_the_stream():
@@ -334,9 +369,9 @@ class SerialPool:
 
 
 def test_parallel_shares_match_the_leaf_filter(monkeypatch):
-    # the work items of a parallel count, mapped in this process: the
-    # first chord for the plain count of "all", which counts the stream,
-    # the first chord of the root-insertion parents for the others
+    # the work items of a parallel count, mapped in this process: every
+    # second first chord for the plain count of "all", which counts the
+    # stream, every second root-insertion parent for the others
     monkeypatch.setattr(enumeration.multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     classes = ("all", *ROOT_RULES, "K3-free", "chordal", "indecomposable")
@@ -699,10 +734,7 @@ def test_connected_roots_follow_the_interval_rule():
         ks = list(range(2 * m + 1))
         for s in sweep(m):
             want = loop_connected(s, ks)
-            assert enumeration._insertions(s, "all", "all", ks)[2] == want, s
-            # one root, as a walk split by the parents' first chord asks
-            k = (m * 7 + parents) % len(ks)
-            assert enumeration._insertions(s, "all", "all", [k])[2] == want & 1 << k, (s, k)
+            assert enumeration._insertions(s, "all", "all")[2] == want, s
             parents += 1
     assert parents == 11465
 

@@ -272,7 +272,7 @@ def test_cycle_class_mask_rules_match_the_cycle_search(key, parents):
         ks = list(range(2 * n + 1))
         for s in members(n, key, ordered=False):
             want = cycle_search_roots(key, s, ks)
-            assert root_members(key, s, open_masks(s), None, ks) == want, s
+            assert root_members(key, s, open_masks(s), None) == want, s
             seen += 1
     assert seen == parents
 
@@ -293,10 +293,9 @@ def test_complete_and_nesting_rules_match_the_anchored_embedding(name, top, pare
     pattern = patterns.hereditary_key(name)
     seen = 0
     for n in range(top + 1):
-        ks = list(range(2 * n + 1))
         for s in members(n, name, ordered=False):
             roots = open_masks(s)
-            assert root_members(pattern, s, roots, None, ks) == _pattern_free_roots(s, pattern, roots, ks), s
+            assert root_members(pattern, s, roots, None) == _pattern_free_roots(s, pattern, roots), s
             seen += 1
     assert seen == parents
 
@@ -306,8 +305,8 @@ def test_the_empty_pattern_keeps_no_root():
         pattern = patterns.hereditary_key(name)
         for s in sweep(3):
             roots = open_masks(s)
-            assert root_members(pattern, s, roots, None, list(range(7))) == 0, (name, s)
-            assert _pattern_free_roots(s, pattern, roots, list(range(7))) == 0, (name, s)
+            assert root_members(pattern, s, roots, None) == 0, (name, s)
+            assert _pattern_free_roots(s, pattern, roots) == 0, (name, s)
 
 
 def one_line_rule(key, s, roots, ks):
@@ -331,7 +330,7 @@ def test_named_complete_and_nesting_classes_match_their_one_line_rules(key, pare
         ks = list(range(2 * n + 1))
         for s in members(n, key, ordered=False):
             roots = open_masks(s)
-            assert root_members(key, s, roots, None, ks) == one_line_rule(key, s, roots, ks), s
+            assert root_members(key, s, roots, None) == one_line_rule(key, s, roots, ks), s
             seen += 1
     assert seen == parents
 

@@ -67,7 +67,7 @@ def test_valencies_and_apart_masks_match_the_point_walks_at_scale(d):
 @given(st.integers(0, 2**32), st.integers(40, 120))
 def test_complete_and_nesting_rules_match_the_anchored_embedding_at_scale(seed, n):
     s = uniform_matching(n, random.Random(seed))
-    roots, ks = open_masks(s), list(range(2 * n + 1))
+    roots = open_masks(s)
     real = patterns._holds_clique
     depth = deepest = 0
 
@@ -85,8 +85,8 @@ def test_complete_and_nesting_rules_match_the_anchored_embedding_at_scale(seed, 
         for pattern in (patterns.complete_diagram(3), patterns.complete_diagram(4),
                         patterns.nesting_diagram(3), patterns.nesting_diagram(4)):
             deepest = 0
-            got = patterns.root_members(pattern, s, roots, None, ks)
-            assert got == patterns._pattern_free_roots(s, pattern, roots, ks), pattern
+            got = patterns.root_members(pattern, s, roots, None)
+            assert got == patterns._pattern_free_roots(s, pattern, roots), pattern
             # below the root, each level of the search places one chord
             # and the last places two
             assert deepest <= pattern.n - 2, (pattern, deepest)

@@ -32,7 +32,7 @@ from .bijections import (
 )
 from .diagram import ChordDiagram
 from .enumeration import (
-    VARIANTS,
+    _root_key,
     all_diagrams,
     census,
     class_census,
@@ -109,13 +109,12 @@ def _fail(**details) -> dict:
 
 def _domain(n: int, name: str, variant: str = "all") -> Iterable[ChordDiagram]:
     """The size-n members of a variant of a named class, in generation
-    order, as `members` walks them: a class built by root insertion comes
-    with its connectivity and intersection order filled in, and computes
-    its crossing masks on first read. Cached up to size 7; a larger size,
-    which only the psi checks read at their budget 8, is walked anew on
-    each call. "all" is streamed by `_sweep`, never cached."""
-    if name in VARIANTS:  # "connected" is the connected variant of "all"
-        name, variant = max(name, variant, key=VARIANTS.index), "all"
+    order: the walk of `members`, which reads the class and the variant by
+    the one rule of `_root_key`. A class built by root insertion comes with
+    its connectivity and intersection order filled in, and computes its
+    crossing masks on first read. Cached up to size 7 (`_class_domain`); a
+    larger size, which only the psi checks read at their budget 8, is
+    walked anew on each call."""
     if n > 7:
         return members(n, name, variant=variant)
     return _class_domain(n, name, variant)
@@ -123,12 +122,8 @@ def _domain(n: int, name: str, variant: str = "all") -> Iterable[ChordDiagram]:
 
 @lru_cache(maxsize=None)
 def _class_domain(n: int, name: str, variant: str) -> tuple[ChordDiagram, ...]:
-    """`_domain`, one cache entry per argument triple. A variant is a view
-    of the cached class, the same diagrams in the same order."""
-    if variant == "all":
-        return tuple(members(n, name))
-    keep = ChordDiagram.is_connected if variant == "connected" else is_one_terminal
-    return tuple(filter(keep, _class_domain(n, name, "all")))
+    """`_domain` up to size 7, one cache entry per argument triple."""
+    return tuple(members(n, name, variant=variant))
 
 
 def _sweep(
@@ -138,14 +133,17 @@ def _sweep(
     budget: int,
     variant: str = "all",
 ) -> dict:
-    """Visit the members of a variant of the class `domain` (any class
-    name; "all" is streamed, anything else is its cached `_domain`) with
-    start <= n <= budget in generation order. The visitor returns None, or
-    the details of a failure; the first failing diagram is the reported
-    witness."""
+    """Visit the members of a variant of the class `domain` with start <= n
+    <= budget in generation order. A walk whose `_root_key` variant is
+    "all", a class itself such as "all", "nonnesting" or "top-cycle-free",
+    is streamed from `members` and cached nowhere; a connected or
+    one-terminal walk is read from `_domain`, which several checks share.
+    The visitor returns None, or the details of a failure; the first
+    failing diagram is the reported witness."""
+    stream = _root_key(domain, variant)[1] == "all"
     checked = 0
     for n in range(start, budget + 1):
-        for d in all_diagrams(n) if domain == variant == "all" else _domain(n, domain, variant):
+        for d in members(n, domain, variant=variant) if stream else _domain(n, domain, variant):
             failure = visit(d)
             if failure is not None:
                 return _fail(witness=d.to_text(), **failure)

@@ -23,11 +23,12 @@ _PAIR_RE = re.compile(r"\((\d+)\s*,\s*(\d+)\)")
 class ChordDiagram:
     """Immutable rooted chord diagram.
 
-    The crossing masks, the connectivity, the components and the
-    intersection order are computed on first use and cached in slots.
+    The crossing masks, the connectivity and the intersection order are
+    computed on first use and cached in slots; the components are computed
+    on each call.
     """
 
-    __slots__ = ("pairs", "_adj", "_connected", "_comps", "_order")
+    __slots__ = ("pairs", "_adj", "_connected", "_order")
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -217,11 +218,7 @@ class ChordDiagram:
         Ordered by smallest label, which is also source order. Each call
         returns a new list.
         """
-        comps = self._comps
-        if comps is None:
-            comps = tuple(map(_mask_labels, component_masks(self.adjacency())))
-            _set_comps(self, comps)
-        return list(comps)
+        return list(map(_mask_labels, component_masks(self.adjacency())))
 
     def is_connected(self) -> bool:
         """Nonempty with a weakly connected crossing graph; size 1 is connected."""
@@ -382,7 +379,6 @@ _new = object.__new__
 _set_pairs = ChordDiagram.pairs.__set__
 _set_adj = ChordDiagram._adj.__set__
 _set_connected = ChordDiagram._connected.__set__
-_set_comps = ChordDiagram._comps.__set__
 _set_order = ChordDiagram._order.__set__
 
 
@@ -390,5 +386,4 @@ def _init(d: ChordDiagram, pairs: tuple[tuple[int, int], ...]) -> None:
     _set_pairs(d, pairs)
     _set_adj(d, None)
     _set_connected(d, None)
-    _set_comps(d, None)
     _set_order(d, None)

@@ -194,16 +194,21 @@ def _root_key(cls: str, variant: str = "all") -> tuple[str | ChordDiagram, str]:
     return (cls if key is None else key), variant
 
 
-def _grown(n: int, key, variant: str, ordered: bool) -> Iterator[ChordDiagram]:
-    """`members` built by root insertion over the parents of size n-1."""
+def _grown(
+    n: int, key, variant: str, ordered: bool, part: tuple[int, int] = (0, 1)
+) -> Iterator[ChordDiagram]:
+    """`members` built by root insertion over the parents of size n-1. Part
+    j of jobs, `part` = (j, jobs), takes every jobs-th child of the walk
+    from child j on, and builds no other child."""
     if n < 0:
         raise ValueError("size must be >= 0")
+    j, jobs = part
     if n == 0:
         # the empty diagram is in every hereditary class but the one that
         # forbids the empty pattern, and is neither connected, indecomposable
-        # nor one-terminal
+        # nor one-terminal; it is child 0, so part 0's alone
         member = key.n > 0 if isinstance(key, ChordDiagram) else key in HEREDITARY_CLASSES
-        if member and variant == "all":
+        if member and variant == "all" and j == 0:
             yield ChordDiagram._trusted(())
         return
     ks = range(2 * n - 1)
@@ -219,7 +224,7 @@ def _grown(n: int, key, variant: str, ordered: bool) -> Iterator[ChordDiagram]:
         walk = ((k, site) for k in ks for site in sites if site[0] >> k & 1)
     else:
         walk = ((k, site) for site in sites for k in ks if site[0] >> k & 1)
-    for k, (_, pairs, connected, order) in walk:
+    for k, (_, pairs, connected, order) in islice(walk, j, None, jobs):
         d = insert_root(pairs, k)
         _set_connected(d, connected >> k & 1 == 1)
         if connected >> k & 1:
@@ -252,20 +257,21 @@ def _sites(
     the parents s of size n-1, in generation order if `ordered`; with the
     connected bits and the components of s if `components`. Part j of
     jobs, `part` = (j, jobs), takes every jobs-th parent of the walk from
-    parent j on, so that the parts interleave to the whole. The parents of
+    parent j on, so that the parts interleave to the whole; a grown parent
+    outside the part is never built (`_grown`). The parents of
     "all" and "indecomposable" are every diagram of size n-1, those of the
     other classes and of their connected variant are the class's members.
     The one-terminal variant grows over its own members: a one-terminal
     diagram less its root is one-terminal, and a child of a one-terminal s
     is one-terminal iff connected, since the root then crosses a chord."""
-    j, jobs = part
     # the empty diagram is the parent of every single chord, although it is
     # neither connected nor one-terminal
     below = variant if variant == "one-terminal" and n > 1 else "all"
     if key in ("all", "indecomposable") and below == "all":
+        j, jobs = part
         parents = map(ChordDiagram._trusted, islice(all_pairs(n - 1), j, None, jobs))
     else:
-        parents = islice(_grown(n - 1, key, below, ordered), j, None, jobs)
+        parents = _grown(n - 1, key, below, ordered, part)
     for s in parents:
         yield (s, *_insertions(s, key, variant, components))
 

@@ -10,6 +10,7 @@ import pytest
 from chordlab import checks, patterns, series, triangulation
 from chordlab.checks import CHECKS, check_ids, run_check, run_many
 from chordlab.diagram import ChordDiagram
+from chordlab.enumeration import members
 from chordlab.series import WeightPoly, YPoly, diagram_series
 
 EXPECTED_MODULES = {
@@ -116,6 +117,34 @@ def test_class_walks_do_not_test_their_members_again(monkeypatch):
         assert calls == [], check_id
     diagram_series("divided-power", 5)
     assert calls == []
+
+
+def test_check_domains_are_the_class_walks(monkeypatch):
+    # a sweep over a class itself streams the class's walk, and every
+    # domain a check caches is the walk of `members` for its class and
+    # variant, in the same order
+    walk = checks._class_domain.__wrapped__
+    cached = {}
+
+    def class_domain(n, name, variant):
+        if (n, name, variant) not in cached:
+            cached[n, name, variant] = walk(n, name, variant)
+        return cached[n, name, variant]
+
+    monkeypatch.setattr(checks, "_class_domain", class_domain)
+    for check_id in (
+        "patterns-topcycle-tree-characterization",
+        "structure-nonnesting-connectivity",
+        "alpha-interval-blocks",
+        "enum-one-terminal-tcf-catalan",
+    ):
+        assert run_check(check_id, 6)["ok"], check_id
+    assert cached
+    streamed = [key for key in cached if key[1] in ("top-cycle-free", "nonnesting") and key[2] == "all"]
+    assert streamed == []
+    for (n, name, variant), domain in cached.items():
+        want = [d.pairs for d in members(n, name, variant=variant)]
+        assert [d.pairs for d in domain] == want, (n, name, variant)
 
 
 def test_zeta_suite_reports_an_invalid_word(monkeypatch):

@@ -1,7 +1,9 @@
 """Report-only comparisons between enumerated class counts and the closed-form
 count library.
 
-The counts are `count_members` rows, read off the root-insertion sites.
+The counts are `count_members` rows, read off the root-insertion sites: one
+walk per class and size gives the "all" and "connected" rows, and the
+one-terminal row walks its own parents.
 Every comparison scans index offsets and all three membership variants, and
 nothing here raises on a mismatch: several of the printed formulas are known
 to sit one index off, so the harness's job is to show the alignment.

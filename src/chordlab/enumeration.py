@@ -29,9 +29,13 @@ the children from it, and a class size (`count_members`, `census`,
 `count_class`, `pattern_free_count`) adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
 (`_site_columns`), without building the children. The size of "all" counts
-the stream. `count_classes_parallel` gives worker j of a pool of jobs one
-part of the same walk: every jobs-th parent of `_sites` from parent j on,
-or for the plain count of "all", every jobs-th first chord of the stream.
+the stream. `count_members` reads the "all" and "connected" sizes of any
+other class off one walk (`_class_sizes`), with the components of each
+parent; the plain count `_count`, behind `count_class`,
+`pattern_free_count` and `enum --count`, finds no component.
+`count_classes_parallel` gives worker j of a pool of jobs one part of the
+same walk: every jobs-th parent of `_sites` from parent j on, or for the
+plain count of "all", every jobs-th first chord of the stream.
 `members`, `count_members` and `count_class` read a class and a variant by
 one rule (`_root_key`), so `tcf_refined`, the paper's connected
 top-cycle-free count by t1, is the t1 column of `count_class`.
@@ -178,8 +182,34 @@ def members(
 def count_members(n: int, cls: str = "all", variant: str = "all") -> int:
     """How many diagrams `members` yields. "all" counts the `all_pairs`
     stream itself, and any other class or variant adds up the member bits
-    of each root-insertion parent, without building the children. Cached."""
-    return _count(n, *_root_key(cls, variant))
+    of each root-insertion parent, without building the children: the
+    "all" and "connected" variants of a class other than "all" share one
+    walk (`_class_sizes`). Cached."""
+    return _variant_size(_class_sizes, n, cls, variant)
+
+
+def _variant_size(sizes: Callable, n: int, cls: str, variant: str) -> int:
+    """count_members, with the "all" and "connected" sizes of a class other
+    than "all" read from `sizes(n, key)`. The variants of "all" and every
+    one-terminal variant keep their own walk: "all" counts its stream."""
+    key, variant = _root_key(cls, variant)
+    if key == "all" or variant == "one-terminal":
+        return _count(n, key, variant)
+    return sizes(n, key)[variant == "connected"]
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int, key) -> tuple[int, int]:
+    """The sizes of the "all" and "connected" variants of `key` at n, from
+    one walk of its sites: each parent adds its member bits, and those of
+    them that are connected bits too. Cached."""
+    if n <= 0:
+        return _count(n, key), _count(n, key, "connected")
+    all_size = connected_size = 0
+    for _, _, member, connected, _ in _sites(n, key):
+        all_size += member.bit_count()
+        connected_size += (member & connected).bit_count()
+    return all_size, connected_size
 
 
 def _root_key(cls: str, variant: str = "all") -> tuple[str | ChordDiagram, str]:

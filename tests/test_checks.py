@@ -7,11 +7,11 @@ from functools import lru_cache
 
 import pytest
 
-from chordlab import checks, patterns, series, triangulation
+from chordlab import checks, patterns, series
 from chordlab.checks import CHECKS, check_ids, run_check, run_many
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import members
-from chordlab.series import WeightPoly, YPoly, diagram_series
+from chordlab.series import diagram_series
 
 EXPECTED_MODULES = {
     "diagram",
@@ -145,92 +145,6 @@ def test_check_domains_are_the_class_walks(monkeypatch):
     for (n, name, variant), domain in cached.items():
         want = [d.pairs for d in members(n, name, variant=variant)]
         assert [d.pairs for d in domain] == want, (n, name, variant)
-
-
-def test_zeta_suite_reports_an_invalid_word(monkeypatch):
-    # a faulty zeta is a failed check, not an exception out of run_check
-    zeta = checks.zeta
-    monkeypatch.setattr(checks, "zeta", lambda d: (2, 1, 2, 1) if d.n == 2 else zeta(d))
-    rep = run_check("zeta-stirling-suite", 2)
-    assert not rep["ok"]
-    assert rep["details"]["kind"] == "invalid word"
-
-
-def test_omega_suite_reports_an_invalid_triangulation(monkeypatch):
-    # faces turned to run with the boundary share its directed edges
-    omega = triangulation.omega
-    fired = []
-
-    def faulty(d):
-        t = omega(d)
-        if d.n != 3:
-            return t
-        fired.append(d)
-        return triangulation.Triangulation([f[::-1] for f in t.faces], t.boundary)
-
-    monkeypatch.setattr(triangulation, "omega", faulty)
-    rep = run_check("omega-code-suite", 4)
-    assert fired
-    assert not rep["ok"]
-    assert rep["details"]["kind"] == "invalid triangulation"
-    assert rep["details"]["error"].startswith("directed edge on two faces")
-
-
-def test_series_cocycle_reports_a_moved_operator_coefficient(monkeypatch):
-    apply_operator = series.apply_operator
-    fired = []
-
-    def faulty(name, p):
-        img = apply_operator(name, p)
-        if p != YPoly.basis(2):
-            return img
-        fired.append(name)
-        c = list(img.coeffs)
-        c[1], c[2] = c[2], c[1]
-        return YPoly(c)
-
-    monkeypatch.setattr(series, "apply_operator", faulty)
-    rep = run_check("series-cocycle", 3)
-    assert fired
-    assert not rep["ok"]
-    assert rep["details"] == {"pairing": "binomial"}
-
-
-def test_series_rge_reports_a_moved_g_coefficient(monkeypatch):
-    g_table = series.g_table
-    fired = []
-
-    def faulty(s, phi=None):
-        g = g_table(s, phi)
-        fired.append(len(s))
-        g[1, 3], g[2, 3] = g[2, 3], g[1, 3]
-        return g
-
-    monkeypatch.setattr(series, "g_table", faulty)
-    rep = run_check("series-rge", 4)
-    assert fired
-    assert not rep["ok"]
-    assert rep["details"] == {"operator": "binomial"}
-
-
-def test_series_root_share_reports_a_moved_weight_sum_coefficient(monkeypatch):
-    root_share_sum = series.root_share_sum
-    fired = []
-
-    def faulty(n, i):
-        a = root_share_sum(n, i)
-        if (n, i) != (3, 1):
-            return a
-        fired.append((n, i))
-        # the coefficient of the first monomial goes to the next one
-        (_, c1), (m2, c2), *rest = sorted(a.terms.items())
-        return WeightPoly({m2: c1 + c2, **dict(rest)})
-
-    monkeypatch.setattr(series, "root_share_sum", faulty)
-    rep = run_check("series-root-share", 4)
-    assert fired
-    assert not rep["ok"]
-    assert {k: rep["details"]["first_failure"][k] for k in ("n", "i")} == {"n": 3, "i": 1}
 
 
 @pytest.mark.parametrize("check_id", ["enum-tcf-refined", "omega-code-suite"])

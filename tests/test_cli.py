@@ -500,6 +500,7 @@ EMIT_SHA256 = [
     ('conjectures --max-size 6 --format csv', 'c02166aba5769b8d538eaafd136481d5a5ceadfbf3d2f2b506d50dc899202245'),
     ('conjectures --max-size 6 --format json', '8db9ef5ba66e8854eb82d133d7b9769ed53ac8d57eaf844eb3beb7bcb1b4d0fa'),
     ('conjectures --max-size 6 --format lines', 'afe844f21c4dcc9d6a16fd9925ba6ca2d79b53d3c804a02a7c47800babbff382'),
+    ('conjectures --max-size 7 --format json', '2993d05a7dee3d6b5d2edd5451ef0df816a1710617154b2505c75f00fb91cb00'),
     ('verify core-pair-statistics --max-size 3 --format json', '585d63c290e67a8a84240075043e73ac4b78a13997febfd4ae7a6dbf2be6ebcb'),
     ('verify core-pair-statistics --max-size 3 --format lines', 'da969cdf677f60b9cdd3a00dc2030cdc024f4f069f8ad5ef63215150a1ccdfdd'),
 ]

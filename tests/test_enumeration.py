@@ -12,7 +12,7 @@ import pytest
 import recursive_maps
 
 from chordlab import bijections, checks, diagram, enumeration, patterns
-from chordlab.conjectures import variant_counts
+from chordlab.conjectures import STANDARD_CONJECTURES, variant_counts
 from chordlab.diagram import ChordDiagram
 from chordlab.enumeration import (
     PROFILE_CLASSES,
@@ -460,7 +460,14 @@ def count_built(monkeypatch):
     return built
 
 
+def fresh_class_sizes(monkeypatch):
+    """An empty `_class_sizes` cache, so that `count_members.__wrapped__`
+    walks the class again."""
+    monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
+
+
 def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
+    fresh_class_sizes(monkeypatch)
     built = count_built(monkeypatch)
     for cls, want in (
         ("bipartite", 4659), ("K3-free", stanley(6)),
@@ -472,6 +479,29 @@ def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
     built.clear()
     assert pattern_free_count.__wrapped__(6, permutation_diagram("213")) == 4318
     assert built[6] == 0 and built[5] > 0, built
+
+
+# the classes whose "all" and "connected" sizes `count_members` reads off one
+# walk: every row class of the conjecture report and every profile class, the
+# one class with its own root rule, a complete and a nesting pattern class
+# and a class that embeds its pattern at the root
+JOINT_CLASSES = tuple(dict.fromkeys((
+    *(c.class_name for c in STANDARD_CONJECTURES),
+    *PROFILE_CLASSES,
+    "indecomposable", "K3-free", "N3-free", "perm-213-free",
+)))
+
+
+@pytest.mark.parametrize("cls", JOINT_CLASSES)
+def test_one_site_walk_counts_the_all_and_connected_variants(monkeypatch, cls):
+    key = enumeration._root_key(cls)[0]
+    built = count_built(monkeypatch)
+    for n in range(8):
+        built.clear()
+        got = enumeration._class_sizes.__wrapped__(n, key)
+        assert n == 0 or built[n] == 0, (n, built)
+        want = enumeration._count(n, key, "all"), enumeration._count(n, key, "connected")
+        assert got == want, n
 
 
 # every statistic of count_class, read off one built diagram

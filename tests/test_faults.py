@@ -7,15 +7,18 @@ from functools import lru_cache
 
 import pytest
 
-from chordlab import checks, enumeration, patterns
+from chordlab import checks, enumeration, patterns, series, triangulation
 from chordlab.checks import run_check
+from chordlab.series import WeightPoly, YPoly
 
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty `_class_domain` and `count_members` caches, so that every walk
-    runs under the fault and no faulty result outlives the test."""
+    """Empty `_class_domain`, `count_members` and `_class_sizes` caches, so
+    that every walk runs under the fault and no faulty result outlives the
+    test."""
     monkeypatch.setattr(checks, "_class_domain", lru_cache(maxsize=None)(checks._class_domain.__wrapped__))
+    monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
     count = lru_cache(maxsize=None)(enumeration.count_members.__wrapped__)
     monkeypatch.setattr(enumeration, "count_members", count)
     monkeypatch.setattr(checks, "count_members", count)
@@ -89,3 +92,142 @@ def test_a_nesting_in_the_nonnesting_walk_fails_the_check(fresh_caches, monkeypa
     assert fired
     assert not rep["ok"]
     assert rep["details"] == details
+
+
+def test_a_count_moved_on_the_first_walk_only_fails_report_determinism(fresh_caches, monkeypatch):
+    # the tree rule drops one member root over the first 3-chord parent of
+    # the joint walk, and never again: the two reports differ only if the
+    # second one walks the class anew
+    insertions = enumeration._insertions
+    fired = []
+
+    def faulty(s, key, variant, components=True):
+        roots, member, connected, comps = insertions(s, key, variant, components)
+        if key == "tree" and variant == "all" and s.n == 3 and not fired:
+            fired.append(s.to_text())
+            member &= member - 1
+        return roots, member, connected, comps
+
+    monkeypatch.setattr(enumeration, "_insertions", faulty)
+    rep = run_check("report-determinism", 5)
+    assert len(fired) == 1
+    assert not rep["ok"]
+    assert rep["details"] == {"kind": "conjecture report differs between runs"}
+
+
+def test_a_connected_root_dropped_from_the_joint_walk_fails_series_ogf_egf(fresh_caches, monkeypatch):
+    # over the 4-chord path, the chordal walk loses the connected bit of its
+    # first root that gives a connected member
+    insertions = enumeration._insertions
+    path = ((1, 3), (2, 5), (4, 7), (6, 8))
+    fired = []
+
+    def faulty(s, key, variant, components=True):
+        roots, member, connected, comps = insertions(s, key, variant, components)
+        if key == "chordal" and s.pairs == path:
+            first = member & connected & -(member & connected)
+            fired.append(first)
+            connected &= ~first
+        return roots, member, connected, comps
+
+    monkeypatch.setattr(enumeration, "_insertions", faulty)
+    rep = run_check("series-ogf-egf", 5)
+    assert fired and all(fired)
+    assert not rep["ok"]
+    classes = {c: None if c == "nonnesting" else True for c in enumeration.PROFILE_CLASSES}
+    assert rep["details"] == {"stein": True, "egf": True, "classes": {**classes, "chordal": False}}
+
+
+def test_zeta_suite_reports_an_invalid_word(monkeypatch):
+    # a faulty zeta is a failed check, not an exception out of run_check
+    zeta = checks.zeta
+    fired = []
+
+    def faulty(d):
+        if d.n != 2:
+            return zeta(d)
+        fired.append(d)
+        return (2, 1, 2, 1)
+
+    monkeypatch.setattr(checks, "zeta", faulty)
+    rep = run_check("zeta-stirling-suite", 2)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"]["kind"] == "invalid word"
+
+
+def test_omega_suite_reports_an_invalid_triangulation(monkeypatch):
+    # faces turned to run with the boundary share its directed edges
+    omega = triangulation.omega
+    fired = []
+
+    def faulty(d):
+        t = omega(d)
+        if d.n != 3:
+            return t
+        fired.append(d)
+        return triangulation.Triangulation([f[::-1] for f in t.faces], t.boundary)
+
+    monkeypatch.setattr(triangulation, "omega", faulty)
+    rep = run_check("omega-code-suite", 4)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"]["kind"] == "invalid triangulation"
+    assert rep["details"]["error"].startswith("directed edge on two faces")
+
+
+def test_series_cocycle_reports_a_moved_operator_coefficient(monkeypatch):
+    apply_operator = series.apply_operator
+    fired = []
+
+    def faulty(name, p):
+        img = apply_operator(name, p)
+        if p != YPoly.basis(2):
+            return img
+        fired.append(name)
+        c = list(img.coeffs)
+        c[1], c[2] = c[2], c[1]
+        return YPoly(c)
+
+    monkeypatch.setattr(series, "apply_operator", faulty)
+    rep = run_check("series-cocycle", 3)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"] == {"pairing": "binomial"}
+
+
+def test_series_rge_reports_a_moved_g_coefficient(monkeypatch):
+    g_table = series.g_table
+    fired = []
+
+    def faulty(s, phi=None):
+        g = g_table(s, phi)
+        fired.append(len(s))
+        g[1, 3], g[2, 3] = g[2, 3], g[1, 3]
+        return g
+
+    monkeypatch.setattr(series, "g_table", faulty)
+    rep = run_check("series-rge", 4)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"] == {"operator": "binomial"}
+
+
+def test_series_root_share_reports_a_moved_weight_sum_coefficient(monkeypatch):
+    root_share_sum = series.root_share_sum
+    fired = []
+
+    def faulty(n, i):
+        a = root_share_sum(n, i)
+        if (n, i) != (3, 1):
+            return a
+        fired.append((n, i))
+        # the coefficient of the first monomial goes to the next one
+        (_, c1), (m2, c2), *rest = sorted(a.terms.items())
+        return WeightPoly({m2: c1 + c2, **dict(rest)})
+
+    monkeypatch.setattr(series, "root_share_sum", faulty)
+    rep = run_check("series-root-share", 4)
+    assert fired
+    assert not rep["ok"]
+    assert {k: rep["details"]["first_failure"][k] for k in ("n", "i")} == {"n": 3, "i": 1}

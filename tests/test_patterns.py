@@ -2,12 +2,13 @@
 realizations, and the profile classes."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from chordlab import patterns
+from chordlab import enumeration, patterns
 from chordlab.diagram import ChordDiagram, _mask_labels, crossing_mask, insert_root, open_masks
 from chordlab.enumeration import count_members, members
 from chordlab.patterns import (
@@ -339,6 +340,7 @@ def test_complete_and_nesting_walks_never_embed(monkeypatch):
     calls = []
     real = patterns._embeds
     monkeypatch.setattr(patterns, "_embeds", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
     for name in ("K3-free", "N3-free", "K4-free", "N4-free", "K5-free", "N5-free"):
         count_members.__wrapped__(6, name)
     assert calls == []

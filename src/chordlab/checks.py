@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bijections import (
@@ -32,9 +32,7 @@ from .bijections import (
 )
 from .diagram import ChordDiagram
 from .enumeration import (
-    _class_sizes,
     _root_key,
-    _variant_size,
     all_diagrams,
     census,
     class_census,
@@ -1206,13 +1204,10 @@ def _enum_kterminal_minimal_catalan(budget: int) -> dict:
 def _report_determinism(budget: int) -> dict:
     from .conjectures import standard_reports
 
-    # the first report reads the memo of count_members, which later checks
-    # share; the second walks every class again, on fresh copies of that
-    # memo and of the class sizes it reads
-    a = json.dumps(standard_reports(budget, count_members), sort_keys=True)
-    sizes = lru_cache(maxsize=None)(_class_sizes.__wrapped__)
-    again = lru_cache(maxsize=None)(partial(_variant_size, sizes))
-    b = json.dumps(standard_reports(budget, again), sort_keys=True)
+    # the first report reads the class sizes of the site walks, the second
+    # those of the independent per-diagram sweep
+    a = json.dumps(standard_reports(budget), sort_keys=True)
+    b = json.dumps(standard_reports(budget, lambda n, c, v: class_census(n)[c][v]), sort_keys=True)
     if a != b:
         return _fail(kind="conjecture report differs between runs")
     if _parallel_census(budget, jobs=2) != census(budget):

@@ -2,8 +2,7 @@
 count library.
 
 The counts are `count_members` rows, read off the root-insertion sites: one
-walk per class and size gives the "all" and "connected" rows, and the
-one-terminal row walks its own parents.
+walk per class and size gives all three rows (`enumeration._class_sizes`).
 Every comparison scans index offsets and all three membership variants, and
 nothing here raises on a mismatch: several of the printed formulas are known
 to sit one index off, so the harness's job is to show the alignment.
@@ -190,7 +189,8 @@ def dominance_report(n_max: int, count=count_members) -> dict:
 
 def standard_reports(n_max: int, count=count_members) -> dict:
     """Run every standard comparison plus the dominance inequality, with
-    the class sizes from `count` (the cached `count_members` by default)."""
+    the class sizes from `count` (by default `count_members`, which reads
+    the one memo of class sizes on each call)."""
     rows = []
     for c in STANDARD_CONJECTURES:
         rep = conjecture_report(c.class_name, c.oracle, n_max, count)

@@ -25,14 +25,14 @@ children's connectivity and intersection order filled in:
   "one-terminal" (`_sites`).
 
 `_sites` is the one walk over the root-insertion parents: `members` builds
-the children from it, and a class size (`count_members`, `census`,
-`count_class`, `pattern_free_count`) adds up the member bits of each
+the children from it, and a class size adds up the member bits of each
 parent, or reads each child's statistics off the parent and its root
-(`_site_columns`), without building the children. The size of "all" counts
-the stream. `count_members` reads the "all" and "connected" sizes of any
-other class off one walk (`_class_sizes`), with the components of each
-parent; the plain count `_count`, behind `count_class`,
-`pattern_free_count` and `enum --count`, finds no component.
+(`_site_columns`), without building the children. `_class_sizes` is the
+one memo of class sizes: the three VARIANTS of a class off one walk, with
+the components of each parent, the "all" size of "all" counted on the
+stream; `count_members`, `census` and `pattern_free_count` read it. The
+plain count `_count`, behind `count_class` and `enum --count`, finds no
+component, and is the oracle of `_class_sizes` in the tests.
 `count_classes_parallel` gives worker j of a pool of jobs one part of the
 same walk: every jobs-th parent of `_sites` from parent j on, or for the
 plain count of "all", every jobs-th first chord of the stream.
@@ -47,8 +47,8 @@ paper's root share (`_root_shares`).
 `tally` counts built diagrams by a key function, for the two sweeps that
 measure each diagram: `class_census`, which tests every diagram of the
 stream, one cycle profile each, and is the independent sweep for the site
-rows of `conjectures` and `series` (of the checks only
-`enum-jelinek-equalities` reads it), and the series weight tally.
+rows of `conjectures` and `series` (of the checks `enum-jelinek-equalities`
+and `report-determinism` read it), and the series weight tally.
 """
 
 from __future__ import annotations
@@ -178,38 +178,35 @@ def members(
     return _grown(n, key, variant, ordered)
 
 
-@lru_cache(maxsize=None)
 def count_members(n: int, cls: str = "all", variant: str = "all") -> int:
-    """How many diagrams `members` yields. "all" counts the `all_pairs`
-    stream itself, and any other class or variant adds up the member bits
-    of each root-insertion parent, without building the children: the
-    "all" and "connected" variants of a class other than "all" share one
-    walk (`_class_sizes`). Cached."""
-    return _variant_size(_class_sizes, n, cls, variant)
-
-
-def _variant_size(sizes: Callable, n: int, cls: str, variant: str) -> int:
-    """count_members, with the "all" and "connected" sizes of a class other
-    than "all" read from `sizes(n, key)`. The variants of "all" and every
-    one-terminal variant keep their own walk: "all" counts its stream."""
+    """How many diagrams `members` yields: the class's size in
+    `_class_sizes`, read on each call."""
     key, variant = _root_key(cls, variant)
-    if key == "all" or variant == "one-terminal":
-        return _count(n, key, variant)
-    return sizes(n, key)[variant == "connected"]
+    return _class_sizes(n, key)[VARIANTS.index(variant)]
 
 
 @lru_cache(maxsize=None)
-def _class_sizes(n: int, key) -> tuple[int, int]:
-    """The sizes of the "all" and "connected" variants of `key` at n, from
-    one walk of its sites: each parent adds its member bits, and those of
-    them that are connected bits too. Cached."""
+def _class_sizes(n: int, key) -> tuple[int, int, int]:
+    """The sizes of the VARIANTS of `key` at n, in their order, from one
+    walk of its sites, with no child built: each parent adds its member
+    bits, and those of them that are connected bits too, to the connected
+    size, and to the one-terminal size when the parent is one-terminal or
+    empty (see `_sites`). The "all" size of "all" counts the `all_pairs`
+    stream itself. Cached: the one memo of class sizes."""
     if n <= 0:
-        return _count(n, key), _count(n, key, "connected")
-    all_size = connected_size = 0
-    for _, _, member, connected, _ in _sites(n, key):
-        all_size += member.bit_count()
-        connected_size += (member & connected).bit_count()
-    return all_size, connected_size
+        return tuple(_count(n, key, v) for v in VARIANTS)
+    sizes = [0, 0, 0]
+    for s, _, member, connected, comps in _sites(n, key):
+        sizes[0] += member.bit_count()
+        c = (member & connected).bit_count()
+        sizes[1] += c
+        # a one-terminal parent is connected, which the components tell
+        # before its terminal chords are scanned
+        if c and (not s.n or len(comps) == 1 and is_one_terminal(s)):
+            sizes[2] += c
+    if key == "all":
+        sizes[0] = _count(n, key)
+    return tuple(sizes)
 
 
 def _root_key(cls: str, variant: str = "all") -> tuple[str | ChordDiagram, str]:
@@ -402,8 +399,9 @@ def count_class(
     variant of a class, refined by the named statistics, with no child
     built: by a recurrence over smaller sizes (`_recurrence`: `_histories`
     or `_root_shares`), or off the root-insertion sites (`_site_columns`);
-    only n = 0 tallies a built diagram. A plain count, and so `census`,
-    walks the class."""
+    only n = 0 tallies a built diagram. A plain count is one `_count` walk
+    of the class, which finds no component, apart from the `_class_sizes`
+    memo that `census` reads."""
     return _count_class_share((n, cls, tuple(statistics), (0, 1)), variant)
 
 
@@ -627,12 +625,11 @@ def count_classes_parallel(
     return {c: tables[c] if c in shared else count_class(n, c, statistics) for c in classes}
 
 
-@lru_cache(maxsize=None)
 def census(n: int) -> Mapping[str, int]:
-    """Counts of all / connected / one-terminal diagrams of size n: "all"
-    counts the `all_pairs` stream, the others are built by root insertion.
-    Cached, and read-only."""
-    return MappingProxyType({v: count_members(n, "all", v) for v in VARIANTS})
+    """Counts of all / connected / one-terminal diagrams of size n, read
+    from `_class_sizes`: "all" counts the `all_pairs` stream, the others
+    its parents' sites. Read-only."""
+    return MappingProxyType(dict(zip(VARIANTS, _class_sizes(n, "all"))))
 
 
 # classes whose membership falls out of one crossing-graph cycle profile
@@ -642,8 +639,10 @@ PROFILE_CLASSES = ("all", *CYCLE_CLASSES, "noncrossing", "nonnesting")
 @lru_cache(maxsize=None)
 def class_census(n: int) -> Mapping[str, Mapping[str, int]]:
     """One sweep over size-n diagrams scoring every profile class at once;
-    returns class -> {all, connected, one-terminal} counts. Cached, and
-    read-only."""
+    returns class -> {all, connected, one-terminal} counts. The oracle of
+    the class sizes in two checks: `report-determinism` compares the
+    conjecture report with one counted here, and `enum-jelinek-equalities`
+    reads its top-cycle-free sizes. Cached, and read-only."""
 
     def key(d: ChordDiagram) -> tuple:
         # the diagram's classes, and how many of VARIANTS it counts towards
@@ -672,8 +671,7 @@ def tcf_refined(n: int) -> Mapping[int, int]:
     return MappingProxyType({t: rows[n, t] for _, t in sorted(rows)})
 
 
-@lru_cache(maxsize=None)
 def pattern_free_count(n: int, pattern: ChordDiagram) -> int:
-    """Size-n diagrams with no induced copy of `pattern`, counted by root
-    insertion. Cached."""
-    return _count(n, pattern)
+    """Size-n diagrams with no induced copy of `pattern`, read from
+    `_class_sizes`."""
+    return _class_sizes(n, pattern)[0]

@@ -89,6 +89,28 @@ def test_class_walk_reports_at_budget_six_are_byte_identical_to_the_pin(check_id
     assert hashlib.sha256(text.encode()).hexdigest() == CLASS_WALK_SHA256[check_id]
 
 
+# sha256 of the budget-6 report of each check that reads class sizes, and of
+# the conjecture and series checks over them, read while each variant of a
+# class still had a memo of its own
+CLASS_SIZE_SHA256 = {
+    "enum-stream-counts": "031c17c97b499d2d6e129dcd1332109c0c1cb96effa89b8186612651c3bee2b6",
+    "enum-connected-stein": "cff018947fb2e194e765292d437b9d65409afeca4eabed01091820d3d8dbb15e",
+    "enum-one-terminal-counts": "8bcc8f4982717c3b7e288b855059260fdeca9a1d6900f5ec3e30a302aec5c56b",
+    "enum-k3-stanley": "20e382510e5fcd69c26b23e555e1c6a17b7ceec6fee3cdf49442c06e1a77063a",
+    "patterns-k3-n3-symmetry": "06710869ef0b0230db8065c5445b0f856f36b11869ea11415f9afeb180ffa42e",
+    "enum-jelinek-equalities": "5de60dc8b86f84a5b836900ff8fb0fa3f26e9fd5ac39a4a6245850b84c3bafc6",
+    "report-determinism": "882d8fe5c9ffdc188d59327af185e9cf3325116e6c5d98d6d58dde605c06b51f",
+    "conjectures-run": "177ba369f722a9ae059e19ef4ff661aa12dbaf75e99cffb8b5c83be7b3f658c6",
+    "series-ogf-egf": "96b691f779dfc9bc5f3c88b34c75f8b27de515cf9dcecdeb9385ba1865c2b4a0",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(CLASS_SIZE_SHA256))
+def test_class_size_reports_at_budget_six_are_byte_identical_to_the_pin(check_id):
+    text = json.dumps(run_check(check_id, 6), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_SIZE_SHA256[check_id]
+
+
 def test_class_walks_do_not_test_their_members_again(monkeypatch):
     # the walk of a class is where membership is decided: a check over the
     # class, and the divided-power diagram sum, test no leaf for it again

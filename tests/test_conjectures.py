@@ -2,9 +2,11 @@
 calibration rows that are theorems, and determinism."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from chordlab import enumeration
 from chordlab.conjectures import (
     STANDARD_CONJECTURES,
     conjecture_report,
@@ -13,7 +15,8 @@ from chordlab.conjectures import (
     standard_reports,
     variant_counts,
 )
-from chordlab.enumeration import count_class, count_members
+from chordlab.enumeration import VARIANTS, census, count_class, count_members, pattern_free_count
+from chordlab.patterns import complete_diagram
 
 
 def test_variant_counts_small_values():
@@ -82,3 +85,24 @@ def test_conjecture_classes_by_terminal_count_add_up(n):
         # one terminal chord makes a diagram connected
         connected = count_class(n, c.class_name, ("terminal-count",), "connected")
         assert connected.get((n, 1), 0) == count_members(n, c.class_name, "one-terminal"), c.name
+
+
+def test_every_class_size_reads_the_one_memo(monkeypatch):
+    # a fresh memo of class sizes that moves every size at n = 4 moves
+    # every reader, the reports with their default count too: no reader
+    # keeps a memo, or a binding, of its own
+    walk = enumeration._class_sizes.__wrapped__
+
+    def moved(n, key):
+        sizes = walk(n, key)
+        return tuple(s + 1000 for s in sizes) if n == 4 else sizes
+
+    monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(moved))
+    assert count_members(4, "tree", "connected") == 1000 + walk(4, "tree")[1]
+    assert dict(census(4)) == {"all": 1105, "connected": 1027, "one-terminal": 1015}
+    k3 = complete_diagram(3)
+    assert pattern_free_count(4, k3) == count_members(4, "K3-free") == 1000 + walk(4, k3)[0]
+    for row in standard_reports(4)["rows"]:
+        key = enumeration._root_key(row["report"]["class"])[0]
+        for v, size in zip(VARIANTS, walk(4, key)):
+            assert row["report"]["variants"][v]["enumerated"][3] == 1000 + size, (row["name"], v)

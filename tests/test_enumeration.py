@@ -461,8 +461,8 @@ def count_built(monkeypatch):
 
 
 def fresh_class_sizes(monkeypatch):
-    """An empty `_class_sizes` cache, so that `count_members.__wrapped__`
-    walks the class again."""
+    """An empty `_class_sizes` cache, so that a class size walks the class
+    again."""
     monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
 
 
@@ -474,17 +474,17 @@ def test_hereditary_counts_build_no_diagram_of_the_counted_size(monkeypatch):
         ("top-cycle-free", 4318), ("bottom-cycle-free", 4288), ("chordal", 8549),
     ):
         built.clear()
-        assert count_members.__wrapped__(6, cls) == want
+        assert count_members(6, cls) == want
         assert built[6] == 0 and built[5] > 0, (cls, built)
     built.clear()
-    assert pattern_free_count.__wrapped__(6, permutation_diagram("213")) == 4318
+    assert pattern_free_count(6, permutation_diagram("213")) == 4318
     assert built[6] == 0 and built[5] > 0, built
 
 
-# the classes whose "all" and "connected" sizes `count_members` reads off one
-# walk: every row class of the conjecture report and every profile class, the
-# one class with its own root rule, a complete and a nesting pattern class
-# and a class that embeds its pattern at the root
+# the classes whose sizes `count_members` reads off one walk: every row
+# class of the conjecture report and every profile class, the one class
+# with its own root rule, a complete and a nesting pattern class and a
+# class that embeds its pattern at the root
 JOINT_CLASSES = tuple(dict.fromkeys((
     *(c.class_name for c in STANDARD_CONJECTURES),
     *PROFILE_CLASSES,
@@ -494,13 +494,14 @@ JOINT_CLASSES = tuple(dict.fromkeys((
 
 @pytest.mark.parametrize("cls", JOINT_CLASSES)
 def test_one_site_walk_counts_the_all_and_connected_variants(monkeypatch, cls):
+    # and the one-terminal variant, each against its own plain walk
     key = enumeration._root_key(cls)[0]
     built = count_built(monkeypatch)
     for n in range(8):
         built.clear()
         got = enumeration._class_sizes.__wrapped__(n, key)
         assert n == 0 or built[n] == 0, (n, built)
-        want = enumeration._count(n, key, "all"), enumeration._count(n, key, "connected")
+        want = tuple(enumeration._count(n, key, v) for v in enumeration.VARIANTS)
         assert got == want, n
 
 
@@ -779,8 +780,8 @@ def test_census_counts_the_stream_itself(monkeypatch):
 
     want = census(4)["all"]
     monkeypatch.setattr(enumeration, "all_pairs", one_short)
-    monkeypatch.setattr(enumeration, "count_members", count_members.__wrapped__)
-    assert census.__wrapped__(4)["all"] == want - 1
+    fresh_class_sizes(monkeypatch)
+    assert census(4)["all"] == want - 1
 
 
 def test_the_one_terminal_domain_is_not_built_by_chi(monkeypatch):
@@ -913,7 +914,8 @@ def test_patterns_larger_than_every_child_build_no_relation_table(monkeypatch):
     sizes = []
     real = patterns._relation_table
     monkeypatch.setattr(patterns, "_relation_table", lambda pairs: sizes.append(len(pairs)) or real(pairs))
-    assert pattern_free_count.__wrapped__(3, complete_diagram(5000)) == 15
+    fresh_class_sizes(monkeypatch)
+    assert pattern_free_count(3, complete_diagram(5000)) == 15
     assert count_members(3, "N5000-free") == 15
     assert sizes == []
 

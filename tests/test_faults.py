@@ -14,14 +14,10 @@ from chordlab.series import WeightPoly, YPoly
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty `_class_domain`, `count_members` and `_class_sizes` caches, so
-    that every walk runs under the fault and no faulty result outlives the
-    test."""
+    """Empty `_class_domain` and `_class_sizes` caches, so that every walk
+    runs under the fault and no faulty result outlives the test."""
     monkeypatch.setattr(checks, "_class_domain", lru_cache(maxsize=None)(checks._class_domain.__wrapped__))
     monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
-    count = lru_cache(maxsize=None)(enumeration.count_members.__wrapped__)
-    monkeypatch.setattr(enumeration, "count_members", count)
-    monkeypatch.setattr(checks, "count_members", count)
 
 
 def add_top_cycle_root(monkeypatch) -> list:
@@ -97,7 +93,7 @@ def test_a_nesting_in_the_nonnesting_walk_fails_the_check(fresh_caches, monkeypa
 def test_a_count_moved_on_the_first_walk_only_fails_report_determinism(fresh_caches, monkeypatch):
     # the tree rule drops one member root over the first 3-chord parent of
     # the joint walk, and never again: the two reports differ only if the
-    # second one walks the class anew
+    # second one counts the class by another path than the first
     insertions = enumeration._insertions
     fired = []
 
@@ -136,6 +132,111 @@ def test_a_connected_root_dropped_from_the_joint_walk_fails_series_ogf_egf(fresh
     assert not rep["ok"]
     classes = {c: None if c == "nonnesting" else True for c in enumeration.PROFILE_CLASSES}
     assert rep["details"] == {"stein": True, "egf": True, "classes": {**classes, "chordal": False}}
+
+
+def test_a_diagram_dropped_from_the_stream_fails_enum_stream_counts(fresh_caches, monkeypatch):
+    # the walk of size 4 loses its first diagram
+    pairs = enumeration.all_pairs
+    fired = []
+
+    def faulty(n, branch=None):
+        walk = pairs(n, branch)
+        if n == 4:
+            fired.append(next(walk))
+        yield from walk
+
+    monkeypatch.setattr(enumeration, "all_pairs", faulty)
+    rep = run_check("enum-stream-counts", 5)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"] == {"n": 4, "got": 104}
+
+
+def test_a_connected_root_dropped_from_all_fails_enum_connected_stein(fresh_caches, monkeypatch):
+    # over the crossing pair (1,3)(2,4), the walk of "all" loses the
+    # connected bit of its first connected child
+    insertions = enumeration._insertions
+    fired = []
+
+    def faulty(s, key, variant, components=True):
+        roots, member, connected, comps = insertions(s, key, variant, components)
+        if key == "all" and s.pairs == ((1, 3), (2, 4)):
+            fired.append(connected & -connected)
+            connected &= connected - 1
+        return roots, member, connected, comps
+
+    monkeypatch.setattr(enumeration, "_insertions", faulty)
+    rep = run_check("enum-connected-stein", 5)
+    assert fired and all(fired)
+    assert not rep["ok"]
+    assert rep["details"] == {"n": 3, "got": 3, "want": 4}
+
+
+def test_a_one_terminal_parent_missed_fails_enum_one_terminal_counts(fresh_caches, monkeypatch):
+    # the joint walk takes the crossing pair, the one one-terminal diagram
+    # of size 2, for a parent that is not one-terminal
+    one_terminal = enumeration.is_one_terminal
+    fired = []
+
+    def faulty(s):
+        if s.pairs == ((1, 3), (2, 4)):
+            fired.append(s.pairs)
+            return False
+        return one_terminal(s)
+
+    monkeypatch.setattr(enumeration, "is_one_terminal", faulty)
+    rep = run_check("enum-one-terminal-counts", 5)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"] == {"n": 3, "got": 0, "want": 3}
+
+
+@pytest.mark.parametrize(
+    "check_id, details",
+    [
+        ("enum-k3-stanley", {"n": 3, "got": 15, "want": 14}),
+        ("patterns-k3-n3-symmetry", {"n": 3, "k3_free": 15, "n3_free": 14}),
+    ],
+)
+def test_a_triangle_missed_by_the_clique_rule_fails_the_check(fresh_caches, monkeypatch, check_id, details):
+    # over the crossing pair (1,3)(2,4), the root that crosses both chords
+    # is taken for no triangle, and (1,4)(2,5)(3,6) counts as K3-free
+    holds = patterns._holds_clique
+    fired = []
+
+    def faulty(adj, mask, size):
+        found = holds(adj, mask, size)
+        if found and size == 2 and adj == (2, 1):
+            fired.append(mask)
+            return False
+        return found
+
+    monkeypatch.setattr(patterns, "_holds_clique", faulty)
+    rep = run_check(check_id, 5)
+    assert fired
+    assert not rep["ok"]
+    assert rep["details"] == details
+
+
+def test_a_213_root_kept_fails_enum_jelinek_equalities(fresh_caches, monkeypatch):
+    # over the crossing pair (1,3)(2,4), the 213 embedding misses the root
+    # at k = 3, whose child (1,5)(2,4)(3,6) is the pattern itself
+    free_roots = patterns._pattern_free_roots
+    pattern = patterns.permutation_diagram("213")
+    fired = []
+
+    def faulty(s, key, roots):
+        bits = free_roots(s, key, roots)
+        if key == pattern and s.pairs == ((1, 3), (2, 4)):
+            fired.append(bits)
+            bits |= 1 << 3
+        return bits
+
+    monkeypatch.setattr(patterns, "_pattern_free_roots", faulty)
+    rep = run_check("enum-jelinek-equalities", 5)
+    assert fired and not fired[0] >> 3 & 1
+    assert not rep["ok"]
+    assert rep["details"] == {"n": 3, "counts": (14, 15, 14)}
 
 
 def test_zeta_suite_reports_an_invalid_word(monkeypatch):

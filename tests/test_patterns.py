@@ -342,7 +342,7 @@ def test_complete_and_nesting_walks_never_embed(monkeypatch):
     monkeypatch.setattr(patterns, "_embeds", lambda *args: calls.append(1) or real(*args))
     monkeypatch.setattr(enumeration, "_class_sizes", lru_cache(maxsize=None)(enumeration._class_sizes.__wrapped__))
     for name in ("K3-free", "N3-free", "K4-free", "N4-free", "K5-free", "N5-free"):
-        count_members.__wrapped__(6, name)
+        count_members(6, name)
     assert calls == []
-    count_members.__wrapped__(5, "perm-213-free")
+    count_members(5, "perm-213-free")
     assert calls

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chordlab.cli  # noqa: F401  (imports every module the tracer wraps)
+from chordlab import enumeration
 from chordlab.checks import check_ids
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,3 +37,9 @@ def test_traced_names_resolve(perfbench):
 def test_benchmarked_checks_are_registered(perfbench):
     _, workloads = perfbench
     assert set(workloads.CHECK_IDS) <= set(check_ids())
+
+
+def test_the_sweep_cache_counts_the_memo_of_class_sizes(perfbench):
+    # enumeration.sweep_cache.* adds up the caches the tracer finds
+    tracer, _ = perfbench
+    assert enumeration._class_sizes in tracer.Tracer._lru_functions()

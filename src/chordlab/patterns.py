@@ -18,14 +18,13 @@ Two algorithms do the work, both over the crossing masks of the diagram:
 The hereditary classes (closed under removing the root chord) are built
 by root insertion in `enumeration`. `root_members` decides which roots over
 a member of size n-1 keep the class, testing only what uses the new root,
-with no child built. A mask rule decides the named classes and the
-complete and nesting patterns K_k and N_k, told apart by their own pairs:
-K_k-free asks for no k - 1 pairwise crossing chords among those the root
-crosses (noncrossing and triangle-free are K2 and K3), and N_k-free for no
-k - 1 mutually nesting chords closed inside the root (nonnesting is N2).
-Any other pattern, such as a permutation diagram, runs the embedding
-anchored at the root, which stays the oracle of both rules. `in_class`
-stays the per-diagram predicate, independent of this.
+with no child built. Mask rules decide the named classes and the complete
+and nesting patterns K_k and N_k, told apart by their own pairs; the K_k,
+tree and bipartite rules decide every root of a parent at once, from the
+roots at which each chord is open. Any other pattern, such as a
+permutation diagram, runs the embedding anchored at the root, which stays
+the oracle of the K_k and N_k rules. `in_class` stays the per-diagram
+predicate, independent of this.
 """
 
 from __future__ import annotations
@@ -382,39 +381,30 @@ def root_members(key: str | ChordDiagram, s: ChordDiagram, roots: list[int], com
     of s's components (None if not yet found). Only configurations that use
     the root are tested: the others lie in s. No child is built.
 
-    The root is the child's first chord. A complete pattern K_m through it
-    is the root and m - 1 pairwise crossing chords of roots[k]; a nesting
-    pattern N_m through it is the root over m - 1 mutually nesting chords
-    that close among s's first k points. Noncrossing (K2), nonnesting (N2)
-    and triangle-free (K3) are read by the same two rules."""
+    The root crosses chord (a, b) of s at the roots a <= k < b, its span.
+    The K_m, tree and bipartite rules OR spans into the roots that fail, all
+    at once; an N_m through the root is the root over m - 1 mutually
+    nesting chords that close among s's first k points."""
     rule = _rule(key)
     if rule is not None:
         complete, size = rule
         if not complete:
             # the roots k before that point, which is at most 2m + 1 = len(roots)
             return (1 << _nesting_close(s.pairs, size)) - 1
-        if size > 1:
-            adj = s.adjacency()
-            return sum(1 << k for k, r in enumerate(roots) if not _holds_clique(adj, r, size))
-        # a single chord is a clique, and the empty set is one of every
-        # size below it
-        return sum(1 << k for k, r in enumerate(roots) if not r) if size == 1 else 0
+        return (1 << len(roots)) - 1 & ~_clique_roots(s.pairs, s.adjacency(), size)
     if isinstance(key, ChordDiagram):
         return _pattern_free_roots(s, key, roots)
     adj = s.adjacency()
-    if comps is None and key in ("tree", "bipartite"):
-        comps = component_masks(adj)
-    if key == "tree":
-        # a second neighbour in one component of s closes a cycle
-        return sum(1 << k for k, r in enumerate(roots) if all(_at_most_one(r & c) for c in comps))
-    if key == "bipartite":
-        # within a component of s, the root's neighbours must share a colour
-        sides = [(c, _colour_class(adj, c)) for c in comps]
-        return sum(
-            1 << k for k, r in enumerate(roots)
-            if all(not r & a or not r & (c ^ a) for c, a in sides)
-        )
-    return _cycle_free_roots(key, adj, roots)
+    if key not in ("tree", "bipartite"):
+        return _cycle_free_roots(key, adj, roots)
+    bad = 0
+    for c in component_masks(adj) if comps is None else comps:
+        if key == "tree":
+            bad |= _open(s.pairs, c)[1]
+        elif c & (c - 1):
+            a = _colour_class(adj, c)
+            bad |= _open(s.pairs, a)[0] & _open(s.pairs, c ^ a)[0]
+    return (1 << len(roots)) - 1 & ~bad
 
 
 @lru_cache
@@ -435,18 +425,36 @@ def _rule(key: str | ChordDiagram) -> tuple[bool, int] | None:
     return None
 
 
-def _holds_clique(adj: tuple[int, ...], mask: int, size: int) -> bool:
-    """Do `size` >= 2 pairwise crossing chords lie in the mask? Each branch
-    takes the lowest chord left and keeps its later neighbours, and ends
-    when fewer than `size` chords are left; the recursion is size - 1
-    deep."""
+def _clique_roots(pairs: tuple[tuple[int, int], ...], adj: tuple[int, ...], size: int) -> int:
+    """The roots that cross `size` pairwise crossing chords (-1, every root,
+    for size <= 0). Those of one clique run from its highest chord's source
+    to its lowest chord's sink, so the cliques whose lowest chord is x are
+    crossed from the source of their lowest-labelled top to x's sink."""
+    if size < 1:
+        return -1  # the root alone is K1, and the empty pattern lies in every child
+    bad = 0
+    for x, (_, b) in enumerate(pairs):
+        top = _clique_top(adj, adj[x] >> x + 1 << x + 1, size - 1) if size > 1 else 1 << x
+        if top:
+            bad |= (1 << b) - (1 << pairs[top.bit_length() - 1][0])
+    return bad
+
+
+def _clique_top(adj: tuple[int, ...], mask: int, size: int) -> int:
+    """The lowest chord, as a bit, topping `size` >= 1 pairwise crossing
+    chords of the mask (0 if none): a branch per lowest chord over its later
+    neighbours below the best top so far, size deep."""
+    if size == 1:
+        return mask & -mask
+    best = 0
     while mask.bit_count() >= size:
         low = mask & -mask
         mask ^= low
-        later = adj[low.bit_length() - 1] & mask
-        if later if size == 2 else _holds_clique(adj, later, size - 1):
-            return True
-    return False
+        top = _clique_top(adj, adj[low.bit_length() - 1] & mask, size - 1)
+        if top:
+            best = top
+            mask &= top - 1
+    return best
 
 
 def _nesting_close(pairs: tuple[tuple[int, int], ...], size: int) -> int:
@@ -472,8 +480,16 @@ def _nesting_close(pairs: tuple[tuple[int, int], ...], size: int) -> int:
     return 2 * len(pairs) + 1
 
 
-def _at_most_one(mask: int) -> bool:
-    return not mask & (mask - 1)
+def _open(pairs: tuple[tuple[int, int], ...], mask: int) -> tuple[int, int]:
+    """The roots where a chord (a, b) of the mask is open, a <= k < b, and where two are."""
+    once = twice = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a, b = pairs[low.bit_length() - 1]
+        twice |= once & (span := (1 << b) - (1 << a))
+        once |= span
+    return once, twice
 
 
 def _colour_class(adj: tuple[int, ...], comp: int) -> int:

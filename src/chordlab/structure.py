@@ -112,12 +112,11 @@ def t1(d: ChordDiagram) -> int:
 def is_one_terminal(d: ChordDiagram) -> bool:
     """Connected with exactly one terminal chord.
 
-    Each component's last chord is terminal, so one terminal chord makes
-    the diagram connected: every other chord crosses a later one, and so
-    reaches the last chord through later and later ones. No component scan
-    is needed.
-    """
-    return len(terminal_labels(d)) == 1
+    The last chord is terminal, and so is each component's last one, so a
+    nonempty diagram is one-terminal iff every other chord crosses a later
+    one, and so reaches the last chord through later and later ones."""
+    adj = d.adjacency()
+    return bool(adj) and all(m >> i for i, m in enumerate(adj[:-1], 1))
 
 
 def is_k_terminal(d: ChordDiagram, k: int) -> bool:

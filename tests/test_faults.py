@@ -199,23 +199,70 @@ def test_a_one_terminal_parent_missed_fails_enum_one_terminal_counts(fresh_cache
     ],
 )
 def test_a_triangle_missed_by_the_clique_rule_fails_the_check(fresh_caches, monkeypatch, check_id, details):
-    # over the crossing pair (1,3)(2,4), the root that crosses both chords
+    # over the crossing pair (1,3)(2,4), the clique search finds no later
+    # neighbour of the first chord, so the root that crosses both chords
     # is taken for no triangle, and (1,4)(2,5)(3,6) counts as K3-free
-    holds = patterns._holds_clique
+    top = patterns._clique_top
     fired = []
 
     def faulty(adj, mask, size):
-        found = holds(adj, mask, size)
-        if found and size == 2 and adj == (2, 1):
+        found = top(adj, mask, size)
+        if found and size == 1 and adj == (2, 1):
             fired.append(mask)
-            return False
+            return 0
         return found
 
-    monkeypatch.setattr(patterns, "_holds_clique", faulty)
+    monkeypatch.setattr(patterns, "_clique_top", faulty)
     rep = run_check(check_id, 5)
     assert fired
     assert not rep["ok"]
     assert rep["details"] == details
+
+
+# the one parent whose chords cross, open at the roots k = 1, 2 and 2, 3
+CROSSING_PAIR = ((1, 3), (2, 4))
+
+
+def test_a_cycle_missed_by_the_tree_span_rule_fails_report_determinism(fresh_caches, monkeypatch):
+    # the tree rule's sweep over the crossing pair misses the root k = 2,
+    # where both chords are open, so the triangle (1,4)(2,5)(3,6) counts as
+    # a tree in the site walks but not in the per-diagram sweep
+    open_roots = patterns._open
+    fired = []
+
+    def faulty(pairs, mask):
+        once, twice = open_roots(pairs, mask)
+        if pairs == CROSSING_PAIR and mask == 0b11:
+            fired.append(twice)
+            twice &= ~(1 << 2)
+        return once, twice
+
+    monkeypatch.setattr(patterns, "_open", faulty)
+    rep = run_check("report-determinism", 5)
+    assert fired and all(f >> 2 & 1 for f in fired)
+    assert not rep["ok"]
+    assert rep["details"] == {"kind": "conjecture report differs between runs"}
+
+
+def test_an_odd_cycle_missed_by_the_bipartite_span_rule_fails_report_determinism(fresh_caches, monkeypatch):
+    # over the crossing pair, the colour side of the second chord opens one
+    # root late, at k = 3, so the root k = 2 that crosses both sides is kept
+    # and the triangle (1,4)(2,5)(3,6) counts as bipartite in the site walks
+    open_roots = patterns._open
+    fired = []
+
+    def faulty(pairs, mask):
+        once, twice = open_roots(pairs, mask)
+        if pairs == CROSSING_PAIR and mask == 0b10:
+            fired.append(once)
+            once &= once - 1
+        return once, twice
+
+    monkeypatch.setattr(patterns, "_open", faulty)
+    rep = run_check("report-determinism", 5)
+    assert fired and all(f == 0b1100 for f in fired)
+    assert not rep["ok"]
+    assert rep["details"] == {"kind": "conjecture report differs between runs"}
 
 
 def test_a_213_root_kept_fails_enum_jelinek_equalities(fresh_caches, monkeypatch):

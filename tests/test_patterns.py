@@ -9,11 +9,12 @@ import networkx as nx
 import pytest
 
 from chordlab import enumeration, patterns
-from chordlab.diagram import ChordDiagram, _mask_labels, crossing_mask, insert_root, open_masks
+from chordlab.diagram import ChordDiagram, _mask_labels, component_masks, crossing_mask, insert_root, open_masks
 from chordlab.enumeration import count_members, members
 from chordlab.patterns import (
     CLASS_NAMES,
     CYCLE_CLASSES,
+    _colour_class,
     _induced_cycles,
     _kind,
     _pattern_free_roots,
@@ -346,3 +347,76 @@ def test_complete_and_nesting_walks_never_embed(monkeypatch):
     assert calls == []
     count_members(5, "perm-213-free")
     assert calls
+
+
+# -- the per-root rules that the span masks of `root_members` replaced:
+# each root is decided on its own crossing mask r alone
+
+
+def holds_clique(adj, mask, size):
+    """Do `size` >= 2 pairwise crossing chords lie in the mask? Each branch
+    takes the lowest chord left and keeps its later neighbours, and ends
+    when fewer than `size` chords are left."""
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        mask ^= low
+        later = adj[low.bit_length() - 1] & mask
+        if later if size == 2 else holds_clique(adj, later, size - 1):
+            return True
+    return False
+
+
+def per_root_rule(key, s, roots, comps):
+    """The member roots of the K_k-free classes, noncrossing, triangle-free,
+    tree and bipartite over s, one root at a time; comps are the masks of
+    s's components."""
+    adj = s.adjacency()
+    if key == "tree":
+        # a second neighbour in one component of s closes a cycle
+        return sum(1 << k for k, r in enumerate(roots) if all(not r & c & (r & c) - 1 for c in comps))
+    if key == "bipartite":
+        # within a component of s, the root's neighbours must share a colour
+        sides = [(c, _colour_class(adj, c)) for c in comps]
+        return sum(1 << k for k, r in enumerate(roots) if all(not r & a or not r & (c ^ a) for c, a in sides))
+    # K_m needs m - 1 pairwise crossing chords besides the root
+    size = {"noncrossing": 1, "triangle-free": 2}[key] if isinstance(key, str) else key.n - 1
+    if size < 1:
+        # a single chord is a clique, and the empty set is one of every
+        # size below it
+        return 0
+    if size == 1:
+        return sum(1 << k for k, r in enumerate(roots) if not r)
+    return sum(1 << k for k, r in enumerate(roots) if not holds_clique(adj, r, size))
+
+
+@pytest.mark.parametrize("size", range(1, 5))
+def test_clique_span_rule_matches_the_per_root_search_on_every_diagram(size):
+    pattern = complete_diagram(size + 1)
+    for n in range(7):
+        for s in sweep(n):
+            roots = open_masks(s)
+            assert root_members(pattern, s, roots, None) == per_root_rule(pattern, s, roots, None), s
+
+
+# Each class with the classes read on the same walk and its number of member
+# parents of size 0..7: a named class shares the walk of the pattern class
+# it equals, and tree that of bipartite, which holds every forest. The
+# K4- and K5-free parents of size 0..6 are among every diagram of the test
+# above; their 245,453 parents of size 7 would add about 4 s.
+SPAN_CLASSES = [
+    ("K1-free", (), 1), ("K2-free", ("noncrossing",), 626),
+    ("K3-free", ("triangle-free",), 46314), ("bipartite", ("tree",), 45053),
+]
+
+
+@pytest.mark.parametrize("name, twins, parents", SPAN_CLASSES)
+def test_span_rules_match_the_per_root_rules_on_every_member_parent(name, twins, parents):
+    key = patterns.hereditary_key(name)
+    seen = 0
+    for n in range(8):
+        for s in members(n, name, ordered=False):
+            roots, comps = open_masks(s), component_masks(s.adjacency())
+            for k in (key, *twins):
+                assert root_members(k, s, roots, comps) == per_root_rule(k, s, roots, comps), (k, s)
+            seen += 1
+    assert seen == parents

@@ -68,7 +68,7 @@ def test_valencies_and_apart_masks_match_the_point_walks_at_scale(d):
 def test_complete_and_nesting_rules_match_the_anchored_embedding_at_scale(seed, n):
     s = uniform_matching(n, random.Random(seed))
     roots = open_masks(s)
-    real = patterns._holds_clique
+    real = patterns._clique_top
     depth = deepest = 0
 
     def tracked(adj, mask, size):
@@ -80,15 +80,15 @@ def test_complete_and_nesting_rules_match_the_anchored_embedding_at_scale(seed, 
         finally:
             depth -= 1
 
-    patterns._holds_clique = tracked
+    patterns._clique_top = tracked
     try:
         for pattern in (patterns.complete_diagram(3), patterns.complete_diagram(4),
                         patterns.nesting_diagram(3), patterns.nesting_diagram(4)):
             deepest = 0
             got = patterns.root_members(pattern, s, roots, None)
             assert got == patterns._pattern_free_roots(s, pattern, roots), pattern
-            # below the root, each level of the search places one chord
-            # and the last places two
+            # below the root and the clique's lowest chord, each level of
+            # the search places one chord
             assert deepest <= pattern.n - 2, (pattern, deepest)
     finally:
-        patterns._holds_clique = real
+        patterns._clique_top = real

@@ -150,6 +150,15 @@ def test_one_terminal_is_one_terminal_chord_and_connected():
             assert is_one_terminal(d) == (d.is_connected() and len(terminal_labels(d)) == 1), d
 
 
+def test_one_terminal_scan_matches_the_count_of_terminal_labels():
+    # the scan for a chord before the last with no later neighbour, against
+    # the tuple of terminal labels it replaced: one terminal chord alone
+    # makes a diagram connected
+    for n in range(7):
+        for d in sweep(n):
+            assert is_one_terminal(d) == (len(terminal_labels(d)) == 1), d
+
+
 def test_groups_partition_points_below_root_sink():
     for n in range(1, 6):
         for d in sweep(n):
